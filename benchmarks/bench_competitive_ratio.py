@@ -134,13 +134,13 @@ def run_bench(quick: bool) -> dict:
     panels = workload_panels(per_panel)
     panel_rows = []
     for name, insts in panels.items():
-        vec = ratio_statistics(insts, kernel="vector")
+        vec = ratio_statistics(insts, kernel="auto")
         ev = ratio_statistics(insts, kernel="event")
         identical = list(vec.ratios) == list(ev.ratios)
         if not identical:
             failures.append(f"panel '{name}': vector ratios != event ratios")
         digests_equal = all(
-            decision_digest(SpeculativeCaching().run(inst, kernel="vector"))
+            decision_digest(SpeculativeCaching().run(inst, kernel="auto"))
             == decision_digest(SpeculativeCaching().run(inst, kernel="event"))
             for inst in insts
         )

@@ -22,12 +22,10 @@ Standalone script (also runnable under pytest) benchmarking the
   hard in full mode when the compiled C sweep is available and
   soft-warns otherwise (``--quick``, or Python-sweep fallback boxes
   with no C compiler).
-* **vectorize crossover** — times the reference kernel's scalar pivot
-  loop vs its numpy gather across ``m``; the measured crossover is what
-  calibrates ``_VECTORIZE_MIN_M`` in :mod:`repro.offline.dp`.
-* **replay fast path** — ``run_online`` array-backed replay vs the
-  stepwise ``ReplayDriver`` loop: identical cost/counters (asserted)
-  plus the measured speedup.
+* **replay series** — the online vector kernel (``run_online`` with
+  ``kernel="auto"`` on plain SC) vs the stepwise ``ReplayDriver``
+  (``kernel="event"``): identical cost/counters (asserted) plus the
+  measured speedup.
 
 Usage::
 
@@ -55,7 +53,6 @@ from repro import (  # noqa: E402
 from repro.analysis import format_table  # noqa: E402
 from repro.kernels import (  # noqa: E402
     batch_sweep_backend,
-    replay_fault_free,
     solve_offline_frontier,
 )
 from repro.sim.engine import run_online  # noqa: E402
@@ -108,11 +105,9 @@ def run_bench(quick: bool) -> dict:
     repeats = 1 if quick else 3
     if quick:
         grid = [(1_000, 8), (2_000, 64)]
-        cross_n, cross_ms = 800, [8, 64]
         replay_n, replay_m = 2_000, 16
     else:
         grid = [(2_000, 8), (10_000, 16), (50_000, 32), (100_000, 64)]
-        cross_n, cross_ms = 4_000, [4, 8, 16, 32, 48, 64, 96, 128]
         replay_n, replay_m = 50_000, 32
 
     failures = []
@@ -181,68 +176,36 @@ def run_bench(quick: bool) -> dict:
         "bit_identical": batch_identical,
     }
 
-    # Reference-kernel vectorization crossover (calibrates _VECTORIZE_MIN_M).
-    cross_rows = []
-    for m in cross_ms:
-        inst = poisson_zipf_instance(cross_n, m, rate=1.0, zipf_s=0.9, rng=m)
-        t_scalar, res_s = _best_of(
-            lambda: solve_offline(inst, vectorized=False, kernel="reference"),
-            repeats,
-        )
-        t_vec, res_v = _best_of(
-            lambda: solve_offline(inst, vectorized=True, kernel="reference"),
-            repeats,
-        )
-        if not _identical(res_s, res_v):
-            failures.append(f"vectorized reference diverged at m={m}")
-        cross_rows.append(
-            {
-                "m": m,
-                "scalar_s": t_scalar,
-                "vectorized_s": t_vec,
-                "vectorized_wins": t_vec < t_scalar,
-            }
-        )
-    crossover = next(
-        (r["m"] for r in cross_rows if r["vectorized_wins"]), None
-    )
-
-    # Replay series: stepwise driver baseline vs each fast path — the
-    # array-backed replay (fast=True), the hook-driven replay_fault_free,
-    # and the batched online kernel (kernel="vector").  Every row must
-    # reproduce the driver's cost/counters/transfers exactly.
+    # Replay series: the stepwise driver (kernel="event") vs the path
+    # kernel="auto" picks for plain SC, the batched online kernel.  The
+    # kernel must reproduce the driver's cost/counters/transfers exactly.
     inst = poisson_zipf_instance(replay_n, replay_m, rate=1.0, rng=3)
     t_step, run_step = _best_of(
-        lambda: run_online(SpeculativeCaching(), inst, fast=False), repeats
+        lambda: run_online(SpeculativeCaching(), inst, kernel="event"), repeats
     )
-    replay_contenders = [
-        ("fast", lambda: run_online(SpeculativeCaching(), inst, kernel="event")),
-        ("replay_fault_free", lambda: replay_fault_free(SpeculativeCaching(), inst)),
-        ("vector", lambda: run_online(SpeculativeCaching(), inst, kernel="vector")),
+    t_run, run = _best_of(
+        lambda: run_online(SpeculativeCaching(), inst, kernel="auto"), repeats
+    )
+    same = (
+        run.cost == run_step.cost
+        and run.counters == run_step.counters
+        and run.schedule.transfers == run_step.schedule.transfers
+        and run.schedule.intervals == run_step.schedule.intervals
+    )
+    if not same:
+        failures.append("vector kernel diverged from stepwise driver")
+    replay_rows = [
+        {
+            "n": replay_n,
+            "m": replay_m,
+            "policy": "sc",
+            "path": "vector",
+            "driver_s": t_step,
+            "path_s": t_run,
+            "speedup": t_step / t_run if t_run > 0 else float("inf"),
+            "identical": same,
+        }
     ]
-    replay_rows = []
-    for label, fn in replay_contenders:
-        t_run, run = _best_of(fn, repeats)
-        same = (
-            run.cost == run_step.cost
-            and run.counters == run_step.counters
-            and run.schedule.transfers == run_step.schedule.transfers
-            and run.schedule.intervals == run_step.schedule.intervals
-        )
-        if not same:
-            failures.append(f"replay path '{label}' diverged from stepwise driver")
-        replay_rows.append(
-            {
-                "n": replay_n,
-                "m": replay_m,
-                "policy": "sc",
-                "path": label,
-                "driver_s": t_step,
-                "path_s": t_run,
-                "speedup": t_step / t_run if t_run > 0 else float("inf"),
-                "identical": same,
-            }
-        )
 
     headline = next(
         (
@@ -270,11 +233,6 @@ def run_bench(quick: bool) -> dict:
         },
         "kernel_grid": kernel_rows,
         "batch_series": [batch_row],
-        "vectorize_crossover": {
-            "n": cross_n,
-            "rows": cross_rows,
-            "first_m_where_vectorized_wins": crossover,
-        },
         "replay_fast_path": replay_rows,
         "failures": failures,
     }
@@ -312,11 +270,7 @@ def main(argv=None) -> int:
         format_table(payload["kernel_grid"], precision=4)
         + "\n\nbatch kernel (one call vs per-item frontier loop):\n"
         + format_table(payload["batch_series"], precision=4)
-        + "\n\nvectorize crossover (reference kernel, n="
-        + str(payload["vectorize_crossover"]["n"])
-        + "):\n"
-        + format_table(payload["vectorize_crossover"]["rows"], precision=4)
-        + "\n\nreplay series (stepwise driver vs fast paths):\n"
+        + "\n\nreplay series (stepwise driver vs vector kernel):\n"
         + format_table(payload["replay_fast_path"], precision=4),
         header="P2: DP kernel grid — frontier vs reference "
         f"(identity asserted per point; gate ≥{SPEEDUP_GATE}x at "

@@ -3,10 +3,10 @@
 Four measured sections, written to ``BENCH_service_throughput.json`` (at
 the repository root) plus a human-readable table under ``benchmarks/out/``:
 
-1. **Transport grid** — ``solve_offline_multi`` over items × processes,
-   per transport: the PR-3 pickled descriptor path versus the persistent
-   shared-memory :class:`~repro.service.fabric.ServicePool` (steady
-   state, i.e. segments attached and worker-side instances cached).
+1. **Process grid** — ``solve_offline_multi`` over items × processes:
+   serial, and the persistent shared-memory
+   :class:`~repro.service.fabric.ServicePool` (steady state, i.e.
+   segments attached and worker-side caches warm).
 2. **Per-phase timings** of the shm path on the largest grid point:
    ``serialize_attach`` (arena + result-region pack), ``first_call``
    (includes worker attach + instance build), ``steady_call`` (pure
@@ -16,16 +16,16 @@ the repository root) plus a human-readable table under ``benchmarks/out/``:
    (``from_columnar`` over mmap columns), plus the streaming converter's
    rate and a subprocess peak-RSS check that conversion memory is
    bounded by the chunk size, not the log length.
-4. **End-to-end** — the old pipeline (CSV ingest + K pickled pool
-   solves) versus the new one (columnar ingest + K persistent-pool
-   solves) on the standard grid workload.
+4. **End-to-end** — the old pipeline (CSV ingest + K solves, each in
+   a fresh pool) versus the new one (columnar ingest + K solves in one
+   persistent pool) on the standard grid workload.
 
 Hard checks ride along with the timings:
 
 * **bit-identity** — every parallel grid point's canonical cost dump
-  must be byte-identical to the serial one, for *both* transports, and
-  the columnar-ingested service must equal the CSV-ingested one item by
-  item.  Asserted unconditionally, on any machine.
+  must be byte-identical to the serial one, and the columnar-ingested
+  service must equal the CSV-ingested one item by item.  Asserted
+  unconditionally, on any machine.
 * **ingest rate** — columnar ingestion must be ≥10× CSV ingestion at
   the full-mode log size (1M rows); single-threaded, so asserted
   whenever the full grid runs.
@@ -167,8 +167,8 @@ def _convert_rss_kb(csv_path, dest, chunk_rows):
     return int(out.stdout.strip())
 
 
-def _bench_transports(cpus):
-    """Section 1 (+5): transport grid with unconditional bit-identity.
+def _bench_grid(cpus):
+    """Section 1 (+5): process grid with unconditional bit-identity.
 
     The serial row is the batched instance-major kernel (the default for
     multi-item solves since P8); a ``serial-frontier`` row times the old
@@ -207,25 +207,16 @@ def _bench_transports(cpus):
             ("serial-frontier", 1, t_item, canon_serial),
         ]
         for procs in [p for p in PROC_GRID if p > 1]:
-            t_pickle, off_pickle = _best_of(
-                lambda: solve_offline_multi(
-                    svc, processes=procs, transport="pickle"
-                ),
-                REPEATS,
-            )
-            points.append(
-                ("pickle", procs, t_pickle, _canonical_costs(off_pickle))
-            )
             with ServicePool(procs) as pool:
                 pool.solve(svc)  # warm: attach segments, build instances
                 t_shm, off_shm = _best_of(lambda: pool.solve(svc), REPEATS)
             points.append(("shm", procs, t_shm, _canonical_costs(off_shm)))
-        for transport, procs, seconds, canon in points:
+        for path, procs, seconds, canon in points:
             match = canon == canon_serial
-            # Semantics gate: neither transport may change a single byte
-            # of the cost surface, on any machine.
+            # Semantics gate: no path may change a single byte of the
+            # cost surface, on any machine.
             assert match, (
-                f"{transport} cost surface diverged at items={num_items}, "
+                f"{path} cost surface diverged at items={num_items}, "
                 f"processes={procs}"
             )
             speedup = t_serial / seconds if seconds > 0 else float("inf")
@@ -233,7 +224,7 @@ def _bench_transports(cpus):
                 {
                     "items": num_items,
                     "requests": svc.total_requests,
-                    "transport": transport,
+                    "path": path,
                     "processes": procs,
                     "seconds": seconds,
                     "speedup": speedup,
@@ -245,7 +236,7 @@ def _bench_transports(cpus):
                     "items": num_items,
                     "requests": svc.total_requests,
                     "m": M,
-                    "transport": transport,
+                    "path": path,
                     "processes": procs,
                     "shards": procs,
                     "seconds": seconds,
@@ -361,7 +352,7 @@ def _bench_end_to_end(tmp, cpus):
     def old_pipeline():
         s = MultiItemInstance.from_records(read_trace(csv_path))
         for _ in range(E2E_CALLS):
-            solve_offline_multi(s, processes=procs, transport="pickle")
+            solve_offline_multi(s, processes=procs)
 
     def new_pipeline():
         s = MultiItemInstance.from_columnar(col_path)
@@ -382,7 +373,7 @@ def _bench_end_to_end(tmp, cpus):
         "requests": svc.total_requests,
         "processes": procs,
         "solve_calls": E2E_CALLS,
-        "old_pipeline": "CSV ingest + pickled pool solves",
+        "old_pipeline": "CSV ingest + one fresh shm pool per solve",
         "new_pipeline": "columnar ingest + persistent shm pool solves",
         "old_seconds": t_old,
         "new_seconds": t_new,
@@ -393,7 +384,7 @@ def _bench_end_to_end(tmp, cpus):
 
 def test_service_throughput(benchmark):
     cpus = _usable_cpus()
-    rows, json_rows, batch_gate = _bench_transports(cpus)
+    rows, json_rows, batch_gate = _bench_grid(cpus)
     phases = _bench_phases()
     with tempfile.TemporaryDirectory() as d:
         tmp = pathlib.Path(d)
@@ -425,7 +416,7 @@ def test_service_throughput(benchmark):
         "repeats": REPEATS,
         "smoke": SMOKE,
         "usable_cpus": cpus,
-        "identity": "per transport and grid point, parallel cost surface "
+        "identity": "per path and grid point, parallel cost surface "
         "byte-identical to serial (canonical JSON dump compared); columnar "
         "ingest equals CSV ingest item by item",
         "shm_note": "shm rows are persistent-pool steady state (segments "
@@ -458,7 +449,7 @@ def test_service_throughput(benchmark):
         "{old_seconds:.3f}s, new {new_seconds:.3f}s ({speedup:.2f}x)".format(
             **e2e
         ),
-        header=f"P3: service transports + columnar ingest "
+        header=f"P3: service process grid + columnar ingest "
         f"(m={M}, {PER_ITEM} req/item, {cpus} usable cpu(s), "
         f"best of {REPEATS})",
     )

@@ -82,8 +82,7 @@ def _online_costs(
     kernel: str = "auto",
 ) -> List[float]:
     """``Π(ALG)`` per instance; one batched kernel call when eligible."""
-    probe = algorithm_factory()
-    config = vector_policy_config(probe) if kernel != "event" else None
+    config = vector_policy_config(algorithm_factory()) if kernel == "auto" else None
     if config is not None:
         window_factor, epoch_size, _name = config
         layout = BatchLayout.from_instances(
@@ -92,11 +91,6 @@ def _online_costs(
         return [
             run.cost for run in run_online_layout(layout, window_factor, epoch_size)
         ]
-    if kernel == "vector":
-        raise ValueError(
-            f"kernel='vector' requires a plain SpeculativeCaching policy, "
-            f"got {type(probe).__name__}; use kernel='event' or 'auto'"
-        )
     return [
         algorithm_factory().run(inst, kernel=kernel).cost for inst in instances
     ]
@@ -226,7 +220,7 @@ def ttl_gamma_sweep(
     gammas = [float(g) for g in gammas]
     opts = _opt_costs(insts)
     rows: List[dict] = []
-    if kernel != "event":
+    if kernel == "auto":
         layout = BatchLayout.from_instances(
             [(str(i), inst) for i, inst in enumerate(insts)]
         )
@@ -236,7 +230,7 @@ def ttl_gamma_sweep(
         cost_rows = [
             [
                 SpeculativeCaching(window_factor=g, epoch_size=epoch_size)
-                .run(inst, kernel="event")
+                .run(inst, kernel=kernel)
                 .cost
                 for inst in insts
             ]

@@ -25,11 +25,10 @@ Subcommands
     Solve (and with ``--policy``, serve) a multi-item trace through the
     sharded service layer; ``--processes``/``--shards`` fan the per-item
     work across a process pool with results bit-identical to serial
-    (``--verify-serial`` re-checks that on the spot).  ``--transport``
-    picks the worker data plane (zero-copy shared memory by default,
-    ``pickle`` for the legacy descriptor path) and ``--pool persistent``
-    keeps one :class:`~repro.service.fabric.ServicePool` alive across
-    the solve, the online serve, and the verification pass.
+    (``--verify-serial`` re-checks that on the spot).  Workers read the
+    items through zero-copy shared memory; ``--pool persistent`` keeps
+    one :class:`~repro.service.fabric.ServicePool` alive across the
+    solve, the online serve, and the verification pass.
 ``convert``
     Convert a CSV service log to the binary columnar container of
     :mod:`repro.workloads.columnar` (streaming, bounded memory).
@@ -98,9 +97,9 @@ _POLICIES = {
     "predictive": _predictive_factory,
 }
 
-# One --kernel flag covers both kernel families: DP names route to the
-# off-line sweep, online names to the policy replay, and names the other
-# family doesn't know fall back to its "auto".
+# One --kernel flag covers both kernel families: "frontier"/"reference"
+# pin the off-line sweep, "event" pins the online replay, and the family
+# a name does not belong to runs its "auto".
 _KERNEL_CHOICES = list(KERNELS) + [k for k in ONLINE_KERNELS if k not in KERNELS]
 
 
@@ -128,14 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         choices=_KERNEL_CHOICES,
         default="auto",
-        help="off-line DP sweep: frontier (O(n+m+P) fast path), reference "
-        "(paper-shaped O(mn)), batch (instance-major batched kernel; one "
-        "sweep per multi-item service or shard, compiled C when a system "
-        "compiler exists), or auto (default; frontier per item, batch for "
-        "multi-item solves) — bit-identical results either way.  Online "
-        "replays take event (per-event state machine) or vector (batched "
-        "array kernel, SC/TTL only) — also bit-identical; auto picks "
-        "vector when eligible",
+        help="auto (default): the fastest path for each job — the frontier "
+        "DP per item, one batched sweep per multi-item service or shard, "
+        "and the vector kernel for plain SC/TTL online replays.  frontier "
+        "(per-item O(n+m+P) DP) and reference (paper-shaped O(mn) DP) pin "
+        "the off-line sweep; event pins the per-event online state "
+        "machine.  Results are bit-identical whichever you pick",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -321,15 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="item partitioning: size-balanced LPT or stable name hash",
     )
     mp.add_argument(
-        "--transport", choices=["shm", "pickle"], default="shm",
-        help="worker data plane: zero-copy shared memory (default) or "
-        "per-call pickled descriptors",
-    )
-    mp.add_argument(
         "--pool", choices=["fresh", "persistent"], default="fresh",
         help="'persistent' keeps one shared-memory ServicePool alive "
-        "across the solve, the online serve, and --verify-serial "
-        "(requires --transport shm)",
+        "across the solve, the online serve, and --verify-serial",
     )
     mp.add_argument(
         "--verify-serial", action="store_true",
@@ -666,15 +657,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     inst = _load(args)
     opt = solve_offline(inst, kernel=_dp_kernel(args.kernel)).optimal_cost
-    # The grid mixes vector-eligible and ineligible policies, so a pinned
-    # "vector" falls back to "auto" here rather than failing the whole table.
-    online_kernel = _online_kernel(args.kernel)
-    if online_kernel == "vector":
-        online_kernel = "auto"
     rows = [{"policy": "off-line optimal", "cost": opt, "ratio": 1.0}]
     for key in sorted(_POLICIES):
         # each factory yields a fresh policy
-        run = _POLICIES[key]().run(inst, kernel=online_kernel)
+        run = _POLICIES[key]().run(inst, kernel=_online_kernel(args.kernel))
         rows.append(
             {"policy": run.algorithm, "cost": run.cost, "ratio": run.cost / opt}
         )
@@ -969,12 +955,6 @@ def _cmd_service(args: argparse.Namespace) -> int:
     from .workloads.columnar import is_columnar
     from .workloads.traces import read_trace
 
-    if args.pool == "persistent" and args.transport != "shm":
-        print(
-            "error: --pool persistent requires --transport shm",
-            file=sys.stderr,
-        )
-        return 2
     cost = CostModel(mu=args.mu, lam=args.lam)
     if args.trace is not None:
         if is_columnar(args.trace):
@@ -1013,7 +993,6 @@ def _cmd_service(args: argparse.Namespace) -> int:
             shards=args.shards,
             shard_strategy=args.shard_strategy,
             kernel=_dp_kernel(args.kernel),
-            transport=args.transport,
             pool=pool,
         )
         online = None
@@ -1023,7 +1002,6 @@ def _cmd_service(args: argparse.Namespace) -> int:
                 processes=args.processes,
                 shards=args.shards,
                 shard_strategy=args.shard_strategy,
-                transport=args.transport,
                 pool=pool,
                 kernel=_online_kernel(args.kernel),
             )
@@ -1349,7 +1327,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             origin=args.origin,
             confidence=args.confidence,
             top_exact=args.top_exact,
-            kernel="batch" if args.kernel == "batch" else "auto",
             chunk_rows=args.chunk_rows,
         )
         print(

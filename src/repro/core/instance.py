@@ -12,42 +12,28 @@ paper's *pre-scan* (proof of Theorem 2): it computes, as flat numpy arrays,
 * ``b[i]``   — the marginal cost bound ``b_i = min(λ, μσ_i)`` (Definition 4);
 * ``B[i]``   — the running bound ``B_i = Σ_{j<=i} b_j`` (Definition 5);
 
-plus the pivot-lookup structure used by the fast DP: for every request
-``r_i`` and every server ``s^j``, the unique request ``k`` on ``s^j`` whose
-server interval ``(t_{p(k)}, t_k]`` contains ``t_{p(i)}`` — i.e. the cover
-index set ``π(i)`` of Definition 8 — retrievable in ``O(m)`` per request.
-
-Two interchangeable pivot-lookup backends are provided:
-
-``"matrix"``
-    The paper-faithful pointer matrix (Fig. 5): ``O(mn)`` space, ``O(1)``
-    per (request, server) probe.
-``"bisect"``
-    Per-server sorted index lists probed with binary search: ``O(n + m)``
-    extra space, ``O(log n)`` per probe.  Used automatically when the
-    matrix would be large.
-
-Both return identical pivot sets; the test suite asserts this.
+The DP kernels read only these arrays.  :meth:`ProblemInstance.cover_set`
+answers the cover index set ``π(i)`` of Definition 8 — for every server
+``s^j``, the request ``k`` on ``s^j`` whose server interval
+``(t_{p(k)}, t_k]`` contains ``t_{p(i)}`` — through a :class:`PivotLookup`
+(per-server sorted index lists probed by binary search), built on first
+use.  The reference DP sweep reads the same sets from the paper's pointer
+matrix (Fig. 5, :func:`repro.kernels.prescan.build_pivot_matrix`); the
+test suite asserts both agree with a brute-force scan.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..kernels.prescan import (
-    build_pivot_matrix,
-    per_server_lists,
-    prescan_arrays,
-)
+from ..kernels.prescan import per_server_lists, prescan_arrays
 from .types import CostModel, InvalidInstanceError, Request
 
 __all__ = ["ProblemInstance", "PivotLookup"]
-
-#: Above this many matrix cells the "auto" pivot mode switches to bisect.
-_MATRIX_CELL_BUDGET = 50_000_000
 
 
 class PivotLookup:
@@ -55,7 +41,8 @@ class PivotLookup:
 
     Given the arrays of a :class:`ProblemInstance`, answers *"which request
     on server j has its server interval spanning request index q?"* — the
-    primitive the fast DP needs to enumerate ``π(i)`` in ``O(m)``.
+    primitive needed to enumerate ``π(i)`` in ``O(m log n)``.  Per-server
+    sorted index lists probed by binary search: ``O(n + m)`` extra space.
 
     Parameters
     ----------
@@ -63,31 +50,13 @@ class PivotLookup:
         ``srv[0..n]`` array (index 0 is the boundary request ``r_0``).
     num_servers:
         ``m``.
-    mode:
-        ``"matrix"``, ``"bisect"`` or ``"auto"``.
     """
 
-    def __init__(self, servers: np.ndarray, num_servers: int, mode: str = "auto"):
-        n1 = servers.shape[0]  # n + 1 entries including r_0
-        if mode == "auto":
-            mode = "matrix" if n1 * num_servers <= _MATRIX_CELL_BUDGET else "bisect"
-        if mode not in ("matrix", "bisect"):
-            raise ValueError(f"unknown pivot lookup mode {mode!r}")
-        self.mode = mode
+    def __init__(self, servers: np.ndarray, num_servers: int):
         self._m = num_servers
-        self._srv = servers
-        # Per-server sorted request-index lists (needed by both modes for
-        # p(i) computation elsewhere; cheap to keep).
         self._per_server: List[np.ndarray] = per_server_lists(
             servers, num_servers
         )
-        if mode == "matrix":
-            # F[q, j] = min{k >= q : srv[k] == j}, -1 = none — the
-            # paper's pointer rows (Fig. 5), built by the vectorized
-            # suffix sweep of repro.kernels.prescan.
-            self._first_at_or_after = build_pivot_matrix(servers, num_servers)
-        else:
-            self._first_at_or_after = None
 
     def requests_on(self, server: int) -> np.ndarray:
         """Sorted request indices made on ``server`` (including ``r_0``)."""
@@ -95,8 +64,6 @@ class PivotLookup:
 
     def first_at_or_after(self, server: int, q: int) -> int:
         """Smallest request index ``k >= q`` on ``server``, or ``-1``."""
-        if self.mode == "matrix":
-            return int(self._first_at_or_after[q, server])
         idx = self._per_server[server]
         pos = int(np.searchsorted(idx, q, side="left"))
         return int(idx[pos]) if pos < idx.shape[0] else -1
@@ -142,8 +109,6 @@ class ProblemInstance:
     start_time:
         ``t_0`` of the boundary request ``r_0``; defaults to ``0.0`` and
         must precede ``t_1``.
-    pivot_mode:
-        Pivot-lookup backend, ``"matrix"`` / ``"bisect"`` / ``"auto"``.
 
     Attributes
     ----------
@@ -161,7 +126,6 @@ class ProblemInstance:
         cost: Optional[CostModel] = None,
         origin: int = 0,
         start_time: float = 0.0,
-        pivot_mode: str = "auto",
     ):
         reqs = [
             r if isinstance(r, Request) else Request(float(r[0]), int(r[1]))
@@ -173,7 +137,7 @@ class ProblemInstance:
         t[0], srv[0] = float(start_time), int(origin)
         for i, r in enumerate(reqs, start=1):
             t[i], srv[i] = r.time, r.server
-        self._init_arrays(t, srv, num_servers, cost, origin, pivot_mode)
+        self._init_arrays(t, srv, num_servers, cost, origin)
 
     def _init_arrays(
         self,
@@ -182,7 +146,6 @@ class ProblemInstance:
         num_servers: Optional[int],
         cost: Optional[CostModel],
         origin: int,
-        pivot_mode: str,
     ) -> None:
         """Shared tail of construction: validate, pre-scan, freeze.
 
@@ -211,7 +174,6 @@ class ProblemInstance:
         self.t = t
         self.srv = srv
         self.n = n
-        self._pivots = PivotLookup(srv, m, mode=pivot_mode)
         # Vectorized pre-scan (repro.kernels.prescan): p, sigma, b, B in
         # a handful of whole-array numpy operations.
         self.p, self.sigma, self.b, self.B = prescan_arrays(
@@ -230,7 +192,6 @@ class ProblemInstance:
         cost: Optional[CostModel] = None,
         origin: int = 0,
         start_time: float = 0.0,
-        pivot_mode: str = "auto",
     ) -> "ProblemInstance":
         """Build an instance from parallel ``times``/``servers`` arrays.
 
@@ -259,7 +220,7 @@ class ProblemInstance:
         t[1:] = times
         srv[1:] = servers
         self = cls.__new__(cls)
-        self._init_arrays(t, srv, num_servers, cost, origin, pivot_mode)
+        self._init_arrays(t, srv, num_servers, cost, origin)
         return self
 
     def _freeze(self) -> None:
@@ -267,6 +228,10 @@ class ProblemInstance:
             arr.setflags(write=False)
 
     # -- accessors -----------------------------------------------------------
+
+    @cached_property
+    def _pivots(self) -> PivotLookup:
+        return PivotLookup(self.srv, self.num_servers)
 
     @property
     def horizon(self) -> float:

@@ -3,33 +3,32 @@
 The reference implementations elsewhere in the package favour clarity:
 per-request Python loops that mirror the paper's pseudocode line by
 line.  This subpackage holds the *fast paths* — drop-in replacements
-for the three interpreter-bound hot loops, each differentially tested
+for the interpreter-bound hot loops, each differentially tested
 bit-identical to its reference twin:
 
 * :mod:`repro.kernels.frontier` — the off-line DP sweep with per-server
   monotone pivot pointers and incrementally maintained running minima,
   amortised ``O(n + m + P)`` (``P`` = total pivot-pointer advances,
   typically ``≈ n``) instead of interpreter-level ``O(mn)``.  Selected
-  via ``solve_offline(kernel="frontier")`` (the ``"auto"`` default).
+  via ``solve_offline(kernel="auto")`` (the default) for one instance.
 * :mod:`repro.kernels.prescan` — the instance pre-scan (``p``, ``σ``,
-  ``b``, ``B``, per-server lists, pivot matrix) as whole-array numpy
-  operations instead of per-request/per-server Python loops.
-* :mod:`repro.kernels.replay` — an array-backed replay loop for the
-  fault-free online engine: request times/servers as native Python
-  scalars hoisted out of numpy, no per-event object dispatch.
+  ``b``, ``B``, per-server lists) and the reference sweep's pivot
+  matrix as whole-array numpy operations instead of
+  per-request/per-server Python loops.
 * :mod:`repro.kernels.batch` — the batched instance-major DP sweep:
   a whole multi-item service packed into concatenated ragged columns
   and solved with ONE kernel call (compiled C sweep when a system
-  compiler exists, transliterated Python loop otherwise).  Selected
-  via ``solve_offline(kernel="batch")`` / ``solve_offline_batch``;
-  the service layer's shard workers call it once per shard.
+  compiler exists, transliterated Python loop otherwise).  What
+  ``kernel="auto"`` runs for many instances: ``solve_offline_multi``,
+  the shard workers and the trace samplers call it once per service or
+  shard.
 * :mod:`repro.kernels.online` — the online twin of the batch DP: a
   whole SC/TTL(γ) run (decisions, epochs, copy-seconds, cost, digest)
   replayed over native scalar columns without per-event hook dispatch,
   plus batched entry points over the same :class:`BatchLayout` ragged
   columns so a multi-item shard or a TTL γ-grid is one kernel call.
-  Selected via ``run_online(kernel="vector")`` (the ``"auto"`` default
-  for plain ``SpeculativeCaching``).
+  What ``run_online(kernel="auto")`` runs for plain
+  ``SpeculativeCaching``.
 
 Determinism contract: a kernel never changes *what* is computed, only
 *how fast*.  ``C``/``D`` vectors, ``served_by_cache``, backtracking
@@ -53,7 +52,7 @@ from .online import (
     run_online_layout,
     run_online_vector,
     sweep_layout,
-    vectorizable,
+    vector_policy_config,
 )
 from .prescan import (
     build_pivot_matrix,
@@ -61,7 +60,6 @@ from .prescan import (
     prescan_arrays,
     prev_same_server,
 )
-from .replay import replay_fault_free
 
 __all__ = [
     "BatchLayout",
@@ -76,10 +74,9 @@ __all__ = [
     "run_online_layout",
     "run_online_vector",
     "sweep_layout",
-    "vectorizable",
+    "vector_policy_config",
     "build_pivot_matrix",
     "per_server_lists",
     "prescan_arrays",
     "prev_same_server",
-    "replay_fault_free",
 ]

@@ -78,17 +78,16 @@ __all__ = [
 
 _INF = math.inf
 
-#: Valid sweep-backend selectors for the batch kernel.  ``"auto"`` (and
-#: its alias ``"batch"``, so service code can forward its ``kernel=``
-#: string verbatim) picks the compiled sweep when available and falls
-#: back to the Python twin; ``"c"`` / ``"python"`` pin a backend
-#: (``"c"`` raises if no compiler or load failure).
-BATCH_SWEEPS = ("auto", "batch", "c", "python")
+#: Valid sweep-backend selectors for the batch kernel.  ``"auto"`` picks
+#: the compiled sweep when available and falls back to the Python twin;
+#: ``"c"`` / ``"python"`` pin a backend (``"c"`` raises if no compiler or
+#: load failure).
+BATCH_SWEEPS = ("auto", "c", "python")
 
 #: Raw-column batch entry, the instance-free construction path:
 #: ``(name, times, servers, num_servers, mu, lam, origin, start_time)``
 #: with ``times``/``servers`` excluding the boundary request ``r_0``
-#: (exactly the payload the shard transports already carry).
+#: (exactly the columns the shard workers read from the service arena).
 ColumnEntry = Tuple[str, np.ndarray, np.ndarray, int, float, float, int, float]
 
 
@@ -441,7 +440,7 @@ def _resolve_backend(kernel: str) -> str:
             f"batch sweep kernel must be one of {BATCH_SWEEPS}, "
             f"got {kernel!r}"
         )
-    if kernel in ("auto", "batch"):
+    if kernel == "auto":
         return batch_sweep_backend()
     if kernel == "c" and _load_sweep_lib() is None:
         raise RuntimeError(
@@ -618,7 +617,7 @@ def solve_layout(
     ``None`` (this entry point never sees instances); callers attach
     their own.  Because the arrays are shared views, results must never
     be mutated in place — use ``dataclasses.replace`` to derive
-    variants (the shard workers do exactly that).
+    variants.
     """
     from ..offline.result import OfflineResult
 
@@ -665,10 +664,8 @@ def solve_offline_batch(
         dict), or an iterable of ``(name, instance)`` pairs.
     kernel:
         Sweep backend: ``"auto"`` (default; compiled C when available,
-        Python otherwise; ``"batch"`` is accepted as an alias so the
-        service layer can forward its kernel string), ``"c"``, or
-        ``"python"``.  Backends are bit-identical; the knob is purely
-        throughput/debugging.
+        Python otherwise), ``"c"``, or ``"python"``.  Backends are
+        bit-identical; the knob is purely throughput/debugging.
 
     Returns
     -------

@@ -83,7 +83,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "ONLINE_KERNELS",
     "OnlineKernelRun",
-    "vectorizable",
     "vector_policy_config",
     "run_online_vector",
     "run_online_layout",
@@ -94,11 +93,10 @@ __all__ = [
 ]
 
 #: Valid ``kernel=`` selectors for online runs.  ``"auto"`` picks the
-#: vector kernel when the policy is eligible (exactly
-#: :class:`SpeculativeCaching`, no subclass) and the per-event path
-#: otherwise; ``"event"`` / ``"vector"`` pin a path (``"vector"`` raises
-#: for ineligible policies).  Results are bit-identical either way.
-ONLINE_KERNELS = ("auto", "event", "vector")
+#: vector kernel when :func:`vector_policy_config` accepts the policy and
+#: the per-event path otherwise; ``"event"`` pins the per-event path.
+#: Results are bit-identical either way.
+ONLINE_KERNELS = ("auto", "event")
 
 _NEG_INF = -math.inf
 
@@ -121,25 +119,22 @@ def sc_name(window_factor: float) -> str:
     return "speculative-caching"
 
 
-def vectorizable(algorithm: "OnlineAlgorithm") -> bool:
-    """True iff ``algorithm`` runs on the vector kernel bit-identically.
-
-    The check is an exact type match: subclasses override the window /
-    source / floor hooks whose SC behaviour this kernel hard-codes
-    (``RandomizedTTL`` redraws its window per refresh, ``Predictive``
-    shrinks it, ``Resilient`` raises the copy floor), so any subclass —
-    even one that changes nothing — stays on the per-event path.
-    """
-    from ..online.speculative import SpeculativeCaching
-
-    return type(algorithm) is SpeculativeCaching
-
-
 def vector_policy_config(
     algorithm: "OnlineAlgorithm",
 ) -> Optional[Tuple[float, Optional[int], str]]:
-    """``(window_factor, epoch_size, name)`` when eligible, else ``None``."""
-    if not vectorizable(algorithm):
+    """``(window_factor, epoch_size, name)`` when ``algorithm`` runs on the
+    vector kernel bit-identically, else ``None``.
+
+    The single eligibility decision of every online path.  The check is
+    an exact type match: subclasses override the window / source / floor
+    hooks whose SC behaviour this kernel hard-codes (``RandomizedTTL``
+    redraws its window per refresh, ``Predictive`` shrinks it,
+    ``Resilient`` raises the copy floor), so any subclass — even one that
+    changes nothing — stays on the per-event path.
+    """
+    from ..online.speculative import SpeculativeCaching
+
+    if type(algorithm) is not SpeculativeCaching:
         return None
     return (algorithm.window_factor, algorithm.epoch_size, algorithm.name)
 

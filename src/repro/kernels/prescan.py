@@ -1,14 +1,15 @@
 """Vectorized instance pre-scan — the ``p/σ/b/B`` arrays and pivot matrix.
 
 :class:`~repro.core.instance.ProblemInstance` construction performs the
-paper's pre-scan (proof of Theorem 2).  The reference formulation loops:
+paper's pre-scan (proof of Theorem 2); the reference DP sweep builds the
+pivot pointer matrix (Fig. 5).  The reference formulation loops:
 per-server slices for ``p(i)``, and a backward per-row Python sweep for
-the pivot pointer matrix (Fig. 5) — ``O(n)`` interpreter iterations that
-dominate end-to-end time on small and medium instances once the DP sweep
-itself is fast.  This module computes the very same arrays with
-whole-array numpy primitives (``argsort``/``searchsorted`` for grouping,
-``minimum.accumulate`` for the suffix sweep), so construction costs a
-handful of vector operations regardless of ``n``.
+the matrix — ``O(n)`` interpreter iterations that would dominate
+end-to-end time once the DP sweep itself is fast.  This module computes
+the very same arrays with whole-array numpy primitives
+(``argsort``/``searchsorted`` for grouping, ``minimum.accumulate`` for
+the suffix sweep), so construction costs a handful of vector operations
+regardless of ``n``.
 
 All functions are pure array-in/array-out (no instance types), keeping
 the kernel import-free of :mod:`repro.core`; the instance constructor
@@ -88,10 +89,9 @@ def build_pivot_matrix(servers: np.ndarray, num_servers: int) -> np.ndarray:
     Scatter each request index into its server's column, then one
     reversed in-place ``minimum.accumulate`` turns the columns into
     suffix-minima; the extra all ``-1`` row ``F[n+1]`` matches the
-    reference layout.  The matrix is ``int32``: matrix mode only engages
-    below the ``~50M``-cell budget, so indices always fit, and halving
-    the element width halves the memory traffic of the build — the
-    dominant cost of instance construction on large traces.
+    reference layout.  The matrix is ``int32`` (request indices stay
+    below ``2**31``), halving the memory traffic of the build.  It costs
+    ``O(mn)`` memory, so only the reference DP sweep builds it.
     """
     n1 = servers.shape[0]
     F = np.full((n1 + 1, num_servers), n1, dtype=np.int32)

@@ -12,8 +12,8 @@ Implements the paper's Section IV recurrences:
 with ``C(0) = 0`` and ``D(i) = +inf`` for the first request on each server
 (its dummy predecessor sits at ``-inf``).  The cover index set ``π(i)``
 (Definition 8) holds at most one candidate per server — the request whose
-server interval spans ``t_{p(i)}`` — and is enumerated in ``O(m)`` via the
-instance's pivot lookup (pointer matrix, paper Fig. 5) so the whole sweep
+server interval spans ``t_{p(i)}`` — and the reference sweep reads it in
+``O(m)`` from the pointer matrix of the paper's Fig. 5, so the whole sweep
 is ``O(mn)``.
 
 Ties between the cache branch ``D(i)`` and the transfer branch are broken
@@ -24,64 +24,32 @@ by ``λ``, so the transfer branch can only win when the servers differ).
 
 from __future__ import annotations
 
-import warnings
-from typing import Union
-
 import numpy as np
 
 from ..core.instance import ProblemInstance
+from ..kernels.prescan import build_pivot_matrix
 from .result import FROM_C, FROM_D, OfflineResult
 
 __all__ = ["solve_offline", "optimal_cost", "KERNELS"]
 
 #: Valid ``kernel=`` values for :func:`solve_offline`.
-KERNELS = ("auto", "frontier", "reference", "batch")
-
-#: ``vectorized="auto"`` switches the reference kernel to the numpy
-#: pivot gather at this fleet size.  Calibrated from the measured
-#: crossover in ``benchmarks/bench_dp_kernels.py``
-#: (``BENCH_dp_kernels.json``, ``vectorize_crossover`` series,
-#: ``first_m_where_vectorized_wins``): at n=4000 the scalar pivot loop
-#: wins for m ∈ {4, 8} and the gather wins from m = 16 up (the gather's
-#: per-request numpy overhead is flat in ``m``; the scalar loop is
-#: linear).  Re-run the bench after touching the reference sweep.
-_VECTORIZE_MIN_M = 16
+KERNELS = ("auto", "frontier", "reference")
 
 
-def solve_offline(
-    instance: ProblemInstance,
-    vectorized: Union[bool, str] = "auto",
-    kernel: str = "auto",
-) -> OfflineResult:
+def solve_offline(instance: ProblemInstance, kernel: str = "auto") -> OfflineResult:
     """Solve ``instance`` optimally with the ``O(mn)`` dynamic program.
 
     Parameters
     ----------
     instance:
         Pre-scanned problem instance.
-    vectorized:
-        Reference-kernel knob: ``True`` gathers each request's pivot
-        candidates with numpy (faster for large ``m``), ``False`` uses
-        the scalar loop (faster for small ``m``), ``"auto"`` picks by
-        ``m`` (:data:`_VECTORIZE_MIN_M`).  An explicit boolean pins
-        ``kernel="reference"``: combined with the default
-        ``kernel="auto"`` this emits a :class:`UserWarning` naming the
-        downgrade (pass ``kernel="reference"`` to silence it), and
-        combined with ``kernel="frontier"`` or ``kernel="batch"`` —
-        kernels that have no vectorized knob — it raises ``ValueError``.
     kernel:
-        ``"reference"`` runs the per-request ``O(mn)`` sweep above;
-        ``"frontier"`` runs the amortised ``O(n + m + P)`` kernel
+        ``"auto"`` (default) and ``"frontier"`` run the amortised
+        ``O(n + m + P)`` kernel
         (:func:`repro.kernels.frontier.solve_offline_frontier`);
-        ``"batch"`` routes through the batched instance-major kernel
-        (:func:`repro.kernels.batch.solve_offline_batch`, compiled C
-        sweep when available — for a single instance this mostly
-        matters as a correctness cross-check; the payoff is batching
-        whole services);
-        ``"auto"`` (default) picks the frontier kernel unless an
-        explicit ``vectorized`` boolean pins the reference path.
-        Every kernel returns byte-identical results — the choice is
-        purely a throughput knob.
+        ``"reference"`` runs the paper-shaped per-request sweep over the
+        pointer matrix, kept as the oracle the fast kernels are tested
+        against.  Every kernel returns byte-identical results.
 
     Returns
     -------
@@ -93,40 +61,17 @@ def solve_offline(
         raise ValueError(
             f"kernel must be one of {KERNELS}, got {kernel!r}"
         )
-    if isinstance(vectorized, str):
-        if vectorized != "auto":
-            raise ValueError(
-                f"vectorized must be True, False or 'auto', "
-                f"got {vectorized!r} (strings like 'false' are not coerced)"
-            )
-        if kernel == "batch":
-            from ..kernels.batch import solve_offline_batch
+    if kernel == "reference":
+        return _solve_reference(instance)
+    from ..kernels.frontier import solve_offline_frontier
 
-            return next(iter(solve_offline_batch([("", instance)]).values()))
-        if kernel != "reference":
-            from ..kernels.frontier import solve_offline_frontier
+    return solve_offline_frontier(instance)
 
-            return solve_offline_frontier(instance)
-        vectorized = instance.num_servers >= _VECTORIZE_MIN_M
-    elif kernel in ("frontier", "batch"):
-        raise ValueError(
-            f"kernel={kernel!r} has no vectorized knob; pass "
-            "vectorized='auto' (the default) or kernel='reference'"
-        )
-    elif kernel == "auto":
-        # An explicit boolean can only mean the reference sweep.  That
-        # downgrade used to be silent (the docstring said "implies
-        # kernel='reference'" and nothing surfaced it); make it loud and
-        # pin the kernel so the combination stays unambiguous.
-        warnings.warn(
-            "explicit vectorized= boolean pins kernel='reference' "
-            "(kernel='auto' would otherwise pick the frontier kernel); "
-            "pass kernel='reference' to silence this warning",
-            UserWarning,
-            stacklevel=2,
-        )
+
+def _solve_reference(instance: ProblemInstance) -> OfflineResult:
+    """The per-request ``O(mn)`` sweep of Section IV."""
     n = instance.n
-    t, srv = instance.t, instance.srv
+    t = instance.t
     p, sigma, B = instance.p, instance.sigma, instance.B
     mu, lam = instance.cost.mu, instance.cost.lam
 
@@ -136,10 +81,9 @@ def solve_offline(
     choice_d_tag = np.full(n + 1, -1, dtype=np.int64)
     choice_d_k = np.full(n + 1, -1, dtype=np.int64)
 
-    pivots = instance._pivots
-    m = instance.num_servers
-    use_matrix = vectorized and pivots.mode == "matrix"
-    F = pivots._first_at_or_after if use_matrix else None
+    # F[q, j] = first request at or after index q on server j (Fig. 5).
+    # Row F[p(i)] holds one candidate per server; those below i form π(i).
+    F = build_pivot_matrix(instance.srv, instance.num_servers)
 
     for i in range(1, n + 1):
         q = int(p[i])
@@ -148,21 +92,11 @@ def solve_offline(
             best = C[q] - B[q]
             tag, arg = FROM_C, q
             # Pivot cases: κ ∈ π(i), one candidate per server.
-            if use_matrix:
-                ks = F[q]
-                ks = ks[(ks >= 0) & (ks < i)]
-                if ks.size:
-                    vals = D[ks] - B[ks]
-                    j = int(np.argmin(vals))
-                    if vals[j] < best:
-                        best, tag, arg = float(vals[j]), FROM_D, int(ks[j])
-            else:
-                for server_j in range(m):
-                    k = pivots.first_at_or_after(server_j, q)
-                    if 0 <= k < i:
-                        v = D[k] - B[k]
-                        if v < best:
-                            best, tag, arg = v, FROM_D, k
+            for k in F[q].tolist():
+                if 0 <= k < i:
+                    v = D[k] - B[k]
+                    if v < best:
+                        best, tag, arg = v, FROM_D, k
             D[i] = best + mu * sigma[i] + B[i - 1]
             choice_d_tag[i] = tag
             choice_d_k[i] = arg

@@ -87,7 +87,7 @@ def solve_offline_bisect(instance: ProblemInstance) -> OfflineResult:
     t = instance.t
     p, sigma, B = instance.p, instance.sigma, instance.B
     mu, lam = instance.cost.mu, instance.cost.lam
-    lookup = PivotLookup(instance.srv, instance.num_servers, mode="bisect")
+    lookup = PivotLookup(instance.srv, instance.num_servers)
     m = instance.num_servers
 
     C = np.zeros(n + 1, dtype=np.float64)

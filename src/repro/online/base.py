@@ -99,9 +99,9 @@ class OnlineAlgorithm(abc.ABC):
     ) -> OnlineRunResult:
         """Convenience: drive this algorithm with the standard engine.
 
-        ``kernel`` selects the execution path (``"auto"`` / ``"event"``
-        / ``"vector"``, see :func:`repro.sim.engine.run_online`); all
-        paths produce bit-identical results.
+        ``kernel`` selects the execution path (``"auto"`` / ``"event"``,
+        see :func:`repro.sim.engine.run_online`); both produce
+        bit-identical results.
         """
         from ..sim.engine import run_online
 

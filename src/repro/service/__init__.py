@@ -9,7 +9,6 @@ from .fabric import (
 )
 from .sharding import SHARD_STRATEGIES, plan_shards
 from .multi import (
-    TRANSPORTS,
     MultiItemInstance,
     MultiItemOfflineResult,
     MultiItemOnlineService,
@@ -33,7 +32,6 @@ __all__ = [
     "SHARD_STRATEGIES",
     "ServerConfig",
     "ServicePool",
-    "TRANSPORTS",
     "active_segments",
     "plan_shards",
     "route_item",

@@ -1,10 +1,9 @@
 """Zero-copy shared-memory data plane for the multi-item service layer.
 
-The pickled transport of :mod:`repro.service.sharding` re-serialises every
-shard descriptor into a *fresh* process pool on every call: pool spawn,
-pickle out, instance rebuild, result pickle back.  After the PR-4 kernel
-work the solve itself is cheap enough that this data movement dominates
-the service layer's wall clock.  This module removes it:
+Shipping shards to workers by pickling their request arrays into a fresh
+process pool on every call (pool spawn, pickle out, instance rebuild,
+result pickle back) costs more than the solve itself.  This module is the
+service layer's only parallel path, and it removes that data movement:
 
 * :class:`ServiceArena` — the packed raw request arrays of one
   :class:`~repro.service.multi.MultiItemInstance` living in a single
@@ -40,8 +39,7 @@ Segment lifetime rules (also documented in ``docs/API.md``):
 
 Determinism: the arena stores the instances' own ``t``/``srv`` bytes and
 workers rebuild instances with the same deterministic constructor used
-serially, so results through this transport are bit-identical to serial
-solves — the same guarantee (and tests) the pickled transport carries.
+serially, so results through the pool are bit-identical to serial solves.
 """
 
 from __future__ import annotations
@@ -160,10 +158,10 @@ def _aligned(offset: int) -> int:
 # Arena: the service's raw request columns, packed once, attached per worker.
 # ---------------------------------------------------------------------------
 
-#: Per-item arena entry: (name, n, t_offset, srv_offset, origin, start_time,
-#: pivot_mode).  Travels to workers as a plain tuple — a few dozen bytes per
-#: item versus the kilobytes the pickled transport ships.
-ArenaEntry = Tuple[str, int, int, int, int, float, str]
+#: Per-item arena entry: (name, n, t_offset, srv_offset, origin, start_time).
+#: Travels to workers as a plain tuple — a few dozen bytes per item instead
+#: of the item's request arrays.
+ArenaEntry = Tuple[str, int, int, int, int, float]
 
 
 class ServiceArena:
@@ -207,7 +205,6 @@ class ServiceArena:
                     srv_off,
                     inst.origin,
                     float(inst.t[0]),
-                    inst._pivots.mode,
                 )
             return cls(shm, entries, service.num_servers, service.cost)
         except BaseException:
@@ -313,7 +310,7 @@ def _worker_instance(
     arena_name: str, meta: Tuple[int, float, float], entry: ArenaEntry
 ) -> ProblemInstance:
     shm, instances = _worker_arena(arena_name)
-    name, n, t_off, srv_off, origin, start, pivot_mode = entry
+    name, n, t_off, srv_off, origin, start = entry
     inst = instances.get(name)
     if inst is None:
         m, mu, lam = meta
@@ -324,7 +321,6 @@ def _worker_instance(
             cost=CostModel(mu=mu, lam=lam),
             origin=origin,
             start_time=start,
-            pivot_mode=pivot_mode,
         )
         instances[name] = inst
     return inst
@@ -341,12 +337,11 @@ def _worker_solve_shard(
     """Solve one shard, writing result arrays into the shared region.
 
     Returns only ``(item name, solver tag)`` pairs — the arrays never
-    cross the pipe.  With ``kernel`` ``"auto"``/``"batch"`` the whole
-    shard is solved by ONE call to the batched instance-major kernel,
-    packed straight from the arena's zero-copy column views — no
-    instance construction (and no pivot-matrix build) in the worker at
-    all.  ``"frontier"``/``"reference"`` keep the per-item path with
-    its cached instance builds.
+    cross the pipe.  With ``kernel="auto"`` the whole shard is solved by
+    ONE call to the batched instance-major kernel, packed straight from
+    the arena's zero-copy column views — no instance construction in the
+    worker at all.  ``"frontier"``/``"reference"`` keep the per-item path
+    with its cached instance builds.
     """
     from ..kernels.batch import BatchLayout, solve_layout
 
@@ -355,7 +350,7 @@ def _worker_solve_shard(
         res_shm = _attach_untracked(result_name)
         _worker_cache_put(_WORKER_RESULTS, result_name, res_shm)
     out: List[Tuple[str, str]] = []
-    if kernel in ("auto", "batch"):
+    if kernel == "auto":
         shm, _ = _worker_arena(arena_name)
         m, mu, lam = meta
         layout = BatchLayout.from_columns(
@@ -370,7 +365,7 @@ def _worker_solve_shard(
                     origin,
                     start,
                 )
-                for name, n, t_off, srv_off, origin, start, _mode in entries
+                for name, n, t_off, srv_off, origin, start in entries
             ]
         )
         results = solve_layout(layout)
@@ -411,18 +406,17 @@ def _worker_run_shard(
 ) -> List[Tuple[str, OnlineRunResult]]:
     """Serve one shard online.  Inputs arrive zero-copy via the arena;
     results (schedules, counters — policy artefacts, not fixed-size
-    arrays) return through the pipe as in the pickled transport.
+    arrays) return through the pipe.
 
     With a vector-eligible policy (plain ``SpeculativeCaching``) and
-    ``kernel`` ``"auto"``/``"vector"``, the whole shard is served by ONE
-    batched online-kernel call packed straight from the arena's
-    zero-copy column views — no instance construction in the worker at
-    all — bit-identical to the per-item loop."""
+    ``kernel="auto"``, the whole shard is served by ONE batched
+    online-kernel call packed straight from the arena's zero-copy column
+    views — no instance construction in the worker at all —
+    bit-identical to the per-item loop."""
     from ..kernels.batch import BatchLayout
     from ..kernels.online import run_online_layout, vector_policy_config
 
-    probe = policy_factory()
-    config = vector_policy_config(probe) if kernel != "event" else None
+    config = vector_policy_config(policy_factory()) if kernel == "auto" else None
     if config is not None:
         if not entries:
             return []
@@ -441,18 +435,13 @@ def _worker_run_shard(
                     origin,
                     start,
                 )
-                for name, n, t_off, srv_off, origin, start, _mode in entries
+                for name, n, t_off, srv_off, origin, start in entries
             ]
         )
         runs = run_online_layout(
             layout, window_factor, epoch_size, algorithm_name=algo_name
         )
         return [(name, run.to_result()) for name, run in zip(layout.names, runs)]
-    if kernel == "vector":
-        raise ValueError(
-            f"kernel='vector' requires a plain SpeculativeCaching policy, "
-            f"got {type(probe).__name__}; use kernel='event' or 'auto'"
-        )
     out: List[Tuple[str, OnlineRunResult]] = []
     for entry in entries:
         inst = _worker_instance(arena_name, meta, entry)
@@ -864,7 +853,7 @@ class ServicePool:
         """Zero-copy-input parallel online serve; returns item -> run.
 
         ``kernel`` selects the workers' online execution path
-        (``"auto"`` / ``"event"`` / ``"vector"``, see
+        (``"auto"`` / ``"event"``, see
         :func:`repro.sim.engine.run_online`); with an eligible policy
         each worker serves its whole shard with one batched kernel call.
         """

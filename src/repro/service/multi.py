@@ -19,11 +19,12 @@ the homogeneous regime where decomposition is exact:
   synthesis.
 
 Because decomposition is exact, the parallel paths are *guaranteed*
-bit-identical to the serial ones: items are partitioned into picklable
-shard descriptors (:mod:`repro.service.sharding`), each worker runs the
-very same per-item solver or policy, and the merge step re-keys results
-in the original item order.  Same dicts, same costs, same counters —
-``processes`` is purely a throughput knob.
+bit-identical to the serial ones: items are partitioned into shards
+(:mod:`repro.service.sharding`), each worker of the shared-memory
+:class:`~repro.service.fabric.ServicePool` runs the very same kernel or
+policy on its shard, and the merge step re-keys results in the original
+item order.  Same dicts, same costs, same counters — ``processes`` is
+purely a throughput knob.
 
 A capacity-coupled variant (items competing for bounded cache space) is
 deliberately out of scope: it breaks the decomposition theorem and is
@@ -37,7 +38,6 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from ..analysis.parallel import _check_picklable_callable, parallel_map
 from ..core.instance import ProblemInstance
 from ..core.types import CostModel, InvalidInstanceError
 from ..offline.dp import solve_offline
@@ -46,7 +46,6 @@ from ..online.base import OnlineAlgorithm
 from ..sim.recorder import OnlineRunResult
 from ..workloads.synthetic import RngLike, _rng, zipf_weights
 from ..workloads.traces import TraceRecord
-from .sharding import _pack_item, _run_shard, _solve_shard, plan_shards
 
 __all__ = [
     "MultiItemInstance",
@@ -209,54 +208,12 @@ class MultiItemOfflineResult:
         )
 
 
-def _shard_tasks(
-    service: MultiItemInstance, shards: int, strategy: str
-) -> List[tuple]:
-    """Picklable shard descriptors: one ``(descs,)`` argument tuple per shard."""
-    plan = plan_shards(service.items, shards, strategy=strategy)
-    return [
-        ([_pack_item(name, service.items[name]) for name in shard],)
-        for shard in plan
-    ]
-
-
-def _shard_solve_tasks(
-    service: MultiItemInstance, shards: int, strategy: str, kernel: str
-) -> List[tuple]:
-    """Like :func:`_shard_tasks`, with the DP kernel riding along."""
-    return [
-        task + (kernel,)
-        for task in _shard_tasks(service, shards, strategy)
-    ]
-
-
-def _merge_shard_results(
-    service: MultiItemInstance, shard_results: Iterable[List[tuple]]
-) -> Dict[str, object]:
-    """Re-key shard outputs into the service's original item order.
-
-    This is what makes parallel runs bit-identical to serial ones: the
-    merged dict iterates in ``service.items`` order no matter how the
-    shards were cut or which worker finished first.
-    """
-    merged = {name: res for chunk in shard_results for name, res in chunk}
-    missing = set(service.items) - set(merged)
-    if missing:  # pragma: no cover - would indicate a sharding bug
-        raise RuntimeError(f"shard merge lost items: {sorted(missing)}")
-    return {name: merged[name] for name in service.items}
-
-
-#: Valid ``transport=`` values for the parallel service paths.
-TRANSPORTS = ("shm", "pickle")
-
-
 def solve_offline_multi(
     service: MultiItemInstance,
     processes: Optional[int] = None,
     shards: Optional[int] = None,
     shard_strategy: str = "size",
     kernel: str = "auto",
-    transport: str = "shm",
     pool: Optional["ServicePool"] = None,
 ) -> MultiItemOfflineResult:
     """Optimal service-level schedule: per-item fast DP, exact by
@@ -276,57 +233,30 @@ def solve_offline_multi(
         ``"size"`` (default) or ``"hash"``; see
         :func:`repro.service.sharding.plan_shards`.
     kernel:
-        DP sweep — ``"auto"`` / ``"frontier"`` / ``"reference"`` /
-        ``"batch"``.  ``"auto"`` (default) and ``"batch"`` solve the
-        whole service (serially) or each shard (in workers) with ONE
-        call to the batched instance-major kernel
-        (:func:`repro.kernels.batch.solve_offline_batch`);
+        DP sweep — ``"auto"`` / ``"frontier"`` / ``"reference"``.
+        ``"auto"`` (default) solves the whole service (serially) or each
+        shard (in workers) with ONE call to the batched instance-major
+        kernel (:func:`repro.kernels.batch.solve_offline_batch`);
         ``"frontier"``/``"reference"`` run
         :func:`repro.offline.dp.solve_offline` per item.  All choices
         are bit-identical.
-    transport:
-        ``"shm"`` (default) ships shards through the zero-copy
-        shared-memory fabric (:mod:`repro.service.fabric`);
-        ``"pickle"`` uses the per-call pickled descriptors of
-        :mod:`repro.service.sharding`.  Purely a throughput knob.
     pool:
         A persistent :class:`~repro.service.fabric.ServicePool` to
-        reuse across calls (implies the shm transport; its worker
-        count wins over ``processes``).  Without one, ``processes > 1``
-        spins up an ephemeral pool for this call and tears it down —
-        segments unlinked — before returning, error or not.
+        reuse across calls (its worker count wins over ``processes``).
+        Without one, ``processes > 1`` spins up an ephemeral pool for
+        this call and tears it down — segments unlinked — before
+        returning, error or not.
 
     Whatever the knobs, the result is bit-identical to the serial solve:
     same ``per_item`` key order, same cost vectors, same totals.
     """
     if processes is not None and processes < 1:
         raise ValueError(f"processes must be >= 1, got {processes}")
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"transport must be one of {TRANSPORTS}, got {transport!r}"
-        )
     if pool is not None:
         return pool.solve(
             service, shards=shards, shard_strategy=shard_strategy, kernel=kernel
         )
-    if processes is None or processes == 1:
-        if kernel in ("auto", "batch"):
-            # One batched kernel call for the whole service: the packed
-            # instance-major sweep (repro.kernels.batch) replaces the
-            # per-item solve_offline loop — same arrays bit-for-bit,
-            # but the per-item Python orchestration cost is gone.
-            from ..kernels.batch import solve_offline_batch
-
-            return MultiItemOfflineResult(
-                per_item=solve_offline_batch(service.items)
-            )
-        return MultiItemOfflineResult(
-            per_item={
-                name: solve_offline(inst, kernel=kernel)
-                for name, inst in service.items.items()
-            }
-        )
-    if transport == "shm":
+    if processes is not None and processes > 1:
         from .fabric import ServicePool
 
         with ServicePool(processes) as ephemeral:
@@ -336,14 +266,20 @@ def solve_offline_multi(
                 shard_strategy=shard_strategy,
                 kernel=kernel,
             )
-    tasks = _shard_solve_tasks(
-        service, shards or processes, shard_strategy, kernel
+    if kernel == "auto":
+        # One batched kernel call for the whole service: the packed
+        # instance-major sweep (repro.kernels.batch) replaces the
+        # per-item solve_offline loop — same arrays bit-for-bit, but the
+        # per-item Python orchestration cost is gone.
+        from ..kernels.batch import solve_offline_batch
+
+        return MultiItemOfflineResult(per_item=solve_offline_batch(service.items))
+    return MultiItemOfflineResult(
+        per_item={
+            name: solve_offline(inst, kernel=kernel)
+            for name, inst in service.items.items()
+        }
     )
-    results = parallel_map(_solve_shard, tasks, processes=processes)
-    per_item = _merge_shard_results(service, results)
-    for name, res in per_item.items():
-        res.instance = service.items[name]  # stripped by _solve_shard
-    return MultiItemOfflineResult(per_item=per_item)
 
 
 @dataclass
@@ -366,27 +302,24 @@ class MultiItemOnlineService:
         processes: Optional[int] = None,
         shards: Optional[int] = None,
         shard_strategy: str = "size",
-        transport: str = "shm",
         pool: Optional["ServicePool"] = None,
         kernel: str = "auto",
     ) -> "MultiItemOnlineService":
         """Serve every item's stream; returns self for chaining.
 
-        With ``processes > 1`` the items are sharded across a process
-        pool (``shards`` bins, default one per process; ``shard_strategy``
-        as in :func:`repro.service.sharding.plan_shards`).  The policy
-        factory must then be picklable — a module-level callable such as
-        the policy class itself, not a lambda; this is checked *before*
-        the pool spawns.  ``transport``/``pool`` select how request
-        sequences reach the workers, exactly as in
-        :func:`solve_offline_multi` — shared-memory fabric by default,
-        ``"pickle"`` for the per-call descriptor path.  Each item still
-        gets a fresh policy from the factory, so ``runs`` is
-        bit-identical to a serial run: same key order, same costs, same
-        counters.
+        With ``processes > 1`` the items are sharded across a
+        shared-memory process pool (``shards`` bins, default one per
+        process; ``shard_strategy`` as in
+        :func:`repro.service.sharding.plan_shards`); ``pool`` reuses a
+        persistent one, exactly as in :func:`solve_offline_multi`.  The
+        policy factory must then be picklable — a module-level callable
+        such as the policy class itself, not a lambda; this is checked
+        *before* the pool spawns.  Each item still gets a fresh policy
+        from the factory, so ``runs`` is bit-identical to a serial run:
+        same key order, same costs, same counters.
 
         ``kernel`` selects the online execution path (``"auto"`` /
-        ``"event"`` / ``"vector"``): with an eligible policy (plain
+        ``"event"``): with an eligible policy (plain
         ``SpeculativeCaching``), ``"auto"`` serves the whole item batch
         — or each worker its whole shard — with ONE batched
         online-kernel call instead of a per-item hook replay, still
@@ -400,10 +333,6 @@ class MultiItemOnlineService:
 
         if processes is not None and processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
-            )
         if kernel not in ONLINE_KERNELS:
             raise ValueError(
                 f"unknown online kernel {kernel!r}; valid: {ONLINE_KERNELS}"
@@ -417,32 +346,7 @@ class MultiItemOnlineService:
                 kernel=kernel,
             )
             return self
-        if processes is None or processes == 1:
-            config = (
-                vector_policy_config(self.policy_factory())
-                if kernel != "event"
-                else None
-            )
-            if config is not None:
-                window_factor, epoch_size, algo_name = config
-                self.runs = run_online_batch(
-                    service.items,
-                    window_factor=window_factor,
-                    epoch_size=epoch_size,
-                    algorithm_name=algo_name,
-                )
-            elif kernel == "vector":
-                raise ValueError(
-                    "kernel='vector' requires a plain SpeculativeCaching "
-                    "policy; use kernel='event' or 'auto'"
-                )
-            else:
-                self.runs = {
-                    name: self.policy_factory().run(inst, kernel=kernel)
-                    for name, inst in service.items.items()
-                }
-            return self
-        if transport == "shm":
+        if processes is not None and processes > 1:
             from .fabric import ServicePool
 
             with ServicePool(processes) as ephemeral:
@@ -454,13 +358,24 @@ class MultiItemOnlineService:
                     kernel=kernel,
                 )
             return self
-        _check_picklable_callable(self.policy_factory)
-        tasks = [
-            (self.policy_factory,) + task + (kernel,)
-            for task in _shard_tasks(service, shards or processes, shard_strategy)
-        ]
-        results = parallel_map(_run_shard, tasks, processes=processes)
-        self.runs = _merge_shard_results(service, results)
+        config = (
+            vector_policy_config(self.policy_factory())
+            if kernel == "auto"
+            else None
+        )
+        if config is not None:
+            window_factor, epoch_size, algo_name = config
+            self.runs = run_online_batch(
+                service.items,
+                window_factor=window_factor,
+                epoch_size=epoch_size,
+                algorithm_name=algo_name,
+            )
+        else:
+            self.runs = {
+                name: self.policy_factory().run(inst, kernel=kernel)
+                for name, inst in service.items.items()
+            }
         return self
 
     @property

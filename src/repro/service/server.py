@@ -56,7 +56,10 @@ streaming totals.
 
 The wire protocol is deliberately tiny HTTP/1.1 (keep-alive, JSON
 bodies) so the stdlib is enough on both ends; see ``docs/API.md`` for
-the endpoint and degradation contract.
+the endpoint and degradation contract.  Framing is checked before any
+body is read: a malformed ``Content-Length`` is answered 400, a body
+over :data:`MAX_BODY_BYTES` 413, and request or header lines over the
+line caps 414/431, each followed by closing the connection.
 """
 
 from __future__ import annotations
@@ -85,11 +88,79 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    413: "Content Too Large",
+    414: "URI Too Long",
     421: "Misdirected Request",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+#: Largest request body the server reads.  A longer ``Content-Length`` is
+#: answered 413 before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
+#: Longest request line or header line, line terminator included.  A
+#: longer request line is answered 414, a longer header line 431.
+MAX_LINE_BYTES = 8 << 10
+#: Most header lines one request may carry; one more is answered 431.
+MAX_HEADER_LINES = 100
+
+
+class _FramingError(Exception):
+    """A request whose HTTP framing the server refuses to read further."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader, status: int) -> bytes:
+    """One line of at most :data:`MAX_LINE_BYTES`; ``status`` past that."""
+    try:
+        line = await reader.readline()
+        if len(line) <= MAX_LINE_BYTES:
+            return line
+    except ValueError:  # longer than the stream's own buffer limit
+        pass
+    raise _FramingError(status, f"line longer than {MAX_LINE_BYTES} bytes")
+
+
+async def _read_head(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[str, str, Dict[str, str], int]]:
+    """``(method, path, headers, body length)`` of the next request.
+
+    ``None`` on a clean end of stream.  Framing the server will not read
+    raises :class:`_FramingError` with the status to answer: 400 for a
+    bad request line or ``Content-Length``, 413 for a body over
+    :data:`MAX_BODY_BYTES`, 414/431 for lines or headers over the caps.
+    """
+    line = await _read_line(reader, 414)
+    if not line:
+        return None
+    parts = line.decode("latin-1").split()
+    if len(parts) != 3:
+        raise _FramingError(400, "bad request line")
+    method, path, _version = parts
+    headers: Dict[str, str] = {}
+    for _ in range(MAX_HEADER_LINES + 1):
+        hline = await _read_line(reader, 431)
+        if hline in (b"\r\n", b"\n", b""):
+            break
+        key, _, value = hline.decode("latin-1").partition(":")
+        headers[key.strip().lower()] = value.strip()
+    else:
+        raise _FramingError(431, f"more than {MAX_HEADER_LINES} header lines")
+    raw = headers.get("content-length", "0") or "0"
+    if not (raw.isascii() and raw.isdigit()):
+        raise _FramingError(400, f"bad content-length {raw!r}")
+    length = int(raw)
+    if length > MAX_BODY_BYTES:
+        raise _FramingError(
+            413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+        )
+    return method, path.split("?", 1)[0], headers, length
 
 
 def route_item(name: str, shards: int) -> int:
@@ -858,25 +929,19 @@ class CacheServer:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                parts = line.decode("latin-1").split()
-                if len(parts) != 3:
-                    writer.write(self._render(400, {"error": "bad request line"}, [], False))
+                try:
+                    head = await _read_head(reader)
+                except _FramingError as exc:
+                    # The rest of the stream cannot be framed: answer, close.
+                    writer.write(
+                        self._render(exc.status, {"error": str(exc)}, [], False)
+                    )
                     await writer.drain()
                     break
-                method, path, _version = parts
-                headers: Dict[str, str] = {}
-                while True:
-                    hline = await reader.readline()
-                    if hline in (b"\r\n", b"\n", b""):
-                        break
-                    key, _, value = hline.decode("latin-1").partition(":")
-                    headers[key.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or "0")
+                if head is None:
+                    break
+                method, path, headers, length = head
                 body = await reader.readexactly(length) if length else b""
-                path = path.split("?", 1)[0]
                 try:
                     status, payload, extra = await self._dispatch(method, path, body)
                 except Exception as exc:  # noqa: BLE001 - last-resort boundary
@@ -887,8 +952,8 @@ class CacheServer:
                 await writer.drain()
                 if not keep:
                     break
-        except (asyncio.IncompleteReadError, ConnectionError, ValueError):
-            pass  # torn connection or unparseable framing: drop it
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass  # torn connection: drop it
         finally:
             writer.close()
             try:

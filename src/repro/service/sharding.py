@@ -4,9 +4,8 @@ Under the homogeneous cost model the multi-item problem decomposes
 exactly into independent per-item instances (see :mod:`repro.service.multi`),
 so the service layer is embarrassingly parallel: partition the items into
 shards, ship each shard to a worker process, and merge.  This module owns
-the partitioning and the module-level shard workers
-(:func:`repro.analysis.parallel.parallel_map` requires picklable,
-module-level callables — closures die at the pool boundary).
+the partitioning; the shard workers that consume the plans live in
+:mod:`repro.service.fabric`.
 
 Two strategies are provided:
 
@@ -20,26 +19,19 @@ Two strategies are provided:
   shards map to long-lived worker state across requests.
 
 Both strategies are deterministic functions of the item names and sizes;
-empty shards are dropped.  Sharding never affects results: the callers in
-:mod:`repro.service.multi` merge shard outputs back into the original
-item order, so parallel runs are bit-identical to serial ones regardless
-of strategy or shard count.
+empty shards are dropped.  Sharding never affects results:
+:class:`~repro.service.fabric.ServicePool` merges shard outputs back into
+the original item order, so parallel runs are bit-identical to serial
+ones regardless of strategy or shard count.
 """
 
 from __future__ import annotations
 
 import heapq
 import zlib
-from dataclasses import replace
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List
 
 from ..core.instance import ProblemInstance
-from ..kernels.batch import BatchLayout, solve_layout
-from ..kernels.online import run_online_layout, vector_policy_config
-from ..offline.dp import solve_offline
-from ..offline.result import OfflineResult
-from ..online.base import OnlineAlgorithm
-from ..sim.recorder import OnlineRunResult
 
 __all__ = ["plan_shards", "SHARD_STRATEGIES"]
 
@@ -102,138 +94,3 @@ def plan_shards(
         for b in bins:
             b.sort(key=input_rank.__getitem__)
     return [b for b in bins if b]
-
-
-# ---------------------------------------------------------------------------
-# The *pickle transport*: shard descriptors and workers (module-level so
-# they survive pickling into a process pool).  This is one of two
-# transports the service layer offers — the other is the zero-copy
-# shared-memory fabric of :mod:`repro.service.fabric`, which ships the
-# same raw columns through a SharedMemory arena instead of the pool pipe
-# and is the default (``transport="shm"``).  Here, shards travel as
-# *packed* descriptors — the raw request arrays plus construction
-# parameters, never the pre-scanned instance.  The pivot matrix alone is
-# ``m × n`` int64, an order of magnitude more bytes than the arrays it
-# derives from, and instance construction is deterministic — so
-# rebuilding in the worker both shrinks the outbound pickle and moves
-# the O(mn) pre-scan into the parallel section while keeping results
-# bit-identical.  Both transports rebuild instances with the same
-# deterministic constructor, so results agree bit-for-bit with each
-# other and with serial runs.
-# ---------------------------------------------------------------------------
-
-
-def _pack_item(name: str, inst: ProblemInstance) -> Tuple:
-    """Flatten an item to a small picklable descriptor."""
-    return (
-        name,
-        inst.t[1:],
-        inst.srv[1:],
-        inst.num_servers,
-        inst.cost,
-        inst.origin,
-        float(inst.t[0]),
-        inst._pivots.mode,  # resolved, so the worker keeps the same backend
-    )
-
-
-def _unpack_item(desc: Tuple) -> Tuple[str, ProblemInstance]:
-    """Rebuild the instance a descriptor encodes (bit-identical pre-scan)."""
-    name, t, srv, m, cost, origin, start, pivot_mode = desc
-    inst = ProblemInstance.from_arrays(
-        t,
-        srv,
-        num_servers=m,
-        cost=cost,
-        origin=origin,
-        start_time=start,
-        pivot_mode=pivot_mode,
-    )
-    return name, inst
-
-
-def _solve_shard(
-    descs: Sequence[Tuple], kernel: str = "auto"
-) -> List[Tuple[str, OfflineResult]]:
-    """Solve every item in one shard with the fast DP (pickle transport).
-
-    ``kernel`` selects the DP sweep (``"auto"``/``"frontier"``/
-    ``"reference"``/``"batch"``, see :func:`repro.offline.dp.solve_offline`)
-    — the choice travels with the shard so workers and the serial path
-    run the same code, and results stay bit-identical regardless.
-
-    ``"auto"`` and ``"batch"`` solve the whole shard with ONE call to the
-    batched instance-major kernel, straight from the descriptors' raw
-    columns (:meth:`repro.kernels.batch.BatchLayout.from_columns`) —
-    no per-item instance rebuild, no pivot-matrix build, no per-item
-    Python loop.  ``"frontier"``/``"reference"`` keep the per-item path.
-
-    Instances never cross back over the pool boundary — the parent holds
-    the equivalent object and re-attaches it on merge, so only the DP's
-    cost/choice vectors pay the return pickle.  The batch path's results
-    are born instance-free; the per-item path strips via
-    ``dataclasses.replace`` rather than mutating the solver's returned
-    object in place (batch results are views into shared stacked arrays,
-    and the same discipline keeps every result object immutable-by-
-    convention).  (The shm transport goes further: workers write the
-    vectors into a preallocated shared result region and return only
-    ``(name, solver)`` acks — see
-    :func:`repro.service.fabric._worker_solve_shard`.)
-    """
-    if kernel in ("auto", "batch"):
-        layout = BatchLayout.from_columns(
-            [
-                (name, t, srv, m, cost.mu, cost.lam, origin, start)
-                for name, t, srv, m, cost, origin, start, _mode in descs
-            ]
-        )
-        return list(zip(layout.names, solve_layout(layout)))
-    out: List[Tuple[str, OfflineResult]] = []
-    for desc in descs:
-        name, inst = _unpack_item(desc)
-        res = solve_offline(inst, kernel=kernel)
-        # Strip a *copy*, never the returned object: solvers may hand
-        # back views into shared arrays.
-        out.append((name, replace(res, instance=None, _schedule=None)))
-    return out
-
-
-def _run_shard(
-    policy_factory: Callable[[], OnlineAlgorithm],
-    descs: Sequence[Tuple],
-    kernel: str = "auto",
-) -> List[Tuple[str, OnlineRunResult]]:
-    """Serve every item in one shard with a fresh policy per item.
-
-    When the policy is vector-kernel eligible (plain
-    ``SpeculativeCaching``) and ``kernel`` allows it, the whole shard is
-    packed into one :class:`BatchLayout` and served with ONE batched
-    online-kernel call — bit-identical to the per-item loop, including
-    output order (``from_columns`` preserves item order).
-    """
-    probe = policy_factory()
-    config = vector_policy_config(probe) if kernel != "event" else None
-    if config is not None:
-        if not descs:
-            return []
-        window_factor, epoch_size, algo_name = config
-        layout = BatchLayout.from_columns(
-            [
-                (name, t, srv, m, cost.mu, cost.lam, origin, start)
-                for name, t, srv, m, cost, origin, start, _mode in descs
-            ]
-        )
-        runs = run_online_layout(
-            layout, window_factor, epoch_size, algorithm_name=algo_name
-        )
-        return [(name, run.to_result()) for name, run in zip(layout.names, runs)]
-    if kernel == "vector":
-        raise ValueError(
-            f"kernel='vector' requires a plain SpeculativeCaching policy, "
-            f"got {type(probe).__name__}; use kernel='event' or 'auto'"
-        )
-    out: List[Tuple[str, OnlineRunResult]] = []
-    for desc in descs:
-        name, inst = _unpack_item(desc)
-        out.append((name, policy_factory().run(inst, kernel=kernel)))
-    return out

@@ -22,10 +22,8 @@ first-class observed outcome rather than a crash of the simulation.
 supervisable: the :mod:`repro.runtime` layer journals each delivered
 event, snapshots the driver between steps, and resumes a killed run
 bit-identically from ``snapshot + journal tail``.  Fault-free
-:func:`run_online` takes the array-backed fast path of
-:mod:`repro.kernels.replay` by default — the same hook-call sequence
-without per-event object dispatch — and falls back to the driver with
-``fast=False``.
+:func:`run_online` runs eligible policies on the vector kernel of
+:mod:`repro.kernels.online` and every other policy on the driver.
 
 Event tie-break contract (pinned by ``tests/sim/test_engine.py``):
 at equal instants delivery order is **recover < crash < request** —
@@ -351,7 +349,6 @@ class ReplayDriver:
 def run_online(
     algorithm: "OnlineAlgorithm",
     instance: ProblemInstance,
-    fast: bool = True,
     kernel: str = "auto",
 ) -> OnlineRunResult:
     """Drive ``algorithm`` over ``instance`` and return the run result.
@@ -360,49 +357,33 @@ def run_online(
     can be reused across instances; runs are deterministic given the
     algorithm's own RNG seeding.
 
-    ``kernel`` selects the execution path (bit-identical results on all
-    of them, pinned by ``tests/online/test_online_kernels.py``):
+    ``kernel`` selects the execution path (bit-identical results on both,
+    pinned by ``tests/online/test_online_kernels.py``):
 
     * ``"auto"`` (default): the array-native vector kernel of
-      :mod:`repro.kernels.online` when the policy is exactly
-      :class:`~repro.online.speculative.SpeculativeCaching` (no
-      subclass) and ``fast`` is on; the per-event path otherwise.
-    * ``"event"``: always replay through the policy's own hooks.
-    * ``"vector"``: require the vector kernel; raises ``ValueError``
-      for policies it cannot replicate.
-
-    On the per-event path, ``fast=True`` (default) replays through the
-    array-backed loop of :mod:`repro.kernels.replay` — no per-event
-    dataclass dispatch, same hook-call sequence, bit-identical results
-    (the engine test-suite pins this against a stepwise
-    :class:`ReplayDriver` run).  Pass ``fast=False`` to force the
-    driver path, e.g. when profiling the stepwise machinery itself.
+      :mod:`repro.kernels.online` when
+      :func:`~repro.kernels.online.vector_policy_config` accepts the
+      policy; the :class:`ReplayDriver` otherwise.
+    * ``"event"``: always the :class:`ReplayDriver`, which delivers every
+      request through the policy's own hooks — the executable
+      specification the vector kernel is tested against.
     """
-    from ..kernels.online import ONLINE_KERNELS, run_online_vector, vectorizable
+    from ..kernels.online import ONLINE_KERNELS, run_online_vector, vector_policy_config
 
     if kernel not in ONLINE_KERNELS:
         raise ValueError(
             f"unknown online kernel {kernel!r}; valid: {ONLINE_KERNELS}"
         )
-    if kernel == "vector" or (kernel == "auto" and fast and vectorizable(algorithm)):
-        if not vectorizable(algorithm):
-            raise ValueError(
-                f"kernel='vector' requires a plain SpeculativeCaching "
-                f"policy, got {type(algorithm).__name__}; use "
-                f"kernel='event' or 'auto'"
-            )
+    config = vector_policy_config(algorithm) if kernel == "auto" else None
+    if config is not None:
         _check_time_order(instance)
+        window_factor, epoch_size, name = config
         return run_online_vector(
             instance,
-            window_factor=algorithm.window_factor,
-            epoch_size=algorithm.epoch_size,
-            algorithm_name=algorithm.name,
+            window_factor=window_factor,
+            epoch_size=epoch_size,
+            algorithm_name=name,
         )
-    if fast:
-        from ..kernels.replay import replay_fault_free
-
-        _check_time_order(instance)
-        return replay_fault_free(algorithm, instance)
     driver = ReplayDriver(algorithm, instance)
     while not driver.done:
         driver.step()

@@ -432,14 +432,9 @@ def _solve_costs_by_id(
     if not entries:
         return solved_ids, np.empty(0, dtype=np.float64)
     layout = BatchLayout.from_columns(entries)
-    results = solve_layout(layout, kernel=_batch_kernel(kernel))
+    results = solve_layout(layout, kernel=kernel)
     costs = np.array([res.optimal_cost for res in results], dtype=np.float64)
     return solved_ids, costs
-
-
-def _batch_kernel(kernel: str) -> str:
-    """Map service-layer kernel names onto batch sweep backends."""
-    return "auto" if kernel in ("auto", "batch") else kernel
 
 
 def solve_trace_costs(

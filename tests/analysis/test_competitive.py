@@ -145,7 +145,7 @@ class TestKernelIdentity:
 
     def test_ratio_statistics_kernels_agree(self):
         insts = [poisson_zipf_instance(30, 4, rng=s) for s in range(5)]
-        vec = ratio_statistics(insts, kernel="vector")
+        vec = ratio_statistics(insts, kernel="auto")
         ev = ratio_statistics(insts, kernel="event")
         assert list(vec.ratios) == list(ev.ratios)
 
@@ -157,8 +157,3 @@ class TestKernelIdentity:
         ev = ttl_gamma_sweep(insts, gammas=[0.5, 2.0], epoch_size=3, kernel="event")
         for a, b in zip(vec, ev):
             assert a["ratios"] == b["ratios"]
-
-    def test_vector_kernel_rejects_ineligible_policy(self):
-        insts = [poisson_zipf_instance(20, 3, rng=0)]
-        with pytest.raises(ValueError, match="vector"):
-            ratio_statistics(insts, AlwaysTransfer, kernel="vector")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from repro import CostModel, ProblemInstance, Request
 from repro.core.instance import PivotLookup, _check_boundary_consistency
+from repro.kernels.prescan import build_pivot_matrix
 
 from ..conftest import instances, make_instance
 
@@ -123,6 +124,23 @@ class TestPreScan:
         assert "n=7" in repr(fig6) and "m=4" in repr(fig6)
 
 
+def matrix_cover_set(inst, i):
+    """π(i) read from the reference sweep's pointer matrix (Fig. 5)."""
+    q = int(inst.p[i])
+    if q < 0:
+        return []
+    F = build_pivot_matrix(inst.srv, inst.num_servers)
+    return [int(k) for k in F[q] if 0 <= k < i]
+
+
+#: The two ways π(i) is enumerated: the pointer-matrix rows the
+#: reference DP sweep reads, and the instance's bisect lookup.
+COVER_SETS = {
+    "matrix": matrix_cover_set,
+    "bisect": lambda inst, i: inst.cover_set(i),
+}
+
+
 class TestPivotLookup:
     def brute_cover_set(self, inst, i):
         q = int(inst.p[i])
@@ -130,37 +148,31 @@ class TestPivotLookup:
             return []
         return sorted(k for k in range(0, i) if inst.p[k] < q <= k)
 
-    @pytest.mark.parametrize("mode", ["matrix", "bisect"])
+    @pytest.mark.parametrize("mode", sorted(COVER_SETS))
     def test_cover_set_matches_bruteforce(self, mode, rng):
+        cover_set = COVER_SETS[mode]
         for _ in range(30):
             m = int(rng.integers(1, 6))
             n = int(rng.integers(1, 25))
             t = np.cumsum(rng.uniform(0.05, 2.0, size=n))
             srv = rng.integers(0, m, size=n)
-            inst = ProblemInstance.from_arrays(
-                t, srv, num_servers=m, pivot_mode=mode
-            )
+            inst = ProblemInstance.from_arrays(t, srv, num_servers=m)
             for i in range(1, n + 1):
-                assert sorted(inst.cover_set(i)) == self.brute_cover_set(inst, i)
+                assert sorted(cover_set(inst, i)) == self.brute_cover_set(inst, i)
 
     def test_modes_agree(self, rng):
         t = np.cumsum(rng.uniform(0.05, 2.0, size=40))
         srv = rng.integers(0, 4, size=40)
-        a = ProblemInstance.from_arrays(t, srv, num_servers=4, pivot_mode="matrix")
-        b = ProblemInstance.from_arrays(t, srv, num_servers=4, pivot_mode="bisect")
+        inst = ProblemInstance.from_arrays(t, srv, num_servers=4)
         for i in range(1, 41):
-            assert sorted(a.cover_set(i)) == sorted(b.cover_set(i))
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown pivot"):
-            PivotLookup(np.array([0, 1]), 2, mode="nope")
+            assert sorted(matrix_cover_set(inst, i)) == sorted(inst.cover_set(i))
 
     def test_requests_on(self, fig6):
         assert list(fig6.requests_on(1)) == [1, 5, 6]
         assert list(fig6.requests_on(0)) == [0, 4]
 
     def test_first_at_or_after(self, fig6):
-        lk = PivotLookup(fig6.srv, fig6.num_servers, mode="matrix")
+        lk = PivotLookup(fig6.srv, fig6.num_servers)
         assert lk.first_at_or_after(1, 2) == 5
         assert lk.first_at_or_after(3, 4) == -1
 

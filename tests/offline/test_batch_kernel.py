@@ -16,20 +16,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import CostModel, ProblemInstance, solve_offline
+from repro import CostModel, ProblemInstance
 from repro.core.types import InvalidInstanceError
 from repro.kernels import solve_offline_frontier
 from repro.kernels.batch import (
     BATCH_SWEEPS,
     BatchLayout,
-    batch_sweep_backend,
     solve_layout,
     solve_offline_batch,
 )
 from repro.offline.streaming import StreamingSolver
 
 from ..conftest import instances, make_instance
-from .test_kernels import assert_bit_identical, tie_heavy_instances
+from .test_kernels import BACKENDS, assert_bit_identical, tie_heavy_instances
 
 _SETTINGS = dict(
     max_examples=40,
@@ -37,13 +36,8 @@ _SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: Every backend runnable on this box.  The Python sweep always exists;
-#: the C sweep joins when a system compiler produced the shared object.
-BACKENDS = ("python", "c") if batch_sweep_backend() == "c" else ("python",)
-
-
 def _column_entry(name, inst):
-    """The raw-column tuple the shard transports ship for one item."""
+    """The raw-column tuple the shard workers read for one item."""
     return (
         name,
         inst.t[1:],
@@ -146,13 +140,6 @@ class TestBatchVsFrontier:
         for name in items:
             assert_bit_identical(a[name], b[name])
 
-    def test_solve_offline_kernel_batch_single_instance(self):
-        inst = make_instance([1.0, 2.0, 3.5, 5.0], [0, 1, 0, 1], m=2)
-        res = solve_offline(inst, kernel="batch")
-        assert res.instance is inst
-        assert res.solver == "batch-dp"
-        assert_bit_identical(solve_offline_frontier(inst), res)
-
     def test_empty_batch(self):
         assert solve_offline_batch({}) == {}
         with pytest.raises(ValueError, match="at least one item"):
@@ -160,9 +147,10 @@ class TestBatchVsFrontier:
 
     def test_bad_sweep_kernel_rejected(self):
         inst = make_instance([1.0], [0], m=1)
-        with pytest.raises(ValueError, match="batch sweep kernel"):
-            solve_offline_batch({"x": inst}, kernel="warp")
-        assert "warp" not in BATCH_SWEEPS
+        for bad in ("warp", "batch"):
+            with pytest.raises(ValueError, match="batch sweep kernel"):
+                solve_offline_batch({"x": inst}, kernel=bad)
+            assert bad not in BATCH_SWEEPS
 
 
 class TestStreamingPrefixEquivalence:

@@ -5,12 +5,16 @@ import pytest
 
 from repro import (
     CostModel,
+    MultiItemInstance,
     ProblemInstance,
+    StreamingSolver,
     optimal_cost,
     solve_offline,
     solve_offline_bisect,
+    solve_offline_multi,
     solve_offline_naive,
 )
+from repro.offline.dp import KERNELS
 from repro.schedule import migration_only_cost
 
 from ..conftest import make_instance
@@ -80,70 +84,50 @@ class TestSolverAgreement:
         assert fast.agrees_with(solve_offline_naive(inst))
         assert fast.agrees_with(solve_offline_bisect(inst))
 
-    def test_vectorized_and_scalar_paths_agree(self, rng):
+    def test_wide_fleet_kernels_agree(self, rng):
+        # m=60 servers for 120 requests: most rows of the reference
+        # sweep's pointer matrix hold many pivot candidates.
         t = np.cumsum(rng.uniform(0.05, 1.0, size=120))
         srv = rng.integers(0, 60, size=120)
         inst = ProblemInstance.from_arrays(t, srv, num_servers=60)
-        a = solve_offline(inst, vectorized=True, kernel="reference")
-        b = solve_offline(inst, vectorized=False, kernel="reference")
-        assert a.agrees_with(b)
-
-    def test_unknown_vectorized_string_rejected(self, rng):
-        # Regression: any non-"auto" string is truthy, so
-        # vectorized="false" used to silently behave as vectorized=True.
-        t = np.cumsum(rng.uniform(0.05, 1.0, size=10))
-        srv = rng.integers(0, 4, size=10)
-        inst = ProblemInstance.from_arrays(t, srv, num_servers=4)
-        for bad in ("false", "true", "False", "yes", ""):
-            with pytest.raises(ValueError, match="vectorized"):
-                solve_offline(inst, vectorized=bad)
-        assert solve_offline(inst, vectorized="auto").agrees_with(
-            solve_offline(inst, vectorized=False, kernel="reference")
+        assert_bit_identical(
+            solve_offline(inst, kernel="reference"),
+            solve_offline(inst, kernel="frontier"),
         )
 
-    @pytest.mark.parametrize("vectorized", [True, False, "auto"])
-    @pytest.mark.parametrize("kernel", ["auto", "frontier", "reference", "batch"])
-    def test_dispatch_matrix(self, rng, vectorized, kernel):
-        # Every (vectorized, kernel) combination either solves
-        # bit-identically to the scalar reference, warns, or raises —
-        # never silently downgrades.  Regression for the knob matrix: an
-        # explicit bool with kernel="auto" used to silently pin the
-        # reference kernel.
+    @pytest.mark.parametrize("entry", ["solve", "multi", "stream"])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_dispatch_matrix(self, rng, kernel, entry):
+        # Every (kernel, entry point) pair solves bit-identically to the
+        # reference sweep: one instance, a multi-item service (where
+        # "auto" is the batched sweep), and the streaming solver.
         t = np.cumsum(rng.uniform(0.05, 1.0, size=40))
         srv = rng.integers(0, 5, size=40)
         inst = ProblemInstance.from_arrays(t, srv, num_servers=5)
-        golden = solve_offline(inst, vectorized=False, kernel="reference")
-        if isinstance(vectorized, bool) and kernel in ("frontier", "batch"):
-            with pytest.raises(ValueError, match="vectorized"):
-                solve_offline(inst, vectorized=vectorized, kernel=kernel)
-            return
-        if isinstance(vectorized, bool) and kernel == "auto":
-            with pytest.warns(UserWarning, match="kernel='reference'"):
-                res = solve_offline(inst, vectorized=vectorized, kernel=kernel)
+        golden = solve_offline(inst, kernel="reference")
+        if entry == "solve":
+            res = solve_offline(inst, kernel=kernel)
+        elif entry == "multi":
+            service = MultiItemInstance({"a": inst, "b": inst})
+            per_item = solve_offline_multi(service, kernel=kernel).per_item
+            assert list(per_item) == ["a", "b"]
+            assert_bit_identical(golden, per_item["b"])
+            res = per_item["a"]
         else:
-            res = solve_offline(inst, vectorized=vectorized, kernel=kernel)
+            solver = StreamingSolver(5, cost=inst.cost, kernel=kernel)
+            solver.extend(zip(t.tolist(), srv.tolist()))
+            res = solver.result()
         assert_bit_identical(golden, res)
 
-    def test_explicit_bool_with_kernel_auto_warns(self, rng):
-        t = np.cumsum(rng.uniform(0.05, 1.0, size=10))
-        srv = rng.integers(0, 3, size=10)
-        inst = ProblemInstance.from_arrays(t, srv, num_servers=3)
-        with pytest.warns(UserWarning, match="pins kernel='reference'"):
-            solve_offline(inst, vectorized=True)
-        # Naming the reference kernel explicitly keeps the bool silent.
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            solve_offline(inst, vectorized=True, kernel="reference")
-            solve_offline(inst, vectorized=False, kernel="reference")
-
-    def test_bisect_pivot_mode_instance(self, rng):
+    def test_matrix_and_bisect_pivot_lookups_agree(self, rng):
+        # The reference sweep reads π(i) from the pointer matrix; the
+        # bisect solver finds the same candidates by binary search.
         t = np.cumsum(rng.uniform(0.05, 1.0, size=50))
         srv = rng.integers(0, 5, size=50)
-        a = ProblemInstance.from_arrays(t, srv, num_servers=5, pivot_mode="matrix")
-        b = ProblemInstance.from_arrays(t, srv, num_servers=5, pivot_mode="bisect")
-        assert solve_offline(a).agrees_with(solve_offline(b))
+        inst = ProblemInstance.from_arrays(t, srv, num_servers=5)
+        assert solve_offline(inst, kernel="reference").agrees_with(
+            solve_offline_bisect(inst)
+        )
 
 
 class TestAgainstBaselines:

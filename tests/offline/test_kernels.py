@@ -3,8 +3,8 @@
 The kernels are throughput knobs, never semantics knobs: every test here
 compares *bytes*, not ``pytest.approx``.  Three layers:
 
-* frontier DP kernel vs the reference sweep (scalar and vectorized),
-  including tie-heavy integer-gap instances and single-server
+* frontier DP kernel and both batch sweep backends vs the reference
+  sweep, including tie-heavy integer-gap instances and single-server
   degenerate cases;
 * the vectorized pre-scan vs its loop reference twins;
 * the streaming solver (both kernels) vs the batch solver on the same
@@ -17,7 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import CostModel, ProblemInstance, solve_offline
-from repro.kernels import solve_offline_frontier
+from repro.kernels import (
+    batch_sweep_backend,
+    solve_offline_batch,
+    solve_offline_frontier,
+)
 from repro.kernels.prescan import (
     build_pivot_matrix,
     build_pivot_matrix_reference,
@@ -35,6 +39,11 @@ _SETTINGS = dict(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+#: Every batch sweep backend runnable on this box.  The Python sweep
+#: always exists; the C sweep joins when a system compiler produced the
+#: shared object.
+BACKENDS = ("python", "c") if batch_sweep_backend() == "c" else ("python",)
 
 
 @st.composite
@@ -98,13 +107,11 @@ class TestFrontierVsReference:
 
     @given(instances(max_m=6, max_n=40))
     @settings(**_SETTINGS)
-    def test_vectorized_reference_also_identical(self, inst):
-        # Three-way: scalar reference == vectorized reference == frontier.
-        scalar = solve_offline(inst, vectorized=False, kernel="reference")
-        assert_bit_identical(
-            scalar, solve_offline(inst, vectorized=True, kernel="reference")
-        )
-        assert_bit_identical(scalar, solve_offline(inst, kernel="frontier"))
+    def test_batch_backends_match_reference(self, inst):
+        ref = solve_offline(inst, kernel="reference")
+        for backend in BACKENDS:
+            batch = solve_offline_batch({"x": inst}, kernel=backend)["x"]
+            assert_bit_identical(ref, batch)
 
     def test_kernel_auto_routes_to_frontier(self):
         inst = make_instance([1.0, 2.0, 3.5], [0, 1, 0], m=2)
@@ -113,10 +120,9 @@ class TestFrontierVsReference:
 
     def test_bad_kernel_rejected(self):
         inst = make_instance([1.0], [0], m=1)
-        with pytest.raises(ValueError, match="kernel"):
-            solve_offline(inst, kernel="warp")
-        with pytest.raises(ValueError, match="vectorized"):
-            solve_offline(inst, vectorized=True, kernel="frontier")
+        for bad in ("warp", "batch"):
+            with pytest.raises(ValueError, match="kernel"):
+                solve_offline(inst, kernel=bad)
 
 
 @st.composite

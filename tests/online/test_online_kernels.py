@@ -40,7 +40,6 @@ from repro.kernels.online import (
     run_online_vector,
     sweep_layout,
     vector_policy_config,
-    vectorizable,
 )
 from repro.online import SpeculativeCaching
 from repro.online.baselines import RandomizedTTL
@@ -98,27 +97,29 @@ def duck(times, servers, m, mu=1.0, lam=1.0, origin=0):
 
 class TestEligibility:
     def test_kernel_names(self):
-        assert ONLINE_KERNELS == ("auto", "event", "vector")
+        assert ONLINE_KERNELS == ("auto", "event")
 
     def test_plain_sc_is_vectorizable(self):
-        assert vectorizable(SpeculativeCaching())
-        assert vectorizable(SpeculativeCaching(window_factor=2.0, epoch_size=3))
+        assert vector_policy_config(SpeculativeCaching()) == (
+            1.0,
+            None,
+            "speculative-caching",
+        )
+        assert vector_policy_config(
+            SpeculativeCaching(window_factor=2.0, epoch_size=3)
+        ) == (2.0, 3, "ttl(2x)")
 
     def test_subclasses_and_other_policies_are_not(self):
         class Tweaked(SpeculativeCaching):
             pass
 
-        assert not vectorizable(Tweaked())
-        assert not vectorizable(RandomizedTTL())
+        assert vector_policy_config(Tweaked()) is None
         assert vector_policy_config(RandomizedTTL()) is None
 
-    def test_vector_kernel_rejects_ineligible_policy(self, fig6):
-        with pytest.raises(ValueError, match="vector"):
-            run_online(RandomizedTTL(), fig6, kernel="vector")
-
     def test_unknown_kernel_rejected(self, fig6):
-        with pytest.raises(ValueError, match="kernel"):
-            run_online(SpeculativeCaching(), fig6, kernel="warp")
+        for bad in ("warp", "vector"):
+            with pytest.raises(ValueError, match="kernel"):
+                run_online(SpeculativeCaching(), fig6, kernel=bad)
 
 
 class TestAdversarialShapes:
@@ -265,9 +266,9 @@ class TestBatchEquivalence:
         from repro.service.multi import MultiItemOnlineService
 
         svc = MultiItemInstance(items=self._insts())
-        service = MultiItemOnlineService(SpeculativeCaching)
-        vec = service.run(svc, kernel="vector")
-        ev = service.run(svc, kernel="event")
+        # run() returns its service object, so each path needs its own.
+        vec = MultiItemOnlineService(SpeculativeCaching).run(svc, kernel="auto")
+        ev = MultiItemOnlineService(SpeculativeCaching).run(svc, kernel="event")
         assert vec.total_cost == ev.total_cost
         assert vec.counters() == ev.counters()
         for name in svc.items:

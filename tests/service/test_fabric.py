@@ -26,6 +26,7 @@ from repro import (
     solve_offline_multi,
 )
 from repro.core.types import InvalidInstanceError
+from repro.offline.dp import KERNELS
 from repro.service.fabric import (
     SEGMENT_PREFIX,
     ServiceArena,
@@ -73,23 +74,13 @@ class TestSolveIdentity:
         assert_offline_identical(serial, first)
         assert_offline_identical(serial, second)
 
-    def test_transport_knob_routes_through_fabric(self):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_processes_route_through_fabric(self, kernel):
         svc = small_service()
-        serial = solve_offline_multi(svc)
-        shm = solve_offline_multi(svc, processes=2, transport="shm")
-        pickled = solve_offline_multi(svc, processes=2, transport="pickle")
-        assert_offline_identical(serial, shm)
-        assert_offline_identical(serial, pickled)
+        serial = solve_offline_multi(svc, kernel=kernel)
+        par = solve_offline_multi(svc, processes=2, kernel=kernel)
+        assert_offline_identical(serial, par)
         assert active_segments() == ()
-
-    def test_bad_transport_rejected(self):
-        svc = small_service(items=2, per_item=5)
-        with pytest.raises(ValueError, match="transport"):
-            solve_offline_multi(svc, processes=2, transport="carrier-pigeon")
-        with pytest.raises(ValueError, match="transport"):
-            MultiItemOnlineService(SpeculativeCaching).run(
-                svc, processes=2, transport="carrier-pigeon"
-            )
 
     def test_schedules_reconstruct_through_region(self):
         svc = small_service(items=3, per_item=30)

@@ -29,7 +29,14 @@ from repro.service.loadgen import (
     run_load,
     synthetic_events,
 )
-from repro.service.server import CacheServer, ServerConfig, route_item
+from repro.service.server import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_LINES,
+    MAX_LINE_BYTES,
+    CacheServer,
+    ServerConfig,
+    route_item,
+)
 
 
 def scenario(coro_fn):
@@ -170,6 +177,84 @@ class TestExactlyOnce:
         assert status == 400
         # Out-of-range server is caught by the worker's input boundary.
         assert status2 == 400
+
+
+def raw_exchange(*requests: bytes):
+    """Send each raw request on its own connection; ``(status, head)`` each.
+
+    Reads every reply to EOF, so a case passes only if the server both
+    answers and closes.
+    """
+
+    async def run():
+        server = CacheServer(ServerConfig(shards=1))
+        await server.start()
+        replies = []
+        try:
+            for raw in requests:
+                reader, writer = await asyncio.open_connection(
+                    server.config.host, server.port
+                )
+                writer.write(raw)
+                await writer.drain()
+                replies.append(await asyncio.wait_for(reader.read(), 5.0))
+                writer.close()
+                await writer.wait_closed()
+        finally:
+            await server.shutdown()
+        return replies
+
+    out = []
+    for reply in scenario(run):
+        head = reply.split(b"\r\n\r\n", 1)[0].decode("latin-1")
+        out.append((int(head.split()[1]), head))
+    return out
+
+
+def stats_request(*header_lines: str) -> bytes:
+    lines = ["GET /stats HTTP/1.1", *header_lines, "Connection: close"]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+class TestHttpFraming:
+    """Framing is validated at the boundary: answered, then closed."""
+
+    def test_malformed_content_length_is_400(self):
+        bad = ["abc", "-5", "1e3", "0x10", "5 5"]
+        replies = raw_exchange(
+            *(
+                f"POST /request HTTP/1.1\r\nContent-Length: {v}\r\n\r\n".encode()
+                for v in bad
+            )
+        )
+        for status, head in replies:
+            assert status == 400
+            assert "Connection: close" in head
+
+    def test_body_over_cap_is_413_without_reading_it(self):
+        # No body bytes follow the head: a server that tried to read the
+        # declared body would wait, and the read would time out.
+        (status, head), = raw_exchange(
+            f"POST /batch HTTP/1.1\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+        )
+        assert status == 413
+        assert "Connection: close" in head
+
+    def test_header_lines_over_caps_are_431(self):
+        at_cap = "X-Pad: " + "a" * (MAX_LINE_BYTES - len("X-Pad: \r\n"))
+        replies = raw_exchange(
+            stats_request(at_cap),
+            stats_request(at_cap + "a"),
+            stats_request(*["X-Pad: a"] * (MAX_HEADER_LINES - 1)),
+            stats_request(*["X-Pad: a"] * MAX_HEADER_LINES),
+        )
+        assert [status for status, _ in replies] == [200, 431, 200, 431]
+
+    def test_request_line_over_cap_is_414(self):
+        path = "/stats?" + "a" * MAX_LINE_BYTES
+        (status, _), = raw_exchange(f"GET {path} HTTP/1.1\r\n\r\n".encode())
+        assert status == 414
 
 
 class TestDegradationLadder:

@@ -1,7 +1,5 @@
 """Sharded parallel service-layer tests: plans and bit-identity."""
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -11,9 +9,7 @@ from repro import (
     multi_item_workload,
     solve_offline_multi,
 )
-from repro.kernels import solve_offline_frontier
 from repro.service import SHARD_STRATEGIES, plan_shards
-from repro.service.sharding import _pack_item, _solve_shard, _unpack_item
 
 from ..conftest import make_instance
 
@@ -99,64 +95,6 @@ class TestPlanShards:
             plan_shards(svc.items, 0)
         with pytest.raises(ValueError, match="strategy"):
             plan_shards(svc.items, 2, strategy="round-robin")
-
-    def test_pack_unpack_roundtrip(self):
-        svc = _service()
-        name, inst = next(iter(svc.items.items()))
-        name2, rebuilt = _unpack_item(_pack_item(name, inst))
-        assert name2 == name
-        assert np.array_equal(rebuilt.t, inst.t)
-        assert np.array_equal(rebuilt.srv, inst.srv)
-        assert np.array_equal(rebuilt.B, inst.B)
-        assert rebuilt.cost == inst.cost
-        assert rebuilt.origin == inst.origin
-
-
-class TestShardWorkerImmutability:
-    """Workers must never mutate solver results in place.
-
-    The old workers stripped ``res.instance = None`` on the object the
-    solver returned.  With the batched kernel, shard-mates' results are
-    views into ONE stacked buffer per field, so in-place habits would
-    corrupt neighbours; workers now strip a ``dataclasses.replace`` copy
-    and batch results ship read-only.
-    """
-
-    @pytest.mark.parametrize("kernel", ["frontier", "batch"])
-    def test_worker_results_match_fresh_solves(self, kernel):
-        svc = _service(num_items=5, n_total=100)
-        descs = [_pack_item(name, inst) for name, inst in svc.items.items()]
-        out = _solve_shard(descs, kernel=kernel)
-        assert [name for name, _ in out] == list(svc.items)
-        for name, res in out:
-            assert res.instance is None  # instances never cross the pool
-            golden = solve_offline_frontier(svc.items[name])
-            assert res.C.tobytes() == golden.C.tobytes()
-            assert res.D.tobytes() == golden.D.tobytes()
-            assert res.choice_d_k.tobytes() == golden.choice_d_k.tobytes()
-
-    def test_batch_arrays_survive_shard_round_trip(self):
-        svc = _service(num_items=5, n_total=100)
-        descs = [_pack_item(name, inst) for name, inst in svc.items.items()]
-        out = _solve_shard(descs, kernel="batch")
-        # In-place mutation — the old stripping style — fails loudly
-        # instead of silently corrupting shard-mates' views.
-        with pytest.raises(ValueError):
-            out[0][1].C[...] = 0.0
-        # Pool pickle round-trip: every shard-mate's vectors come back
-        # byte-identical even though they share stacked buffers.
-        blobs = {name: pickle.dumps(res) for name, res in out}
-        for name, blob in blobs.items():
-            back = pickle.loads(blob)
-            golden = solve_offline_frontier(svc.items[name])
-            assert back.C.tobytes() == golden.C.tobytes()
-            assert back.D.tobytes() == golden.D.tobytes()
-            assert (
-                back.served_by_cache.tobytes()
-                == golden.served_by_cache.tobytes()
-            )
-            assert back.choice_d_tag.tobytes() == golden.choice_d_tag.tobytes()
-            assert back.choice_d_k.tobytes() == golden.choice_d_k.tobytes()
 
 
 class TestParallelBitIdentity:

@@ -7,6 +7,7 @@ import pytest
 
 from repro import run_online
 from repro.online.base import OnlineAlgorithm
+from repro.sim.engine import ReplayDriver
 
 from ..conftest import make_instance
 
@@ -199,8 +200,6 @@ class TestRequestsDeliveredCounter:
     """
 
     def _driver(self, n=200):
-        from repro.sim.engine import ReplayDriver
-
         times = [float(i) for i in range(1, n + 1)]
         servers = [i % 3 for i in range(n)]
         return ReplayDriver(Probe(), make_instance(times, servers, m=3))
@@ -246,8 +245,9 @@ class TestRequestsDeliveredCounter:
 
 
 class TestReplayFastPath:
-    """The array-backed fast path must be indistinguishable from the
-    stepwise driver on fault-free runs."""
+    """The path ``kernel="auto"`` picks (the vector kernel for plain SC)
+    must be indistinguishable from the stepwise driver on fault-free
+    runs."""
 
     def test_fast_equals_stepwise_for_policies(self):
         from repro import (
@@ -264,21 +264,19 @@ class TestReplayFastPath:
             AlwaysTransfer,
             SpeculativeCachingResilient,
         ):
-            fast = run_online(factory(), inst, fast=True)
-            slow = run_online(factory(), inst, fast=False)
+            fast = run_online(factory(), inst)
+            driver = ReplayDriver(factory(), inst)
+            while not driver.done:
+                driver.step()
+            slow = driver.finish()
             assert fast.cost == slow.cost
             assert fast.counters == slow.counters
             assert fast.schedule.transfers == slow.schedule.transfers
             assert fast.schedule.intervals == slow.schedule.intervals
 
-    def test_fast_path_hook_sequence_identical(self):
-        inst = make_instance([1.0, 2.5, 4.0], [0, 1, 1], m=2)
-        a, b = Probe(), Probe()
-        run_online(a, inst, fast=True)
-        run_online(b, inst, fast=False)
-        assert a.calls == b.calls
-
     def test_fast_path_rejects_bad_times_like_driver(self):
+        from repro import SpeculativeCaching
+
         bogus = SimpleNamespace(t=[0.0, 1.0, 0.5], n=2)
         with pytest.raises(ValueError, match="non-decreasing"):
-            run_online(Probe(), bogus, fast=True)
+            run_online(SpeculativeCaching(), bogus)

@@ -116,6 +116,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_kernel_choices(self, trace, capsys):
+        (kernel,) = [
+            a for a in build_parser()._actions if "--kernel" in a.option_strings
+        ]
+        assert list(kernel.choices) == ["auto", "frontier", "reference", "event"]
+        for choice in kernel.choices:
+            assert main(["--kernel", choice, "compare", trace]) == 0
+        for removed in ("batch", "vector"):
+            with pytest.raises(SystemExit):
+                main(["--kernel", removed, "compare", trace])
+
 
 @pytest.fixture
 def item_trace(tmp_path):
@@ -171,17 +182,6 @@ class TestService:
             ln for ln in s.splitlines() if "off-line optimal total" in ln
         ]
         assert pick(csv_out) == pick(col_out)
-
-    def test_persistent_pool_requires_shm(self, capsys):
-        rc = main(
-            [
-                "service", "--items", "2", "-n", "40", "-m", "3",
-                "--processes", "2", "--pool", "persistent",
-                "--transport", "pickle",
-            ]
-        )
-        assert rc == 2
-        assert "requires --transport shm" in capsys.readouterr().err
 
     def test_no_shm_segments_leak(self, capsys):
         from repro.service.fabric import active_segments
