@@ -17,10 +17,11 @@ gauges.  Robustness is the headline, not an afterthought:
 * **Per-request deadline budgets.**  Each request carries a deadline
   (``deadline_ms`` in the body, or the server default), expressed through
   :class:`~repro.runtime.supervisor.RunBudget` semantics: the budget
-  bounds *this response's* wall clock, never any decision.  On expiry
-  the client gets a degraded-partial response (``degraded: true``,
-  ``status: "pending"``) while the accepted event still processes — a
-  later duplicate resend returns the settled decision.
+  runs from the event's admission and bounds *this response's* wall
+  clock, never any decision.  On expiry the client gets a
+  degraded-partial response (``degraded: true``, ``status:
+  "pending"``) while the accepted event still processes — a later
+  duplicate resend returns the settled decision.
 * **Per-shard circuit breakers.**  Unexpected processing failures trip a
   shard's breaker after a threshold of consecutive errors; an open shard
   sheds with ``503`` until its cooldown elapses (half-open probe next).
@@ -29,6 +30,11 @@ gauges.  Robustness is the headline, not an afterthought:
 * **Graceful drain.**  SIGTERM (and SIGINT) stop admission (``/readyz``
   flips to 503, new posts get 503 + ``Retry-After``), drain every shard
   queue, fsync and close the journals, then exit 0.
+* **Group commit.**  Each shard worker applies everything its queue
+  holds as one block (up to 64 events) under one journal fsync.
+  ``POST /batch`` admits all of its events in body order before it
+  awaits any of them, so each shard's share of a batch is one block;
+  answers are the same as sending the events one by one.
 * **Crash-safe resume.**  Every accepted event is written ahead to a
   per-shard :class:`~repro.runtime.journal.RunJournal` (fsync before the
   response leaves) together with a *chained decision digest*.  A
@@ -59,13 +65,17 @@ bodies) so the stdlib is enough on both ends; see ``docs/API.md`` for
 the endpoint and degradation contract.  Framing is checked before any
 body is read: a malformed ``Content-Length`` is answered 400, a body
 over :data:`MAX_BODY_BYTES` 413, and request or header lines over the
-line caps 414/431, each followed by closing the connection.
+line caps 414/431, each followed by closing the connection.  Each event
+is validated before it is queued: a time that is not positive and
+finite, or a server that is not an integer in ``[0, num_servers)``, is
+answered 400 and never counted as accepted.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import zlib
 from collections import deque
@@ -305,8 +315,33 @@ class _Event:
     item: str
     time: float
     server: int
+    shard: int
     degraded: bool
+    #: Loop time after which the response answers ``pending`` instead.
+    deadline: float
     future: "asyncio.Future[dict]" = field(repr=False, default=None)  # type: ignore[assignment]
+
+
+class _Batch:
+    """One ``POST /batch`` call: its answers in body order, and the events
+    it has queued that have not settled yet."""
+
+    def __init__(self) -> None:
+        #: ``(status, payload or queued _Event)`` per event.
+        self.answers: List[Tuple[int, object]] = []
+        #: Indices into ``answers`` of the queued events.
+        self.queued: List[int] = []
+        #: Latest queued event time per item and per shard index.
+        self.item_time: Dict[str, float] = {}
+        self.shard_time: Dict[int, float] = {}
+
+    def add(self, status: int, outcome: object) -> None:
+        if isinstance(outcome, _Event):
+            self.queued.append(len(self.answers))
+            self.item_time[outcome.item] = outcome.time
+            latest = self.shard_time.get(outcome.shard, -math.inf)
+            self.shard_time[outcome.shard] = max(latest, outcome.time)
+        self.answers.append((status, outcome))
 
 
 class _Shard:
@@ -652,8 +687,80 @@ class CacheServer:
 
     # -- admission + processing ----------------------------------------------
 
-    def _admit(self, item: str, time: float, server: int) -> Tuple[int, object]:
-        """Admission decision: (status, _Event | error payload)."""
+    def _parse_event(self, body) -> Tuple[str, float, int, float]:
+        """``(item, time, server, deadline seconds)`` of one event body.
+
+        Raises ``KeyError``, ``TypeError``, ``ValueError`` or
+        ``OverflowError`` for a body answered 400: a missing field, a
+        time that is not positive and finite, a server that is not an
+        integer in ``[0, num_servers)`` (neither a bool nor ``2.9`` is),
+        or a deadline that is negative or not finite.
+        """
+        item, time, server = str(body["item"]), float(body["time"]), body["server"]
+        if not 0.0 < time < math.inf:
+            raise ValueError(f"time {time} is not positive and finite")
+        m = self.config.num_servers
+        if isinstance(server, bool) or not isinstance(server, int) or not 0 <= server < m:
+            raise ValueError(f"server {server!r} is not an integer in [0, {m})")
+        deadline_ms = float(body.get("deadline_ms", self.config.deadline_ms))
+        if not 0.0 <= deadline_ms < math.inf:
+            raise ValueError(f"deadline_ms {deadline_ms} is not non-negative and finite")
+        return item, time, server, deadline_ms / 1000.0
+
+    async def _admit_event(
+        self, body, batch: Optional[_Batch] = None
+    ) -> Tuple[int, object]:
+        """Admission step of ``/request`` and ``/batch``: parse, then admit.
+
+        A bad body is answered 400 before anything is queued or counted.
+        Otherwise returns :meth:`_admit`'s answer; a queued
+        :class:`_Event` is answered later by :meth:`_settle`.  Within a
+        ``batch``, the events it has queued settle first whenever this
+        one could otherwise be answered differently than if it were sent
+        alone (:meth:`_must_settle_first`).
+        """
+        try:
+            item, time, server, budget_s = self._parse_event(body)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return 400, {"error": f"bad event: {exc}"}
+        if batch is not None and self._must_settle_first(batch, item, time):
+            await self._settle_batch(batch)
+        return self._admit(item, time, server, budget_s)
+
+    def _must_settle_first(self, batch: _Batch, item: str, time: float) -> bool:
+        """True iff ``batch``'s queued events must settle before ``(item, time)``.
+
+        Admission reads shard state that applying them changes.  They
+        settle first when they share the event's shard and
+
+        * one has the same item at or after ``time`` (an in-batch
+          duplicate or stale event: its ``duplicate``/409 answer needs
+          the applied state, or the worker would answer 400);
+        * the shard queue is at the degrade watermark (a batch alone on
+          the server is never degraded or shed by its own events);
+        * with a dedupe window, applying them may slide the window past
+          ``time`` (a 409 once sent alone).
+        """
+        index = route_item(item, self.config.shards)
+        latest = batch.shard_time.get(index)
+        if latest is None:
+            return False
+        if time <= batch.item_time.get(item, -math.inf):
+            return True
+        config = self.config
+        shard = self.shards[index]
+        if shard.queue.qsize() >= config.degrade_watermark * config.queue_depth:
+            return True
+        window = config.dedupe_window
+        return window is not None and time < max(shard.frontier, latest) - window
+
+    def _admit(
+        self, item: str, time: float, server: int, budget_s: float
+    ) -> Tuple[int, object]:
+        """Admission decision: (status, _Event | error payload).
+
+        A queued event's deadline is ``budget_s`` from now.
+        """
         if self.draining:
             self.counters["shed_503"] += 1
             return 503, {"error": "draining"}
@@ -666,39 +773,42 @@ class CacheServer:
                 "shard": index,
                 "owned": sorted(self.shards),
             }
-        now = asyncio.get_running_loop().time()
+        loop = asyncio.get_running_loop()
+        now = loop.time()
         if not shard.breaker.allow(now):
             self.counters["shed_503"] += 1
             return 503, {"error": "circuit open", "shard": shard.index}
-        key = (item, float(time))
-        hit = shard.index_by_key.get(key)
+        hit = shard.index_by_key.get((item, time))
         if hit is not None:
             self.counters["duplicates"] += 1
             return 200, dict(hit, duplicate=True)
-        if float(time) <= shard.evicted_horizon:
+        if time <= shard.evicted_horizon:
             # The dedupe window has slid past this instant: a resend of
             # an applied event and a stale newcomer are no longer
             # distinguishable, so both get the stale-event answer.
             self.counters["conflicts"] += 1
             return 409, {
-                "error": f"event at t={float(time):.9g} is behind the "
+                "error": f"event at t={time:.9g} is behind the "
                 f"dedupe window (evicted horizon "
                 f"{shard.evicted_horizon:.9g})",
             }
         solver = shard.solvers.get(item)
-        if solver is not None and float(time) <= solver.t[-1]:
+        if solver is not None and time <= solver.t[-1]:
             self.counters["conflicts"] += 1
             return 409, {
                 "error": f"stale event: item {item!r} horizon is "
-                f"{solver.t[-1]:.9g}, got {float(time):.9g}",
+                f"{solver.t[-1]:.9g}, got {time:.9g}",
             }
         depth = shard.queue.qsize()
         if depth >= self.config.queue_depth:
             self.counters["shed_429"] += 1
             return 429, {"error": "queue full", "shard": shard.index}
         degraded = depth >= self.config.degrade_watermark * self.config.queue_depth
-        event = _Event(item=item, time=float(time), server=int(server), degraded=degraded)
-        event.future = asyncio.get_running_loop().create_future()
+        event = _Event(
+            item=item, time=time, server=server, shard=index,
+            degraded=degraded, deadline=now + budget_s,
+        )
+        event.future = loop.create_future()
         shard.queue.put_nowait(event)
         self.counters["accepted"] += 1
         return 200, event
@@ -712,24 +822,25 @@ class CacheServer:
             event = await shard.queue.get()
             if event is None:
                 return
-            batch = [event]
-            # Opportunistically drain what is already queued so one fsync
-            # covers the whole batch (write-ahead still holds: responses
-            # resolve only after the flush below).
-            while not shard.queue.empty() and len(batch) < 64:
+            block = [event]
+            # Drain what is already queued so one fsync covers the whole
+            # block (write-ahead still holds: responses resolve only
+            # after the flush below).
+            while not shard.queue.empty() and len(block) < 64:
                 nxt = shard.queue.get_nowait()
                 if nxt is None:
                     shard.queue.put_nowait(None)  # keep the drain sentinel
                     break
-                batch.append(nxt)
+                block.append(nxt)
             settled: List[Tuple[_Event, dict]] = []
-            for ev in batch:
+            for ev in block:
                 try:
                     hit = shard.index_by_key.get((ev.item, ev.time))
                     if hit is not None:
                         # The same logical event was applied earlier in
-                        # this batch window (client retry overlapping its
-                        # own in-flight original): answer, don't re-apply.
+                        # this block (a retry on another connection
+                        # overlapping its in-flight original): answer,
+                        # don't re-apply.
                         self.counters["duplicates"] += 1
                         settled.append((ev, dict(hit, duplicate=True)))
                         continue
@@ -739,8 +850,9 @@ class CacheServer:
                     settled.append((ev, payload))
                 except InvalidInstanceError as exc:
                     # Client-shaped input error that slipped past admission
-                    # (e.g. equal-time race inside one batch): reject the
-                    # event without charging the breaker.
+                    # (e.g. two connections racing out-of-order times of
+                    # one item): reject the event without charging the
+                    # breaker.
                     settled.append((ev, {"error": str(exc), "_status": 400}))
                 except Exception as exc:  # noqa: BLE001 - breaker boundary
                     shard.breaker.record_failure(loop.time())
@@ -752,45 +864,56 @@ class CacheServer:
             for ev, payload in settled:
                 if not ev.future.done():
                     ev.future.set_result(payload)
-            await asyncio.sleep(0)  # yield to responders between batches
+            await asyncio.sleep(0)  # yield to responders between blocks
 
-    async def _respond_request(self, body: dict) -> Tuple[int, dict, list]:
-        try:
-            item = str(body["item"])
-            time = float(body["time"])
-            server = int(body["server"])
-        except (KeyError, TypeError, ValueError) as exc:
-            return 400, {"error": f"bad event: {exc}"}, []
-        deadline_ms = body.get("deadline_ms", self.config.deadline_ms)
-        try:
-            budget = RunBudget(max_seconds=float(deadline_ms) / 1000.0)
-        except (TypeError, ValueError) as exc:
-            return 400, {"error": f"bad deadline: {exc}"}, []
-        status, outcome = self._admit(item, time, server)
-        if status != 200:
-            retry = [("Retry-After", f"{self.config.retry_after:.3f}")] if status in (429, 503) else []
-            return status, outcome, retry
-        if not isinstance(outcome, _Event):
-            return status, outcome, []  # settled duplicate
-        try:
-            payload = await asyncio.wait_for(
-                asyncio.shield(outcome.future), timeout=budget.max_seconds
-            )
-        except asyncio.TimeoutError:
-            # Deadline budget expired: degraded-partial response; the
-            # accepted event still processes and a duplicate resend will
-            # return the settled decision.
-            self.counters["deadline_expired"] += 1
-            return 200, {
-                "item": item,
-                "shard": route_item(item, self.config.shards),
-                "decision": None,
-                "degraded": True,
-                "duplicate": False,
-                "status": "pending",
-            }, []
-        status = payload.pop("_status", 200) if "_status" in payload else 200
-        return status, payload, []
+    async def _settle(self, event: _Event) -> Tuple[int, dict]:
+        """Settle step: the queued event's answer, ``pending`` past its deadline.
+
+        A future the shard worker has already resolved is read without
+        waiting; within a shard block, all but the first have.
+        """
+        if not event.future.done():
+            remaining = event.deadline - asyncio.get_running_loop().time()
+            try:
+                await asyncio.wait_for(
+                    asyncio.shield(event.future), timeout=max(remaining, 0.0)
+                )
+            except asyncio.TimeoutError:
+                # Deadline budget expired: degraded-partial response; the
+                # accepted event still processes and a duplicate resend
+                # will return the settled decision.
+                self.counters["deadline_expired"] += 1
+                return 200, {
+                    "item": event.item,
+                    "shard": event.shard,
+                    "decision": None,
+                    "degraded": True,
+                    "duplicate": False,
+                    "status": "pending",
+                }
+        payload = event.future.result()
+        return payload.pop("_status", 200), payload
+
+    async def _settle_batch(self, batch: _Batch) -> None:
+        """Settle every queued event of ``batch`` into its answer slot."""
+        for k in batch.queued:
+            batch.answers[k] = await self._settle(batch.answers[k][1])
+        batch.queued.clear()
+        batch.item_time.clear()
+        batch.shard_time.clear()
+
+    async def _respond_batch(self, bodies: list) -> List[dict]:
+        """Admit every event in body order, then settle them.
+
+        Each shard worker finds its share of the batch already queued
+        and applies it as one block under one journal flush; each event
+        gets the answer it would get if sent alone through ``/request``.
+        """
+        batch = _Batch()
+        for body in bodies:
+            batch.add(*await self._admit_event(body, batch))
+        await self._settle_batch(batch)
+        return [{"status": status, **payload} for status, payload in batch.answers]
 
     # -- endpoints ------------------------------------------------------------
 
@@ -906,18 +1029,19 @@ class CacheServer:
                 parsed = json.loads(body or b"{}")
             except json.JSONDecodeError as exc:
                 return 400, {"error": f"bad json: {exc}"}, []
-            return await self._respond_request(parsed)
+            status, outcome = await self._admit_event(parsed)
+            if isinstance(outcome, _Event):
+                status, outcome = await self._settle(outcome)
+            retry = [("Retry-After", f"{self.config.retry_after:.3f}")]
+            return status, outcome, retry if status in (429, 503) else []
         if path == "/batch" and method == "POST":
             try:
-                parsed = json.loads(body or b"{}")
-                events = parsed["events"]
+                events = json.loads(body or b"{}")["events"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 return 400, {"error": f"bad batch: {exc}"}, []
-            results = []
-            for ev in events:
-                status, payload, _ = await self._respond_request(ev)
-                results.append({"status": status, **payload})
-            return 200, {"results": results}, []
+            if not isinstance(events, list):
+                return 400, {"error": "bad batch: events must be a JSON list"}, []
+            return 200, {"results": await self._respond_batch(events)}, []
         if path in ("/request", "/batch", "/stats", "/offline", "/admin/acquire"):
             return 405, {"error": f"{method} not allowed on {path}"}, []
         return 404, {"error": f"no such endpoint: {path}"}, []

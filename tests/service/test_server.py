@@ -6,6 +6,10 @@ Property families:
   DP's prefix-optimal choices computed independently;
 * **exactly-once** — duplicate resends are answered from the decision
   index (never re-applied), stale non-duplicates are 409s;
+* **block admission** — ``/batch`` queues all of its events before it
+  awaits any, yet answers every event as ``/request`` would, for any
+  split of an event stream into batches; bad events are 400s before
+  anything is queued;
 * **degradation ladder** — watermark degrades, full queue sheds 429 +
   ``Retry-After``, drain/breaker sheds 503; deadline expiry yields a
   degraded-partial that later settles;
@@ -21,6 +25,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.types import CostModel
 from repro.offline.streaming import StreamingSolver
@@ -47,6 +53,16 @@ def scenario(coro_fn):
 async def post_event(client, item, time, server, **extra):
     body = {"item": item, "time": time, "server": server, **extra}
     return await client.request("POST", "/request", body)
+
+
+async def post_batch(client, events, **extra):
+    body = {
+        "events": [
+            {"item": item, "time": time, "server": server, **extra}
+            for item, time, server in events
+        ]
+    }
+    return await client.request("POST", "/batch", body)
 
 
 class TestDecisions:
@@ -175,7 +191,7 @@ class TestExactlyOnce:
 
         status, payload, status2 = scenario(run)
         assert status == 400
-        # Out-of-range server is caught by the worker's input boundary.
+        # Out-of-range server is refused at admission.
         assert status2 == 400
 
 
@@ -633,3 +649,242 @@ class TestDedupeWindow:
             ServerConfig(dedupe_window=0.0)
         with pytest.raises(ValueError, match="owned_shards"):
             ServerConfig(shards=2, owned_shards=(5,))
+
+
+class TestEventValidation:
+    """Bad events are answered 400 at admission: never queued or counted."""
+
+    def test_bad_events_are_400_before_anything_is_queued(self, tmp_path):
+        bad = [
+            {"item": "x", "time": float("nan"), "server": 1},
+            {"item": "x", "time": float("inf"), "server": 1},
+            {"item": "x", "time": 10**400, "server": 1},
+            {"item": "x", "time": 0.0, "server": 1},
+            {"item": "x", "time": 1.0, "server": 2.9},
+            {"item": "x", "time": 1.0, "server": True},
+            {"item": "x", "time": 1.0, "server": "2"},
+            {"item": "x", "time": 1.0, "server": -1},
+            {"item": "x", "time": 1.0, "server": 8},
+            {"item": "x", "time": 1.0, "server": 1, "deadline_ms": float("nan")},
+            {"item": "x", "time": 1.0, "server": 1, "deadline_ms": -5},
+        ]
+
+        async def run():
+            server = CacheServer(
+                ServerConfig(journal_dir=str(tmp_path), shards=1, num_servers=8)
+            )
+            gate = asyncio.Event()
+            server.shards[0].gate = gate  # a queued event would pend
+            await server.start()
+            client = HttpClient(server.config.host, server.port)
+            answers = [
+                await client.request("POST", "/request", body) for body in bad
+            ]
+            _, batched, _ = await client.request("POST", "/batch", {"events": bad})
+            queued = server.shards[0].queue.qsize()
+            gate.set()
+            _, stats, _ = await client.request("GET", "/stats")
+            # A refused NaN leaves the item's stale check intact.
+            ok, _, _ = await post_event(client, "x", 1.0, 1)
+            stale, _, _ = await post_event(client, "x", 0.5, 1)
+            records = len(server.shards[0].journal.records)
+            await client.close()
+            await server.shutdown()
+            return answers, batched["results"], queued, stats, ok, stale, records
+
+        answers, batched, queued, stats, ok, stale, records = scenario(run)
+        assert [status for status, _, _ in answers] == [400] * len(bad)
+        assert all("bad event" in payload["error"] for _, payload, _ in answers)
+        assert [r["status"] for r in batched] == [400] * len(bad)
+        assert queued == 0
+        assert stats["requests"]["accepted"] == 0
+        assert stats["items"] == 0 and stats["processed"] == 0
+        assert (ok, stale) == (200, 409)
+        assert records == 2  # the begin record and the one valid event
+
+    def test_batch_body_must_hold_an_event_list(self, tmp_path):
+        async def run():
+            server = CacheServer(ServerConfig(journal_dir=str(tmp_path), shards=1))
+            await server.start()
+            client = HttpClient(server.config.host, server.port)
+            answers = [
+                await client.request("POST", "/batch", body)
+                for body in (
+                    {"events": 5},
+                    {"events": "ab"},
+                    {"events": None},
+                    {"events": {"item": "x", "time": 1.0, "server": 0}},
+                    {},
+                )
+            ]
+            _, stats, _ = await client.request("GET", "/stats")
+            await client.close()
+            await server.shutdown()
+            return answers, stats
+
+        answers, stats = scenario(run)
+        assert [status for status, _, _ in answers] == [400] * 5
+        assert all("bad batch" in payload["error"] for _, payload, _ in answers)
+        assert stats["requests"]["errors"] == 0
+        assert stats["requests"]["accepted"] == 0
+
+
+#: Event streams over a few items whose times collide often, so in-batch
+#: duplicates (same item and time) and stale events (an earlier time)
+#: are about as common as strictly increasing ones.
+event_streams = st.lists(
+    st.tuples(
+        st.sampled_from("abcde"),
+        st.integers(min_value=1, max_value=24).map(float),
+        st.integers(min_value=0, max_value=3),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+async def answers_of(config, events, bounds=None):
+    """Every event's rendered answer and the final ``/stats``.
+
+    ``bounds=None`` sends each event alone through ``/request``;
+    otherwise ``events[lo:hi]`` goes as one ``/batch`` for each
+    consecutive ``(lo, hi)`` pair of ``bounds``.
+    """
+    server = CacheServer(config)
+    await server.start()
+    client = HttpClient(server.config.host, server.port)
+    out = []
+    if bounds is None:
+        for item, t, s in events:
+            status, payload, _ = await post_event(client, item, t, s)
+            out.append({"status": status, **payload})
+    else:
+        for lo, hi in zip(bounds, bounds[1:]):
+            status, payload, _ = await post_batch(client, events[lo:hi])
+            assert status == 200, payload
+            out.extend(payload["results"])
+    _, stats, _ = await client.request("GET", "/stats")
+    await client.close()
+    await server.shutdown()
+    return out, stats
+
+
+class TestBatch:
+    """``/batch`` admits its events as a block, answering as one by one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        events=event_streams,
+        cuts=st.lists(st.integers(min_value=0, max_value=40), max_size=6),
+        window=st.sampled_from([None, 3.0]),
+    )
+    # Items a, b and c share shard 1 of 2.  An in-batch stale event and
+    # an in-batch duplicate of a queued event:
+    @example(events=[("a", 2.0, 0), ("a", 1.0, 1), ("a", 2.0, 3)], cuts=[], window=None)
+    # b@5 is new, but applying a@10 first slides the window past c@6
+    # and so past 5: alone, b@5 is answered 409.
+    @example(events=[("c", 6.0, 0), ("a", 10.0, 1), ("b", 5.0, 2)], cuts=[], window=3.0)
+    def test_any_split_answers_like_one_by_one(self, events, cuts, window):
+        """Block apply is digest-identical to per-event apply for every split."""
+        config = ServerConfig(shards=2, num_servers=4, dedupe_window=window)
+        bounds = [0, *sorted(c for c in cuts if c < len(events)), len(events)]
+
+        async def run():
+            alone = await answers_of(config, events)
+            batched = await answers_of(config, events, bounds)
+            return alone, batched
+
+        (alone, alone_stats), (batched, batched_stats) = scenario(run)
+        assert batched == alone
+        assert batched_stats["digest"] == alone_stats["digest"]
+        assert batched_stats["requests"] == alone_stats["requests"]
+
+    def test_batch_on_one_shard_costs_one_journal_flush(self, tmp_path):
+        events = [(f"item-{k % 8}", float(k + 1), k % 4) for k in range(64)]
+
+        async def run():
+            server = CacheServer(
+                ServerConfig(journal_dir=str(tmp_path), shards=1, num_servers=4)
+            )
+            await server.start()
+            journal = server.shards[0].journal
+            flushes = []
+            flush = journal.flush
+
+            def counted(fsync=False):
+                flushes.append(fsync)
+                flush(fsync=fsync)
+
+            journal.flush = counted
+            client = HttpClient(server.config.host, server.port)
+            status, payload, _ = await post_batch(client, events)
+            count = len(flushes)
+            await client.close()
+            await server.shutdown()
+            return status, payload["results"], count
+
+        status, results, count = scenario(run)
+        assert status == 200
+        assert [r["status"] for r in results] == ["done"] * 64
+        assert count == 1
+
+    def test_batch_alone_is_never_degraded_or_shed(self, tmp_path):
+        """40 events on one shard whose queue holds 8 (degrading from 6)."""
+        events = [("x", float(t), t % 4) for t in range(1, 41)]
+
+        async def run():
+            server = CacheServer(
+                ServerConfig(
+                    journal_dir=str(tmp_path), shards=1, num_servers=4,
+                    queue_depth=8,
+                )
+            )
+            await server.start()
+            client = HttpClient(server.config.host, server.port)
+            _, payload, _ = await post_batch(client, events)
+            _, stats, _ = await client.request("GET", "/stats")
+            await client.close()
+            await server.shutdown()
+            return payload["results"], stats
+
+        results, stats = scenario(run)
+        assert [r["status"] for r in results] == ["done"] * 40
+        assert not any(r["degraded"] for r in results)
+        assert stats["degraded_decisions"] == 0
+        assert stats["requests"]["shed_429"] == 0
+        assert stats["requests"]["accepted"] == 40
+
+    def test_deadlines_run_from_admission_then_resend_settles(self, tmp_path):
+        """Every held event pends after one deadline, not one each."""
+        events = [("x", float(t), t % 4) for t in range(1, 21)]
+
+        async def run():
+            server = CacheServer(
+                ServerConfig(journal_dir=str(tmp_path), shards=1, num_servers=4)
+            )
+            gate = asyncio.Event()
+            server.shards[0].gate = gate
+            await server.start()
+            client = HttpClient(server.config.host, server.port)
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            _, partial, _ = await post_batch(client, events, deadline_ms=50)
+            elapsed = loop.time() - start
+            gate.set()
+            await asyncio.sleep(0.05)  # let the accepted events settle
+            _, settled, _ = await post_batch(client, events)
+            await client.close()
+            await server.shutdown()
+            return (
+                partial["results"], elapsed, settled["results"],
+                server.counters["deadline_expired"],
+            )
+
+        partial, elapsed, settled, expired = scenario(run)
+        assert [r["status"] for r in partial] == ["pending"] * 20
+        assert all(r["degraded"] and r["decision"] is None for r in partial)
+        assert expired == 20
+        assert elapsed < 0.5  # 20 deadlines of 50 ms end together
+        assert [r["status"] for r in settled] == ["done"] * 20
+        assert all(r["duplicate"] for r in settled)
+        assert all(r["decision"] in ("cache", "transfer") for r in settled)
