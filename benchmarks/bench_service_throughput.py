@@ -1,46 +1,34 @@
-"""P3 — zero-copy service fabric + columnar ingest (supersedes the P1 grid).
+"""P3 — serial multi-item solve + columnar ingest (supersedes the P1 grid).
 
-Four measured sections, written to ``BENCH_service_throughput.json`` (at
+Two measured sections, written to ``BENCH_service_throughput.json`` (at
 the repository root) plus a human-readable table under ``benchmarks/out/``:
 
-1. **Process grid** — ``solve_offline_multi`` over items × processes:
-   serial, and the persistent shared-memory
-   :class:`~repro.service.fabric.ServicePool` (steady state, i.e.
-   segments attached and worker-side caches warm).
-2. **Per-phase timings** of the shm path on the largest grid point:
-   ``serialize_attach`` (arena + result-region pack), ``first_call``
-   (includes worker attach + instance build), ``steady_call`` (pure
-   solve), and ``merge`` (copy-out of the result region).
-3. **Ingestion** — building a :class:`MultiItemInstance` from the same
+1. **Serial grid** — ``solve_offline_multi`` over the item grid: the
+   batched instance-major kernel (``serial``, the ``kernel="auto"``
+   default) against the per-item frontier loop (``serial-frontier``)
+   on the same workload.
+2. **Ingestion** — building a :class:`MultiItemInstance` from the same
    log as CSV (``read_trace`` + ``from_records``) versus columnar
    (``from_columnar`` over mmap columns), plus the streaming converter's
    rate and a subprocess peak-RSS check that conversion memory is
    bounded by the chunk size, not the log length.
-4. **End-to-end** — the old pipeline (CSV ingest + K solves, each in
-   a fresh pool) versus the new one (columnar ingest + K solves in one
-   persistent pool) on the standard grid workload.
 
 Hard checks ride along with the timings:
 
-* **bit-identity** — every parallel grid point's canonical cost dump
-  must be byte-identical to the serial one, and the columnar-ingested
-  service must equal the CSV-ingested one item by item.  Asserted
-  unconditionally, on any machine.
+* **bit-identity** — the per-item loop's canonical cost dump must be
+  byte-identical to the batched kernel's at every grid point, and the
+  columnar-ingested service must equal the CSV-ingested one item by
+  item.  Asserted unconditionally, on any machine.
 * **ingest rate** — columnar ingestion must be ≥10× CSV ingestion at
   the full-mode log size (1M rows); single-threaded, so asserted
   whenever the full grid runs.
-* **speedup** — the new end-to-end pipeline must be ≥1.5× the old one
-  at 4 processes.  Asserted only when the machine actually has ≥4
-  usable cores; the JSON records the measured ratio honestly either way.
-* **batch kernel** — the serial multi-item solve (batched instance-major
-  kernel, the ``kernel="auto"`` default) must be ≥5× the per-item
-  frontier loop at the largest grid point, with a byte-identical cost
-  surface.  Identity is unconditional; the speedup is hard on full runs
-  with the compiled C sweep.
-* **no leaks** — ``active_segments()`` must be empty at the end.
+* **batch kernel** — the serial multi-item solve must be ≥5× the
+  per-item frontier loop at the largest grid point.  Identity is
+  unconditional; the speedup is hard on full runs with the compiled C
+  sweep.
 
 ``SERVICE_BENCH_SMOKE=1`` shrinks everything to seconds for CI smoke
-jobs (items=8, processes ∈ {1, 2}, 20k-row ingest log).
+jobs (items=8, 20k-row ingest log).
 """
 
 import hashlib
@@ -56,16 +44,12 @@ import numpy as np
 
 from repro import (
     MultiItemInstance,
-    MultiItemOnlineService,
-    ServicePool,
-    SpeculativeCaching,
     convert_csv,
     multi_item_workload,
     solve_offline_multi,
 )
 from repro.analysis import format_table
 from repro.kernels import batch_sweep_backend
-from repro.service.fabric import active_segments
 from repro.workloads.traces import TraceRecord, read_trace, write_trace
 
 from _util import emit
@@ -83,17 +67,13 @@ M = 24
 if SMOKE:
     ITEM_GRID = [8]
     PER_ITEM = 40
-    PROC_GRID = [1, 2]
     REPEATS = 1
     INGEST_ROWS = 20_000
-    E2E_CALLS = 2
 else:
     ITEM_GRID = [16, 96]
     PER_ITEM = 1600
-    PROC_GRID = [1, 2, 4]
     REPEATS = 2
     INGEST_ROWS = 1_000_000
-    E2E_CALLS = 4
 
 
 def _usable_cpus() -> int:
@@ -122,20 +102,6 @@ def _best_of(fn, repeats):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
-
-
-def _service_records(svc):
-    """Flatten a service to one merged, time-ordered trace-record stream."""
-    rows = []
-    for name, inst in svc.items.items():
-        for i in range(1, inst.n + 1):
-            rows.append(
-                TraceRecord(
-                    time=float(inst.t[i]), server=int(inst.srv[i]), item=name
-                )
-            )
-    rows.sort(key=lambda r: r.time)
-    return rows
 
 
 def _synth_log(rows, items, m, seed):
@@ -167,14 +133,14 @@ def _convert_rss_kb(csv_path, dest, chunk_rows):
     return int(out.stdout.strip())
 
 
-def _bench_grid(cpus):
-    """Section 1 (+5): process grid with unconditional bit-identity.
+def _bench_grid():
+    """Section 1: batched kernel vs per-item loop, unconditional identity.
 
-    The serial row is the batched instance-major kernel (the default for
-    multi-item solves since P8); a ``serial-frontier`` row times the old
-    per-item loop on the same workload so the JSON records the batch
-    kernel's serial speedup, gated ≥5x at the largest grid point when
-    the compiled sweep is available.
+    The ``serial`` row is the batched instance-major kernel (the default
+    for multi-item solves since P8); the ``serial-frontier`` row times
+    the per-item loop on the same workload, so the JSON records the
+    batch kernel's speedup, gated ≥5x at the largest grid point when the
+    compiled sweep is available.
     """
     rows, json_rows = [], []
     batch_gate = None
@@ -189,46 +155,32 @@ def _bench_grid(cpus):
         )
         # Semantics gate (unconditional): the batched kernel must not
         # move the cost surface a single byte vs the per-item path.
-        assert _canonical_costs(off_item) == canon_serial, (
+        canon_item = _canonical_costs(off_item)
+        assert canon_item == canon_serial, (
             f"batch kernel cost surface diverged from per-item frontier "
             f"at items={num_items}"
         )
-        serial_speedup = t_item / t_serial if t_serial > 0 else float("inf")
         batch_gate = {
             "items": num_items,
             "per_item_frontier_seconds": t_item,
             "batch_seconds": t_serial,
-            "serial_speedup": serial_speedup,
+            "serial_speedup": t_item / t_serial if t_serial > 0 else float("inf"),
             "backend": batch_sweep_backend(),
             "threshold": BATCH_SPEEDUP_GATE,
         }
-        points = [
-            ("serial", 1, t_serial, canon_serial),
-            ("serial-frontier", 1, t_item, canon_serial),
-        ]
-        for procs in [p for p in PROC_GRID if p > 1]:
-            with ServicePool(procs) as pool:
-                pool.solve(svc)  # warm: attach segments, build instances
-                t_shm, off_shm = _best_of(lambda: pool.solve(svc), REPEATS)
-            points.append(("shm", procs, t_shm, _canonical_costs(off_shm)))
-        for path, procs, seconds, canon in points:
-            match = canon == canon_serial
-            # Semantics gate: no path may change a single byte of the
-            # cost surface, on any machine.
-            assert match, (
-                f"{path} cost surface diverged at items={num_items}, "
-                f"processes={procs}"
-            )
+        for path, seconds, canon in (
+            ("serial", t_serial, canon_serial),
+            ("serial-frontier", t_item, canon_item),
+        ):
             speedup = t_serial / seconds if seconds > 0 else float("inf")
             rows.append(
                 {
                     "items": num_items,
                     "requests": svc.total_requests,
                     "path": path,
-                    "processes": procs,
                     "seconds": seconds,
                     "speedup": speedup,
-                    "costs == serial": "yes" if match else "NO",
+                    "costs == serial": "yes",
                 }
             )
             json_rows.append(
@@ -237,11 +189,9 @@ def _bench_grid(cpus):
                     "requests": svc.total_requests,
                     "m": M,
                     "path": path,
-                    "processes": procs,
-                    "shards": procs,
                     "seconds": seconds,
                     "speedup_vs_serial": speedup,
-                    "costs_match_serial": match,
+                    "costs_match_serial": canon == canon_serial,
                     "total_cost": off_serial.total_cost,
                     "canonical_costs_sha": hashlib.sha256(
                         canon.encode()
@@ -258,31 +208,6 @@ def _bench_grid(cpus):
             f"(gate {BATCH_SPEEDUP_GATE}x)"
         )
     return rows, json_rows, batch_gate
-
-
-def _bench_phases():
-    """Section 2: where the shm path's time goes, largest grid point."""
-    num_items = ITEM_GRID[-1]
-    procs = PROC_GRID[-1]
-    svc = multi_item_workload(num_items, num_items * PER_ITEM, M, rng=num_items)
-    with ServicePool(procs) as pool:
-        t0 = time.perf_counter()
-        _, region = pool._regions_for(svc)  # pack arena + result region
-        t_pack = time.perf_counter() - t0
-        t_first, _ = _best_of(lambda: pool.solve(svc), 1)
-        t_steady, _ = _best_of(lambda: pool.solve(svc), max(REPEATS, 2))
-        t0 = time.perf_counter()
-        for name in svc.items:
-            region.read_item(name)
-        t_merge = time.perf_counter() - t0
-    return {
-        "items": num_items,
-        "processes": procs,
-        "serialize_attach_seconds": t_pack,
-        "first_call_seconds": t_first,
-        "steady_call_seconds": t_steady,
-        "merge_seconds": t_merge,
-    }
 
 
 def _bench_ingest(tmp):
@@ -339,93 +264,25 @@ def _bench_ingest(tmp):
     }
 
 
-def _bench_end_to_end(tmp, cpus):
-    """Section 4: old pipeline vs new on the standard grid workload."""
-    num_items = ITEM_GRID[-1]
-    procs = PROC_GRID[-1]
-    svc = multi_item_workload(num_items, num_items * PER_ITEM, M, rng=num_items)
-    csv_path = tmp / "e2e.csv"
-    col_path = tmp / "e2e.col"
-    write_trace(_service_records(svc), csv_path)
-    convert_csv(csv_path, col_path)
-
-    def old_pipeline():
-        s = MultiItemInstance.from_records(read_trace(csv_path))
-        for _ in range(E2E_CALLS):
-            solve_offline_multi(s, processes=procs)
-
-    def new_pipeline():
-        s = MultiItemInstance.from_columnar(col_path)
-        with ServicePool(procs) as pool:
-            for _ in range(E2E_CALLS):
-                pool.solve(s)
-
-    t_old, _ = _best_of(old_pipeline, 1)
-    t_new, _ = _best_of(new_pipeline, 1)
-    speedup = t_old / t_new if t_new > 0 else float("inf")
-    # Perf gate: only meaningful where the hardware can parallelise.
-    if not SMOKE and cpus >= 4:
-        assert speedup >= 1.5, (
-            f"end-to-end pipeline only {speedup:.2f}x at {procs} processes"
-        )
-    return {
-        "items": num_items,
-        "requests": svc.total_requests,
-        "processes": procs,
-        "solve_calls": E2E_CALLS,
-        "old_pipeline": "CSV ingest + one fresh shm pool per solve",
-        "new_pipeline": "columnar ingest + persistent shm pool solves",
-        "old_seconds": t_old,
-        "new_seconds": t_new,
-        "speedup": speedup,
-        "speedup_gate": ">=1.5x, asserted when usable_cpus >= 4",
-    }
-
-
 def test_service_throughput(benchmark):
     cpus = _usable_cpus()
-    rows, json_rows, batch_gate = _bench_grid(cpus)
-    phases = _bench_phases()
+    rows, json_rows, batch_gate = _bench_grid()
     with tempfile.TemporaryDirectory() as d:
-        tmp = pathlib.Path(d)
-        ingest = _bench_ingest(tmp)
-        e2e = _bench_end_to_end(tmp, cpus)
-
-    # Online serve identity ride-along: pool vs ephemeral shm vs serial.
-    svc_small = multi_item_workload(ITEM_GRID[0], ITEM_GRID[0] * 30, 8, rng=7)
-    serve_serial = MultiItemOnlineService(SpeculativeCaching).run(svc_small)
-    with ServicePool(2) as pool:
-        serve_pool = MultiItemOnlineService(SpeculativeCaching).run(
-            svc_small, pool=pool
-        )
-    serve_par = MultiItemOnlineService(SpeculativeCaching).run(
-        svc_small, processes=2
-    )
-    for other in (serve_pool, serve_par):
-        assert serve_serial.total_cost == other.total_cost
-        assert serve_serial.counters() == other.counters()
-        assert list(serve_serial.runs) == list(other.runs)
-
-    # Leak gate: every segment the fabric created must be unlinked.
-    assert active_segments() == (), active_segments()
+        ingest = _bench_ingest(pathlib.Path(d))
 
     payload = {
         "benchmark": "service_throughput",
-        "grid": {"items": ITEM_GRID, "processes": PROC_GRID, "m": M},
+        "grid": {"items": ITEM_GRID, "m": M},
         "per_item_requests": PER_ITEM,
         "repeats": REPEATS,
         "smoke": SMOKE,
         "usable_cpus": cpus,
-        "identity": "per path and grid point, parallel cost surface "
-        "byte-identical to serial (canonical JSON dump compared); columnar "
-        "ingest equals CSV ingest item by item",
-        "shm_note": "shm rows are persistent-pool steady state (segments "
-        "attached, worker instance caches warm)",
+        "identity": "per grid point, the per-item frontier loop's cost "
+        "surface byte-identical to the batched kernel's (canonical JSON "
+        "dump compared); columnar ingest equals CSV ingest item by item",
         "batch_gate": batch_gate,
         "rows": json_rows,
-        "phases": phases,
         "ingest": ingest,
-        "end_to_end": e2e,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -436,22 +293,14 @@ def test_service_throughput(benchmark):
         "per-item {per_item_frontier_seconds:.4f}s, batch "
         "{batch_seconds:.4f}s ({serial_speedup:.1f}x, gate "
         "{threshold}x)".format(**batch_gate)
-        + "\n\nshm phases (items={items}, {processes} procs): "
-        "pack {serialize_attach_seconds:.4f}s, first {first_call_seconds:.4f}s, "
-        "steady {steady_call_seconds:.4f}s, merge {merge_seconds:.4f}s".format(
-            **phases
-        )
         + "\ningest {rows} rows: csv {csv_rows_per_s:,.0f} rows/s, columnar "
         "{columnar_rows_per_s:,.0f} rows/s ({ingest_ratio:.1f}x)".format(
             **ingest
-        )
-        + "\nend-to-end ({solve_calls} solves, {processes} procs): old "
-        "{old_seconds:.3f}s, new {new_seconds:.3f}s ({speedup:.2f}x)".format(
-            **e2e
         ),
-        header=f"P3: service process grid + columnar ingest "
+        header=f"P3: serial multi-item solve + columnar ingest "
         f"(m={M}, {PER_ITEM} req/item, {cpus} usable cpu(s), "
         f"best of {REPEATS})",
     )
 
-    benchmark(lambda: solve_offline_multi(svc_small, processes=1).total_cost)
+    svc_small = multi_item_workload(ITEM_GRID[0], ITEM_GRID[0] * 30, 8, rng=7)
+    benchmark(lambda: solve_offline_multi(svc_small).total_cost)

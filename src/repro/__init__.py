@@ -58,11 +58,8 @@ from .service import (
     CacheServer,
     MultiItemInstance,
     MultiItemOnlineService,
-    RetryPolicy,
     ServerConfig,
-    ServicePool,
     multi_item_workload,
-    plan_shards,
     solve_offline_multi,
 )
 from .workloads import (
@@ -113,14 +110,12 @@ __all__ = [
     "RandomizedTTL",
     "RecedingHorizonPlanner",
     "ReplayDriver",
-    "RetryPolicy",
     "Request",
     "RunBudget",
     "RunJournal",
     "RunSnapshot",
     "Schedule",
     "ServerConfig",
-    "ServicePool",
     "SupervisedRun",
     "Supervisor",
     "SpeculativeCaching",
@@ -128,7 +123,6 @@ __all__ = [
     "StreamingSolver",
     "Transfer",
     "multi_item_workload",
-    "plan_shards",
     "solve_offline_multi",
     "convert_csv",
     "mine_instance_columnar",

@@ -23,12 +23,8 @@ Subcommands
     ``snapshot + journal tail``.
 ``service``
     Solve (and with ``--policy``, serve) a multi-item trace through the
-    sharded service layer; ``--processes``/``--shards`` fan the per-item
-    work across a process pool with results bit-identical to serial
-    (``--verify-serial`` re-checks that on the spot).  Workers read the
-    items through zero-copy shared memory; ``--pool persistent`` keeps
-    one :class:`~repro.service.fabric.ServicePool` alive across the
-    solve, the online serve, and the verification pass.
+    service layer: one batched kernel call for the whole service under
+    ``--kernel auto``, the per-item loop otherwise.
 ``convert``
     Convert a CSV service log to the binary columnar container of
     :mod:`repro.workloads.columnar` (streaming, bounded memory).
@@ -76,8 +72,7 @@ from .workloads.traces import TraceRecord, mine_instance, write_trace
 
 __all__ = ["main", "build_parser"]
 
-# Module-level factories (not lambdas) so `service --processes N` can ship
-# them into a process pool; each call still yields a fresh policy.
+
 def _predictive_factory() -> PredictiveCaching:
     return PredictiveCaching(MarkovPredictor())
 
@@ -128,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=_KERNEL_CHOICES,
         default="auto",
         help="auto (default): the fastest path for each job — the frontier "
-        "DP per item, one batched sweep per multi-item service or shard, "
+        "DP per item, one batched sweep per multi-item service, "
         "and the vector kernel for plain SC/TTL online replays.  frontier "
         "(per-item O(n+m+P) DP) and reference (paper-shaped O(mn) DP) pin "
         "the off-line sweep; event pins the per-event online state "
@@ -285,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mp = sub.add_parser(
         "service",
-        help="solve/serve a multi-item trace via the sharded service layer",
+        help="solve/serve a multi-item trace via the service layer",
     )
     mp.add_argument(
         "trace", nargs="?", default=None,
@@ -304,27 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", choices=sorted(_POLICIES), default=None,
         help="also serve the items online with this policy "
         "(omit for off-line solve only)",
-    )
-    mp.add_argument(
-        "--processes", type=int, default=1,
-        help="process-pool size (1 = serial in-process)",
-    )
-    mp.add_argument(
-        "--shards", type=int, default=None,
-        help="shard count (default: one per process)",
-    )
-    mp.add_argument(
-        "--shard-strategy", choices=["size", "hash"], default="size",
-        help="item partitioning: size-balanced LPT or stable name hash",
-    )
-    mp.add_argument(
-        "--pool", choices=["fresh", "persistent"], default="fresh",
-        help="'persistent' keeps one shared-memory ServicePool alive "
-        "across the solve, the online serve, and --verify-serial",
-    )
-    mp.add_argument(
-        "--verify-serial", action="store_true",
-        help="re-solve serially and assert parallel results are identical",
     )
     mp.add_argument(
         "--top", type=int, default=10, help="breakdown rows to print"
@@ -440,10 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-sync", action="store_true",
         help="skip fsync on journal batches (faster, last-batch durability "
         "only as good as the page cache)",
-    )
-    rp.add_argument(
-        "--pool-processes", type=int, default=1,
-        help="ServicePool size for GET /offline verification (1 = serial)",
     )
     rp.add_argument(
         "--dedupe-window", type=float, default=None,
@@ -947,11 +917,9 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
 
 
 def _cmd_service(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .analysis.tables import format_table
     from .service import MultiItemInstance, MultiItemOnlineService
-    from .service import ServicePool, multi_item_workload, solve_offline_multi
+    from .service import multi_item_workload, solve_offline_multi
     from .workloads.columnar import is_columnar
     from .workloads.traces import read_trace
 
@@ -981,66 +949,11 @@ def _cmd_service(args: argparse.Namespace) -> int:
             rng=args.seed,
         )
     print(f"service: {svc}")
-    pool = (
-        ServicePool(args.processes)
-        if args.pool == "persistent" and args.processes > 1
-        else None
-    )
-    try:
-        off = solve_offline_multi(
-            svc,
-            processes=args.processes,
-            shards=args.shards,
-            shard_strategy=args.shard_strategy,
-            kernel=_dp_kernel(args.kernel),
-            pool=pool,
-        )
-        online = None
-        if args.policy is not None:
-            online = MultiItemOnlineService(_POLICIES[args.policy]).run(
-                svc,
-                processes=args.processes,
-                shards=args.shards,
-                shard_strategy=args.shard_strategy,
-                pool=pool,
-                kernel=_online_kernel(args.kernel),
-            )
-        return _report_service(args, svc, off, online)
-    finally:
-        if pool is not None:
-            pool.close()
-
-
-def _report_service(args, svc, off, online) -> int:
-    import numpy as np
-
-    from .analysis.tables import format_table
-    from .service import MultiItemOnlineService, solve_offline_multi
-
-    if args.verify_serial and args.processes > 1:
-        serial = solve_offline_multi(svc, kernel=_dp_kernel(args.kernel))
-        same = list(serial.per_item) == list(off.per_item) and all(
-            np.array_equal(serial.per_item[k].C, off.per_item[k].C)
-            for k in serial.per_item
-        )
-        if online is not None:
-            serial_on = MultiItemOnlineService(_POLICIES[args.policy]).run(
-                svc, kernel=_online_kernel(args.kernel)
-            )
-            same = same and (
-                serial_on.total_cost == online.total_cost
-                and serial_on.counters() == online.counters()
-                and list(serial_on.runs) == list(online.runs)
-            )
-        if not same:
-            print(
-                "VERIFICATION FAILED: parallel result differs from serial",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"verified: {args.processes}-process sharded run is "
-            f"bit-identical to serial"
+    off = solve_offline_multi(svc, kernel=_dp_kernel(args.kernel))
+    online = None
+    if args.policy is not None:
+        online = MultiItemOnlineService(_POLICIES[args.policy]).run(
+            svc, kernel=_online_kernel(args.kernel)
         )
     breakdown = off.cost_breakdown()
     rows = [
@@ -1132,7 +1045,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         mu=args.mu,
         lam=args.lam,
         origin=args.origin,
-        kernel=_dp_kernel(args.kernel),
         queue_depth=args.queue_depth,
         degrade_watermark=args.degrade_watermark,
         deadline_ms=args.deadline_ms,
@@ -1141,7 +1053,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         journal_dir=args.journal_dir,
         resume=args.resume,
         sync=not args.no_sync,
-        pool_processes=args.pool_processes,
         owned_shards=owned,
         dedupe_window=args.dedupe_window,
         meta_name=args.meta_name,
@@ -1171,7 +1082,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         mu=args.mu,
         lam=args.lam,
         origin=args.origin,
-        kernel=_dp_kernel(args.kernel),
         host=args.host,
         queue_depth=args.queue_depth,
         degrade_watermark=args.degrade_watermark,

@@ -19,14 +19,13 @@ bit-identical to its reference twin:
   a whole multi-item service packed into concatenated ragged columns
   and solved with ONE kernel call (compiled C sweep when a system
   compiler exists, transliterated Python loop otherwise).  What
-  ``kernel="auto"`` runs for many instances: ``solve_offline_multi``,
-  the shard workers and the trace samplers call it once per service or
-  shard.
+  ``kernel="auto"`` runs for many instances: ``solve_offline_multi``
+  and the trace samplers call it once per service or sample.
 * :mod:`repro.kernels.online` — the online twin of the batch DP: a
   whole SC/TTL(γ) run (decisions, epochs, copy-seconds, cost, digest)
   replayed over native scalar columns without per-event hook dispatch,
   plus batched entry points over the same :class:`BatchLayout` ragged
-  columns so a multi-item shard or a TTL γ-grid is one kernel call.
+  columns so a multi-item service or a TTL γ-grid is one kernel call.
   What ``run_online(kernel="auto")`` runs for plain
   ``SpeculativeCaching``.
 

@@ -87,7 +87,7 @@ BATCH_SWEEPS = ("auto", "c", "python")
 #: Raw-column batch entry, the instance-free construction path:
 #: ``(name, times, servers, num_servers, mu, lam, origin, start_time)``
 #: with ``times``/``servers`` excluding the boundary request ``r_0``
-#: (exactly the columns the shard workers read from the service arena).
+#: (the columns the trace samplers carve out of a columnar trace).
 ColumnEntry = Tuple[str, np.ndarray, np.ndarray, int, float, float, int, float]
 
 
@@ -180,8 +180,8 @@ class BatchLayout:
     def from_columns(cls, entries: Sequence[ColumnEntry]) -> "BatchLayout":
         """Pack raw request columns, running ONE pre-scan for the batch.
 
-        This is the shard-worker path: entries arrive as the raw
-        ``times``/``servers`` arrays the transports already ship, and
+        This is the trace samplers' path: entries arrive as raw
+        ``times``/``servers`` arrays cut from the mapped columns, and
         the whole batch is validated and pre-scanned with whole-array
         numpy primitives — one stable ``lexsort`` groups every item's
         requests by server at once (the concatenated twin of

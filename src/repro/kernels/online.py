@@ -46,7 +46,7 @@ so they stay on the per-event path.
 
 Batch entry points (:func:`run_online_layout`, :func:`run_online_batch`,
 :func:`sweep_layout`) reuse :class:`~repro.kernels.batch.BatchLayout`'s
-ragged columns so a whole multi-item shard or a TTL γ-grid is one kernel
+ragged columns so a whole multi-item service or a TTL γ-grid is one kernel
 call with the per-item column prep hoisted out of the γ loop.
 
 Import discipline: like the rest of :mod:`repro.kernels`, no module-level
@@ -643,7 +643,7 @@ def run_online_layout(
 ) -> List[OnlineKernelRun]:
     """Run the kernel over every item of a packed batch layout.
 
-    One call serves a whole shard / instance block; results are in
+    One call serves a whole service / instance block; results are in
     layout order, each bit-identical to the per-item per-event run.
     """
     return [

@@ -30,8 +30,12 @@ paper's algorithm):
   ``γ = 1`` is SC) — benchmark A1 shows why ``λ/μ`` is the right rent
   horizon;
 * ``epoch_size`` ends an epoch after that many transfers, resetting all
-  state except the requester's copy (the paper's ``r = n`` reset);
-  ``None`` runs a single unbounded epoch.
+  state except the requester's copy; ``None`` runs a single unbounded
+  epoch.  Theorem 3's bound holds only when no reset fires before the
+  last request — the paper's ``r = n`` reset.  Smaller epochs have no
+  constant bound: round-robin over ``m`` servers with ``epoch_size <
+  m`` pays a transfer on every request after the first, where OPT keeps
+  every copy (16.6×OPT at ``m = 3``, ``epoch_size = 2``).
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ class SpeculativeCaching(OnlineAlgorithm):
         SC is ``γ = 1``.
     epoch_size:
         Number of transfers per epoch (``None`` = one unbounded epoch).
+        The 3-competitive guarantee needs ``None`` or at least ``n``
+        (see the module docstring).
     """
 
     name = "speculative-caching"

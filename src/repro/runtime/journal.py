@@ -10,8 +10,10 @@ is durable.
 Recovery semantics follow the classic WAL contract: a process killed
 mid-append may leave a torn final line; :meth:`RunJournal.load` drops a
 trailing partial record (and only a trailing one — a torn line in the
-*middle* of a journal means external corruption and raises).  Sequence
-numbers must be contiguous from 0; any gap raises.
+*middle* of a journal means external corruption and raises).  Every
+record must be a JSON object whose integer ``seq`` equals its position
+(contiguous from 0) and that carries a ``digest``; anything else raises
+:class:`JournalCorruptError`.
 
 Record shapes (all plain JSON objects):
 
@@ -75,14 +77,14 @@ class RunJournal:
         past the tail, extends the file.
         """
         journal = cls(path, sync=sync)
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-        if lines and lines[-1] == "":
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        if lines and lines[-1] == b"":
             lines.pop()
         for lineno, line in enumerate(lines):
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
+                record = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError):  # bad UTF-8 or JSON
                 if lineno == len(lines) - 1:
                     break  # torn tail from a mid-append kill: discard
                 raise JournalCorruptError(
@@ -122,8 +124,12 @@ class RunJournal:
     # -- appends ----------------------------------------------------------------
 
     def _check_next(self, record: Dict) -> None:
+        if not isinstance(record, dict):
+            raise JournalCorruptError(
+                f"record {len(self.records)} is not a JSON object"
+            )
         seq = record.get("seq")
-        if seq != len(self.records):
+        if type(seq) is not int or seq != len(self.records):
             raise JournalCorruptError(
                 f"non-contiguous sequence: expected {len(self.records)}, "
                 f"got {seq!r}"

@@ -1,13 +1,5 @@
-"""Multi-item service layer (exact per-item decomposition, sharded parallel)."""
+"""Multi-item service layer (exact per-item decomposition) and live serving."""
 
-from .fabric import (
-    SEGMENT_PREFIX,
-    CircuitOpenError,
-    RetryPolicy,
-    ServicePool,
-    active_segments,
-)
-from .sharding import SHARD_STRATEGIES, plan_shards
 from .multi import (
     MultiItemInstance,
     MultiItemOfflineResult,
@@ -22,18 +14,11 @@ from .cluster import ClusterConfig, Replica, ReplicaSet, run_cluster
 __all__ = [
     "CacheServer",
     "ChaosProxy",
-    "CircuitOpenError",
     "ClusterConfig",
     "Replica",
     "ReplicaSet",
     "MultiItemInstance",
-    "RetryPolicy",
-    "SEGMENT_PREFIX",
-    "SHARD_STRATEGIES",
     "ServerConfig",
-    "ServicePool",
-    "active_segments",
-    "plan_shards",
     "route_item",
     "run_cluster",
     "run_proxy",

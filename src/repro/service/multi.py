@@ -11,20 +11,19 @@ the homogeneous regime where decomposition is exact:
 
 * :class:`MultiItemInstance` — per-item request sequences over one
   cluster, buildable from a mixed service log;
-* :func:`solve_offline_multi` — per-item fast DP plus aggregation,
-  optionally sharded across a process pool;
+* :func:`solve_offline_multi` — per-item fast DP plus aggregation;
 * :class:`MultiItemOnlineService` — run an online policy factory per
-  item over the merged event stream, optionally sharded likewise;
+  item over the merged event stream;
 * :func:`multi_item_workload` — Zipf-over-items × per-item Poisson
   synthesis.
 
-Because decomposition is exact, the parallel paths are *guaranteed*
-bit-identical to the serial ones: items are partitioned into shards
-(:mod:`repro.service.sharding`), each worker of the shared-memory
-:class:`~repro.service.fabric.ServicePool` runs the very same kernel or
-policy on its shard, and the merge step re-keys results in the original
-item order.  Same dicts, same costs, same counters — ``processes`` is
-purely a throughput knob.
+Both entry points run in-process.  With ``kernel="auto"`` (the default)
+the whole service is one batched kernel call — the packed offline sweep
+of :mod:`repro.kernels.batch`, or the online replay of
+:mod:`repro.kernels.online` for plain SC/TTL — and the results keep
+the service's item order.  The per-item loop over
+:func:`~repro.offline.dp.solve_offline` or the policy's own replay is
+the oracle those calls are tested bit-identical against.
 
 A capacity-coupled variant (items competing for bounded cache space) is
 deliberately out of scope: it breaks the decomposition theorem and is
@@ -209,63 +208,20 @@ class MultiItemOfflineResult:
 
 
 def solve_offline_multi(
-    service: MultiItemInstance,
-    processes: Optional[int] = None,
-    shards: Optional[int] = None,
-    shard_strategy: str = "size",
-    kernel: str = "auto",
-    pool: Optional["ServicePool"] = None,
+    service: MultiItemInstance, kernel: str = "auto"
 ) -> MultiItemOfflineResult:
     """Optimal service-level schedule: per-item fast DP, exact by
     decomposition (no capacity coupling in the homogeneous model).
 
-    Parameters
-    ----------
-    service:
-        The hosted items.
-    processes:
-        Pool size; ``None`` or ``1`` solves serially in-process.
-    shards:
-        Shard count for ``processes > 1`` (default: one shard per
-        process).  More shards than processes gives the pool slack to
-        balance uneven items.
-    shard_strategy:
-        ``"size"`` (default) or ``"hash"``; see
-        :func:`repro.service.sharding.plan_shards`.
-    kernel:
-        DP sweep — ``"auto"`` / ``"frontier"`` / ``"reference"``.
-        ``"auto"`` (default) solves the whole service (serially) or each
-        shard (in workers) with ONE call to the batched instance-major
-        kernel (:func:`repro.kernels.batch.solve_offline_batch`);
-        ``"frontier"``/``"reference"`` run
-        :func:`repro.offline.dp.solve_offline` per item.  All choices
-        are bit-identical.
-    pool:
-        A persistent :class:`~repro.service.fabric.ServicePool` to
-        reuse across calls (its worker count wins over ``processes``).
-        Without one, ``processes > 1`` spins up an ephemeral pool for
-        this call and tears it down — segments unlinked — before
-        returning, error or not.
-
-    Whatever the knobs, the result is bit-identical to the serial solve:
-    same ``per_item`` key order, same cost vectors, same totals.
+    ``kernel`` is the DP sweep — ``"auto"`` / ``"frontier"`` /
+    ``"reference"``.  ``"auto"`` (default) solves the whole service with
+    ONE call to the batched instance-major kernel
+    (:func:`repro.kernels.batch.solve_offline_batch`);
+    ``"frontier"``/``"reference"`` run
+    :func:`repro.offline.dp.solve_offline` per item.  All choices are
+    bit-identical: same ``per_item`` key order, same cost vectors, same
+    totals.
     """
-    if processes is not None and processes < 1:
-        raise ValueError(f"processes must be >= 1, got {processes}")
-    if pool is not None:
-        return pool.solve(
-            service, shards=shards, shard_strategy=shard_strategy, kernel=kernel
-        )
-    if processes is not None and processes > 1:
-        from .fabric import ServicePool
-
-        with ServicePool(processes) as ephemeral:
-            return ephemeral.solve(
-                service,
-                shards=shards,
-                shard_strategy=shard_strategy,
-                kernel=kernel,
-            )
     if kernel == "auto":
         # One batched kernel call for the whole service: the packed
         # instance-major sweep (repro.kernels.batch) replaces the
@@ -297,33 +253,17 @@ class MultiItemOnlineService:
     runs: Dict[str, OnlineRunResult] = field(default_factory=dict)
 
     def run(
-        self,
-        service: MultiItemInstance,
-        processes: Optional[int] = None,
-        shards: Optional[int] = None,
-        shard_strategy: str = "size",
-        pool: Optional["ServicePool"] = None,
-        kernel: str = "auto",
+        self, service: MultiItemInstance, kernel: str = "auto"
     ) -> "MultiItemOnlineService":
         """Serve every item's stream; returns self for chaining.
-
-        With ``processes > 1`` the items are sharded across a
-        shared-memory process pool (``shards`` bins, default one per
-        process; ``shard_strategy`` as in
-        :func:`repro.service.sharding.plan_shards`); ``pool`` reuses a
-        persistent one, exactly as in :func:`solve_offline_multi`.  The
-        policy factory must then be picklable — a module-level callable
-        such as the policy class itself, not a lambda; this is checked
-        *before* the pool spawns.  Each item still gets a fresh policy
-        from the factory, so ``runs`` is bit-identical to a serial run:
-        same key order, same costs, same counters.
 
         ``kernel`` selects the online execution path (``"auto"`` /
         ``"event"``): with an eligible policy (plain
         ``SpeculativeCaching``), ``"auto"`` serves the whole item batch
-        — or each worker its whole shard — with ONE batched
-        online-kernel call instead of a per-item hook replay, still
-        bit-identical to the serial per-item loop.
+        with ONE batched online-kernel call instead of a per-item hook
+        replay.  Otherwise each item gets a fresh policy from the
+        factory.  Either way ``runs`` is bit-identical to the per-item
+        loop: same key order, same costs, same counters.
         """
         from ..kernels.online import (
             ONLINE_KERNELS,
@@ -331,33 +271,10 @@ class MultiItemOnlineService:
             vector_policy_config,
         )
 
-        if processes is not None and processes < 1:
-            raise ValueError(f"processes must be >= 1, got {processes}")
         if kernel not in ONLINE_KERNELS:
             raise ValueError(
                 f"unknown online kernel {kernel!r}; valid: {ONLINE_KERNELS}"
             )
-        if pool is not None:
-            self.runs = pool.serve(
-                service,
-                self.policy_factory,
-                shards=shards,
-                shard_strategy=shard_strategy,
-                kernel=kernel,
-            )
-            return self
-        if processes is not None and processes > 1:
-            from .fabric import ServicePool
-
-            with ServicePool(processes) as ephemeral:
-                self.runs = ephemeral.serve(
-                    service,
-                    self.policy_factory,
-                    shards=shards,
-                    shard_strategy=shard_strategy,
-                    kernel=kernel,
-                )
-            return self
         config = (
             vector_policy_config(self.policy_factory())
             if kernel == "auto"

@@ -25,8 +25,6 @@ gauges.  Robustness is the headline, not an afterthought:
 * **Per-shard circuit breakers.**  Unexpected processing failures trip a
   shard's breaker after a threshold of consecutive errors; an open shard
   sheds with ``503`` until its cooldown elapses (half-open probe next).
-  The offline verification pool carries its own
-  :class:`~repro.service.fabric.RetryPolicy` breaker.
 * **Graceful drain.**  SIGTERM (and SIGINT) stop admission (``/readyz``
   flips to 503, new posts get 503 + ``Retry-After``), drain every shard
   queue, fsync and close the journals, then exit 0.
@@ -56,8 +54,8 @@ gauge is the exact off-line optimum of the prefix served so far; the
 have paid on the same events (``μ·Δt + λ`` each — holding cost is
 mandatory in the model, so ``λ·n`` alone is *not* an upper bound), so
 ``savings`` is a live regret-vs-offline meter for the naive policy.  ``GET /offline``
-re-solves the current snapshot through the shared-memory
-:class:`~repro.service.fabric.ServicePool` and cross-checks the
+re-solves the current snapshot in-process with one batched kernel call
+(:func:`~repro.service.multi.solve_offline_multi`) and cross-checks the
 streaming totals.
 
 The wire protocol is deliberately tiny HTTP/1.1 (keep-alive, JSON
@@ -165,22 +163,22 @@ async def _read_head(
     raw = headers.get("content-length", "0") or "0"
     if not (raw.isascii() and raw.isdigit()):
         raise _FramingError(400, f"bad content-length {raw!r}")
-    length = int(raw)
-    if length > MAX_BODY_BYTES:
+    # A length with more digits than the cap is over it; checking that
+    # first keeps int() off strings it refuses to parse (>4300 digits).
+    digits = raw.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
         raise _FramingError(
-            413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            413, f"body of {digits[:20]} bytes exceeds {MAX_BODY_BYTES}"
         )
-    return method, path.split("?", 1)[0], headers, length
+    return method, path.split("?", 1)[0], headers, int(digits)
 
 
 def route_item(name: str, shards: int) -> int:
     """Shard index of an item: stable content hash, balanced by design.
 
     Uses ``zlib.crc32`` (never the salted builtin ``hash``) so placement
-    is identical across processes and runs — the same discipline as the
-    ``"hash"`` strategy of :func:`repro.service.sharding.plan_shards`.
-    Stability and balance are property-tested in
-    ``tests/service/test_server_properties.py``.
+    is identical across processes and runs.  Stability and balance are
+    property-tested in ``tests/service/test_server_properties.py``.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -216,7 +214,6 @@ class ServerConfig:
     mu: float = 1.0
     lam: float = 1.0
     origin: int = 0
-    kernel: str = "auto"
     #: Bounded per-shard queue depth (admission limit).
     queue_depth: int = 256
     #: Fraction of ``queue_depth`` beyond which service degrades.
@@ -236,8 +233,6 @@ class ServerConfig:
     resume: bool = False
     #: Fsync journal appends before responding (the WAL discipline).
     sync: bool = True
-    #: Worker pool for ``GET /offline`` verification solves (1 = serial).
-    pool_processes: int = 1
     #: Sliding dedupe-window width in event-time units (``None`` =
     #: unbounded).  Entries of the ``(item, time)`` decision index older
     #: than ``frontier - dedupe_window`` are evicted; a resend of an
@@ -427,10 +422,7 @@ class _Shard:
             solver = self.solvers.get(item)
             if solver is None:
                 solver = StreamingSolver(
-                    self.config.num_servers,
-                    cost=cost,
-                    origin=self.config.origin,
-                    kernel=self.config.kernel,
+                    self.config.num_servers, cost=cost, origin=self.config.origin
                 )
                 self.solvers[item] = solver
             prev_t = solver.t[-1]
@@ -595,7 +587,6 @@ class CacheServer:
         }
         self._server: Optional[asyncio.AbstractServer] = None
         self._workers: List[asyncio.Task] = []
-        self._pool = None
         self._closed = asyncio.Event()
 
     # -- lifecycle -----------------------------------------------------------
@@ -674,9 +665,6 @@ class CacheServer:
             shard.flush_journal()
             if shard.journal is not None:
                 shard.journal.close()
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -955,24 +943,11 @@ class CacheServer:
 
     def _offline_check(self, items: dict, streaming_total: float) -> dict:
         """Re-solve a frozen snapshot through the service layer."""
-        from .fabric import CircuitOpenError, RetryPolicy, ServicePool
         from .multi import MultiItemInstance, solve_offline_multi
 
         if not items:
             return {"error": "no items yet", "_status": 409}
-        service = MultiItemInstance(items)
-        if self.config.pool_processes > 1:
-            if self._pool is None:
-                self._pool = ServicePool(
-                    self.config.pool_processes, retry=RetryPolicy()
-                )
-            try:
-                off = self._pool.solve(service)
-            except CircuitOpenError as exc:
-                return {"error": str(exc), "_status": 503}
-        else:
-            off = solve_offline_multi(service, kernel=self.config.kernel)
-        offline_total = off.total_cost
+        offline_total = solve_offline_multi(MultiItemInstance(items)).total_cost
         drift = abs(offline_total - streaming_total)
         return {
             "items": len(items),

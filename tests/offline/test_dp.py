@@ -100,7 +100,9 @@ class TestSolverAgreement:
     def test_dispatch_matrix(self, rng, kernel, entry):
         # Every (kernel, entry point) pair solves bit-identically to the
         # reference sweep: one instance, a multi-item service (where
-        # "auto" is the batched sweep), and the streaming solver.
+        # "auto" is the batched sweep), and the streaming solver, whose
+        # one pivot path (the frontier accumulator) must also match the
+        # kernel's batch solve.
         t = np.cumsum(rng.uniform(0.05, 1.0, size=40))
         srv = rng.integers(0, 5, size=40)
         inst = ProblemInstance.from_arrays(t, srv, num_servers=5)
@@ -114,9 +116,10 @@ class TestSolverAgreement:
             assert_bit_identical(golden, per_item["b"])
             res = per_item["a"]
         else:
-            solver = StreamingSolver(5, cost=inst.cost, kernel=kernel)
+            solver = StreamingSolver(5, cost=inst.cost)
             solver.extend(zip(t.tolist(), srv.tolist()))
             res = solver.result()
+            assert_bit_identical(solve_offline(inst, kernel=kernel), res)
         assert_bit_identical(golden, res)
 
     def test_matrix_and_bisect_pivot_lookups_agree(self, rng):

@@ -7,7 +7,7 @@ compares *bytes*, not ``pytest.approx``.  Three layers:
   sweep, including tie-heavy integer-gap instances and single-server
   degenerate cases;
 * the vectorized pre-scan vs its loop reference twins;
-* the streaming solver (both kernels) vs the batch solver on the same
+* the streaming solver vs the batch solver on the same
   prefix.
 """
 
@@ -170,15 +170,14 @@ class TestPrescanVsReferenceTwins:
 
 
 class TestStreamingVsBatch:
-    @given(instances(), st.sampled_from(["frontier", "reference"]))
+    @given(instances())
     @settings(**_SETTINGS)
-    def test_streaming_prefix_equals_batch(self, inst, kernel):
+    def test_streaming_prefix_equals_batch(self, inst):
         solver = StreamingSolver(
             inst.num_servers,
             cost=inst.cost,
             origin=inst.origin,
             start_time=float(inst.t[0]),
-            kernel=kernel,
         )
         for i in range(1, inst.n + 1):
             solver.append(float(inst.t[i]), int(inst.srv[i]))

@@ -40,8 +40,11 @@ class TestThreeCompetitive:
     @given(instances(max_m=5, max_n=25))
     @settings(**_SETTINGS)
     def test_epoched_sc_within_factor_three(self, inst):
-        # The guarantee is per-epoch, hence holds for any epoch size.
-        run = SpeculativeCaching(epoch_size=3).run(inst)
+        # The paper's r = n reset: Theorem 3 covers it because it cannot
+        # fire before the last request.  Smaller epochs void the bound
+        # (round-robin over m = 4 servers, gap 0.01, epoch_size = 3 costs
+        # 6.4x OPT; see test_online_property.py).
+        run = SpeculativeCaching(epoch_size=inst.n).run(inst)
         opt = solve_offline(inst).optimal_cost
         assert run.cost <= 3.0 * opt + 1e-6
 

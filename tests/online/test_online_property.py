@@ -1,10 +1,11 @@
 """Hypothesis property suite for the online stack."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import double_transfer, solve_offline
+from repro import ProblemInstance, double_transfer, solve_offline
 from repro.online import (
     NoisyOracle,
     SpeculativeCaching,
@@ -55,7 +56,26 @@ class TestSCProperties:
     def test_epoched_runs_feasible_and_bounded(self, inst, epoch):
         run = SpeculativeCaching(epoch_size=epoch).run(inst)
         validate_schedule(run.schedule, inst)
-        assert run.cost <= 3.0 * solve_offline(inst).optimal_cost + 1e-6
+        opt = solve_offline(inst).optimal_cost
+        assert run.cost >= opt - 1e-6
+        if epoch >= inst.n:
+            # The paper's r = n reset cannot fire before the last
+            # request, so Theorem 3 applies.  Earlier resets void it
+            # (test_early_epoch_resets_void_theorem3).
+            assert run.cost <= 3.0 * opt + 1e-6
+
+    def test_early_epoch_resets_void_theorem3(self):
+        # Round-robin over m = 3 servers, gap 0.01, mu = lam = 1.  With a
+        # reset every 2 transfers only the requester's copy survives, so
+        # every request after the first pays a transfer, while OPT keeps
+        # a copy on every server.  Without epochs SC stays within 3x.
+        n, m = 64, 3
+        inst = ProblemInstance.from_arrays(
+            0.01 * np.arange(1, n + 1), np.arange(n) % m, num_servers=m
+        )
+        opt = solve_offline(inst).optimal_cost
+        assert SpeculativeCaching(epoch_size=2).run(inst).cost > 3.0 * opt
+        assert SpeculativeCaching(epoch_size=None).run(inst).cost <= 3.0 * opt
 
     @given(
         instances(max_m=4, max_n=15),

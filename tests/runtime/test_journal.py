@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.journal import JournalCorruptError, RunJournal
 
@@ -103,3 +105,88 @@ class TestFileBacked:
             fh.write(json.dumps(_rec(5)) + "\n")
         with pytest.raises(JournalCorruptError, match="non-contiguous"):
             RunJournal.load(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "5",
+            "[1]",
+            "null",
+            '"text"',
+            '{"seq": true, "digest": "d1"}',
+            '{"seq": 1.0, "digest": "d1"}',
+        ],
+    )
+    def test_record_not_an_object_with_int_seq_raises(self, tmp_path, line):
+        # Valid JSON in the wrong shape is corruption, reported as such;
+        # true and 1.0 compare equal to 1 but are not an int seq.
+        path = tmp_path / "run.jsonl"
+        path.write_text(
+            json.dumps(_rec(0)) + "\n" + line + "\n" + json.dumps(_rec(2)) + "\n"
+        )
+        with pytest.raises(JournalCorruptError):
+            RunJournal.load(str(path))
+
+
+#: Record bodies as the writers produce them (``seq`` is added in order).
+_BODIES = st.lists(
+    st.fixed_dictionaries(
+        {
+            "kind": st.sampled_from(["request", "degraded", "crash"]),
+            "time": st.floats(allow_nan=False),
+            "item": st.text(max_size=6),
+            "digest": st.text(max_size=6),
+        }
+    ),
+    max_size=4,
+)
+
+
+def _journal_lines(bodies):
+    """Records and their exact file lines (newline included)."""
+    records = [{"seq": k, **body} for k, body in enumerate(bodies)]
+    lines = [(json.dumps(r, allow_nan=True) + "\n").encode() for r in records]
+    return records, lines
+
+
+class TestReaderFuzz:
+    @given(bodies=_BODIES)
+    @settings(max_examples=25, deadline=None)
+    def test_truncated_at_every_byte_keeps_the_whole_records(
+        self, tmp_path_factory, bodies
+    ):
+        # A kill can cut the file at any byte: load keeps exactly the
+        # records whose JSON text survived whole (the newline may be
+        # gone) and rewrites the file to just those.
+        path = tmp_path_factory.mktemp("wal") / "run.jsonl"
+        records, lines = _journal_lines(bodies)
+        blob = b"".join(lines)
+        text_ends, end = [], 0
+        for line in lines:
+            end += len(line)
+            text_ends.append(end - 1)
+        for cut in range(len(blob) + 1):
+            path.write_bytes(blob[:cut])
+            kept = sum(1 for e in text_ends if e <= cut)
+            journal = RunJournal.load(str(path))
+            journal.close()
+            assert journal.records == records[:kept]
+            assert path.read_bytes() == b"".join(lines[:kept])
+
+    @given(
+        bodies=_BODIES.filter(bool),
+        garbage=st.binary(max_size=40).map(lambda b: b.replace(b"\n", b"")),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_non_tail_garbage_raises_corrupt(
+        self, tmp_path_factory, bodies, garbage, data
+    ):
+        path = tmp_path_factory.mktemp("wal") / "run.jsonl"
+        _, lines = _journal_lines(bodies)
+        at = data.draw(st.integers(0, len(lines) - 1))
+        path.write_bytes(
+            b"".join(lines[:at]) + garbage + b"\n" + b"".join(lines[at:])
+        )
+        with pytest.raises(JournalCorruptError):
+            RunJournal.load(str(path))

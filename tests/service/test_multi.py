@@ -12,6 +12,8 @@ from repro import (
     solve_offline_multi,
 )
 from repro.core.types import InvalidInstanceError
+from repro.kernels.online import ONLINE_KERNELS
+from repro.offline.dp import KERNELS
 from repro.workloads import TraceRecord
 
 from ..conftest import make_instance
@@ -82,6 +84,16 @@ class TestOfflineDecomposition:
         res = solve_offline_multi(svc)
         assert res.total_lower_bound <= res.total_cost + 1e-9
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_results_keep_item_order_and_instances(self, kernel):
+        # Every kernel answers in the service's item order, on the
+        # service's own instance objects (no copies).
+        svc = multi_item_workload(6, 180, 5, rng=11)
+        per_item = solve_offline_multi(svc, kernel=kernel).per_item
+        assert list(per_item) == list(svc.items)
+        for name, res in per_item.items():
+            assert res.instance is svc.items[name]
+
 
 class TestOnlineService:
     def test_runs_each_item(self):
@@ -98,6 +110,25 @@ class TestOnlineService:
         assert online.counters()["transfers"] == sum(
             r.counters["transfers"] for r in online.runs.values()
         )
+
+    @pytest.mark.parametrize("kernel", ONLINE_KERNELS)
+    def test_lambda_factory_fine_serially(self, kernel):
+        # Any zero-argument callable works as the factory; a lambda runs
+        # the same as the policy class itself, on either online path.
+        svc = multi_item_workload(6, 180, 5, rng=12)
+        online = MultiItemOnlineService(lambda: SpeculativeCaching()).run(
+            svc, kernel=kernel
+        )
+        by_class = MultiItemOnlineService(SpeculativeCaching).run(svc, kernel=kernel)
+        assert list(online.runs) == list(svc.items)
+        assert online.total_cost == by_class.total_cost
+        assert online.counters() == by_class.counters()
+
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(ValueError, match="online kernel"):
+            MultiItemOnlineService(SpeculativeCaching).run(
+                two_item_service(), kernel="pool"
+            )
 
     def test_total_before_run_rejected(self):
         svc = two_item_service()

@@ -41,6 +41,8 @@ from repro.service.server import (
     MAX_LINE_BYTES,
     CacheServer,
     ServerConfig,
+    _FramingError,
+    _read_head,
     route_item,
 )
 
@@ -227,6 +229,22 @@ def raw_exchange(*requests: bytes):
     return out
 
 
+#: Header lines for the head-reader fuzz: arbitrary bytes, Content-Length
+#: values of any digit count (and near-misses), lines around the line cap.
+_HEADER_LINES = st.one_of(
+    st.binary(max_size=60).filter(lambda b: b"\n" not in b),
+    st.builds(
+        lambda key, value: key + b": " + value.encode(),
+        st.sampled_from([b"Content-Length", b"content-length", b"Host"]),
+        st.text(alphabet="0123456789 -+x", max_size=12),
+    ),
+    st.integers(1, 6000).map(lambda n: b"Content-Length: " + b"9" * n),
+    st.integers(MAX_LINE_BYTES - 16, MAX_LINE_BYTES + 16).map(
+        lambda n: b"X: " + b"a" * n
+    ),
+)
+
+
 def stats_request(*header_lines: str) -> bytes:
     lines = ["GET /stats HTTP/1.1", *header_lines, "Connection: close"]
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
@@ -271,6 +289,39 @@ class TestHttpFraming:
         path = "/stats?" + "a" * MAX_LINE_BYTES
         (status, _), = raw_exchange(f"GET {path} HTTP/1.1\r\n\r\n".encode())
         assert status == 414
+
+    @given(
+        st.one_of(
+            st.binary(max_size=512),
+            st.builds(
+                lambda first, lines, end: b"\r\n".join([first, *lines]) + end,
+                st.one_of(st.just(b"POST /batch HTTP/1.1"), st.binary(max_size=40)),
+                st.lists(_HEADER_LINES, max_size=8),
+                st.sampled_from([b"\r\n\r\n", b"\n\n", b"\r\n", b""]),
+            ),
+        )
+    )
+    @example(b"POST /batch HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n")
+    @example(b"POST /batch HTTP/1.1\r\nContent-Length: " + b"0" * 5000 + b"7\r\n\r\n")
+    @example(b"GET /stats HTTP/1.1\r\n" + b"X: a\r\n" * (MAX_HEADER_LINES + 1) + b"\r\n")
+    @settings(max_examples=300, deadline=None)
+    def test_read_head_over_any_bytes(self, data):
+        # The head reader either finds no request, frames one within the
+        # body cap, or refuses with one of its four statuses; no other
+        # outcome, even for more digits than int() will parse.
+        async def read():
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            reader.feed_eof()
+            return await _read_head(reader)
+
+        try:
+            head = asyncio.run(read())
+        except _FramingError as exc:
+            assert exc.status in (400, 413, 414, 431)
+            return
+        if head is not None:
+            assert 0 <= head[3] <= MAX_BODY_BYTES
 
 
 class TestDegradationLadder:
