@@ -22,10 +22,10 @@ Standalone script (also runnable under pytest) benchmarking the
   hard in full mode when the compiled C sweep is available and
   soft-warns otherwise (``--quick``, or Python-sweep fallback boxes
   with no C compiler).
-* **replay series** — the online vector kernel (``run_online`` with
-  ``kernel="auto"`` on plain SC) vs the stepwise ``ReplayDriver``
-  (``kernel="event"``): identical cost/counters (asserted) plus the
-  measured speedup.
+* **replay series** — the online block-step kernel (``run_online``
+  with ``kernel="auto"`` on plain SC; compiled when ``backend`` is
+  ``"c"``) vs the stepwise ``ReplayDriver`` (``kernel="event"``):
+  identical cost/counters (asserted) plus the measured speedup.
 
 Usage::
 
@@ -219,6 +219,7 @@ def run_bench(quick: bool) -> dict:
         "benchmark": "dp_kernels",
         "quick": quick,
         "repeats": repeats,
+        "backend": batch_sweep_backend(),
         "identity": "C/D/served_by_cache/choice vectors byte-identical and "
         "reconstructed schedules equal, per grid point",
         "speedup_gate": {

@@ -21,13 +21,15 @@ bit-identical to its reference twin:
   compiler exists, transliterated Python loop otherwise).  What
   ``kernel="auto"`` runs for many instances: ``solve_offline_multi``
   and the trace samplers call it once per service or sample.
-* :mod:`repro.kernels.online` — the online twin of the batch DP: a
-  whole SC/TTL(γ) run (decisions, epochs, copy-seconds, cost, digest)
-  replayed over native scalar columns without per-event hook dispatch,
-  plus batched entry points over the same :class:`BatchLayout` ragged
-  columns so a multi-item service or a TTL γ-grid is one kernel call.
-  What ``run_online(kernel="auto")`` runs for plain
-  ``SpeculativeCaching``.
+* :mod:`repro.kernels.online` — the online twin of the batch DP: an
+  SC/TTL(γ) run (decisions, epochs, copy-seconds, cost, digest) as a
+  resumable per-item state (``SCState``), a block step
+  (``step_block``: compiled C from the same library as the DP sweep,
+  or its Python spec) and an end-of-sequence ``finish``, without
+  per-event hook dispatch; batched entry points run "new state, one
+  block, finish" per item over the same :class:`BatchLayout` ragged
+  columns, so a multi-item service or a TTL γ-grid is one call.  What
+  ``run_online(kernel="auto")`` runs for plain ``SpeculativeCaching``.
 
 Determinism contract: a kernel never changes *what* is computed, only
 *how fast*.  ``C``/``D`` vectors, ``served_by_cache``, backtracking

@@ -20,27 +20,34 @@ per-item overhead by packing a whole batch into one array program:
 
 The sweep itself is the frontier kernel's loop (same recurrences, same
 move-to-front pivot accumulator, same ``(value, server-id)`` tie-break)
-run once per item over the packed columns.  Two interchangeable
-backends execute it:
+run once per item over the packed columns.
+
+This module also owns the backend choice for both compiled kernels: this
+DP sweep and the SC block step of :mod:`repro.kernels.online`.  Each has
+two interchangeable backends:
 
 ``"c"``
-    ``_batch_sweep.c`` compiled on demand with the system C compiler
-    (``$CC``/``cc``/``gcc``/``clang``; ``-O2 -fPIC -shared
-    -ffp-contract=off``, no fast-math) into a per-user cache directory
-    (``$REPRO_KERNEL_CACHE`` or ``$TMPDIR/repro-kernels-<uid>``, keyed
-    by source hash) and loaded via :mod:`ctypes`.  ``-ffp-contract=off``
-    forbids fused multiply-adds, so every expression rounds exactly
-    like its Python twin.
+    ``_batch_sweep.c`` and ``_sc_step.c``, compiled together on first
+    use with the system C compiler (``$CC``/``cc``/``gcc``/``clang``;
+    ``-O2 -fPIC -shared -ffp-contract=off``, no fast-math) into one
+    library in a per-user cache directory (``$REPRO_KERNEL_CACHE`` or
+    ``$TMPDIR/repro-kernels-<uid>``, named by the hash of both sources
+    and the flags) and loaded via :mod:`ctypes`.
+    ``-ffp-contract=off`` forbids fused multiply-adds, so every
+    expression rounds exactly like its Python twin.
 ``"python"``
-    A pure-Python transliteration of the same loop — the executable
-    specification, and the automatic fallback when no compiler exists.
+    Pure-Python transliterations of the same loops — the executable
+    specifications, and the automatic fallback when no compiler exists
+    or the build fails.
 
-Both backends are bit-identical to per-item ``kernel="frontier"`` on
-every result field including tie-breaks; the differential suite
+Both sweep backends are bit-identical to per-item ``kernel="frontier"``
+on every result field including tie-breaks; the differential suite
 (``tests/offline/test_batch_kernel.py``) and the benchmark gates
-(``benchmarks/bench_dp_kernels.py``) assert exactly that.  The
-``REPRO_BATCH_SWEEP`` environment variable (``"c"`` / ``"python"``)
-pins a backend for debugging and CI matrix runs.
+(``benchmarks/bench_dp_kernels.py``) assert exactly that, as
+``tests/online/test_online_kernels.py`` does for both SC steps against
+the per-event run.  :func:`batch_sweep_backend` reports the backend in
+use; the ``REPRO_BATCH_SWEEP`` environment variable (``"c"`` /
+``"python"``) pins one for debugging and CI matrix runs.
 
 Import discipline: like the rest of :mod:`repro.kernels`, this module
 must not import :mod:`repro.core` at module level (the instance
@@ -310,11 +317,15 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # C backend: compile on demand with the system toolchain, cache by source
-# hash, load via ctypes.  No third-party build machinery — the container
-# bakes in a C compiler (or we fall back to the Python sweep).
+# hash, load via ctypes.  No third-party build machinery — the host's C
+# compiler builds it, or both kernels fall back to their Python loops.
 # ---------------------------------------------------------------------------
 
-_SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_batch_sweep.c")
+#: The C kernels, built into one library: the DP sweep and the SC step.
+_SOURCE_PATHS = tuple(
+    os.path.join(os.path.dirname(__file__), name)
+    for name in ("_batch_sweep.c", "_sc_step.c")
+)
 
 #: Exact flag set the bit-identity contract depends on: -ffp-contract=off
 #: forbids FMA contraction; no -ffast-math, no -march (portable cache).
@@ -341,26 +352,28 @@ def _find_compiler() -> Union[str, None]:
 
 
 def _compile_sweep() -> str:
-    """Compile ``_batch_sweep.c`` into the cache; returns the .so path.
+    """Compile the C kernels into the cache; returns the .so path.
 
-    The artefact name carries the source hash, so editing the C file
-    transparently rebuilds and stale caches can never serve old code;
-    the ``os.replace`` publish keeps concurrent builders race-free.
+    The artefact name carries the hash of both sources and the flags, so
+    editing either C file transparently rebuilds and stale caches can
+    never serve old code; the ``os.replace`` publish keeps concurrent
+    builders race-free.
     """
-    with open(_SOURCE_PATH, "rb") as fh:
-        source = fh.read()
-    digest = hashlib.sha256(source + repr(_CFLAGS).encode()).hexdigest()[:16]
-    so_path = os.path.join(_cache_dir(), f"repro_batch_sweep_{digest}.so")
+    h = hashlib.sha256(repr(_CFLAGS).encode())
+    for path in _SOURCE_PATHS:
+        with open(path, "rb") as fh:
+            h.update(os.path.basename(path).encode() + b"\0" + fh.read())
+    so_path = os.path.join(_cache_dir(), f"repro_kernels_{h.hexdigest()[:16]}.so")
     if os.path.exists(so_path):
         return so_path
     cc = _find_compiler()
     if cc is None:
         raise RuntimeError(
-            "no C compiler found (tried $CC, cc, gcc, clang); the batch "
-            "kernel will use its Python sweep"
+            "no C compiler found (tried $CC, cc, gcc, clang); the kernels "
+            "will use their Python loops"
         )
     tmp = f"{so_path}.{os.getpid()}.tmp"
-    cmd = [cc, *_CFLAGS, _SOURCE_PATH, "-o", tmp, "-lm"]
+    cmd = [cc, *_CFLAGS, *_SOURCE_PATHS, "-o", tmp, "-lm"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         try:
@@ -368,7 +381,7 @@ def _compile_sweep() -> str:
         except OSError:
             pass
         raise RuntimeError(
-            f"batch sweep compile failed ({' '.join(cmd)}):\n{proc.stderr}"
+            f"kernel compile failed ({' '.join(cmd)}):\n{proc.stderr}"
         )
     os.replace(tmp, so_path)  # atomic publish
     return so_path
@@ -379,7 +392,11 @@ def _ptr(dtype) -> object:
 
 
 def _load_sweep_lib():
-    """Compile+load the C sweep once per process; None when unavailable."""
+    """Compile+load the C kernels once per process; None when unavailable.
+
+    Returns the :class:`ctypes.CDLL` with ``repro_batch_sweep`` and
+    ``repro_sc_step`` typed.
+    """
     with _lib_lock:
         if _lib_state["loaded"]:
             return _lib_state["lib"]
@@ -414,7 +431,30 @@ def _load_sweep_lib():
                 _ptr(np.int64),  # bwd
                 _ptr(np.uint8),  # listed
             ]
-            _lib_state["lib"] = fn
+            step = lib.repro_sc_step
+            step.restype = ctypes.c_int64
+            i64, ptr = ctypes.c_int64, ctypes.c_void_p
+            step.argtypes = [
+                i64,  # m
+                ctypes.c_double,  # W
+                i64,  # epoch_size
+                i64,  # j0
+                i64,  # nblk
+                ptr,  # tb
+                ptr,  # sb
+                ptr,  # iv
+                ptr,  # expiry
+                ptr,  # cause_kind
+                ptr,  # cause_time
+                ptr,  # open_life
+                ptr,  # scratch
+                ptr,  # qt
+                ptr,  # qs
+                i64,  # qcap
+                *[ptr] * 8,  # ledger columns
+                i64,  # lcap
+            ]
+            _lib_state["lib"] = lib
         except (OSError, RuntimeError) as exc:
             _lib_state["lib"] = None
             _lib_state["error"] = exc
@@ -425,8 +465,9 @@ def _load_sweep_lib():
 def batch_sweep_backend() -> str:
     """The backend ``"auto"`` resolves to right now: ``"c"`` / ``"python"``.
 
+    One answer for both compiled kernels, the DP sweep and the SC step.
     Honours ``REPRO_BATCH_SWEEP``; benchmarks use this to soften the
-    speedup gate when only the Python sweep is available.
+    speedup gate when only the Python loops are available.
     """
     forced = os.environ.get("REPRO_BATCH_SWEEP", "").strip().lower()
     if forced in ("c", "python"):
@@ -434,20 +475,19 @@ def batch_sweep_backend() -> str:
     return "c" if _load_sweep_lib() is not None else "python"
 
 
-def _resolve_backend(kernel: str) -> str:
+def _resolve_backend(kernel: str = "auto") -> str:
     if kernel not in BATCH_SWEEPS:
         raise ValueError(
             f"batch sweep kernel must be one of {BATCH_SWEEPS}, "
             f"got {kernel!r}"
         )
-    if kernel == "auto":
-        return batch_sweep_backend()
-    if kernel == "c" and _load_sweep_lib() is None:
+    backend = batch_sweep_backend() if kernel == "auto" else kernel
+    if backend == "c" and _load_sweep_lib() is None:
         raise RuntimeError(
             f"kernel='c' requested but the compiled sweep is unavailable: "
             f"{_lib_state['error']}"
         )
-    return kernel
+    return backend
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +611,7 @@ def _sweep_c(
     tag: np.ndarray,
     karg: np.ndarray,
 ) -> None:
-    fn = _load_sweep_lib()
+    fn = _load_sweep_lib().repro_batch_sweep
     state = int(layout.mserv.sum())
     fn(
         layout.num_items,

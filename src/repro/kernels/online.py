@@ -1,31 +1,58 @@
-"""Array-native online SC/TTL(γ) kernel — whole runs without hook dispatch.
+"""Array-native online SC/TTL(γ) kernel — resumable state, block step, finish.
 
 :class:`~repro.online.speculative.SpeculativeCaching` is the paper's
 per-epoch state machine transliterated hook by hook: every request costs
 an ``advance`` + ``serve`` dispatch, a heap push, recorder method calls
 and a couple of small-object allocations.  That is the right shape for
-an *executable specification*, but competitive-ratio sweeps run it
-millions of times, and the interpreter overhead — not the state machine
-— dominates.
+an *executable specification*, but competitive-ratio sweeps and trace
+analyses run it over millions of requests, and the interpreter overhead
+— not the state machine — dominates.
 
-This module is the fast path: one tight loop over native scalar columns
-that replays the *identical* state machine and produces bit-identical
-results, including floating-point expression order:
+This module is the fast path, in three parts that replay the *identical*
+state machine and produce bit-identical results, including
+floating-point expression order:
 
-* the expiration queue is a flat ``(time, server)`` list consumed by a
-  head pointer.  SC's pushes are monotone non-decreasing in time (a
+* :class:`SCState` — one item's whole state as numpy arrays and Python
+  scalars: per-server expiry and refresh cause, the expiration queue,
+  live-copy and epoch counters, the lifetimes ledger and the five
+  counters.  It holds nothing else, so ``copy.deepcopy`` snapshots a run
+  between blocks;
+* :func:`step_block` — advances a state over one block of requests and
+  returns the block's per-request decisions (:class:`SCBlock`).  Any
+  split of a sequence into blocks leaves the same state as one block;
+* :func:`finish` — the end-of-sequence accounting, returning an
+  :class:`OnlineKernelRun`.
+
+The step has two backends, chosen like the batched DP sweep's
+(:func:`repro.kernels.batch.batch_sweep_backend`, overridable with
+``REPRO_BATCH_SWEEP``):
+
+``"c"``
+    ``_sc_step.c``, compiled into the same cached library as the DP
+    sweep and called through :mod:`ctypes` on the state's arrays in
+    place.  When the expiration queue or the ledger runs out of room the
+    C step returns the requests it consumed; :func:`step_block` drops
+    the consumed queue prefix or doubles the arrays and calls it again.
+``"python"``
+    :func:`_step_python`, the executable specification of the C step and
+    the fallback when no compiler exists.
+
+What both backends replay, rule for rule:
+
+* the expiration queue is a flat ``(time, server)`` array consumed by a
+  head index.  SC's pushes are monotone non-decreasing in time (a
   refresh at ``t`` grants ``t + W``, never earlier than any pending
   entry; a lone-copy extension at ``e`` grants ``e + W`` after every
-  pending valid entry has fired), so appends keep the list in exactly
-  the heap's ``(time, seq)`` pop order; a ``bisect`` insert covers any
+  pending valid entry has fired), so appends keep the array in exactly
+  the heap's ``(time, seq)`` pop order; an ordered insert covers any
   out-of-order push so the replication is exact by construction, not by
   conjecture.  Lazy invalidation is the same time-match rule as
   :meth:`EventQueue.pop_group` (``expiry[s] == entry time``), stale
   entries are consumed on the way, and same-time entries are gathered
-  into one deduplicated group;
+  into one group deduplicated in first-occurrence order;
 * expiration groups replay paper step 4 verbatim: delete all when the
   floor holds, otherwise pick survivors by the transfer-target tie rule
-  (first ``"dst"`` cause in group order, else most recent cause) and
+  (first ``"dst"`` cause in group order, else the latest cause) and
   re-arm them flat at ``e + W`` — the lone-copy extension chain is the
   same repeated addition ``e, e+W, (e+W)+W, ...`` as the per-event code,
   never the algebraically equal ``e + k·W``;
@@ -33,11 +60,12 @@ results, including floating-point expression order:
   the previous requester as transfer source (with the same freshest-
   copy fallback, counted identically), source refresh, and the
   ``epoch_size`` reset that only the requester's copy survives;
-* finalisation replays :meth:`RunRecorder.finalize` + ``Schedule``
-  canonicalisation on plain tuples: truncate open lifetimes at ``t_n``,
-  sort intervals by ``(server, start, end)``, merge with the exact
-  touch-merges-too rule, and charge ``μ · Σ durations + Σ λ`` with the
-  same left-fold summation order.
+* :func:`finish` replays :meth:`RunRecorder.finalize` + ``Schedule``
+  canonicalisation on plain tuples, in Python: truncate open lifetimes
+  at ``t_n``, sort intervals by ``(server, start, end)``, merge with the
+  exact touch-merges-too rule, and charge ``μ · Σ durations + Σ λ`` with
+  Python's ``sum`` like the recorder (compensated summation on 3.12+, so
+  a C fold would not be bit-identical there).
 
 The eligibility test is deliberately ``type(...) is SpeculativeCaching``
 — subclasses (randomised TTL windows, predictive windows, the resilient
@@ -45,9 +73,9 @@ replica floor) override the window/floor hooks this kernel hard-codes,
 so they stay on the per-event path.
 
 Batch entry points (:func:`run_online_layout`, :func:`run_online_batch`,
-:func:`sweep_layout`) reuse :class:`~repro.kernels.batch.BatchLayout`'s
-ragged columns so a whole multi-item service or a TTL γ-grid is one kernel
-call with the per-item column prep hoisted out of the γ loop.
+:func:`sweep_layout`) run "new state, one block, finish" per item over
+:class:`~repro.kernels.batch.BatchLayout`'s ragged columns, so a whole
+multi-item service or a TTL γ-grid is one call.
 
 Import discipline: like the rest of :mod:`repro.kernels`, no module-level
 imports of :mod:`repro.core` / :mod:`repro.online` / :mod:`repro.sim`
@@ -58,13 +86,15 @@ materialisation imports lazily.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -73,7 +103,7 @@ from typing import (
 
 import numpy as np
 
-from .batch import BatchLayout
+from .batch import BatchLayout, _load_sweep_lib, _resolve_backend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.instance import ProblemInstance
@@ -83,6 +113,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "ONLINE_KERNELS",
     "OnlineKernelRun",
+    "SCState",
+    "SCBlock",
+    "step_block",
+    "finish",
+    "validate_sc_params",
     "vector_policy_config",
     "run_online_vector",
     "run_online_layout",
@@ -100,6 +135,55 @@ ONLINE_KERNELS = ("auto", "event")
 
 _NEG_INF = -math.inf
 
+#: Refresh-cause codes of :attr:`SCState.cause_kind`, the per-event
+#: ``_cause`` kinds (``_sc_step.c`` repeats them).  Only ``CAUSE_NONE``
+#: and ``CAUSE_DST`` steer a decision, through the survivor tie rule.
+CAUSE_NONE, CAUSE_INITIAL, CAUSE_LOCAL, CAUSE_DST, CAUSE_SRC = range(5)
+#: Lifetime end codes of the ledger column ``lt_ended``; an ``END_OPEN``
+#: copy is still held, and :func:`finish` reports it truncated at ``t_n``.
+END_OPEN, END_EXPIRE, END_EPOCH_RESET, END_TRUNCATE = range(4)
+_END_NAMES = (None, "expire", "epoch-reset", "truncate")
+
+#: The ledger columns of :class:`SCState`, one row per copy lifetime.
+_LEDGER = (
+    "lt_srv",
+    "lt_src",
+    "lt_req",
+    "lt_start",
+    "lt_end",
+    "lt_last",
+    "lt_ended",
+    "lt_reset",
+)
+_LEDGER_DTYPES = (np.int64,) * 3 + (np.float64,) * 3 + (np.int64,) * 2
+#: Scalars the C step reads and writes through its ``iv`` array, in slot
+#: order (``_sc_step.c``'s ``IV_*`` enum).
+_IV_FIELDS = (
+    "n",
+    "head",
+    "qlen",
+    "c",
+    "r",
+    "last",
+    "nlife",
+    "hits",
+    "expirations",
+    "extensions",
+    "epochs",
+    "fallbacks",
+)
+_INITIAL_CAP = 16
+#: Epoch sizes past this never fire (``r`` counts transfers, fewer than
+#: 2**62), so the C step's int64 sees them clamped without changing a
+#: decision.
+_EPOCH_CAP = 1 << 62
+#: The C step's error returns, and the messages both backends raise.
+_ERR_NO_LIVE_COPY = -1
+_NO_LIVE_COPY = (
+    "no live copy anywhere at t={}; the never-drop-the-last-copy rule is broken"
+)
+_ALREADY_HOLDS = "server {} already holds a copy"
+
 _digest_value = None
 
 
@@ -110,6 +194,41 @@ def _get_digest_value():
 
         _digest_value = digest_value
     return _digest_value
+
+
+def validate_sc_params(
+    window_factor: float, epoch_size: Optional[int]
+) -> Tuple[float, Optional[int]]:
+    """Checked ``(window_factor, epoch_size)`` of SC/TTL(γ).
+
+    The one parameter check of both SC paths
+    (:class:`~repro.online.speculative.SpeculativeCaching` and
+    :class:`SCState`): ``window_factor`` must be a finite real number
+    ``> 0``, ``epoch_size`` ``None`` or an integer ``>= 1`` (``bool`` is
+    not an epoch size).  Anything else raises ``ValueError``.  Returns
+    them as a Python ``float`` and ``int``, so every path computes the
+    window in the same (double) precision.
+    """
+    try:
+        ok = math.isfinite(window_factor) and window_factor > 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(
+            f"window_factor must be a finite number > 0, got {window_factor!r}"
+        )
+    window_factor = float(window_factor)
+    if epoch_size is None:
+        return window_factor, None
+    try:
+        size = None if isinstance(epoch_size, bool) else operator.index(epoch_size)
+    except TypeError:
+        size = None
+    if size is None or size < 1:
+        raise ValueError(
+            f"epoch_size must be None or an integer >= 1, got {epoch_size!r}"
+        )
+    return window_factor, size
 
 
 def sc_name(window_factor: float) -> str:
@@ -146,7 +265,8 @@ def vector_policy_config(
 
 @dataclass
 class OnlineKernelRun:
-    """Raw outcome of one vector-kernel run over one item.
+    """Raw outcome of one kernel run over one item (what :func:`finish`
+    returns).
 
     Everything is plain data (native scalars, tuples, numpy arrays) so a
     sweep over thousands of instances allocates no recorder/schedule
@@ -277,70 +397,313 @@ def _digest_payload(algorithm, cost, counters, transfers, intervals) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The kernel core: one item, native scalar columns.
+# The kernel: per-item state, block step (C or Python), finish.
 # ---------------------------------------------------------------------------
 
 
-def _kernel_run(
-    name: str,
+class SCState:
+    """Resumable state of one SC/TTL(γ) run over one item.
+
+    Everything the per-event
+    :class:`~repro.online.speculative.SpeculativeCaching` keeps between
+    requests, held as numpy arrays and Python scalars only, so
+    ``copy.deepcopy`` snapshots a run and the copy resumes
+    bit-identically:
+
+    * per server ``s``: ``expiry[s]`` (``-inf`` when ``s`` holds no
+      copy), the refresh cause ``cause_kind[s]`` (a ``CAUSE_*`` code) and
+      ``cause_time[s]``, and ``open_life[s]`` — the ledger row of its
+      open lifetime, or ``-1``;
+    * the expiration queue ``qt``/``qs[head:qlen]``, in heap pop order
+      with stale entries included;
+    * ``c`` live copies, ``r`` transfers in the current epoch, ``last``
+      (the previous request's server), ``n`` requests consumed and
+      ``last_t`` (the last request's time; ``t0`` before any);
+    * the lifetimes ledger ``lt_*[:nlife]``: row 0 is the initial copy,
+      row ``k >= 1`` the copy transfer ``k - 1`` created — its server,
+      source, request index, start, end (NaN while held), last useful
+      instant, ``END_*`` code, and whether its transfer closed an epoch;
+    * the counters ``hits``, ``expirations``, ``extensions``, ``epochs``
+      and ``fallbacks``;
+    * the constants ``m``, ``mu``, ``lam``, ``W = window_factor·(λ/μ)``,
+      ``window_factor``, ``epoch_size``, and the ``name`` / ``algorithm``
+      labels :func:`finish` reports.
+
+    Construction replays ``r_0``: the origin holds the initial copy,
+    armed at ``t0 + W``.  Parameters are checked by
+    :func:`validate_sc_params`; ``origin`` must lie in
+    ``[0, num_servers)``.
+    """
+
+    def __init__(
+        self,
+        num_servers: int,
+        mu: float,
+        lam: float,
+        origin: int,
+        t0: float,
+        window_factor: float = 1.0,
+        epoch_size: Optional[int] = None,
+        name: str = "",
+        algorithm: Optional[str] = None,
+    ):
+        window_factor, epoch_size = validate_sc_params(window_factor, epoch_size)
+        m = operator.index(num_servers)
+        origin = operator.index(origin)
+        if m < 1 or not 0 <= origin < m:
+            raise ValueError(f"need origin in [0, m) with m >= 1, got {origin}, {m}")
+        mu, lam, t0 = float(mu), float(lam), float(t0)
+        # Same expression as SpeculativeCaching._window.
+        W = window_factor * (lam / mu)
+        self.name = name
+        self.algorithm = sc_name(window_factor) if algorithm is None else algorithm
+        self.window_factor = window_factor
+        self.epoch_size = epoch_size
+        self.m, self.mu, self.lam, self.W = m, mu, lam, W
+
+        self.expiry = np.full(m, _NEG_INF)
+        # The per-event _cause dict keeps stale causes across deletions,
+        # so these are never cleared either.
+        self.cause_kind = np.full(m, CAUSE_NONE, dtype=np.int64)
+        self.cause_time = np.zeros(m)
+        self.open_life = np.full(m, -1, dtype=np.int64)
+        self.expiry[origin] = t0 + W
+        self.cause_kind[origin] = CAUSE_INITIAL
+        self.cause_time[origin] = t0
+        self.open_life[origin] = 0
+
+        self.qt = np.empty(_INITIAL_CAP)
+        self.qs = np.empty(_INITIAL_CAP, dtype=np.int64)
+        self.qt[0] = t0 + W
+        self.qs[0] = origin
+        self.head = 0
+        self.qlen = 1
+
+        for col, dtype in zip(_LEDGER, _LEDGER_DTYPES):
+            setattr(self, col, np.empty(_INITIAL_CAP, dtype=dtype))
+        for col, value in zip(_LEDGER, (origin, -1, 0, t0, math.nan, t0, END_OPEN, 0)):
+            getattr(self, col)[0] = value
+        self.nlife = 1
+
+        self.n = 0
+        self.c = 1
+        self.r = 0
+        self.last = origin
+        self.last_t = t0
+        self.hits = 0
+        self.expirations = 0
+        self.extensions = 0
+        self.epochs = 0
+        self.fallbacks = 0
+
+
+class SCBlock(NamedTuple):
+    """One :func:`step_block` call's decisions, aligned with its block.
+
+    ``hit[j]`` is True when the block's ``j``-th request was served by
+    the copy on its own server; otherwise ``src[j]`` is the transfer
+    source (``-1`` on hits).  ``epoch_resets`` holds the block positions
+    whose transfer closed an epoch.
+    """
+
+    hit: np.ndarray
+    src: np.ndarray
+    epoch_resets: np.ndarray
+
+
+def step_block(state: SCState, t, srv) -> SCBlock:
+    """Advance ``state`` over the requests ``(t[j], srv[j])``.
+
+    Times must be non-decreasing from the last request seen and servers
+    must lie in ``[0, m)``; otherwise ``ValueError`` is raised before the
+    state changes.  The backend is the one
+    :func:`~repro.kernels.batch.batch_sweep_backend` names; both leave
+    the same state, and any split of a sequence into blocks leaves the
+    same state as one block.
+    """
+    t = np.ascontiguousarray(t, dtype=np.float64)
+    srv = np.ascontiguousarray(srv, dtype=np.int64)
+    _check_block(state, t, srv)
+    n0, l0 = state.n, state.nlife
+    if _resolve_backend() == "c":
+        _step_c(_load_sweep_lib(), state, t, srv)
+    else:
+        _step_python(state, t.tolist(), srv.tolist())
+    if t.shape[0]:
+        state.last_t = float(t[-1])
+    return _decisions(state, n0, l0)
+
+
+def _check_block(state: SCState, t: np.ndarray, srv: np.ndarray) -> None:
+    if t.ndim != 1 or t.shape != srv.shape:
+        raise ValueError(
+            f"a block is two equal-length 1-D columns, got shapes "
+            f"{t.shape} and {srv.shape}"
+        )
+    if not t.shape[0]:
+        return
+    if int(srv.min()) < 0 or int(srv.max()) >= state.m:
+        bad = int(np.flatnonzero((srv < 0) | (srv >= state.m))[0])
+        raise ValueError(
+            f"server ids must lie in [0, {state.m}), got {int(srv[bad])}"
+        )
+    if t[0] < state.last_t or bool(np.any(t[1:] < t[:-1])):
+        raise ValueError(
+            "request times must be non-decreasing from the last request "
+            f"seen (t={state.last_t}); refusing an out-of-order block"
+        )
+
+
+def _decisions(state: SCState, n0: int, l0: int) -> SCBlock:
+    """Decisions of requests ``n0+1 .. state.n``, read off ledger rows
+    ``l0..`` (each transfer created one row; every other request hit)."""
+    rows = slice(l0, state.nlife)
+    at = state.lt_req[rows] - (n0 + 1)
+    hit = np.ones(state.n - n0, dtype=bool)
+    hit[at] = False
+    src = np.full(state.n - n0, -1, dtype=np.int64)
+    src[at] = state.lt_src[rows]
+    return SCBlock(hit, src, at[state.lt_reset[rows] != 0])
+
+
+def _grow(arr: np.ndarray, size: int, keep: int) -> np.ndarray:
+    """``arr`` if it holds ``size`` entries, else a doubled copy of its
+    first ``keep``."""
+    if arr.shape[0] >= size:
+        return arr
+    out = np.empty(max(2 * arr.shape[0], size), dtype=arr.dtype)
+    out[:keep] = arr[:keep]
+    return out
+
+
+def _reserve(state: SCState, requests: int) -> None:
+    """Room for ``requests`` more requests: two queue pushes and one ledger
+    row each, plus one expiration group (at most ``m`` re-arms).
+
+    Drops the consumed queue prefix first and doubles only when that is
+    not enough.  Extensions push without bound, so the C step can still
+    run out of room; it then returns and :func:`_step_c` calls this again.
+    """
+    room = 2 * requests + state.m + 2
+    if state.qt.shape[0] - state.qlen < room:
+        live = state.qlen - state.head
+        state.qt[:live] = state.qt[state.head : state.qlen]
+        state.qs[:live] = state.qs[state.head : state.qlen]
+        state.head, state.qlen = 0, live
+        state.qt = _grow(state.qt, live + room, live)
+        state.qs = _grow(state.qs, live + room, live)
+    need = state.nlife + requests
+    for col in _LEDGER:
+        setattr(state, col, _grow(getattr(state, col), need, state.nlife))
+
+
+def _addr(arr: np.ndarray, dtype, size: int) -> int:
+    """Address of a state array the C step writes, after checking it."""
+    if not (
+        arr.dtype == dtype
+        and arr.ndim == 1
+        and arr.flags.c_contiguous
+        and arr.flags.writeable
+        and arr.shape[0] >= size
+    ):
+        raise ValueError(
+            f"SCState array is not a writable contiguous {np.dtype(dtype)} "
+            f"vector of at least {size} entries"
+        )
+    return arr.ctypes.data
+
+
+def _step_c(lib, state: SCState, t: np.ndarray, srv: np.ndarray) -> None:
+    """Run ``repro_sc_step`` over the block, resuming after every early
+    return for room."""
+    m = state.m
+    k = t.shape[0]
+    epoch = 0 if state.epoch_size is None else min(state.epoch_size, _EPOCH_CAP)
+    scratch = np.empty(3 * m, dtype=np.int64)
+    iv = np.empty(len(_IV_FIELDS), dtype=np.int64)
+    # Per-server arrays are never reallocated; the queue and the ledger
+    # may be, by _reserve, so their addresses are taken per call.
+    fixed = (
+        t.ctypes.data,
+        srv.ctypes.data,
+        iv.ctypes.data,
+        _addr(state.expiry, np.float64, m),
+        _addr(state.cause_kind, np.int64, m),
+        _addr(state.cause_time, np.float64, m),
+        _addr(state.open_life, np.int64, m),
+        scratch.ctypes.data,
+    )
+    j = 0
+    while j < k:
+        _reserve(state, k - j)
+        qcap = state.qt.shape[0]
+        lcap = state.lt_srv.shape[0]
+        if not (
+            0 <= state.head <= state.qlen <= qcap
+            and 1 <= state.nlife <= lcap
+            and 0 <= state.last < m
+        ):
+            raise ValueError("SCState scalars are out of range")
+        iv[:] = [getattr(state, f) for f in _IV_FIELDS]
+        n0 = state.n
+        got = lib.repro_sc_step(
+            m,
+            state.W,
+            epoch,
+            j,
+            k,
+            *fixed,
+            _addr(state.qt, np.float64, qcap),
+            _addr(state.qs, np.int64, qcap),
+            qcap,
+            *[
+                _addr(getattr(state, col), dtype, lcap)
+                for col, dtype in zip(_LEDGER, _LEDGER_DTYPES)
+            ],
+            lcap,
+        )
+        for f, value in zip(_IV_FIELDS, iv.tolist()):
+            setattr(state, f, value)
+        if got < 0:
+            at = j + state.n - n0
+            if got == _ERR_NO_LIVE_COPY:
+                raise RuntimeError(_NO_LIVE_COPY.format(float(t[at])))
+            raise RuntimeError(_ALREADY_HOLDS.format(int(srv[at])))
+        j = got
+
+
+def _step_python(
+    state: SCState,
     ts: List[float],
     ss: List[int],
-    m: int,
-    mu: float,
-    lam: float,
-    origin: int,
-    window_factor: float,
-    epoch_size: Optional[int],
-    algo_name: Optional[str] = None,
-) -> OnlineKernelRun:
-    """Replay SC/TTL(γ) over one item's native columns (incl. ``r_0``).
+    drain_to: Optional[float] = None,
+) -> None:
+    """Advance ``state`` over ``(ts[j], ss[j])`` — the C step's spec.
 
-    Every arithmetic expression below mirrors its per-event twin
-    character for character — ``window_factor * (lam / mu)`` like
-    ``_window``, ``t + W`` like ``_arm``, ``e + W`` like the flat
-    re-arm — so results agree bitwise, not just to tolerance.
+    Works on native lists copied out of the state and stores them back at
+    the end (so a raise leaves the state as it was).  ``drain_to`` runs
+    one more ``advance(drain_to)`` after the block: :func:`finish`'s
+    end-of-sequence drain.  Every arithmetic expression mirrors its
+    per-event twin character for character — ``t + W`` like ``_arm``,
+    ``e + W`` like the flat re-arm — so results agree bitwise, not just
+    to tolerance.
     """
-    if window_factor <= 0:
-        raise ValueError(f"window_factor must be positive, got {window_factor}")
-    if epoch_size is not None and epoch_size < 1:
-        raise ValueError(f"epoch_size must be >= 1, got {epoch_size}")
-    W = window_factor * (lam / mu)
-    t0 = ts[0]
-    n = len(ts) - 1
-
-    expiry = [_NEG_INF] * m
-    # _cause replica: kind None == absent; the per-event dict keeps stale
-    # causes across deletions, so these are never cleared either.
-    cause_kind: List[Optional[str]] = [None] * m
-    cause_time = [0.0] * m
-    cause_kind[origin] = "initial"
-    cause_time[origin] = t0
-
+    m = state.m
+    W = state.W
+    epoch_size = state.epoch_size
+    expiry = state.expiry.tolist()
+    cause_kind = state.cause_kind.tolist()
+    cause_time = state.cause_time.tolist()
+    open_life = state.open_life.tolist()
     # Expiration queue: (time, server) in heap pop order, head-consumed.
-    qt: List[float] = [t0 + W]
-    qs: List[int] = [origin]
+    qt: List[float] = state.qt[state.head : state.qlen].tolist()
+    qs: List[int] = state.qs[state.head : state.qlen].tolist()
     head = 0
-    expiry[origin] = t0 + W
-
-    c = 1
-    r = 0
-    last = origin
-
-    # Lifetime ledger: rows in CopyLifetime field order, mutated in place.
-    lifetimes: List[list] = [[origin, t0, None, t0, "initial", -1, None]]
-    open_life = [-1] * m
-    open_life[origin] = 0
-
-    transfers: List[Tuple[float, int, int]] = []
-    hits = 0
-    expirations = 0
-    extensions = 0
-    epochs = 0
-    fallbacks = 0
-
-    miss_idx: List[int] = []
-    miss_src: List[int] = []
-    resets: List[int] = []
+    ledger = [getattr(state, col)[: state.nlife].tolist() for col in _LEDGER]
+    l_srv, l_src, l_req, l_start, l_end, l_last, l_ended, l_reset = ledger
+    n, c, r, last = state.n, state.c, state.r, state.last
+    hits, expirations = state.hits, state.expirations
+    extensions, epochs, fallbacks = state.extensions, state.epochs, state.fallbacks
 
     def push_slow(time: float, server: int) -> None:  # pragma: no cover
         # SC pushes monotonically non-decreasing, so the hot paths just
@@ -383,9 +746,8 @@ def _kernel_run(
                     expirations += 1
                     li = open_life[s2]
                     open_life[s2] = -1
-                    row = lifetimes[li]
-                    row[2] = e
-                    row[6] = "expire"
+                    l_end[li] = e
+                    l_ended[li] = END_EXPIRE
             else:
                 count = len(group) - deletable
                 if count >= len(group):
@@ -399,20 +761,16 @@ def _kernel_run(
                     for _ in range(count):
                         winner = -1
                         for s2 in remaining:
-                            if cause_kind[s2] == "dst":
+                            if cause_kind[s2] == CAUSE_DST:
                                 winner = s2
                                 break
                         if winner < 0:
-                            best = _NEG_INF
-                            for s2 in remaining:
-                                ct = (
-                                    cause_time[s2]
-                                    if cause_kind[s2] is not None
-                                    else _NEG_INF
-                                )
-                                if ct > best:
-                                    best = ct
-                                    winner = s2
+                            winner = max(
+                                remaining,
+                                key=lambda s3: cause_time[s3]
+                                if cause_kind[s3] != CAUSE_NONE
+                                else _NEG_INF,
+                            )
                         keep.append(winner)
                         remaining.remove(winner)
                 for s2 in group:
@@ -422,9 +780,8 @@ def _kernel_run(
                         expirations += 1
                         li = open_life[s2]
                         open_life[s2] = -1
-                        row = lifetimes[li]
-                        row[2] = e
-                        row[6] = "expire"
+                        l_end[li] = e
+                        l_ended[li] = END_EXPIRE
                 extensions += 1
                 for s2 in keep:
                     e2 = e + W
@@ -436,18 +793,15 @@ def _kernel_run(
                         push_slow(e2, s2)
                     qlen = len(qt)
 
-    has_epoch = epoch_size is not None
-    for i in range(1, n + 1):
-        t = ts[i]
+    for i, (t, server) in enumerate(zip(ts, ss), n + 1):
         # pop_group pops nothing unless an entry sits strictly before t,
         # so the guard is an exact (and much cheaper) no-op detector.
         if head < len(qt) and qt[head] < t:
             advance(t)
-        server = ss[i]
         if expiry[server] >= t:
             hits += 1
-            lifetimes[open_life[server]][3] = t
-            cause_kind[server] = "local"
+            l_last[open_life[server]] = t
+            cause_kind[server] = CAUSE_LOCAL
             cause_time[server] = t
             e2 = t + W
             expiry[server] = e2
@@ -464,22 +818,22 @@ def _kernel_run(
                     s2 for s2 in range(m) if s2 != server and expiry[s2] >= t
                 ]
                 if not alive:  # pragma: no cover - extension rule forbids
-                    raise RuntimeError(
-                        f"no live copy anywhere at t={t}; the never-drop-"
-                        f"the-last-copy rule is broken"
-                    )
+                    raise RuntimeError(_NO_LIVE_COPY.format(t))
                 src = max(alive, key=expiry.__getitem__)
-            miss_idx.append(i)
-            miss_src.append(src)
-            transfers.append((t, src, server))
             if open_life[server] >= 0:  # pragma: no cover - defensive twin
-                raise RuntimeError(f"server {server} already holds a copy")
-            open_life[server] = len(lifetimes)
-            lifetimes.append(
-                [server, t, None, t, "transfer", len(transfers) - 1, None]
-            )
+                raise RuntimeError(_ALREADY_HOLDS.format(server))
+            li = len(l_srv)
+            open_life[server] = li
+            l_srv.append(server)
+            l_src.append(src)
+            l_req.append(i)
+            l_start.append(t)
+            l_end.append(math.nan)
+            l_last.append(t)
+            l_ended.append(END_OPEN)
+            l_reset.append(0)
             c += 1
-            cause_kind[server] = "dst"
+            cause_kind[server] = CAUSE_DST
             cause_time[server] = t
             e2 = t + W
             expiry[server] = e2
@@ -488,8 +842,8 @@ def _kernel_run(
                 qs.append(server)
             else:  # pragma: no cover - unreachable for SC
                 push_slow(e2, server)
-            lifetimes[open_life[src]][3] = t
-            cause_kind[src] = "src"
+            l_last[open_life[src]] = t
+            cause_kind[src] = CAUSE_SRC
             cause_time[src] = t
             expiry[src] = e2
             if head >= len(qt) or e2 >= qt[-1]:
@@ -498,87 +852,143 @@ def _kernel_run(
             else:  # pragma: no cover - unreachable for SC
                 push_slow(e2, src)
             r += 1
-            if has_epoch and r >= epoch_size:
+            if epoch_size is not None and r >= epoch_size:
                 for s2 in range(m):
                     if s2 != server and expiry[s2] > _NEG_INF:
                         expiry[s2] = _NEG_INF
                         c -= 1
-                        li = open_life[s2]
+                        lj = open_life[s2]
                         open_life[s2] = -1
-                        row = lifetimes[li]
-                        row[2] = t
-                        row[6] = "epoch-reset"
+                        l_end[lj] = t
+                        l_ended[lj] = END_EPOCH_RESET
                 r = 0
                 epochs += 1
-                resets.append(i)
+                l_reset[li] = 1
         last = server
+    n += len(ts)
+    if drain_to is not None and head < len(qt) and qt[head] < drain_to:
+        advance(drain_to)
 
-    # end(t_n): drain timers strictly before the horizon, then truncate.
-    t_end = ts[-1]
-    if head < len(qt) and qt[head] < t_end:
-        advance(t_end)
-    for row in lifetimes:
-        if row[2] is None:
-            row[2] = t_end
-            row[6] = "truncate"
+    state.expiry[:] = expiry
+    state.cause_kind[:] = cause_kind
+    state.cause_time[:] = cause_time
+    state.open_life[:] = open_life
+    live = len(qt) - head
+    state.qt = _grow(state.qt, live, 0)
+    state.qs = _grow(state.qs, live, 0)
+    state.qt[:live] = qt[head:]
+    state.qs[:live] = qs[head:]
+    state.head, state.qlen = 0, live
+    nlife = len(l_srv)
+    for col, values in zip(_LEDGER, ledger):
+        arr = _grow(getattr(state, col), nlife, 0)
+        arr[:nlife] = values
+        setattr(state, col, arr)
+    state.nlife = nlife
+    state.n, state.c, state.r, state.last = n, c, r, last
+    state.hits, state.expirations = hits, expirations
+    state.extensions, state.epochs, state.fallbacks = extensions, epochs, fallbacks
+
+
+def finish(state: SCState) -> OnlineKernelRun:
+    """End-of-sequence accounting: the run's :class:`OnlineKernelRun`.
+
+    Replays the per-event ``end(t_n)`` + :meth:`RunRecorder.finalize` +
+    ``Schedule`` canonicalisation at ``t_n = state.last_t``.  Open
+    lifetimes are truncated in the result only, so the state can keep
+    stepping afterwards.
+    """
+    t_end = state.last_t
+    # end(t_n): drain timers strictly before the horizon.  advance(t_n)
+    # already ran for the last request and every refresh since grants
+    # t + W >= t, so nothing is due; kept as the per-event twin.
+    if state.head < state.qlen and state.qt[state.head] < t_end:  # pragma: no cover
+        _step_python(state, [], [], drain_to=t_end)
+    nl = state.nlife
+    held = state.lt_ended[:nl] == END_OPEN
+    srv = state.lt_srv[:nl].tolist()
+    src = state.lt_src[:nl].tolist()
+    start = state.lt_start[:nl].tolist()
+    end = np.where(held, t_end, state.lt_end[:nl]).tolist()
+    last_use = state.lt_last[:nl].tolist()
+    ended = np.where(held, END_TRUNCATE, state.lt_ended[:nl]).tolist()
 
     # finalize + canonical + total_cost on plain tuples, same expressions.
     # finalize clamps ends with min(end, t_end); every close time above
     # is already <= t_end, so the clamp returns the same float and can
     # be skipped without touching the value.
     merged: List[Tuple[int, float, float]] = []
-    for s, a, b in sorted((row[0], row[1], row[2]) for row in lifetimes):
+    for s, a, b in sorted(zip(srv, start, end)):
         if merged and merged[-1][0] == s and a <= merged[-1][2]:
             if b > merged[-1][2]:
                 merged[-1] = (s, merged[-1][1], b)
         else:
             merged.append((s, a, b))
     copy_seconds = sum(b - a for _, a, b in merged)
-    caching_cost = mu * copy_seconds
-    transfer_cost = sum(lam for _ in transfers)
+    caching_cost = state.mu * copy_seconds
+    transfers = list(zip(start[1:], src[1:], srv[1:]))
+    transfer_cost = sum(state.lam for _ in transfers)
     cost = caching_cost + transfer_cost
 
     counters = {
         "transfers": len(transfers),
-        "local_hits": hits,
-        "expirations": expirations,
-        "extensions": extensions,
-        "epochs": epochs,
+        "local_hits": state.hits,
+        "expirations": state.expirations,
+        "extensions": state.extensions,
+        "epochs": state.epochs,
     }
-    if fallbacks:
-        counters["source_fallbacks"] = fallbacks
+    if state.fallbacks:
+        counters["source_fallbacks"] = state.fallbacks
 
-    hit_flags = np.ones(n + 1, dtype=bool)
-    src_arr = np.full(n + 1, -1, dtype=np.int64)
-    if miss_idx:
-        idx = np.asarray(miss_idx, dtype=np.int64)
-        hit_flags[idx] = False
-        src_arr[idx] = np.asarray(miss_src, dtype=np.int64)
-
-    algorithm = sc_name(window_factor) if algo_name is None else algo_name
-    run = OnlineKernelRun(
-        name=name,
-        algorithm=algorithm,
-        window_factor=window_factor,
-        epoch_size=epoch_size,
+    # r_0 is request 0 and the initial copy is ledger row 0.
+    decisions = _decisions(state, -1, 1)
+    return OnlineKernelRun(
+        name=state.name,
+        algorithm=state.algorithm,
+        window_factor=state.window_factor,
+        epoch_size=state.epoch_size,
         cost=cost,
         caching_cost=caching_cost,
         transfer_cost=transfer_cost,
         copy_seconds=copy_seconds,
         counters=counters,
-        hit=hit_flags,
-        src=src_arr,
-        epoch_resets=np.asarray(resets, dtype=np.int64),
+        hit=decisions.hit,
+        src=decisions.src,
+        epoch_resets=decisions.epoch_resets,
         transfers=transfers,
         intervals=merged,
-        lifetimes=[tuple(row) for row in lifetimes],
+        lifetimes=[
+            (s, a, b, u, "transfer" if k else "initial", k - 1, _END_NAMES[x])
+            for k, (s, a, b, u, x) in enumerate(
+                zip(srv, start, end, last_use, ended)
+            )
+        ],
     )
-    return run
 
 
 # ---------------------------------------------------------------------------
 # Public entry points: single instance, packed layout, item batch, γ-grid.
 # ---------------------------------------------------------------------------
+
+
+def _run_item(
+    name: str,
+    t: np.ndarray,
+    srv: np.ndarray,
+    m: int,
+    mu: float,
+    lam: float,
+    origin: int,
+    window_factor: float,
+    epoch_size: Optional[int],
+    algorithm: Optional[str] = None,
+) -> OnlineKernelRun:
+    """New state, one block, finish: one item's columns (incl. ``r_0``)."""
+    state = SCState(
+        m, mu, lam, origin, t[0], window_factor, epoch_size, name, algorithm
+    )
+    step_block(state, t[1:], srv[1:])
+    return finish(state)
 
 
 def run_online_vector(
@@ -597,42 +1007,19 @@ def run_online_vector(
     ``algorithm_name`` overrides the reported policy name (the engine
     passes the policy's own ``name`` so a renamed instance round-trips).
     """
-    ts = np.asarray(instance.t, dtype=np.float64).tolist()
-    ss = np.asarray(instance.srv, dtype=np.int64).tolist()
-    run = _kernel_run(
+    run = _run_item(
         "",
-        ts,
-        ss,
-        int(instance.num_servers),
-        float(instance.cost.mu),
-        float(instance.cost.lam),
-        int(instance.origin),
+        np.asarray(instance.t, dtype=np.float64),
+        np.asarray(instance.srv, dtype=np.int64),
+        instance.num_servers,
+        instance.cost.mu,
+        instance.cost.lam,
+        instance.origin,
         window_factor,
         epoch_size,
-        algo_name=algorithm_name,
+        algorithm_name,
     )
     return run.to_result() if materialize else run
-
-
-def _layout_columns(
-    layout: BatchLayout,
-) -> List[Tuple[str, List[float], List[int], int, float, float, int]]:
-    """Hoist a layout's per-item columns to native scalars once."""
-    cols = []
-    for k in range(layout.num_items):
-        sl = layout.item_slice(k)
-        cols.append(
-            (
-                layout.names[k],
-                layout.t[sl].tolist(),
-                layout.srv[sl].tolist(),
-                int(layout.mserv[k]),
-                float(layout.mu[k]),
-                float(layout.lam[k]),
-                int(layout.origin[k]),
-            )
-        )
-    return cols
 
 
 def run_online_layout(
@@ -647,19 +1034,19 @@ def run_online_layout(
     layout order, each bit-identical to the per-item per-event run.
     """
     return [
-        _kernel_run(
-            name,
-            ts,
-            ss,
-            m,
-            mu,
-            lam,
-            origin,
+        _run_item(
+            layout.names[k],
+            layout.t[sl],
+            layout.srv[sl],
+            int(layout.mserv[k]),
+            float(layout.mu[k]),
+            float(layout.lam[k]),
+            int(layout.origin[k]),
             window_factor,
             epoch_size,
-            algo_name=algorithm_name,
+            algorithm_name,
         )
-        for name, ts, ss, m, mu, lam, origin in _layout_columns(layout)
+        for k, sl in enumerate(map(layout.item_slice, range(layout.num_items)))
     ]
 
 
@@ -668,20 +1055,8 @@ def sweep_layout(
     window_factors: Sequence[float],
     epoch_size: Optional[int] = None,
 ) -> List[List[OnlineKernelRun]]:
-    """TTL γ-grid over a packed batch: one row of runs per γ.
-
-    The per-item column prep (numpy → native scalars) is hoisted out of
-    the γ loop, so widening the grid costs only the state-machine replay
-    — the broadcast the per-γ ``run_online`` loop cannot do.
-    """
-    cols = _layout_columns(layout)
-    return [
-        [
-            _kernel_run(name, ts, ss, m, mu, lam, origin, float(wf), epoch_size)
-            for name, ts, ss, m, mu, lam, origin in cols
-        ]
-        for wf in window_factors
-    ]
+    """TTL γ-grid over a packed batch: one row of runs per γ."""
+    return [run_online_layout(layout, float(wf), epoch_size) for wf in window_factors]
 
 
 def run_online_batch(
@@ -690,14 +1065,12 @@ def run_online_batch(
     ],
     window_factor: float = 1.0,
     epoch_size: Optional[int] = None,
-    layout: Optional[BatchLayout] = None,
     algorithm_name: Optional[str] = None,
 ) -> Dict[str, "OnlineRunResult"]:
-    """Serve a whole item batch with ONE kernel call per item block.
+    """Serve a whole item batch with ONE kernel call.
 
     The online twin of :func:`repro.kernels.batch.solve_offline_batch`:
-    items are packed into a :class:`BatchLayout` (pass ``layout`` to
-    reuse one already built for the offline solve) and every run is
+    items are packed into a :class:`BatchLayout` and every run is
     materialised bit-identical to the serial per-item
     ``SpeculativeCaching(...).run(inst)`` loop — same key order, same
     costs, same counters, same schedules.
@@ -705,8 +1078,7 @@ def run_online_batch(
     pairs = list(items.items()) if isinstance(items, dict) else list(items)
     if not pairs:
         return {}
-    if layout is None:
-        layout = BatchLayout.from_instances(pairs)
+    layout = BatchLayout.from_instances(pairs)
     runs = run_online_layout(
         layout, window_factor, epoch_size, algorithm_name=algorithm_name
     )

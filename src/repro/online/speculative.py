@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
+from ..kernels.online import validate_sc_params
 from ..sim.events import Event, EventQueue
 from .base import OnlineAlgorithm
 
@@ -55,12 +56,14 @@ class SpeculativeCaching(OnlineAlgorithm):
     Parameters
     ----------
     window_factor:
-        Multiplier ``γ`` on the speculative window ``λ/μ``.  The paper's
-        SC is ``γ = 1``.
+        Multiplier ``γ`` on the speculative window ``λ/μ``: a finite
+        number ``> 0``.  The paper's SC is ``γ = 1``.
     epoch_size:
-        Number of transfers per epoch (``None`` = one unbounded epoch).
-        The 3-competitive guarantee needs ``None`` or at least ``n``
-        (see the module docstring).
+        Number of transfers per epoch, an integer ``>= 1`` (``None`` =
+        one unbounded epoch).  The 3-competitive guarantee needs ``None``
+        or at least ``n`` (see the module docstring).  Bad values of
+        either raise ``ValueError``
+        (:func:`~repro.kernels.online.validate_sc_params`).
     """
 
     name = "speculative-caching"
@@ -69,10 +72,7 @@ class SpeculativeCaching(OnlineAlgorithm):
         self, window_factor: float = 1.0, epoch_size: Optional[int] = None
     ):
         super().__init__()
-        if window_factor <= 0:
-            raise ValueError(f"window_factor must be positive, got {window_factor}")
-        if epoch_size is not None and epoch_size < 1:
-            raise ValueError(f"epoch_size must be >= 1, got {epoch_size}")
+        window_factor, epoch_size = validate_sc_params(window_factor, epoch_size)
         self.window_factor = window_factor
         self.epoch_size = epoch_size
         if window_factor != 1.0:
