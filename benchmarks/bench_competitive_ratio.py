@@ -4,27 +4,31 @@ Standalone script (also runnable under pytest) benchmarking the
 ``repro.kernels.online`` batched harness against the historic per-seed
 loop and writing ``BENCH_online_kernels.json`` at the repository root:
 
+Every identity gate compares the harness against the oracle built
+explicitly: per instance, the per-event replay
+(``run_online(..., kernel="event")``) over ``solve_offline``'s OPT.
+
 * **workload panels** — ratio distribution of SC vs OPT across Poisson×
   Zipf, bursty MMPP, and Markov-trajectory instances.  Two gates, both
   unconditional (``--quick`` included): the empirical worst ratio never
-  exceeds the Theorem 3 bound of 3, and the batched vector harness
-  reproduces the per-event oracle's ratios *exactly* — same floats, same
-  decision digests, not approximately.
+  exceeds the Theorem 3 bound of 3, and the batched harness
+  (:func:`repro.analysis.ratio_statistics`) reproduces the oracle's
+  ratios *exactly* — same floats, same decision digests, not
+  approximately.
 * **ratio-sweep speedup gate** — the headline: one
-  :func:`repro.analysis.parallel.ratio_study` call (seeds chunked into
-  blocks, ONE batched online-kernel call + ONE batched DP call per
-  block, blocks fanned across the process pool) vs the historic loop
-  (per-seed ``SpeculativeCaching().run(inst, kernel="event")`` plus a
-  per-seed ``solve_offline``).  The ratio lists must match exactly; the
-  ≥10x wall-clock gate is hard in full mode on boxes with ≥4 CPUs and
-  soft-warns elsewhere (``--quick``, or 1–2 core runners where the
-  block-parallel term physically cannot materialise).
-* **TTL γ-grid series** — :func:`repro.analysis.ttl_gamma_sweep`
-  broadcasting one packed instance block over the γ grid vs the
+  :func:`repro.analysis.ratio_statistics` call over the seeds' instances
+  (ONE batched online-kernel call + ONE batched DP call for the whole
+  block) vs the historic loop (per-seed
+  ``SpeculativeCaching().run(inst, kernel="event")`` plus a per-seed
+  ``solve_offline``).  The ratio lists must match exactly; the ≥10x
+  wall-clock gate is hard in full mode on boxes with ≥4 CPUs and
+  soft-warns elsewhere (``--quick``, or 1–3 CPU runners).
+* **TTL γ-grid series** — :func:`repro.analysis.ttl_gamma_sweep` (one
+  packed instance block, one batched online-kernel call per γ) vs the
   per-event per-γ loop: identical rows (exact), measured speedup.
 * **adversarial panel** — the cyclic gap sweep locating SC's empirically
   worst regime (per-server revisit period just past the speculative
-  window); rows must agree across kernels and stay under the bound.
+  window); rows must equal the oracle's and stay under the bound.
 
 Usage::
 
@@ -47,11 +51,11 @@ if str(ROOT / "src") not in sys.path:  # standalone invocation without install
 from repro import CostModel, solve_offline  # noqa: E402
 from repro.analysis import (  # noqa: E402
     adversarial_gap_sweep,
+    cyclic_adversary,
     format_table,
     ratio_statistics,
     ttl_gamma_sweep,
 )
-from repro.analysis.parallel import ratio_study  # noqa: E402
 from repro.kernels import batch_sweep_backend  # noqa: E402
 from repro.kernels.online import decision_digest  # noqa: E402
 from repro.network import Cluster  # noqa: E402
@@ -68,12 +72,12 @@ from _util import emit  # noqa: E402
 
 JSON_PATH = ROOT / "BENCH_online_kernels.json"
 
-#: Headline gate: batched block-parallel ratio study vs the historic
+#: Headline gate: one batched ratio_statistics call vs the historic
 #: per-seed loop.  Hard in full mode on >=4-CPU boxes; soft elsewhere.
 SWEEP_SPEEDUP_GATE = 10.0
 SWEEP_GATE_MIN_CPUS = 4
 
-#: Ratio-sweep workload shape (module-level so pool workers can build it).
+#: Ratio-sweep workload shape.
 RATIO_N, RATIO_M = 200, 8
 
 
@@ -111,15 +115,52 @@ def workload_panels(per_panel: int = 10):
     return panels
 
 
+def _event_ratio(algo, inst, opt=None):
+    """The oracle ratio: per-event replay cost over OPT (solved unless given)."""
+    cost = run_online(algo, inst, kernel="event").cost
+    opt = solve_offline(inst).optimal_cost if opt is None else opt
+    return cost / opt if opt > 0 else float("inf")
+
+
 def _historic_ratio_loop(seeds):
     """The pre-batching harness: per-seed event replay + per-seed DP."""
-    out = []
-    for s in seeds:
-        inst = _ratio_workload(s)
-        cost = run_online(SpeculativeCaching(), inst, kernel="event").cost
+    return [_event_ratio(SpeculativeCaching(), _ratio_workload(s)) for s in seeds]
+
+
+def _batched_ratio_sweep(seeds):
+    """The same sweep through the harness: one batched call per kernel."""
+    insts = [_ratio_workload(s) for s in seeds]
+    return ratio_statistics(insts).ratios.tolist()
+
+
+def _event_gamma_ratios(insts, gammas):
+    """Per-γ oracle ratio lists, OPT solved once per instance."""
+    opts = [solve_offline(inst).optimal_cost for inst in insts]
+    return [
+        [
+            _event_ratio(SpeculativeCaching(window_factor=g), inst, opt)
+            for inst, opt in zip(insts, opts)
+        ]
+        for g in gammas
+    ]
+
+
+def _event_gap_rows(m, rounds, gap_factors):
+    """The adversarial sweep's rows, rebuilt from per-event replays."""
+    rows = []
+    for gf in gap_factors:
+        inst = cyclic_adversary(m, rounds, gf)
+        sc_cost = run_online(SpeculativeCaching(), inst, kernel="event").cost
         opt = solve_offline(inst).optimal_cost
-        out.append(cost / opt if opt > 0 else float("inf"))
-    return out
+        rows.append(
+            {
+                "gap_factor": gf,
+                "sc_cost": sc_cost,
+                "opt_cost": opt,
+                "ratio": sc_cost / opt if opt else float("inf"),
+            }
+        )
+    return rows
 
 
 def run_bench(quick: bool) -> dict:
@@ -131,13 +172,14 @@ def run_bench(quick: bool) -> dict:
 
     failures = []
 
-    # Panel 1: ratio distributions, vector vs per-event — exact identity.
+    # Panel 1: ratio distributions, harness vs per-event oracle — exact
+    # identity.
     panels = workload_panels(per_panel)
     panel_rows = []
     for name, insts in panels.items():
-        vec = ratio_statistics(insts, kernel="auto")
-        ev = ratio_statistics(insts, kernel="event")
-        identical = list(vec.ratios) == list(ev.ratios)
+        vec = ratio_statistics(insts)
+        ev = [_event_ratio(SpeculativeCaching(), inst) for inst in insts]
+        identical = vec.ratios.tolist() == ev
         if not identical:
             failures.append(f"panel '{name}': vector ratios != event ratios")
         digests_equal = all(
@@ -164,18 +206,14 @@ def run_bench(quick: bool) -> dict:
         )
 
     # Panel 2: the headline sweep.  Historic per-seed loop vs one
-    # block-parallel ratio_study call (the ratios must match exactly).
+    # ratio_statistics call over the same instances (the ratios must
+    # match exactly).  Both sides build their instances inside the
+    # timed region.
     t_loop, ratios_loop = _best_of(
         lambda: _historic_ratio_loop(sweep_seeds), repeats
     )
     t_batch, ratios_batch = _best_of(
-        lambda: ratio_study(
-            _ratio_workload,
-            sweep_seeds,
-            SpeculativeCaching,
-            processes=max(1, cpus),
-        ),
-        repeats,
+        lambda: _batched_ratio_sweep(sweep_seeds), repeats
     )
     sweep_identical = ratios_loop == ratios_batch
     if not sweep_identical:
@@ -191,8 +229,8 @@ def run_bench(quick: bool) -> dict:
         "identical": sweep_identical,
     }
 
-    # Panel 3: TTL γ-grid — one packed block broadcast over γ vs the
-    # per-event per-γ loop.
+    # Panel 3: TTL γ-grid — one packed block, one batched call per γ, vs
+    # the per-event per-γ loop.
     gamma_insts = [
         poisson_zipf_instance(150, 6, rate=1.0, zipf_s=0.9, rng=1000 + s)
         for s in range(per_panel)
@@ -200,12 +238,10 @@ def run_bench(quick: bool) -> dict:
     t_gvec, rows_gvec = _best_of(
         lambda: ttl_gamma_sweep(gamma_insts, gammas), repeats
     )
-    t_gev, rows_gev = _best_of(
-        lambda: ttl_gamma_sweep(gamma_insts, gammas, kernel="event"), repeats
+    t_gev, ratios_gev = _best_of(
+        lambda: _event_gamma_ratios(gamma_insts, gammas), repeats
     )
-    gamma_identical = [r["ratios"] for r in rows_gvec] == [
-        r["ratios"] for r in rows_gev
-    ]
+    gamma_identical = [r["ratios"] for r in rows_gvec] == ratios_gev
     if not gamma_identical:
         failures.append("ttl γ-grid: vector rows != event rows")
     gamma_rows = [
@@ -226,10 +262,10 @@ def run_bench(quick: bool) -> dict:
         "rows": gamma_rows,
     }
 
-    # Panel 4: adversarial gap sweep — kernel agreement + bound.
+    # Panel 4: adversarial gap sweep — agreement with the oracle + bound.
     adv_rounds = 10 if quick else 25
     adv_vec = adversarial_gap_sweep(m=4, rounds=adv_rounds)
-    adv_ev = adversarial_gap_sweep(m=4, rounds=adv_rounds, kernel="event")
+    adv_ev = _event_gap_rows(4, adv_rounds, [r["gap_factor"] for r in adv_vec])
     adv_identical = adv_vec == adv_ev
     if not adv_identical:
         failures.append("adversarial sweep: vector rows != event rows")
@@ -308,9 +344,9 @@ def main(argv=None) -> int:
     emit(
         "online_kernels",
         format_table(payload["workload_panels"], precision=4)
-        + "\n\nratio sweep (historic per-seed loop vs batched study):\n"
+        + "\n\nratio sweep (historic per-seed loop vs one ratio_statistics call):\n"
         + format_table([payload["ratio_sweep"]], precision=4)
-        + "\n\nTTL γ-grid (one packed block broadcast over γ):\n"
+        + "\n\nTTL γ-grid (one packed block, one batched call per γ):\n"
         + format_table(payload["ttl_gamma_series"]["rows"], precision=4)
         + f"\nγ-grid: event {payload['ttl_gamma_series']['event_s']:.4f}s, "
         f"vector {payload['ttl_gamma_series']['vector_s']:.4f}s "
@@ -335,9 +371,10 @@ def main(argv=None) -> int:
             f"sweep speedup gate: measured {gate['measured']:.2f}x < "
             f"{SWEEP_SPEEDUP_GATE}x ({cpus} CPUs)"
         )
-        # The gate multiplies the raw kernel win by block parallelism; on
-        # 1–2 core boxes the parallel term physically cannot materialise,
-        # so it is only hard in full mode with >=4 CPUs.
+        # The threshold and the >=4-CPU rule date from when seed blocks
+        # fanned out across a process pool.  The pool is gone (it never
+        # beat one batched call); both stay as they were until the gate
+        # itself is reconsidered.
         if args.quick or cpus < SWEEP_GATE_MIN_CPUS:
             print(f"WARNING (soft): {msg}", file=sys.stderr)
         else:

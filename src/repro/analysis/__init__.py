@@ -14,7 +14,6 @@ from .bootstrap import BootstrapCI, bootstrap_ci, bootstrap_mean_ratio
 from .calibration import PRICE_POINTS, PricingPlan, calibrate, describe_window
 from .epochs import EpochRow, epoch_report
 from .experiments import list_experiments, run_experiment
-from .parallel import parallel_map, ratio_study, sweep_parallel
 from .sweeps import Sweep, sweep, timed
 from .tables import format_markdown, format_series, format_table
 from .theory import (
@@ -46,15 +45,12 @@ __all__ = [
     "epoch_report",
     "list_experiments",
     "never_delete_cost",
-    "parallel_map",
     "ratio_grid",
     "ratio_statistics",
-    "ratio_study",
     "ttl_gamma_sweep",
     "round_robin_envelope",
     "run_experiment",
     "single_server_optimal",
     "sweep",
-    "sweep_parallel",
     "timed",
 ]

@@ -149,14 +149,13 @@ def bootstrap_mean_ratio(
     seeds: Sequence[int],
     algo_factory: Callable[[], object],
     confidence: float = 0.95,
-    processes: Optional[int] = None,
 ) -> BootstrapCI:
     """CI for the mean ALG/OPT ratio over seeded workloads.
 
-    Composes :func:`repro.analysis.parallel.ratio_study` with
-    :func:`bootstrap_ci`; pass module-level callables for ``processes > 1``.
+    Composes :func:`repro.analysis.competitive.ratio_statistics` over
+    ``workload_fn(seed)`` for every seed with :func:`bootstrap_ci`.
     """
-    from .parallel import ratio_study
+    from .competitive import ratio_statistics
 
-    ratios = ratio_study(workload_fn, seeds, algo_factory, processes=processes)
-    return bootstrap_ci(ratios, confidence=confidence)
+    stats = ratio_statistics([workload_fn(int(s)) for s in seeds], algo_factory)
+    return bootstrap_ci(stats.ratios, confidence=confidence)

@@ -8,8 +8,8 @@ benchmark suite:
 * :func:`ratio_statistics` — ratio distribution over a workload family.
 * :func:`ratio_grid` — a whole algorithm grid over shared instances,
   with OPT solved ONCE per instance and reused across the grid.
-* :func:`ttl_gamma_sweep` — the TTL(γ) window ablation as one batched
-  γ-grid call (per-item column prep hoisted out of the γ loop).
+* :func:`ttl_gamma_sweep` — the TTL(γ) window ablation over one packed
+  instance block, one batched online-kernel call per γ.
 * Adversarial generators probing how close SC gets to its bound:
   :func:`cyclic_adversary` requests servers round-robin with the gap set
   to a multiple of the speculative window ``Δt = λ/μ`` (just past the
@@ -20,9 +20,13 @@ benchmark suite:
 Execution model: every multi-instance entry point packs its instances
 into one :class:`~repro.kernels.batch.BatchLayout` and pairs ONE batched
 online-kernel call with ONE batched DP call per instance block — no
-per-instance Python dispatch on the hot path.  Results are bit-identical
-to the per-event/per-item loops (both kernels are differentially gated),
-and ``kernel="event"`` pins the per-event oracle path for audits.  All
+per-instance Python dispatch on the hot path.  Online costs route
+through :func:`_online_costs`, the one place a policy's execution path
+is picked: a policy :func:`~repro.kernels.online.vector_policy_config`
+accepts runs on the batched kernel, any other policy on its own
+``run()``.  So a new policy is measured against OPT with no flag, and
+results are bit-identical to the per-event/per-item loops (both kernels
+are differentially gated against those oracles in the test suite).  All
 OPT solves route through the single :func:`_opt_costs` seam, which the
 solve-count regression test stubs to pin "OPT solved once per instance".
 """
@@ -37,11 +41,7 @@ import numpy as np
 from ..core.instance import ProblemInstance
 from ..core.types import CostModel
 from ..kernels.batch import BatchLayout, solve_layout
-from ..kernels.online import (
-    run_online_layout,
-    sweep_layout,
-    vector_policy_config,
-)
+from ..kernels.online import run_online_layout, vector_policy_config
 from ..offline.dp import solve_offline
 from ..online.base import OnlineAlgorithm
 from ..online.speculative import SpeculativeCaching
@@ -58,6 +58,13 @@ __all__ = [
 ]
 
 
+def _pack(instances: Sequence[ProblemInstance]) -> BatchLayout:
+    """One batch layout over ``instances``, items named by position."""
+    return BatchLayout.from_instances(
+        [(str(i), inst) for i, inst in enumerate(instances)]
+    )
+
+
 def _opt_costs(instances: Sequence[ProblemInstance]) -> List[float]:
     """``Π(OPT)`` per instance via ONE batched DP call.
 
@@ -70,30 +77,27 @@ def _opt_costs(instances: Sequence[ProblemInstance]) -> List[float]:
     """
     if not instances:
         return []
-    layout = BatchLayout.from_instances(
-        [(str(i), inst) for i, inst in enumerate(instances)]
-    )
-    return [res.optimal_cost for res in solve_layout(layout)]
+    return [res.optimal_cost for res in solve_layout(_pack(instances))]
 
 
 def _online_costs(
     instances: Sequence[ProblemInstance],
     algorithm_factory: Callable[[], OnlineAlgorithm],
-    kernel: str = "auto",
 ) -> List[float]:
-    """``Π(ALG)`` per instance; one batched kernel call when eligible."""
-    config = vector_policy_config(algorithm_factory()) if kernel == "auto" else None
+    """``Π(ALG)`` per instance; one batched kernel call when eligible.
+
+    The harness's one dispatch point: policies
+    :func:`~repro.kernels.online.vector_policy_config` accepts run as
+    one :func:`~repro.kernels.online.run_online_layout` call over the
+    packed block, every other policy as a fresh factory product's own
+    ``run()`` per instance.
+    """
+    config = vector_policy_config(algorithm_factory())
     if config is not None:
         window_factor, epoch_size, _name = config
-        layout = BatchLayout.from_instances(
-            [(str(i), inst) for i, inst in enumerate(instances)]
-        )
-        return [
-            run.cost for run in run_online_layout(layout, window_factor, epoch_size)
-        ]
-    return [
-        algorithm_factory().run(inst, kernel=kernel).cost for inst in instances
-    ]
+        runs = run_online_layout(_pack(instances), window_factor, epoch_size)
+        return [run.cost for run in runs]
+    return [algorithm_factory().run(inst).cost for inst in instances]
 
 
 def _ratios(costs: Sequence[float], opts: Sequence[float]) -> List[float]:
@@ -105,7 +109,6 @@ def _ratios(costs: Sequence[float], opts: Sequence[float]) -> List[float]:
 def empirical_ratio(
     instance: ProblemInstance,
     algorithm: Optional[OnlineAlgorithm] = None,
-    kernel: str = "auto",
     opt_cost: Optional[float] = None,
 ) -> float:
     """``Π(ALG) / Π(OPT)`` on one instance (ALG defaults to SC).
@@ -114,7 +117,7 @@ def empirical_ratio(
     holds it (grid sweeps solve OPT once per instance and reuse it).
     """
     algorithm = algorithm if algorithm is not None else SpeculativeCaching()
-    online_cost = algorithm.run(instance, kernel=kernel).cost
+    online_cost = algorithm.run(instance).cost
     opt = solve_offline(instance).optimal_cost if opt_cost is None else opt_cost
     return online_cost / opt if opt > 0 else float("inf")
 
@@ -156,26 +159,24 @@ class RatioStats:
 def ratio_statistics(
     instances: Iterable[ProblemInstance],
     algorithm_factory: Callable[[], OnlineAlgorithm] = SpeculativeCaching,
-    kernel: str = "auto",
 ) -> RatioStats:
     """Ratio distribution of an algorithm family over many instances.
 
     One batched online call + one batched DP call over the whole block
-    (per-instance loops only for vector-ineligible policies or
-    ``kernel="event"``); ratios are bit-identical either way.
+    (a per-instance loop only for vector-ineligible policies); ratios
+    are bit-identical to the per-event run over OPT either way.
     """
     insts = list(instances)
     if not insts:
         raise ValueError("need at least one instance")
     opts = _opt_costs(insts)
-    costs = _online_costs(insts, algorithm_factory, kernel=kernel)
+    costs = _online_costs(insts, algorithm_factory)
     return RatioStats(np.asarray(_ratios(costs, opts)))
 
 
 def ratio_grid(
     instances: Iterable[ProblemInstance],
     algorithms: Mapping[str, Callable[[], OnlineAlgorithm]],
-    kernel: str = "auto",
 ) -> Dict[str, RatioStats]:
     """Ratio distributions for a whole algorithm grid over shared instances.
 
@@ -192,7 +193,7 @@ def ratio_grid(
     opts = _opt_costs(insts)
     return {
         name: RatioStats(
-            np.asarray(_ratios(_online_costs(insts, factory, kernel=kernel), opts))
+            np.asarray(_ratios(_online_costs(insts, factory), opts))
         )
         for name, factory in algorithms.items()
     }
@@ -202,42 +203,25 @@ def ttl_gamma_sweep(
     instances: Iterable[ProblemInstance],
     gammas: Sequence[float],
     epoch_size: Optional[int] = None,
-    kernel: str = "auto",
 ) -> List[dict]:
     """TTL(γ) window ablation over shared instances; one row per γ.
 
-    The γ-grid broadcasts over window values: instances are packed once
-    and :func:`repro.kernels.online.sweep_layout` hoists the per-item
-    column prep out of the γ loop, so widening the grid costs only the
-    state-machine replay.  OPT is solved ONCE (one batched DP call) and
-    reused by every γ.  Rows carry ``gamma``, ``mean``, ``worst``,
-    ``p95`` and the raw ``ratios`` list; ``kernel="event"`` re-runs the
-    per-event oracle per γ instead (bit-identical, for audits).
+    The instances are packed once and each γ is one
+    :func:`repro.kernels.online.run_online_layout` call over the packed
+    block.  OPT is solved ONCE (one batched DP call) and reused by every
+    γ.  Rows carry ``gamma``, ``mean``, ``worst``, ``p95`` and the raw
+    ``ratios`` list, bit-identical to the per-event
+    ``SpeculativeCaching(window_factor=γ, epoch_size)`` runs over OPT.
     """
     insts = list(instances)
     if not insts:
         raise ValueError("need at least one instance")
-    gammas = [float(g) for g in gammas]
     opts = _opt_costs(insts)
+    layout = _pack(insts)
     rows: List[dict] = []
-    if kernel == "auto":
-        layout = BatchLayout.from_instances(
-            [(str(i), inst) for i, inst in enumerate(insts)]
-        )
-        grid = sweep_layout(layout, gammas, epoch_size)
-        cost_rows = [[run.cost for run in runs] for runs in grid]
-    else:
-        cost_rows = [
-            [
-                SpeculativeCaching(window_factor=g, epoch_size=epoch_size)
-                .run(inst, kernel=kernel)
-                .cost
-                for inst in insts
-            ]
-            for g in gammas
-        ]
-    for g, costs in zip(gammas, cost_rows):
-        stats = RatioStats(np.asarray(_ratios(costs, opts)))
+    for g in map(float, gammas):
+        runs = run_online_layout(layout, g, epoch_size)
+        stats = RatioStats(np.asarray(_ratios([run.cost for run in runs], opts)))
         rows.append(
             {
                 "gamma": g,
@@ -295,7 +279,6 @@ def adversarial_gap_sweep(
     rounds: int = 20,
     gap_factors: Optional[Sequence[float]] = None,
     cost: Optional[CostModel] = None,
-    kernel: str = "auto",
 ) -> List[dict]:
     """Scan gap factors for the worst SC ratio; rows sorted by factor.
 
@@ -310,7 +293,7 @@ def adversarial_gap_sweep(
         )
     insts = [cyclic_adversary(m, rounds, float(gf), cost=cost) for gf in gap_factors]
     opts = _opt_costs(insts)
-    sc_costs = _online_costs(insts, SpeculativeCaching, kernel=kernel)
+    sc_costs = _online_costs(insts, SpeculativeCaching)
     return [
         {
             "gap_factor": float(gf),

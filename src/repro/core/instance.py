@@ -156,6 +156,12 @@ class ProblemInstance:
         self.cost = cost if cost is not None else CostModel()
         self.origin = int(origin)
         n = t.shape[0] - 1
+        finite = np.isfinite(t)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
+            raise InvalidInstanceError(
+                f"request times must be finite; got t={t[bad]} at index {bad}"
+            )
         if np.any(np.diff(t) <= 0):
             bad = int(np.flatnonzero(np.diff(t) <= 0)[0])
             raise InvalidInstanceError(

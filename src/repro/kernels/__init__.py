@@ -28,8 +28,15 @@ bit-identical to its reference twin:
   or its Python spec) and an end-of-sequence ``finish``, without
   per-event hook dispatch; batched entry points run "new state, one
   block, finish" per item over the same :class:`BatchLayout` ragged
-  columns, so a multi-item service or a TTL γ-grid is one call.  What
-  ``run_online(kernel="auto")`` runs for plain ``SpeculativeCaching``.
+  columns, so a multi-item service or an instance block is one call.
+  What ``run_online(kernel="auto")`` runs for plain ``SpeculativeCaching``.
+
+Backends: the batched DP sweep and the SC block step are compiled
+together into one cached C library, with their Python loops as the
+fallback.  :func:`batch_sweep_backend` names the backend both run on,
+and the ``REPRO_BATCH_SWEEP`` environment variable (unset, empty,
+``auto``, ``c`` or ``python``) is the one switch that pins it; no
+function takes a backend argument.
 
 Determinism contract: a kernel never changes *what* is computed, only
 *how fast*.  ``C``/``D`` vectors, ``served_by_cache``, backtracking
@@ -52,7 +59,6 @@ from .online import (
     run_online_batch,
     run_online_layout,
     run_online_vector,
-    sweep_layout,
     vector_policy_config,
 )
 from .prescan import (
@@ -74,7 +80,6 @@ __all__ = [
     "run_online_batch",
     "run_online_layout",
     "run_online_vector",
-    "sweep_layout",
     "vector_policy_config",
     "build_pivot_matrix",
     "per_server_lists",

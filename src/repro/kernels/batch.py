@@ -24,7 +24,8 @@ run once per item over the packed columns.
 
 This module also owns the backend choice for both compiled kernels: this
 DP sweep and the SC block step of :mod:`repro.kernels.online`.  Each has
-two interchangeable backends:
+two interchangeable backends, and one process-wide choice picks the
+backend for both:
 
 ``"c"``
     ``_batch_sweep.c`` and ``_sc_step.c``, compiled together on first
@@ -46,8 +47,10 @@ on every result field including tie-breaks; the differential suite
 (``benchmarks/bench_dp_kernels.py``) assert exactly that, as
 ``tests/online/test_online_kernels.py`` does for both SC steps against
 the per-event run.  :func:`batch_sweep_backend` reports the backend in
-use; the ``REPRO_BATCH_SWEEP`` environment variable (``"c"`` /
-``"python"``) pins one for debugging and CI matrix runs.
+use.  The ``REPRO_BATCH_SWEEP`` environment variable is the only
+switch: unset, empty or ``auto`` picks C when the library builds and
+Python otherwise, ``c`` / ``python`` pin one backend (for debugging and
+CI runs of the fallback), and any other value raises ``ValueError``.
 
 Import discipline: like the rest of :mod:`repro.kernels`, this module
 must not import :mod:`repro.core` at module level (the instance
@@ -80,16 +83,9 @@ __all__ = [
     "solve_offline_batch",
     "solve_layout",
     "batch_sweep_backend",
-    "BATCH_SWEEPS",
 ]
 
 _INF = math.inf
-
-#: Valid sweep-backend selectors for the batch kernel.  ``"auto"`` picks
-#: the compiled sweep when available and falls back to the Python twin;
-#: ``"c"`` / ``"python"`` pin a backend (``"c"`` raises if no compiler or
-#: load failure).
-BATCH_SWEEPS = ("auto", "c", "python")
 
 #: Raw-column batch entry, the instance-free construction path:
 #: ``(name, times, servers, num_servers, mu, lam, origin, start_time)``
@@ -250,6 +246,14 @@ class BatchLayout:
             raise InvalidInstanceError(
                 f"item {names[k]!r}: server ids must lie in "
                 f"[0, {int(mserv[k])}); got {int(srv_all[j])}"
+            )
+        finite = np.isfinite(t_all)
+        if not finite.all():
+            j = int(np.flatnonzero(~finite)[0])
+            k = int(item_id[j])
+            raise InvalidInstanceError(
+                f"item {names[k]!r}: request times must be finite; got "
+                f"t={t_all[j]} at index {j - int(off[k])}"
             )
         if total > 1:
             gaps = np.diff(t_all)
@@ -463,28 +467,34 @@ def _load_sweep_lib():
 
 
 def batch_sweep_backend() -> str:
-    """The backend ``"auto"`` resolves to right now: ``"c"`` / ``"python"``.
+    """The backend both compiled kernels run on now: ``"c"`` / ``"python"``.
 
-    One answer for both compiled kernels, the DP sweep and the SC step.
-    Honours ``REPRO_BATCH_SWEEP``; benchmarks use this to soften the
-    speedup gate when only the Python loops are available.
+    One answer for the DP sweep and the SC step.  ``REPRO_BATCH_SWEEP``
+    (trimmed, case-insensitive) pins it: unset, empty or ``auto`` picks
+    C when the library builds and Python otherwise, ``c`` / ``python``
+    pin that backend, and any other value raises ``ValueError`` — a
+    typo must not silently test the other backend.  Benchmarks use this
+    to soften their speedup gates when only the Python loops run.
     """
-    forced = os.environ.get("REPRO_BATCH_SWEEP", "").strip().lower()
+    raw = os.environ.get("REPRO_BATCH_SWEEP", "")
+    forced = raw.strip().lower()
     if forced in ("c", "python"):
         return forced
+    if forced not in ("", "auto"):
+        raise ValueError(
+            f"REPRO_BATCH_SWEEP must be unset, empty, 'auto', 'c' or "
+            f"'python'; got {raw!r}"
+        )
     return "c" if _load_sweep_lib() is not None else "python"
 
 
-def _resolve_backend(kernel: str = "auto") -> str:
-    if kernel not in BATCH_SWEEPS:
-        raise ValueError(
-            f"batch sweep kernel must be one of {BATCH_SWEEPS}, "
-            f"got {kernel!r}"
-        )
-    backend = batch_sweep_backend() if kernel == "auto" else kernel
+def _resolve_backend() -> str:
+    """:func:`batch_sweep_backend`; ``RuntimeError`` if C is pinned but
+    the library cannot be built."""
+    backend = batch_sweep_backend()
     if backend == "c" and _load_sweep_lib() is None:
         raise RuntimeError(
-            f"kernel='c' requested but the compiled sweep is unavailable: "
+            f"REPRO_BATCH_SWEEP=c but the compiled kernels are unavailable: "
             f"{_lib_state['error']}"
         )
     return backend
@@ -647,10 +657,10 @@ def _sweep_c(
 # ---------------------------------------------------------------------------
 
 
-def solve_layout(
-    layout: BatchLayout, kernel: str = "auto"
-) -> List["OfflineResult"]:
+def solve_layout(layout: BatchLayout) -> List["OfflineResult"]:
     """Sweep a packed layout; per-item results in layout order.
+
+    The sweep runs on the backend :func:`batch_sweep_backend` names.
 
     Each result's arrays are **read-only views** into the five stacked
     output arrays — zero copies at split time.  ``instance`` is left
@@ -661,7 +671,7 @@ def solve_layout(
     """
     from ..offline.result import OfflineResult
 
-    backend = _resolve_backend(kernel)
+    backend = _resolve_backend()
     total = layout.total
     C = np.empty(total, dtype=np.float64)
     D = np.empty(total, dtype=np.float64)
@@ -692,9 +702,12 @@ def solve_offline_batch(
     items: Union[
         Dict[str, "ProblemInstance"], Iterable[Tuple[str, "ProblemInstance"]]
     ],
-    kernel: str = "auto",
 ) -> Dict[str, "OfflineResult"]:
     """Solve a whole batch of instances with ONE kernel call.
+
+    The sweep runs on the backend :func:`batch_sweep_backend` names
+    (compiled C when available, Python otherwise; ``REPRO_BATCH_SWEEP``
+    pins one).  Both backends are bit-identical.
 
     Parameters
     ----------
@@ -702,10 +715,6 @@ def solve_offline_batch(
         Item name → pre-scanned instance (a
         :class:`~repro.service.multi.MultiItemInstance`'s ``items``
         dict), or an iterable of ``(name, instance)`` pairs.
-    kernel:
-        Sweep backend: ``"auto"`` (default; compiled C when available,
-        Python otherwise), ``"c"``, or ``"python"``.  Backends are
-        bit-identical; the knob is purely throughput/debugging.
 
     Returns
     -------
@@ -721,7 +730,7 @@ def solve_offline_batch(
     if not pairs:
         return {}
     layout = BatchLayout.from_instances(pairs)
-    results = solve_layout(layout, kernel=kernel)
+    results = solve_layout(layout)
     for (_, inst), res in zip(pairs, results):
         res.instance = inst
     return {name: res for (name, _), res in zip(pairs, results)}

@@ -23,9 +23,9 @@ floating-point expression order:
 * :func:`finish` — the end-of-sequence accounting, returning an
   :class:`OnlineKernelRun`.
 
-The step has two backends, chosen like the batched DP sweep's
-(:func:`repro.kernels.batch.batch_sweep_backend`, overridable with
-``REPRO_BATCH_SWEEP``):
+The step has two backends.  :func:`repro.kernels.batch.batch_sweep_backend`
+picks one for both compiled kernels, this step and the batched DP sweep,
+and ``REPRO_BATCH_SWEEP`` is the one switch that pins it:
 
 ``"c"``
     ``_sc_step.c``, compiled into the same cached library as the DP
@@ -72,10 +72,11 @@ The eligibility test is deliberately ``type(...) is SpeculativeCaching``
 replica floor) override the window/floor hooks this kernel hard-codes,
 so they stay on the per-event path.
 
-Batch entry points (:func:`run_online_layout`, :func:`run_online_batch`,
-:func:`sweep_layout`) run "new state, one block, finish" per item over
+Batch entry points (:func:`run_online_layout`, :func:`run_online_batch`)
+run "new state, one block, finish" per item over
 :class:`~repro.kernels.batch.BatchLayout`'s ragged columns, so a whole
-multi-item service or a TTL γ-grid is one call.
+multi-item service or instance block is one call; a TTL γ-grid is one
+:func:`run_online_layout` call per γ over the same layout.
 
 Import discipline: like the rest of :mod:`repro.kernels`, no module-level
 imports of :mod:`repro.core` / :mod:`repro.online` / :mod:`repro.sim`
@@ -96,7 +97,6 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -122,7 +122,6 @@ __all__ = [
     "run_online_vector",
     "run_online_layout",
     "run_online_batch",
-    "sweep_layout",
     "decision_digest",
     "sc_name",
 ]
@@ -967,7 +966,7 @@ def finish(state: SCState) -> OnlineKernelRun:
 
 
 # ---------------------------------------------------------------------------
-# Public entry points: single instance, packed layout, item batch, γ-grid.
+# Public entry points: single instance, packed layout, item batch.
 # ---------------------------------------------------------------------------
 
 
@@ -1048,15 +1047,6 @@ def run_online_layout(
         )
         for k, sl in enumerate(map(layout.item_slice, range(layout.num_items)))
     ]
-
-
-def sweep_layout(
-    layout: BatchLayout,
-    window_factors: Sequence[float],
-    epoch_size: Optional[int] = None,
-) -> List[List[OnlineKernelRun]]:
-    """TTL γ-grid over a packed batch: one row of runs per γ."""
-    return [run_online_layout(layout, float(wf), epoch_size) for wf in window_factors]
 
 
 def run_online_batch(

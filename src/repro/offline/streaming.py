@@ -100,11 +100,16 @@ class StreamingSolver:
     def append(self, time: float, server: int) -> float:
         """Append request ``(time, server)``; returns the new ``C(n)``.
 
-        Times must be strictly increasing and servers in range.
+        Times must be finite and strictly increasing, and servers in
+        range.
         """
         time = float(time)
         server = int(server)
-        if time <= self.t[-1]:
+        if not self.t[-1] < time < math.inf:  # NaN fails both comparisons
+            if not math.isfinite(time):
+                raise InvalidInstanceError(
+                    f"append time must be finite, got {time}"
+                )
             raise InvalidInstanceError(
                 f"append time {time} not after current horizon {self.t[-1]}"
             )

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..core.instance import ProblemInstance
 from ..core.types import CostModel, InvalidInstanceError
-from .traces import TraceRecord, _columns_to_instance
+from .traces import TraceRecord, _columns_to_instance, _nonfinite_time
 
 __all__ = [
     "ColumnarTrace",
@@ -342,6 +342,18 @@ def read_columnar(path: Union[str, Path]) -> ColumnarTrace:
 # ---------------------------------------------------------------------------
 
 
+def _check_times(times: np.ndarray, first_line: int) -> None:
+    """Refuse a NaN or infinite time among a chunk's parsed rows.
+
+    One vectorized pass per chunk keeps the per-row parse loop free of
+    checks; ``first_line`` is the CSV line number of ``times[0]``.
+    """
+    finite = np.isfinite(times)
+    if not finite.all():
+        j = int(np.flatnonzero(~finite)[0])
+        raise InvalidInstanceError(_nonfinite_time(first_line + j, times[j]))
+
+
 def convert_csv(
     src: Union[str, Path, io.TextIOBase],
     dest: Union[str, Path],
@@ -355,8 +367,9 @@ def convert_csv(
     chunk plus the item string table, independent of the log length.
     Returns the number of rows converted.
 
-    Parsing (``float``/``int`` coercion, optional ``user``/``item``
-    columns, defaults, error messages with line numbers) matches
+    Parsing (``float``/``int`` coercion, the finite-time check, optional
+    ``user``/``item`` columns, defaults, error messages with line
+    numbers) matches
     :func:`repro.workloads.traces.read_trace` exactly, so
     ``convert_csv`` + :func:`mine_instance_columnar` reproduce
     ``mine_instance`` on the CSV bit-for-bit.
@@ -395,8 +408,10 @@ def convert_csv(
         chunk: Dict[str, list] = {name: [] for name, _ in _COLUMNS}
 
         def flush() -> None:
-            for name, dtype in _COLUMNS:
-                np.asarray(chunk[name], dtype=dtype).tofile(spills[name])
+            cols = [np.asarray(chunk[name], dtype=dtype) for name, dtype in _COLUMNS]
+            _check_times(cols[0], rows - cols[0].shape[0] + 2)
+            for (name, _), col in zip(_COLUMNS, cols):
+                col.tofile(spills[name])
                 chunk[name].clear()
 
         for lineno, row in enumerate(reader, start=2):
@@ -410,6 +425,10 @@ def convert_csv(
                     interned.setdefault(item, len(interned))
                 )
             except (TypeError, ValueError, IndexError) as exc:
+                # A non-finite time on an earlier line of this chunk is
+                # the first bad line, as read_trace reports it.
+                done = rows % chunk_rows
+                _check_times(np.asarray(chunk["time"][:done]), lineno - done)
                 raise InvalidInstanceError(
                     f"bad trace line {lineno}: {row!r}"
                 ) from exc

@@ -414,7 +414,6 @@ def _solve_costs_by_id(
     num_servers: Optional[int],
     origin: int,
     min_gap: float,
-    kernel: str,
     chunk_rows: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Optimal cost per selected item id: ``(ids, costs)`` id-ascending.
@@ -432,7 +431,7 @@ def _solve_costs_by_id(
     if not entries:
         return solved_ids, np.empty(0, dtype=np.float64)
     layout = BatchLayout.from_columns(entries)
-    results = solve_layout(layout, kernel=kernel)
+    results = solve_layout(layout)
     costs = np.array([res.optimal_cost for res in results], dtype=np.float64)
     return solved_ids, costs
 
@@ -444,7 +443,6 @@ def solve_trace_costs(
     num_servers: Optional[int] = None,
     origin: int = 0,
     min_gap: float = 1e-9,
-    kernel: str = "auto",
     chunk_rows: int = 1 << 20,
 ) -> Dict[str, float]:
     """Optimal per-item offline cost straight from the mapped columns.
@@ -457,7 +455,7 @@ def solve_trace_costs(
     """
     trace = _open(trace)
     ids, costs = _solve_costs_by_id(
-        trace, items, cost, num_servers, origin, min_gap, kernel, chunk_rows
+        trace, items, cost, num_servers, origin, min_gap, chunk_rows
     )
     return {
         trace.item_table[int(i)]: float(c) for i, c in zip(ids, costs)
@@ -505,7 +503,6 @@ def exact_offline_cost(
     num_servers: Optional[int] = None,
     origin: int = 0,
     min_gap: float = 1e-9,
-    kernel: str = "auto",
     chunk_rows: int = 1 << 20,
 ) -> float:
     """Exact full-trace offline cost (sum of per-item optima).
@@ -515,7 +512,7 @@ def exact_offline_cost(
     """
     trace = _open(trace)
     _, costs = _solve_costs_by_id(
-        trace, None, cost, num_servers, origin, min_gap, kernel, chunk_rows
+        trace, None, cost, num_servers, origin, min_gap, chunk_rows
     )
     return float(sum(float(c) for c in costs))
 
@@ -574,7 +571,6 @@ def estimate_offline_cost(
     resamples: int = 2000,
     top_exact: int = 64,
     min_gap: float = 1e-9,
-    kernel: str = "auto",
     chunk_rows: int = 1 << 20,
 ) -> CostEstimate:
     """Estimate the full-trace offline cost from a hash sample.
@@ -639,8 +635,7 @@ def estimate_offline_cost(
         )
     solve_t0 = time.perf_counter()
     ids, costs = _solve_costs_by_id(
-        trace, solve_mask, cost, num_servers, origin, min_gap, kernel,
-        chunk_rows,
+        trace, solve_mask, cost, num_servers, origin, min_gap, chunk_rows
     )
     solve_s = time.perf_counter() - solve_t0
     in_head = head_mask[ids]

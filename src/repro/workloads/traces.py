@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, TextIO, Union
@@ -58,6 +59,11 @@ def write_trace(
             fh.close()
 
 
+def _nonfinite_time(lineno: int, time: float) -> str:
+    """The error both CSV parsers raise for a NaN or infinite time."""
+    return f"bad trace line {lineno}: request time must be finite, got {time}"
+
+
 def read_trace(src: Union[str, Path, TextIO]) -> List[TraceRecord]:
     """Parse a CSV service log into records (order preserved)."""
     own = isinstance(src, (str, Path))
@@ -71,18 +77,19 @@ def read_trace(src: Union[str, Path, TextIO]) -> List[TraceRecord]:
         out: List[TraceRecord] = []
         for lineno, row in enumerate(reader, start=2):
             try:
-                out.append(
-                    TraceRecord(
-                        time=float(row["time"]),
-                        server=int(row["server"]),
-                        user=int(row.get("user") or -1),
-                        item=(row.get("item") or ""),
-                    )
+                rec = TraceRecord(
+                    time=float(row["time"]),
+                    server=int(row["server"]),
+                    user=int(row.get("user") or -1),
+                    item=(row.get("item") or ""),
                 )
             except (TypeError, ValueError) as exc:
                 raise InvalidInstanceError(
                     f"bad trace line {lineno}: {row!r}"
                 ) from exc
+            if not math.isfinite(rec.time):
+                raise InvalidInstanceError(_nonfinite_time(lineno, rec.time))
+            out.append(rec)
         return out
     finally:
         if own:

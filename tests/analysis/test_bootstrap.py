@@ -60,5 +60,5 @@ class TestBootstrapCI:
 
 class TestBootstrapMeanRatio:
     def test_interval_brackets_known_regime(self):
-        ci = bootstrap_mean_ratio(_workload, range(8), _sc, processes=1)
+        ci = bootstrap_mean_ratio(_workload, range(8), _sc)
         assert 1.0 <= ci.lo <= ci.estimate <= ci.hi <= 3.0

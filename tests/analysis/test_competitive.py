@@ -2,15 +2,19 @@
 
 import pytest
 
+from repro import solve_offline
 from repro.analysis import (
     adversarial_gap_sweep,
     alternating_adversary,
     cyclic_adversary,
     empirical_ratio,
     ratio_statistics,
+    ttl_gamma_sweep,
 )
-from repro.online import AlwaysTransfer
+from repro.online import AlwaysTransfer, SpeculativeCaching
 from repro.workloads import poisson_zipf_instance
+
+from ..offline.test_kernels import BACKENDS, backend
 
 
 class TestEmpiricalRatio:
@@ -126,8 +130,6 @@ class TestOptSolveCounts:
         assert set(grid) == {"sc", "always-transfer", "never-delete"}
 
     def test_gamma_sweep_reuses_opt_across_gammas(self, monkeypatch):
-        from repro.analysis import ttl_gamma_sweep
-
         calls = self._counting_stub(monkeypatch)
         insts = [poisson_zipf_instance(25, 4, rng=s) for s in range(4)]
         rows = ttl_gamma_sweep(insts, gammas=[0.5, 1.0, 2.0, 4.0])
@@ -141,19 +143,31 @@ class TestOptSolveCounts:
 
 
 class TestKernelIdentity:
-    """The batched harness must reproduce the per-event loop exactly."""
+    """The batched harness must reproduce the per-event loop exactly,
+    on every backend of the compiled kernels."""
+
+    @staticmethod
+    def oracle_ratios(insts, algo):
+        """Per-event online cost over the reference DP's OPT."""
+        return [
+            algo.run(inst, kernel="event").cost
+            / solve_offline(inst, kernel="reference").optimal_cost
+            for inst in insts
+        ]
 
     def test_ratio_statistics_kernels_agree(self):
         insts = [poisson_zipf_instance(30, 4, rng=s) for s in range(5)]
-        vec = ratio_statistics(insts, kernel="auto")
-        ev = ratio_statistics(insts, kernel="event")
-        assert list(vec.ratios) == list(ev.ratios)
+        oracle = self.oracle_ratios(insts, SpeculativeCaching())
+        for which in BACKENDS:
+            with backend(which):
+                assert list(ratio_statistics(insts).ratios) == oracle
 
     def test_gamma_sweep_kernels_agree(self):
-        from repro.analysis import ttl_gamma_sweep
-
         insts = [poisson_zipf_instance(30, 4, rng=s) for s in range(4)]
-        vec = ttl_gamma_sweep(insts, gammas=[0.5, 2.0], epoch_size=3)
-        ev = ttl_gamma_sweep(insts, gammas=[0.5, 2.0], epoch_size=3, kernel="event")
-        for a, b in zip(vec, ev):
-            assert a["ratios"] == b["ratios"]
+        for which in BACKENDS:
+            with backend(which):
+                rows = ttl_gamma_sweep(insts, gammas=[0.5, 2.0], epoch_size=3)
+            assert [row["gamma"] for row in rows] == [0.5, 2.0]
+            for row in rows:
+                algo = SpeculativeCaching(window_factor=row["gamma"], epoch_size=3)
+                assert row["ratios"] == self.oracle_ratios(insts, algo)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro import CostModel, ProblemInstance, Request
+from repro import CostModel, InvalidInstanceError, ProblemInstance, Request
 from repro.core.instance import PivotLookup, _check_boundary_consistency
 from repro.kernels.prescan import build_pivot_matrix
 
@@ -34,6 +34,17 @@ class TestConstruction:
     def test_nonincreasing_times_rejected(self):
         with pytest.raises(Exception, match="strictly increasing"):
             make_instance([1.0, 1.0], [0, 1], m=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_time_rejected(self, bad):
+        # The array path enforces Request's finite-time rule: NaN passes
+        # a "diff <= 0" test and a trailing +inf has a positive gap.
+        for times in ([1.0, bad, 3.0], [1.0, bad]):
+            servers = [0, 1, 0][: len(times)]
+            with pytest.raises(InvalidInstanceError, match="finite"):
+                ProblemInstance.from_arrays(times, servers, num_servers=2)
+        with pytest.raises(InvalidInstanceError, match="finite"):
+            ProblemInstance.from_arrays([1.0], [0], start_time=bad)
 
     def test_time_before_start_rejected(self):
         with pytest.raises(Exception, match="strictly increasing"):

@@ -20,15 +20,21 @@ from repro import CostModel, ProblemInstance
 from repro.core.types import InvalidInstanceError
 from repro.kernels import solve_offline_frontier
 from repro.kernels.batch import (
-    BATCH_SWEEPS,
     BatchLayout,
+    batch_sweep_backend,
     solve_layout,
     solve_offline_batch,
 )
+from repro.kernels.online import run_online_vector
 from repro.offline.streaming import StreamingSolver
 
 from ..conftest import instances, make_instance
-from .test_kernels import BACKENDS, assert_bit_identical, tie_heavy_instances
+from .test_kernels import (
+    BACKENDS,
+    assert_bit_identical,
+    backend,
+    tie_heavy_instances,
+)
 
 _SETTINGS = dict(
     max_examples=40,
@@ -63,52 +69,54 @@ def instance_batches(draw, min_items: int = 1, max_items: int = 5):
 
 
 class TestBatchVsFrontier:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("which", BACKENDS)
     @given(items=instance_batches())
     @settings(**_SETTINGS)
-    def test_ragged_batches(self, backend, items):
+    def test_ragged_batches(self, which, items):
         per_item = {
             name: solve_offline_frontier(inst) for name, inst in items.items()
         }
-        batch = solve_offline_batch(items, kernel=backend)
+        with backend(which):
+            batch = solve_offline_batch(items)
         assert list(batch) == list(items)  # input key order preserved
         assert_batch_matches_frontier(batch, per_item)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("which", BACKENDS)
     @given(items=st.lists(tie_heavy_instances(), min_size=1, max_size=4))
     @settings(**_SETTINGS)
-    def test_tie_heavy_batches(self, backend, items):
+    def test_tie_heavy_batches(self, which, items):
         # Integer gaps with mu = lam = 1: many exactly-equal D candidates,
         # exercising the (value, server-id) lexicographic argmin.
         named = {f"item-{k}": inst for k, inst in enumerate(items)}
         per_item = {
             name: solve_offline_frontier(inst) for name, inst in named.items()
         }
-        assert_batch_matches_frontier(
-            solve_offline_batch(named, kernel=backend), per_item
-        )
+        with backend(which):
+            batch = solve_offline_batch(named)
+        assert_batch_matches_frontier(batch, per_item)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("which", BACKENDS)
     @given(items=st.lists(instances(max_m=1, max_n=25), min_size=1, max_size=4))
     @settings(**_SETTINGS)
-    def test_single_server_batches(self, backend, items):
+    def test_single_server_batches(self, which, items):
         named = {f"item-{k}": inst for k, inst in enumerate(items)}
         per_item = {
             name: solve_offline_frontier(inst) for name, inst in named.items()
         }
-        assert_batch_matches_frontier(
-            solve_offline_batch(named, kernel=backend), per_item
-        )
+        with backend(which):
+            batch = solve_offline_batch(named)
+        assert_batch_matches_frontier(batch, per_item)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("which", BACKENDS)
     @given(inst=instances())
     @settings(**_SETTINGS)
-    def test_single_item_batch(self, backend, inst):
-        batch = solve_offline_batch({"only": inst}, kernel=backend)
+    def test_single_item_batch(self, which, inst):
+        with backend(which):
+            batch = solve_offline_batch({"only": inst})
         assert_bit_identical(solve_offline_frontier(inst), batch["only"])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_duplicate_timestamps_across_items(self, backend):
+    @pytest.mark.parametrize("which", BACKENDS)
+    def test_duplicate_timestamps_across_items(self, which):
         # Per-item times are strictly increasing, but *across* items the
         # very same timestamps repeat — the packed columns must never mix
         # neighbouring items up.
@@ -120,9 +128,9 @@ class TestBatchVsFrontier:
         per_item = {
             name: solve_offline_frontier(inst) for name, inst in items.items()
         }
-        assert_batch_matches_frontier(
-            solve_offline_batch(items, kernel=backend), per_item
-        )
+        with backend(which):
+            batch = solve_offline_batch(items)
+        assert_batch_matches_frontier(batch, per_item)
 
     def test_backends_agree_with_each_other(self):
         if len(BACKENDS) < 2:
@@ -135,8 +143,10 @@ class TestBatchVsFrontier:
             )
             for k in range(6)
         }
-        a = solve_offline_batch(items, kernel="c")
-        b = solve_offline_batch(items, kernel="python")
+        with backend("c"):
+            a = solve_offline_batch(items)
+        with backend("python"):
+            b = solve_offline_batch(items)
         for name in items:
             assert_bit_identical(a[name], b[name])
 
@@ -146,18 +156,34 @@ class TestBatchVsFrontier:
             BatchLayout.from_instances({})
 
     def test_bad_sweep_kernel_rejected(self):
-        inst = make_instance([1.0], [0], m=1)
-        for bad in ("warp", "batch"):
-            with pytest.raises(ValueError, match="batch sweep kernel"):
-                solve_offline_batch({"x": inst}, kernel=bad)
-            assert bad not in BATCH_SWEEPS
+        # REPRO_BATCH_SWEEP is the only backend switch, so a typo must
+        # fail on both kernels rather than silently run the other backend.
+        inst = make_instance([1.0, 2.5], [0, 1], m=2)
+        for bad in ("pyhton", "warp", "batch", "event", "c python"):
+            with backend(bad):
+                for call in (
+                    batch_sweep_backend,
+                    lambda: solve_offline_batch({"x": inst}),
+                    lambda: run_online_vector(inst),
+                ):
+                    with pytest.raises(ValueError, match="REPRO_BATCH_SWEEP"):
+                        call()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv("REPRO_BATCH_SWEEP", raising=False)
+            default = batch_sweep_backend()
+        for ok in ("", "  ", "auto", " Auto "):
+            with backend(ok):
+                assert batch_sweep_backend() == default
+        for ok in ("python", " PYTHON ", *[f" {b.upper()}" for b in BACKENDS]):
+            with backend(ok):
+                assert batch_sweep_backend() == ok.strip().lower()
 
 
 class TestStreamingPrefixEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("which", BACKENDS)
     @given(inst=instances())
     @settings(**_SETTINGS)
-    def test_batch_equals_streaming_at_every_prefix(self, backend, inst):
+    def test_batch_equals_streaming_at_every_prefix(self, which, inst):
         # The batch kernel solved on the prefix instance must equal the
         # streaming solver's state after the same appends — for EVERY
         # prefix, not just the full stream.
@@ -178,7 +204,8 @@ class TestStreamingPrefixEquivalence:
                 start_time=float(inst.t[0]),
             )
             stream = solver.result()
-            batch = solve_offline_batch({"p": prefix}, kernel=backend)["p"]
+            with backend(which):
+                batch = solve_offline_batch({"p": prefix})["p"]
             assert batch.C.tobytes() == stream.C.tobytes()
             assert batch.D.tobytes() == stream.D.tobytes()
             assert (
@@ -259,6 +286,16 @@ class TestBatchLayout:
             BatchLayout.from_columns(
                 [good, ("bad", [1.0, 2.0], [0, 0], 0, 1.0, 1.0, 0, 0.0)]
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_columns_rejects_nonfinite_times(self, bad):
+        good = _column_entry("ok", make_instance([1.0, 2.0], [0, 1], m=2))
+        for times in ([1.0, bad, 3.0], [1.0, bad]):
+            entry = ("bad", times, [0, 1, 0][: len(times)], 2, 1.0, 1.0, 0, 0.0)
+            with pytest.raises(
+                InvalidInstanceError, match="'bad': request times must be finite"
+            ):
+                BatchLayout.from_columns([good, entry])
 
     def test_mixed_costs_and_fleets_in_one_batch(self):
         # Nothing in the layout assumes homogeneity across items: fleet

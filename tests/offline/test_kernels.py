@@ -11,6 +11,8 @@ compares *bytes*, not ``pytest.approx``.  Three layers:
   prefix.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -44,6 +46,19 @@ _SETTINGS = dict(
 #: always exists; the C sweep joins when a system compiler produced the
 #: shared object.
 BACKENDS = ("python", "c") if batch_sweep_backend() == "c" else ("python",)
+
+
+@contextmanager
+def backend(name):
+    """Pin both compiled kernels' backend (DP sweep and SC step) for the
+    block, through ``REPRO_BATCH_SWEEP`` — the only switch there is.
+
+    A context manager rather than the ``monkeypatch`` fixture, which
+    hypothesis rejects in ``@given`` tests.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_BATCH_SWEEP", name)
+        yield
 
 
 @st.composite
@@ -109,8 +124,9 @@ class TestFrontierVsReference:
     @settings(**_SETTINGS)
     def test_batch_backends_match_reference(self, inst):
         ref = solve_offline(inst, kernel="reference")
-        for backend in BACKENDS:
-            batch = solve_offline_batch({"x": inst}, kernel=backend)["x"]
+        for which in BACKENDS:
+            with backend(which):
+                batch = solve_offline_batch({"x": inst})["x"]
             assert_bit_identical(ref, batch)
 
     def test_kernel_auto_routes_to_frontier(self):

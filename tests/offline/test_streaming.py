@@ -80,6 +80,15 @@ class TestAPI:
         with pytest.raises(InvalidInstanceError, match="not after"):
             ss.append(0.5, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_append_rejected(self, bad):
+        ss = StreamingSolver(2)
+        ss.append(1.0, 1)
+        with pytest.raises(InvalidInstanceError, match="finite"):
+            ss.append(bad, 0)
+        assert ss.n == 1  # the refused request left no trace
+        assert ss.append(2.0, 0) == solve_offline(ss.instance()).optimal_cost
+
     def test_equal_time_append_rejected(self):
         ss = StreamingSolver(2)
         ss.append(1.0, 1)

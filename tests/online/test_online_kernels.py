@@ -30,7 +30,6 @@ deep copy or not, finishes exactly like one block.
 from __future__ import annotations
 
 import copy
-from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,7 +50,6 @@ from repro.kernels.online import (
     run_online_layout,
     run_online_vector,
     step_block,
-    sweep_layout,
     vector_policy_config,
 )
 from repro.online import SpeculativeCaching
@@ -60,21 +58,13 @@ from repro.service.multi import MultiItemInstance
 from repro.sim.engine import run_online
 
 from ..conftest import instances, make_instance
-from ..offline.test_kernels import BACKENDS
+from ..offline.test_kernels import BACKENDS, backend
 
 _SETTINGS = dict(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-@contextmanager
-def backend(name):
-    """Pin the SC step (and DP sweep) backend for the block."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_BATCH_SWEEP", name)
-        yield
 
 
 def assert_identical(inst, window_factor=1.0, epoch_size=None):
@@ -343,20 +333,20 @@ class TestBatchEquivalence:
                 )
 
     def test_sweep_layout_rows_match_single_runs(self):
+        # A TTL γ-grid is one run_online_layout call per γ over one
+        # packed layout; every row must equal the per-item event runs.
         items = self._insts()
         layout = BatchLayout.from_instances(list(items.items()))
-        gammas = [0.5, 1.0, 2.0]
-        for which in BACKENDS:
-            with backend(which):
-                grid = sweep_layout(layout, gammas, epoch_size=4)
-            assert len(grid) == len(gammas)
-            for gamma, runs in zip(gammas, grid):
-                for run, (name, inst) in zip(runs, items.items()):
-                    solo = run_online_vector(
-                        inst, window_factor=gamma, epoch_size=4, materialize=False
-                    )
-                    assert run.cost == solo.cost
-                    assert run.digest == solo.digest
+        for gamma in (0.5, 1.0, 2.0):
+            algo = SpeculativeCaching(window_factor=gamma, epoch_size=4)
+            refs = [run_online(algo, inst, kernel="event") for inst in items.values()]
+            for which in BACKENDS:
+                with backend(which):
+                    runs = run_online_layout(layout, gamma, epoch_size=4)
+                assert [run.name for run in runs] == list(items)
+                for run, ref in zip(runs, refs):
+                    assert run.cost == ref.cost
+                    assert decision_digest(run) == decision_digest(ref)
 
 
 class TestRandomizedSweep:

@@ -155,6 +155,24 @@ class TestConverter:
             convert_csv(csv_path, tmp_path / "t.col")
         assert not list(tmp_path.glob("*.spill"))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_time_rejected_like_read_trace(self, tmp_path, bad):
+        # Line 8 sits in the third 3-row chunk; in the second file a
+        # later unparsable line in the same chunk must not mask it.
+        msg = f"bad trace line 8: request time must be finite, got {float(bad)}"
+        good = [f"{i}.0,{i % 2}\n" for i in range(1, 10)]
+        rows = good[:6] + [f"{bad},0\n"] + good[6:]
+        csv_path, dest = tmp_path / "t.csv", tmp_path / "t.col"
+        for tail in ([], ["nope,1\n"]):
+            csv_path.write_text("time,server\n" + "".join(rows[:8] + tail + rows[8:]))
+            with pytest.raises(InvalidInstanceError) as from_csv:
+                read_trace(csv_path)
+            assert str(from_csv.value) == msg
+            with pytest.raises(InvalidInstanceError) as from_convert:
+                convert_csv(csv_path, dest, chunk_rows=3)
+            assert str(from_convert.value) == msg
+            assert not list(tmp_path.glob("*.spill")) and not dest.exists()
+
     def test_missing_header_rejected(self, tmp_path):
         csv_path = tmp_path / "t.csv"
         csv_path.write_text("a,b\n1,2\n")

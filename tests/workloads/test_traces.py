@@ -51,6 +51,15 @@ class TestReadValidation:
         with pytest.raises(InvalidInstanceError, match="line 3"):
             read_trace(io.StringIO(data))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_time_reported_with_number(self, bad):
+        data = f"time,server,item\n0.5,1,a\n{bad},0,a\n2.0,1,a\n"
+        msg = "line 3: request time must be finite"
+        with pytest.raises(InvalidInstanceError, match=msg):
+            read_trace(io.StringIO(data))
+        with pytest.raises(InvalidInstanceError, match="line 3"):
+            mine_instance(io.StringIO(data), item="a")
+
     def test_optional_columns_defaulted(self):
         recs = read_trace(io.StringIO("time,server\n1.5,2\n"))
         assert recs[0].user == -1 and recs[0].item == ""
