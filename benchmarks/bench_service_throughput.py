@@ -5,8 +5,8 @@ the repository root) plus a human-readable table under ``benchmarks/out/``:
 
 1. **Serial grid** — ``solve_offline_multi`` over the item grid: the
    batched instance-major kernel (``serial``, the ``kernel="auto"``
-   default) against the per-item frontier loop (``serial-frontier``)
-   on the same workload.
+   default) against ``kernel="frontier"``, one Python frontier sweep
+   per item (``serial-frontier``), on the same workload.
 2. **Ingestion** — building a :class:`MultiItemInstance` from the same
    log as CSV (``read_trace`` + ``from_records``) versus columnar
    (``from_columnar`` over mmap columns), plus the streaming converter's
@@ -23,7 +23,7 @@ Hard checks ride along with the timings:
   the full-mode log size (1M rows); single-threaded, so asserted
   whenever the full grid runs.
 * **batch kernel** — the serial multi-item solve must be ≥5× the
-  per-item frontier loop at the largest grid point.  Identity is
+  per-item Python frontier loop at the largest grid point.  Identity is
   unconditional; the speedup is hard on full runs with the compiled C
   sweep.
 
@@ -55,7 +55,7 @@ from repro.workloads.traces import TraceRecord, read_trace, write_trace
 from _util import emit
 
 #: Minimum serial speedup of the batched kernel over the per-item
-#: frontier loop at the largest grid point (hard when the compiled sweep
+#: Python frontier loop at the largest grid point (hard when the compiled sweep
 #: is available on a full run; recorded honestly either way).
 BATCH_SPEEDUP_GATE = 5.0
 
@@ -138,9 +138,9 @@ def _bench_grid():
 
     The ``serial`` row is the batched instance-major kernel (the default
     for multi-item solves since P8); the ``serial-frontier`` row times
-    the per-item loop on the same workload, so the JSON records the
-    batch kernel's speedup, gated ≥5x at the largest grid point when the
-    compiled sweep is available.
+    the per-item Python frontier loop on the same workload, so the JSON
+    records the batch kernel's speedup, gated ≥5x at the largest grid
+    point when the compiled sweep is available.
     """
     rows, json_rows = [], []
     batch_gate = None

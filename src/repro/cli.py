@@ -122,12 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         choices=_KERNEL_CHOICES,
         default="auto",
-        help="auto (default): the fastest path for each job — the frontier "
-        "DP per item, one batched sweep per multi-item service, "
-        "and the vector kernel for plain SC/TTL online replays.  frontier "
-        "(per-item O(n+m+P) DP) and reference (paper-shaped O(mn) DP) pin "
-        "the off-line sweep; event pins the per-event online state "
-        "machine.  Results are bit-identical whichever you pick",
+        help="auto (default): the fastest path for each job — the batched "
+        "DP sweep (compiled when it builds), one call per instance or "
+        "multi-item service, and the vector kernel for plain SC/TTL online "
+        "replays.  frontier (the sweep's Python O(n+m+P) loop per item) "
+        "and reference (paper-shaped O(mn) DP) pin the off-line sweep; "
+        "event pins the per-event online state machine.  Results are "
+        "bit-identical whichever you pick",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

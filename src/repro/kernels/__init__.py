@@ -6,21 +6,20 @@ line.  This subpackage holds the *fast paths* — drop-in replacements
 for the interpreter-bound hot loops, each differentially tested
 bit-identical to its reference twin:
 
-* :mod:`repro.kernels.frontier` — the off-line DP sweep with per-server
-  monotone pivot pointers and incrementally maintained running minima,
-  amortised ``O(n + m + P)`` (``P`` = total pivot-pointer advances,
-  typically ``≈ n``) instead of interpreter-level ``O(mn)``.  Selected
-  via ``solve_offline(kernel="auto")`` (the default) for one instance.
 * :mod:`repro.kernels.prescan` — the instance pre-scan (``p``, ``σ``,
   ``b``, ``B``, per-server lists) and the reference sweep's pivot
   matrix as whole-array numpy operations instead of
   per-request/per-server Python loops.
-* :mod:`repro.kernels.batch` — the batched instance-major DP sweep:
-  a whole multi-item service packed into concatenated ragged columns
-  and solved with ONE kernel call (compiled C sweep when a system
-  compiler exists, transliterated Python loop otherwise).  What
-  ``kernel="auto"`` runs for many instances: ``solve_offline_multi``
-  and the trace samplers call it once per service or sample.
+* :mod:`repro.kernels.batch` — the off-line DP sweep, the one
+  production path for whole sequences: per-server monotone pivot
+  windows and incrementally maintained running minima, amortised
+  ``O(n + m + P)`` (``P`` = total pivot-pointer advances, typically
+  ``≈ n``) instead of interpreter-level ``O(mn)``, over items packed
+  into concatenated ragged columns and solved with ONE kernel call
+  (compiled C sweep when a system compiler exists, its Python spec
+  otherwise).  What ``kernel="auto"`` runs: ``solve_offline`` on a
+  one-item layout, ``solve_offline_multi`` and the trace samplers once
+  per service or sample.
 * :mod:`repro.kernels.online` — the online twin of the batch DP: an
   SC/TTL(γ) run (decisions, epochs, copy-seconds, cost, digest) as a
   resumable per-item state (``SCState``), a block step
@@ -51,7 +50,6 @@ from .batch import (
     batch_sweep_backend,
     solve_offline_batch,
 )
-from .frontier import FrontierState, solve_offline_frontier
 from .online import (
     ONLINE_KERNELS,
     OnlineKernelRun,
@@ -72,8 +70,6 @@ __all__ = [
     "BatchLayout",
     "batch_sweep_backend",
     "solve_offline_batch",
-    "FrontierState",
-    "solve_offline_frontier",
     "ONLINE_KERNELS",
     "OnlineKernelRun",
     "decision_digest",

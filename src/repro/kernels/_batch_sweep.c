@@ -1,12 +1,12 @@
-/* Batched instance-major frontier sweep — C twin of the Python loop in
- * repro/kernels/frontier.py (solve_offline_frontier).
+/* Batched instance-major frontier sweep — C twin of _sweep_python in
+ * repro/kernels/batch.py, which documents the algorithm.
  *
  * One call sweeps EVERY item of a packed batch: the per-item request
  * columns (t / srv / p / sigma / B, each of length n_k + 1 including the
  * boundary request r_0) live back to back in flat arrays, with per-item
  * offsets, and the per-server accumulator state is stacked likewise.
  * Within an item the algorithm is a line-by-line transliteration of the
- * Python frontier kernel; across items it simply advances the base
+ * Python sweep; across items it simply advances the base
  * pointers — instance-major, so each item's sweep touches a contiguous
  * block and the per-item Python orchestration cost disappears entirely.
  *
@@ -23,7 +23,10 @@
  *
  * The function is pure C99 + stdint and is compiled on demand by
  * repro/kernels/batch.py with the system toolchain; when no compiler is
- * available the Python sweep in batch.py runs the same program.
+ * available the Python sweep in batch.py runs the same program.  It
+ * takes raw addresses (like repro_sc_step): batch.py checks every
+ * array's dtype, shape, contiguity and length before the call.  Every
+ * solve_offline(kernel="auto") call runs it, on a one-item layout.
  */
 
 #include <math.h>
@@ -89,7 +92,7 @@ int64_t repro_batch_sweep(
         int64_t *bw = bwd + soff[item];
         uint8_t *lst = listed + soff[item];
 
-        /* FrontierState.__init__: empty accumulators, r_0 opens origin. */
+        /* Empty accumulators; r_0 opens the origin's window. */
         for (int64_t j = 0; j < m; j++) {
             oq[j] = -1;
             rmin[j] = INFINITY;

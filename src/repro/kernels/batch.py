@@ -1,10 +1,13 @@
-"""Batched instance-major DP kernel — one sweep over many items.
+"""The off-line DP sweep — batched, instance-major, one call for many items.
 
-The service layer's steady state is thousands of *small* solves: the
-multi-item benchmark spends its serial wall clock on per-item Python
-orchestration (one ``solve_offline`` call, one instance rebuild, one
-result object per item), not on DP arithmetic.  This module removes the
-per-item overhead by packing a whole batch into one array program:
+This is the one production path for whole sequences:
+``solve_offline`` runs it on a one-item layout, and multi-item solves,
+``GET /offline``, the trace samplers and the ratio harness run it once
+per batch.  The service layer's steady state is thousands of *small*
+solves, so per-item Python orchestration (one call, one instance
+rebuild, one result object per item) would cost more than the DP
+arithmetic.  This module removes the per-item overhead by packing a
+whole batch into one array program:
 
 * :class:`BatchLayout` — the concatenated ``t``/``srv``/``p``/``sigma``/
   ``B`` request columns of every item laid back to back (instance-major,
@@ -18,9 +21,9 @@ per-item overhead by packing a whole batch into one array program:
   :class:`~repro.offline.result.OfflineResult` views, keyed in input
   order.
 
-The sweep itself is the frontier kernel's loop (same recurrences, same
-move-to-front pivot accumulator, same ``(value, server-id)`` tie-break)
-run once per item over the packed columns.
+The sweep itself is the amortised ``O(n + m + P)`` frontier loop (its
+algorithm notes are on :func:`_sweep_python`), run once per item over
+the packed columns.
 
 This module also owns the backend choice for both compiled kernels: this
 DP sweep and the SC block step of :mod:`repro.kernels.online`.  Each has
@@ -33,7 +36,9 @@ backend for both:
     ``-O2 -fPIC -shared -ffp-contract=off``, no fast-math) into one
     library in a per-user cache directory (``$REPRO_KERNEL_CACHE`` or
     ``$TMPDIR/repro-kernels-<uid>``, named by the hash of both sources
-    and the flags) and loaded via :mod:`ctypes`.
+    and the flags) and loaded via :mod:`ctypes`.  Both entry points
+    take raw addresses, each checked first by :func:`_addr` (dtype,
+    1-D, contiguous, long enough, writable for outputs).
     ``-ffp-contract=off`` forbids fused multiply-adds, so every
     expression rounds exactly like its Python twin.
 ``"python"``
@@ -41,9 +46,11 @@ backend for both:
     specifications, and the automatic fallback when no compiler exists
     or the build fails.
 
-Both sweep backends are bit-identical to per-item ``kernel="frontier"``
-on every result field including tie-breaks; the differential suite
-(``tests/offline/test_batch_kernel.py``) and the benchmark gates
+Both sweep backends are bit-identical to each other and to the
+reference sweep on every result field including tie-breaks;
+``solve_offline(kernel="frontier")`` pins the Python one for a single
+instance.  The differential suites (``tests/offline/test_kernels.py``,
+``tests/offline/test_batch_kernel.py``) and the benchmark gates
 (``benchmarks/bench_dp_kernels.py``) assert exactly that, as
 ``tests/online/test_online_kernels.py`` does for both SC steps against
 the per-event run.  :func:`batch_sweep_backend` reports the backend in
@@ -391,10 +398,6 @@ def _compile_sweep() -> str:
     return so_path
 
 
-def _ptr(dtype) -> object:
-    return np.ctypeslib.ndpointer(dtype=dtype, ndim=1, flags="C_CONTIGUOUS")
-
-
 def _load_sweep_lib():
     """Compile+load the C kernels once per process; None when unavailable.
 
@@ -406,38 +409,14 @@ def _load_sweep_lib():
             return _lib_state["lib"]
         try:
             lib = ctypes.CDLL(_compile_sweep())
-            fn = lib.repro_batch_sweep
-            fn.restype = ctypes.c_int64
-            fn.argtypes = [
-                ctypes.c_int64,  # n_items
-                _ptr(np.int64),  # off
-                _ptr(np.int64),  # nreq
-                _ptr(np.int64),  # soff
-                _ptr(np.int64),  # mserv
-                _ptr(np.int64),  # origin
-                _ptr(np.float64),  # mu
-                _ptr(np.float64),  # lam
-                _ptr(np.float64),  # t
-                _ptr(np.int64),  # srv
-                _ptr(np.int64),  # p
-                _ptr(np.float64),  # sigma
-                _ptr(np.float64),  # B
-                _ptr(np.float64),  # C
-                _ptr(np.float64),  # D
-                _ptr(np.uint8),  # served
-                _ptr(np.int64),  # tag
-                _ptr(np.int64),  # karg
-                _ptr(np.int64),  # open_q
-                _ptr(np.float64),  # run_min
-                _ptr(np.int64),  # run_arg
-                _ptr(np.int64),  # run_srv
-                _ptr(np.int64),  # fwd
-                _ptr(np.int64),  # bwd
-                _ptr(np.uint8),  # listed
-            ]
-            step = lib.repro_sc_step
-            step.restype = ctypes.c_int64
             i64, ptr = ctypes.c_int64, ctypes.c_void_p
+            fn = lib.repro_batch_sweep
+            fn.restype = i64
+            # n_items, the 12 layout columns, the 5 outputs, the 7
+            # scratch arrays (see _sweep_c for the order).
+            fn.argtypes = [i64, *[ptr] * 24]
+            step = lib.repro_sc_step
+            step.restype = i64
             step.argtypes = [
                 i64,  # m
                 ctypes.c_double,  # W
@@ -500,9 +479,56 @@ def _resolve_backend() -> str:
     return backend
 
 
+#: ``repro_batch_sweep``'s layout arguments, in order: per-item vectors,
+#: then per-row columns.
+_ITEM_COLUMNS = (
+    ("off", np.int64),
+    ("nreq", np.int64),
+    ("soff", np.int64),
+    ("mserv", np.int64),
+    ("origin", np.int64),
+    ("mu", np.float64),
+    ("lam", np.float64),
+)
+_ROW_COLUMNS = (
+    ("t", np.float64),
+    ("srv", np.int64),
+    ("p", np.int64),
+    ("sigma", np.float64),
+    ("B", np.float64),
+)
+#: Dtypes of the sweep's per-server scratch arrays: open_q, run_min,
+#: run_arg, run_srv, fwd, bwd, listed.
+_SCRATCH = (np.int64, np.float64, np.int64, np.int64, np.int64, np.int64, np.uint8)
+
+
+def _addr(arr: np.ndarray, dtype, size: int, out: bool = False) -> int:
+    """Address of an array a C kernel reads (or, with ``out``, writes).
+
+    Raises ``ValueError`` unless ``arr`` is a C-contiguous 1-D ``dtype``
+    vector of at least ``size`` entries, writable when ``out``: the
+    kernels take raw pointers, so nothing else checks what they touch.
+    """
+    if not (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == dtype
+        and arr.ndim == 1
+        and arr.flags.c_contiguous
+        and arr.shape[0] >= size
+        and (arr.flags.writeable or not out)
+    ):
+        raise ValueError(
+            f"a C kernel needs a {'writable ' if out else ''}contiguous "
+            f"1-D {np.dtype(dtype)} array of at least {size} entries; got "
+            f"{getattr(arr, 'dtype', type(arr).__name__)} with shape "
+            f"{getattr(arr, 'shape', None)}"
+        )
+    return arr.ctypes.data
+
+
 # ---------------------------------------------------------------------------
-# Python backend — the transliterated frontier loop over packed columns.
-# Executable specification for the C twin, and the no-compiler fallback.
+# Python backend — the frontier sweep over packed columns.  Executable
+# specification for the C twin, and the no-compiler fallback.
 # ---------------------------------------------------------------------------
 
 
@@ -514,6 +540,57 @@ def _sweep_python(
     tag: np.ndarray,
     karg: np.ndarray,
 ) -> None:
+    """The whole-sequence DP sweep, amortised ``O(n + m + P)`` per item.
+
+    The reference sweep (:mod:`repro.offline.dp`) enumerates the cover
+    set ``π(i)`` of Definition 8 afresh for every request: ``m`` pivot
+    probes per request, ``O(mn)`` in all.  This loop computes the same
+    recurrences without ever *searching* for a pivot, from two
+    monotonicity facts:
+
+    1. For a fixed server ``s``, the queries it issues are monotone: the
+       ``i``-th request on ``s`` asks for pivots at ``q = p(i)``, which
+       is exactly where its previous request sat.  So each server
+       *accumulates* its pivot candidates between its own consecutive
+       requests instead of looking them back up.
+    2. Request ``k`` is a pivot candidate for server ``s`` iff ``s`` has
+       a request in the half-open index window ``(p(k), k]``, i.e. iff
+       ``s``'s most recent request is *more recent* than ``p(k)``.
+       Servers ordered by recency of their last request form a
+       move-to-front list, and the candidates of ``k`` are exactly a
+       prefix of it.
+
+    Per server ``s`` the sweep keeps ``open_q[s]`` (index of ``s``'s
+    most recent request: its next request's ``p(i)``) and
+    ``run_min[s]`` / ``run_arg[s]`` (the running minimum of
+    ``D(k) − B_k`` over the candidates accumulated since ``open_q[s]``,
+    and its argmin), plus one move-to-front list of servers
+    (``fwd``/``bwd`` links, ``head``) ordered by ``open_q`` descending.
+    Request ``k`` walks the list head-first, offering ``D(k) − B_k`` to
+    each visited server, and stops at the first server with
+    ``open_q ≤ p(k)``.  Each visit is one real pivot relationship, so
+    the walk work *is* ``P = Σ_i |π(i)|`` (``≈ n`` for Poisson/Zipf
+    workloads; perfect round-robin degrades to the reference's
+    ``O(mn)`` with a far smaller constant).  Everything else is ``O(1)``
+    per request: ``O(n + m + P)`` in all.  Then ``k``'s own server
+    reopens its window at ``k`` (the self-candidate seeds its minimum)
+    and moves to the list front.
+    :class:`~repro.offline.streaming.StreamingSolver` runs the same step
+    one append at a time.
+
+    Bit-identity with the reference sweep (asserted by
+    ``tests/offline/test_kernels.py``, gated by
+    ``benchmarks/bench_dp_kernels.py``):
+
+    * values: minima are order-independent, and ``D(i)``/``C(i)`` use
+      the reference's floating-point expressions in the same operand
+      order, so ``C``, ``D`` and ``served_by_cache`` are byte-identical;
+    * argmins: the reference scans servers ``j = 0..m−1`` taking strict
+      improvements, so its winner is the lexicographic minimum of
+      ``(value, server)``.  The accumulator breaks value ties toward the
+      candidate on the smaller server id, so ``choice_d_tag`` /
+      ``choice_d_k``, and hence reconstructed schedules, match too.
+    """
     from ..offline.result import FROM_C, FROM_D
 
     for item in range(layout.num_items):
@@ -523,7 +600,8 @@ def _sweep_python(
         org = int(layout.origin[item])
         mu = float(layout.mu[item])
         lam = float(layout.lam[item])
-        # Native scalars, exactly like solve_offline_frontier.
+        # Native Python scalars: a numpy scalar subscript costs ~10x a
+        # list subscript, which would dominate the per-request budget.
         t = layout.t[sl].tolist()
         srv = layout.srv[sl].tolist()
         p = layout.p[sl].tolist()
@@ -621,35 +699,23 @@ def _sweep_c(
     tag: np.ndarray,
     karg: np.ndarray,
 ) -> None:
-    fn = _load_sweep_lib().repro_batch_sweep
+    items, total = layout.num_items, layout.total
     state = int(layout.mserv.sum())
-    fn(
-        layout.num_items,
-        np.ascontiguousarray(layout.off),
-        np.ascontiguousarray(layout.nreq),
-        np.ascontiguousarray(layout.soff),
-        np.ascontiguousarray(layout.mserv),
-        np.ascontiguousarray(layout.origin),
-        np.ascontiguousarray(layout.mu),
-        np.ascontiguousarray(layout.lam),
-        np.ascontiguousarray(layout.t),
-        np.ascontiguousarray(layout.srv),
-        np.ascontiguousarray(layout.p),
-        np.ascontiguousarray(layout.sigma),
-        np.ascontiguousarray(layout.B),
-        C,
-        D,
-        served.view(np.uint8),
-        tag,
-        karg,
-        np.empty(state, dtype=np.int64),
-        np.empty(state, dtype=np.float64),
-        np.empty(state, dtype=np.int64),
-        np.empty(state, dtype=np.int64),
-        np.empty(state, dtype=np.int64),
-        np.empty(state, dtype=np.int64),
-        np.empty(state, dtype=np.uint8),
+    outputs = (
+        (C, np.float64),
+        (D, np.float64),
+        (served.view(np.uint8), np.uint8),
+        (tag, np.int64),
+        (karg, np.int64),
     )
+    args = [
+        *[_addr(getattr(layout, f), dt, items) for f, dt in _ITEM_COLUMNS],
+        *[_addr(getattr(layout, f), dt, total) for f, dt in _ROW_COLUMNS],
+        *[_addr(arr, dt, total, out=True) for arr, dt in outputs],
+    ]
+    scratch = [np.empty(state, dtype=dt) for dt in _SCRATCH]
+    args += [arr.ctypes.data for arr in scratch]
+    _load_sweep_lib().repro_batch_sweep(items, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -669,19 +735,20 @@ def solve_layout(layout: BatchLayout) -> List["OfflineResult"]:
     be mutated in place — use ``dataclasses.replace`` to derive
     variants.
     """
+    return _solve(layout, _sweep_c if _resolve_backend() == "c" else _sweep_python)
+
+
+def _solve(layout: BatchLayout, sweep) -> List["OfflineResult"]:
+    """:func:`solve_layout` on the given sweep backend."""
     from ..offline.result import OfflineResult
 
-    backend = _resolve_backend()
     total = layout.total
     C = np.empty(total, dtype=np.float64)
     D = np.empty(total, dtype=np.float64)
     served = np.empty(total, dtype=bool)
     tag = np.empty(total, dtype=np.int64)
     karg = np.empty(total, dtype=np.int64)
-    if backend == "c":
-        _sweep_c(layout, C, D, served, tag, karg)
-    else:
-        _sweep_python(layout, C, D, served, tag, karg)
+    sweep(layout, C, D, served, tag, karg)
     for arr in (C, D, served, tag, karg):
         arr.setflags(write=False)  # views share one buffer — guard it
     return [
@@ -721,7 +788,7 @@ def solve_offline_batch(
     dict
         Name → :class:`~repro.offline.result.OfflineResult` in the input
         order, each bit-identical to
-        ``solve_offline(inst, kernel="frontier")`` on every field
+        ``solve_offline(inst, kernel="reference")`` on every field
         (``C``/``D``/``served_by_cache``/``choice_d_tag``/``choice_d_k``,
         tie-breaks included).  Result arrays are read-only views into
         the batch's stacked outputs; ``instance`` is attached.

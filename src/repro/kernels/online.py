@@ -103,7 +103,7 @@ from typing import (
 
 import numpy as np
 
-from .batch import BatchLayout, _load_sweep_lib, _resolve_backend
+from .batch import BatchLayout, _addr, _load_sweep_lib, _resolve_backend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.instance import ProblemInstance
@@ -596,22 +596,6 @@ def _reserve(state: SCState, requests: int) -> None:
         setattr(state, col, _grow(getattr(state, col), need, state.nlife))
 
 
-def _addr(arr: np.ndarray, dtype, size: int) -> int:
-    """Address of a state array the C step writes, after checking it."""
-    if not (
-        arr.dtype == dtype
-        and arr.ndim == 1
-        and arr.flags.c_contiguous
-        and arr.flags.writeable
-        and arr.shape[0] >= size
-    ):
-        raise ValueError(
-            f"SCState array is not a writable contiguous {np.dtype(dtype)} "
-            f"vector of at least {size} entries"
-        )
-    return arr.ctypes.data
-
-
 def _step_c(lib, state: SCState, t: np.ndarray, srv: np.ndarray) -> None:
     """Run ``repro_sc_step`` over the block, resuming after every early
     return for room."""
@@ -623,13 +607,13 @@ def _step_c(lib, state: SCState, t: np.ndarray, srv: np.ndarray) -> None:
     # Per-server arrays are never reallocated; the queue and the ledger
     # may be, by _reserve, so their addresses are taken per call.
     fixed = (
-        t.ctypes.data,
-        srv.ctypes.data,
+        _addr(t, np.float64, k),
+        _addr(srv, np.int64, k),
         iv.ctypes.data,
-        _addr(state.expiry, np.float64, m),
-        _addr(state.cause_kind, np.int64, m),
-        _addr(state.cause_time, np.float64, m),
-        _addr(state.open_life, np.int64, m),
+        _addr(state.expiry, np.float64, m, out=True),
+        _addr(state.cause_kind, np.int64, m, out=True),
+        _addr(state.cause_time, np.float64, m, out=True),
+        _addr(state.open_life, np.int64, m, out=True),
         scratch.ctypes.data,
     )
     j = 0
@@ -652,11 +636,11 @@ def _step_c(lib, state: SCState, t: np.ndarray, srv: np.ndarray) -> None:
             j,
             k,
             *fixed,
-            _addr(state.qt, np.float64, qcap),
-            _addr(state.qs, np.int64, qcap),
+            _addr(state.qt, np.float64, qcap, out=True),
+            _addr(state.qs, np.int64, qcap, out=True),
             qcap,
             *[
-                _addr(getattr(state, col), dtype, lcap)
+                _addr(getattr(state, col), dtype, lcap, out=True)
                 for col, dtype in zip(_LEDGER, _LEDGER_DTYPES)
             ],
             lcap,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.instance import ProblemInstance
+from ..kernels.batch import BatchLayout, _solve, _sweep_python, solve_layout
 from ..kernels.prescan import build_pivot_matrix
 from .result import FROM_C, FROM_D, OfflineResult
 
@@ -44,18 +45,22 @@ def solve_offline(instance: ProblemInstance, kernel: str = "auto") -> OfflineRes
     instance:
         Pre-scanned problem instance.
     kernel:
-        ``"auto"`` (default) and ``"frontier"`` run the amortised
-        ``O(n + m + P)`` kernel
-        (:func:`repro.kernels.frontier.solve_offline_frontier`);
+        ``"auto"`` (default) runs the batched DP sweep
+        (:mod:`repro.kernels.batch`) on a one-item layout, on the backend
+        :func:`~repro.kernels.batch.batch_sweep_backend` names: the
+        compiled sweep when it builds, its Python spec otherwise.
+        ``"frontier"`` pins that Python spec, the per-item ``O(n + m + P)``
+        frontier loop, whatever ``REPRO_BATCH_SWEEP`` says.
         ``"reference"`` runs the paper-shaped per-request sweep over the
-        pointer matrix, kept as the oracle the fast kernels are tested
+        pointer matrix, kept as the oracle the fast sweeps are tested
         against.  Every kernel returns byte-identical results.
 
     Returns
     -------
     OfflineResult
         Cost vectors ``C``/``D`` plus backtracking metadata;
-        ``result.schedule()`` materialises the optimal schedule.
+        ``result.schedule()`` materialises the optimal schedule.  Under
+        ``"auto"`` and ``"frontier"`` the arrays are read-only views.
     """
     if kernel not in KERNELS:
         raise ValueError(
@@ -63,9 +68,14 @@ def solve_offline(instance: ProblemInstance, kernel: str = "auto") -> OfflineRes
         )
     if kernel == "reference":
         return _solve_reference(instance)
-    from ..kernels.frontier import solve_offline_frontier
-
-    return solve_offline_frontier(instance)
+    layout = BatchLayout.from_instances([("", instance)])
+    if kernel == "frontier":
+        (res,) = _solve(layout, _sweep_python)
+    else:
+        (res,) = solve_layout(layout)
+    res.instance = instance
+    res.solver = "fast-dp"
+    return res
 
 
 def _solve_reference(instance: ProblemInstance) -> OfflineResult:

@@ -3,12 +3,12 @@
 The recurrences of Section IV sweep requests left to right and only ever
 look backward, so they support *online arrival of the off-line problem*:
 requests are appended one at a time and the optimal cost of the prefix
-is maintained.  Each append advances the same incremental pivot
-accumulator as the batch frontier kernel
-(:class:`repro.kernels.frontier.FrontierState`) — amortised ``O(1 +
-|π(i)|)`` per append, ``O(n + m + P)`` for the stream.  Every prefix is
-bit-identical to ``solve_offline(kernel="reference")`` on the same
-requests.
+is maintained.  Each append is one step of the whole-sequence sweep's
+pivot accumulator (per-server running minima over a move-to-front
+recency list; see :func:`repro.kernels.batch._sweep_python`) —
+amortised ``O(1 + |π(i)|)`` per append, ``O(n + m + P)`` for the
+stream.  Every prefix is bit-identical to
+``solve_offline(kernel="reference")`` on the same requests.
 
 This powers two things the batch solver cannot do:
 
@@ -32,7 +32,6 @@ import numpy as np
 
 from ..core.instance import ProblemInstance
 from ..core.types import CostModel, InvalidInstanceError
-from ..kernels.frontier import FrontierState
 from .result import FROM_C, FROM_D, OfflineResult
 
 __all__ = ["StreamingSolver"]
@@ -80,10 +79,25 @@ class StreamingSolver:
         self.D: List[float] = [math.inf]
         self._tag: List[int] = [-1]
         self._arg: List[int] = [-1]
-        #: Index of each server's latest request (-1 = none yet).
-        self._last: List[int] = [-1] * num_servers
+        # Pivot accumulator.  Per server s: _last[s], the index of its
+        # latest request (-1 = none yet; its next request's p(i)), and
+        # the running minimum of D(k) - B_k over the candidates k seen
+        # since then, with its argmin and that candidate's server (the
+        # value-tie breaker).  Servers with a request sit on a
+        # move-to-front list, newest first (_fwd/_bwd links, -1 = end).
+        m = num_servers
+        self._last: List[int] = [-1] * m
+        self._run_min: List[float] = [math.inf] * m
+        self._run_arg: List[int] = [-1] * m
+        self._run_srv: List[int] = [m] * m
+        self._fwd: List[int] = [-1] * m
+        self._bwd: List[int] = [-1] * m
+        self._head = origin
+        # r_0 opens the origin's window.  D(0) = +inf never wins, but
+        # keeps the accumulator total (π may contain r_0).
         self._last[origin] = 0
-        self._frontier = FrontierState(num_servers, origin)
+        self._run_arg[origin] = 0
+        self._run_srv[origin] = origin
 
     # -- core ------------------------------------------------------------------
 
@@ -131,16 +145,16 @@ class StreamingSolver:
         self.B.append(self.B[-1] + b_i)
 
         D_i, tag, arg = math.inf, -1, -1
-        fr = self._frontier
+        run_min, run_arg, run_srv = self._run_min, self._run_arg, self._run_srv
         if q >= 0:
             best = self.C[q] - self.B[q]
             tag, arg = FROM_C, q
             # The accumulated running minimum IS the pivot minimum
             # (value ties already broken toward the smaller server id,
             # as in the reference sweep).
-            acc = fr.run_min[server]
+            acc = run_min[server]
             if acc < best:
-                best, tag, arg = acc, FROM_D, fr.run_arg[server]
+                best, tag, arg = acc, FROM_D, run_arg[server]
             D_i = best + mu * sigma + self.B[i - 1]
         self.D.append(D_i)
         self._tag.append(tag)
@@ -148,10 +162,36 @@ class StreamingSolver:
 
         via_transfer = self.C[i - 1] + mu * (time - self.t[i - 1]) + lam
         self.C.append(min(D_i, via_transfer))
-        self._last[server] = i
         value = D_i - self.B[i]
-        fr.push(i, q, value, server)
-        fr.reopen(server, i, value)
+        # Offer D(i) - B_i to every server whose window covers i (latest
+        # request newer than p(i)): a prefix of the recency list.
+        last, fwd = self._last, self._fwd
+        j = self._head
+        while j >= 0 and last[j] > q:
+            cur = run_min[j]
+            if value < cur or (value == cur and server < run_srv[j]):
+                run_min[j] = value
+                run_arg[j] = i
+                run_srv[j] = server
+            j = fwd[j]
+        # Reopen the server's window at i (its own candidate seeds the
+        # minimum) and move it to the front of the recency list.
+        last[server] = i
+        run_min[server] = value
+        run_arg[server] = i
+        run_srv[server] = server
+        head = self._head
+        if head != server:
+            bwd = self._bwd
+            if q >= 0:  # already listed: unlink
+                nxt, prv = fwd[server], bwd[server]
+                fwd[prv] = nxt
+                if nxt >= 0:
+                    bwd[nxt] = prv
+            fwd[server] = head
+            bwd[head] = server
+            bwd[server] = -1
+            self._head = server
         return self.C[-1]
 
     def extend(self, requests) -> float:

@@ -36,10 +36,12 @@ gauges.  Robustness is the headline, not an afterthought:
 * **Crash-safe resume.**  Every accepted event is written ahead to a
   per-shard :class:`~repro.runtime.journal.RunJournal` (fsync before the
   response leaves) together with a *chained decision digest*.  A
-  SIGKILLed server restarted with ``resume=True`` replays its journals
-  through fresh solvers, re-verifies every recorded digest
+  SIGKILLed server restarted with ``resume=True`` checks each journal's
+  ``begin`` record against its config, replays the journals through
+  fresh solvers, re-verifies every recorded digest
   (:class:`~repro.runtime.supervisor.ResumeDivergenceError` on the first
-  mismatch), and continues; the decision stream — and therefore the
+  mismatch; :class:`~repro.runtime.journal.JournalCorruptError` on a
+  malformed record), and continues; the decision stream — and therefore the
   digest chain — is bit-identical to an uninterrupted run over the same
   accepted events.  Duplicate resends of already-journaled events are
   answered from the decision index without being re-applied, so an
@@ -84,7 +86,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.types import CostModel, InvalidInstanceError
 from ..offline.streaming import StreamingSolver
 from ..runtime.digest import digest_value
-from ..runtime.journal import RunJournal
+from ..runtime.journal import JournalCorruptError, RunJournal
 from ..runtime.supervisor import ResumeDivergenceError, RunBudget
 
 __all__ = ["ServerConfig", "CacheServer", "route_item", "run_server"]
@@ -171,6 +173,13 @@ async def _read_head(
             413, f"body of {digits[:20]} bytes exceeds {MAX_BODY_BYTES}"
         )
     return method, path.split("?", 1)[0], headers, int(digits)
+
+
+def _finite(x: float) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def route_item(name: str, shards: int) -> int:
@@ -384,20 +393,22 @@ class _Shard:
             return None
         return str(Path(self.config.journal_dir) / f"shard-{self.index}.jsonl")
 
+    def begin_fields(self) -> dict:
+        """The config the ``begin`` record journals and resume checks."""
+        config = self.config
+        return {
+            "shard": self.index,
+            "shards": config.shards,
+            "m": config.num_servers,
+            "mu": config.mu,
+            "lam": config.lam,
+        }
+
     def open_journal(self) -> None:
         path = self.journal_path()
         self.journal = RunJournal.open_fresh(path, sync=False)
         self.journal.append(
-            {
-                "seq": 0,
-                "kind": "begin",
-                "shard": self.index,
-                "shards": self.config.shards,
-                "m": self.config.num_servers,
-                "mu": self.config.mu,
-                "lam": self.config.lam,
-                "digest": self.digest,
-            }
+            {"seq": 0, "kind": "begin", **self.begin_fields(), "digest": self.digest}
         )
         self.flush_journal()
 
@@ -499,37 +510,77 @@ class _Shard:
     def resume_from_journal(self) -> int:
         """Rebuild state by replaying the WAL; verify every digest.
 
-        Returns the number of replayed events.  Raises
-        :class:`ResumeDivergenceError` on the first digest mismatch —
-        resume never silently forks history.
+        Returns the number of replayed events.  Resume never silently
+        forks history: a ``begin`` record whose config (``shard``,
+        ``shards``, ``m``, ``mu``, ``lam``) or digest differs from this
+        shard's raises :class:`ResumeDivergenceError`, as does the first
+        event digest mismatch.  A record that is not the one ``begin``
+        at seq 0 followed by well-formed events, or that the solver
+        refuses, raises :class:`JournalCorruptError` naming its seq and
+        field.
         """
         path = self.journal_path()
         assert path is not None
         self.journal = RunJournal.load(path, sync=False)
-        replayed = 0
-        for record in self.journal.records:
-            if record["kind"] == "begin":
-                if record["digest"] != self.digest:
-                    raise ResumeDivergenceError(
-                        f"shard {self.index}: journal begin digest "
-                        f"{record['digest']} != {self.digest} (shard layout "
-                        f"or config changed under resume)"
-                    )
-                continue
-            self.apply(
-                record["item"],
-                record["time"],
-                record["server"],
-                record["kind"] == "degraded",
-            )
+        records = self.journal.records
+        if records:
+            self._check_begin(records[0])
+        for record in records[1:]:
+            item, time, server, degraded = self._replayed_event(record)
+            try:
+                self.apply(item, time, server, degraded)
+            except InvalidInstanceError as exc:
+                raise JournalCorruptError(
+                    f"shard {self.index}: journal record seq {record['seq']}: "
+                    f"field 'time' refused by the solver: {exc}"
+                ) from exc
             if record["digest"] != self.digest:
                 raise ResumeDivergenceError(
                     f"shard {self.index}: resume diverged at seq "
                     f"{record['seq']}: recomputed digest {self.digest} != "
                     f"journaled {record['digest']}"
                 )
-            replayed += 1
-        return replayed
+        return max(len(records) - 1, 0)
+
+    def _check_begin(self, record: dict) -> None:
+        if record.get("kind") != "begin":
+            raise JournalCorruptError(
+                f"shard {self.index}: journal record seq 0: field 'kind' is "
+                f"{record.get('kind')!r}, not 'begin'"
+            )
+        for name, want in self.begin_fields().items():
+            got = record.get(name)
+            if got != want or isinstance(got, bool):
+                raise ResumeDivergenceError(
+                    f"shard {self.index}: journal begin {name}={got!r} but "
+                    f"the config has {name}={want!r} (config changed under "
+                    f"resume)"
+                )
+        if record["digest"] != self.digest:
+            raise ResumeDivergenceError(
+                f"shard {self.index}: journal begin digest "
+                f"{record['digest']} != {self.digest} (shard layout "
+                f"or config changed under resume)"
+            )
+
+    def _replayed_event(self, record: dict) -> Tuple[str, float, int, bool]:
+        """``(item, time, server, degraded)`` of a journaled event, checked."""
+        kind, item = record.get("kind"), record.get("item")
+        time, server = record.get("time"), record.get("server")
+        m = self.config.num_servers
+        checks = (
+            ("kind", kind in ("request", "degraded")),
+            ("item", isinstance(item, str)),
+            ("time", type(time) in (int, float) and _finite(time)),
+            ("server", type(server) is int and 0 <= server < m),
+        )
+        for name, ok in checks:
+            if not ok:
+                raise JournalCorruptError(
+                    f"shard {self.index}: journal record seq {record['seq']}: "
+                    f"bad field {name!r}: {record.get(name)!r}"
+                )
+        return item, float(time), server, kind == "degraded"
 
     def optimal_cost(self) -> float:
         return sum(s.optimal_cost for s in self.solvers.values())
@@ -981,11 +1032,14 @@ class CacheServer:
                 return 400, {"error": f"bad acquire: {exc}"}, []
             try:
                 replayed = self.acquire_shard(index)
+            except (ResumeDivergenceError, JournalCorruptError) as exc:
+                # Before the ValueError branch: JournalCorruptError is
+                # one, but a bad WAL is the server's fault, not the
+                # caller's.
+                self.counters["errors"] += 1
+                return 500, {"error": f"acquire failed: {exc}"}, []
             except ValueError as exc:
                 return 400, {"error": str(exc)}, []
-            except ResumeDivergenceError as exc:
-                self.counters["errors"] += 1
-                return 500, {"error": f"acquire diverged: {exc}"}, []
             return 200, {
                 "shard": index,
                 "replayed": replayed,

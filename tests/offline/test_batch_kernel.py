@@ -16,9 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import CostModel, ProblemInstance
+from repro import CostModel, ProblemInstance, solve_offline
 from repro.core.types import InvalidInstanceError
-from repro.kernels import solve_offline_frontier
+from repro.kernels import batch as batch_kernel
 from repro.kernels.batch import (
     BatchLayout,
     batch_sweep_backend,
@@ -74,7 +74,7 @@ class TestBatchVsFrontier:
     @settings(**_SETTINGS)
     def test_ragged_batches(self, which, items):
         per_item = {
-            name: solve_offline_frontier(inst) for name, inst in items.items()
+            name: solve_offline(inst, kernel="frontier") for name, inst in items.items()
         }
         with backend(which):
             batch = solve_offline_batch(items)
@@ -89,7 +89,7 @@ class TestBatchVsFrontier:
         # exercising the (value, server-id) lexicographic argmin.
         named = {f"item-{k}": inst for k, inst in enumerate(items)}
         per_item = {
-            name: solve_offline_frontier(inst) for name, inst in named.items()
+            name: solve_offline(inst, kernel="frontier") for name, inst in named.items()
         }
         with backend(which):
             batch = solve_offline_batch(named)
@@ -101,7 +101,7 @@ class TestBatchVsFrontier:
     def test_single_server_batches(self, which, items):
         named = {f"item-{k}": inst for k, inst in enumerate(items)}
         per_item = {
-            name: solve_offline_frontier(inst) for name, inst in named.items()
+            name: solve_offline(inst, kernel="frontier") for name, inst in named.items()
         }
         with backend(which):
             batch = solve_offline_batch(named)
@@ -113,7 +113,7 @@ class TestBatchVsFrontier:
     def test_single_item_batch(self, which, inst):
         with backend(which):
             batch = solve_offline_batch({"only": inst})
-        assert_bit_identical(solve_offline_frontier(inst), batch["only"])
+        assert_bit_identical(solve_offline(inst, kernel="frontier"), batch["only"])
 
     @pytest.mark.parametrize("which", BACKENDS)
     def test_duplicate_timestamps_across_items(self, which):
@@ -126,7 +126,7 @@ class TestBatchVsFrontier:
             for k in range(5)
         }
         per_item = {
-            name: solve_offline_frontier(inst) for name, inst in items.items()
+            name: solve_offline(inst, kernel="frontier") for name, inst in items.items()
         }
         with backend(which):
             batch = solve_offline_batch(items)
@@ -318,9 +318,48 @@ class TestBatchLayout:
             ),
         }
         per_item = {
-            name: solve_offline_frontier(inst) for name, inst in items.items()
+            name: solve_offline(inst, kernel="frontier") for name, inst in items.items()
         }
         assert_batch_matches_frontier(solve_offline_batch(items), per_item)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("t", lambda a: a.astype(np.float32)),
+            ("srv", lambda a: a.astype(np.int32)),
+            ("mu", lambda a: a.astype(np.float32)),
+            ("sigma", lambda a: np.repeat(a, 2)[::2]),
+            ("off", lambda a: np.repeat(a, 2)[::2]),
+            ("B", lambda a: a[:-1]),
+        ],
+        ids=[
+            "float32-t",
+            "int32-srv",
+            "float32-mu",
+            "strided-sigma",
+            "strided-off",
+            "short-B",
+        ],
+    )
+    def test_bad_layout_column_rejected_before_c(self, monkeypatch, field, bad):
+        # The C sweep takes raw addresses: a column of the wrong dtype,
+        # a strided (non-contiguous) one, or one that is too short must
+        # raise ValueError before the library is called.
+        class Library:
+            def repro_batch_sweep(self, *args):
+                raise AssertionError("the C sweep ran on a bad layout")
+
+        monkeypatch.setattr(batch_kernel, "_load_sweep_lib", Library)
+        items = {
+            "a": make_instance([1.0, 2.0, 3.5], [0, 1, 0], m=2),
+            "b": make_instance([0.5, 1.0], [1, 1], m=3),
+        }
+        layout = BatchLayout.from_instances(items)
+        column = bad(getattr(layout, field))
+        assert np.array_equal(column[:3], getattr(layout, field)[:3])
+        setattr(layout, field, column)
+        with backend("c"), pytest.raises(ValueError, match="C kernel needs"):
+            solve_layout(layout)
 
     def test_solve_layout_results_carry_no_instance(self):
         items = {"a": make_instance([1.0, 2.0], [0, 1], m=2)}

@@ -3,9 +3,9 @@
 The kernels are throughput knobs, never semantics knobs: every test here
 compares *bytes*, not ``pytest.approx``.  Three layers:
 
-* frontier DP kernel and both batch sweep backends vs the reference
-  sweep, including tie-heavy integer-gap instances and single-server
-  degenerate cases;
+* ``solve_offline`` on every sweep backend, its ``kernel="frontier"``
+  Python loop, and batched solves vs the reference sweep, including
+  tie-heavy integer-gap instances and single-server degenerate cases;
 * the vectorized pre-scan vs its loop reference twins;
 * the streaming solver vs the batch solver on the same
   prefix.
@@ -19,11 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import CostModel, ProblemInstance, solve_offline
-from repro.kernels import (
-    batch_sweep_backend,
-    solve_offline_batch,
-    solve_offline_frontier,
-)
+from repro.kernels import batch as batch_kernel
+from repro.kernels import batch_sweep_backend, solve_offline_batch
 from repro.kernels.prescan import (
     build_pivot_matrix,
     build_pivot_matrix_reference,
@@ -100,25 +97,32 @@ def assert_bit_identical(a, b):
     assert sa.total_cost(cost) == sb.total_cost(cost)
 
 
+def assert_solves_match_reference(inst):
+    """``solve_offline`` on every backend, and its ``kernel="frontier"``
+    Python loop, bit-identical to the reference sweep."""
+    ref = solve_offline(inst, kernel="reference")
+    for which in BACKENDS:
+        with backend(which):
+            assert_bit_identical(ref, solve_offline(inst))
+    assert_bit_identical(ref, solve_offline(inst, kernel="frontier"))
+
+
 class TestFrontierVsReference:
     @given(instances())
     @settings(**_SETTINGS)
     def test_random_instances(self, inst):
-        ref = solve_offline(inst, kernel="reference")
-        assert_bit_identical(ref, solve_offline_frontier(inst))
+        assert_solves_match_reference(inst)
 
     @given(tie_heavy_instances())
     @settings(**_SETTINGS)
     def test_tie_heavy_instances(self, inst):
-        ref = solve_offline(inst, kernel="reference")
-        assert_bit_identical(ref, solve_offline_frontier(inst))
+        assert_solves_match_reference(inst)
 
     @given(instances(max_m=1, max_n=30))
     @settings(**_SETTINGS)
     def test_single_server_degenerate(self, inst):
         assert inst.num_servers == 1
-        ref = solve_offline(inst, kernel="reference")
-        assert_bit_identical(ref, solve_offline_frontier(inst))
+        assert_solves_match_reference(inst)
 
     @given(instances(max_m=6, max_n=40))
     @settings(**_SETTINGS)
@@ -129,10 +133,60 @@ class TestFrontierVsReference:
                 batch = solve_offline_batch({"x": inst})["x"]
             assert_bit_identical(ref, batch)
 
-    def test_kernel_auto_routes_to_frontier(self):
+    def test_kernel_auto_runs_batched_sweep(self, monkeypatch):
+        # "auto" is the batched sweep on a one-item layout, on the
+        # backend REPRO_BATCH_SWEEP names.
         inst = make_instance([1.0, 2.0, 3.5], [0, 1, 0], m=2)
-        auto = solve_offline(inst)  # kernel="auto"
-        assert_bit_identical(auto, solve_offline_frontier(inst))
+        calls = []
+
+        def spy(name):
+            real = getattr(batch_kernel, name)
+
+            def sweep(layout, *out):
+                calls.append((name, layout.num_items, layout.total))
+                real(layout, *out)
+
+            return sweep
+
+        for name in ("_sweep_c", "_sweep_python"):
+            monkeypatch.setattr(batch_kernel, name, spy(name))
+        ref = solve_offline(inst, kernel="reference")
+        for which in BACKENDS:
+            calls.clear()
+            with backend(which):
+                auto = solve_offline(inst)  # kernel="auto"
+            assert calls == [(f"_sweep_{which}", 1, inst.n + 1)]
+            assert_bit_identical(ref, auto)
+
+    def test_default_result_is_read_only_and_labelled(self):
+        inst = make_instance([1.0, 2.0, 3.5], [0, 1, 0], m=2)
+        for kernel in ("auto", "frontier"):
+            res = solve_offline(inst, kernel=kernel)
+            assert res.instance is inst
+            assert res.solver == "fast-dp"
+            for arr in (
+                res.C,
+                res.D,
+                res.served_by_cache,
+                res.choice_d_tag,
+                res.choice_d_k,
+            ):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+
+    def test_frontier_kernel_never_enters_the_library(self, monkeypatch):
+        # kernel="frontier" is the Python oracle loop even when C is
+        # pinned: the compiled library must not be touched at all.
+        def boom(*args):
+            raise AssertionError("kernel='frontier' entered the C library")
+
+        monkeypatch.setattr(batch_kernel, "_sweep_c", boom)
+        monkeypatch.setattr(batch_kernel, "_load_sweep_lib", boom)
+        inst = make_instance([1.0, 2.0, 3.5, 4.0], [0, 1, 0, 1], m=2)
+        with backend("c"):
+            res = solve_offline(inst, kernel="frontier")
+        assert_bit_identical(solve_offline(inst, kernel="reference"), res)
 
     def test_bad_kernel_rejected(self):
         inst = make_instance([1.0], [0], m=1)
@@ -220,6 +274,6 @@ class TestStreamingVsBatch:
             (float(inst.t[i]), int(inst.srv[i])) for i in range(1, inst.n + 1)
         )
         res = solver.result()
-        batch = solve_offline_frontier(inst)
-        assert res.C.tobytes() == batch.C.tobytes()
-        assert res.choice_d_k.tobytes() == batch.choice_d_k.tobytes()
+        frontier = solve_offline(inst, kernel="frontier")
+        assert res.C.tobytes() == frontier.C.tobytes()
+        assert res.choice_d_k.tobytes() == frontier.choice_d_k.tobytes()

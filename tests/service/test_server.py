@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core.types import CostModel
 from repro.offline.streaming import StreamingSolver
+from repro.runtime.journal import JournalCorruptError
 from repro.service.loadgen import (
     HttpClient,
     run_load,
@@ -586,6 +587,190 @@ class TestResume:
 
         with pytest.raises(ResumeDivergenceError, match="diverged"):
             scenario(resume)
+
+
+def write_journal(path, events, **config):
+    """One server life over ``events`` on one shard; the shard's WAL."""
+
+    async def run():
+        server = CacheServer(ServerConfig(journal_dir=str(path), **config))
+        await server.start()
+        client = HttpClient(server.config.host, server.port)
+        for event in events:
+            status, _, _ = await post_event(client, *event)
+            assert status == 200
+        await client.close()
+        await server.shutdown()
+
+    scenario(run)
+    return path / "shard-0.jsonl"
+
+
+def edit_record(path, seq, drop=(), **changes):
+    """Rewrite journal record ``seq`` in place (same line, new content)."""
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[seq])
+    for name in drop:
+        del record[name]
+    record.update(changes)
+    lines[seq] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def resume_server(path, **config):
+    """Start a resuming server on ``path``; its replayed-event count."""
+
+    async def run():
+        server = CacheServer(
+            ServerConfig(journal_dir=str(path), resume=True, **config)
+        )
+        await server.start()
+        await server.shutdown()
+        return server.replayed_events
+
+    return scenario(run)
+
+
+#: Three events on one shard: seq 1 and 2 on item "x", seq 3 on "y".
+EVENTS = (("x", 1.0, 0), ("x", 2.0, 1), ("y", 3.0, 2))
+
+
+class TestResumeChecks:
+    """Resume refuses a WAL that does not match its config or is malformed."""
+
+    @pytest.mark.parametrize(
+        "field, config",
+        [
+            ("shards", {"shards": 2}),
+            ("m", {"num_servers": 4}),
+            ("mu", {"mu": 3.0}),
+            ("lam", {"lam": 9.0}),
+        ],
+        ids=["shards", "m", "mu", "lam"],
+    )
+    def test_config_change_refused(self, tmp_path, field, config):
+        from repro.runtime.supervisor import ResumeDivergenceError
+
+        write_journal(tmp_path, EVENTS, shards=1)
+        resumed = {"shards": 1, **config}
+        with pytest.raises(ResumeDivergenceError, match=f"begin {field}="):
+            resume_server(tmp_path, **resumed)
+        # The unchanged config still resumes every event.
+        assert resume_server(tmp_path, shards=1) == len(EVENTS)
+
+    def test_begin_only_journal_checks_the_config(self, tmp_path):
+        # No event to diverge on: only the begin record can tell.
+        from repro.runtime.supervisor import ResumeDivergenceError
+
+        write_journal(tmp_path, (), shards=1)
+        with pytest.raises(ResumeDivergenceError, match="begin m=8 .* m=4"):
+            resume_server(tmp_path, shards=1, num_servers=4, mu=3.0, lam=9.0)
+
+    @pytest.mark.parametrize(
+        "field, drop, changes",
+        [
+            ("shard", (), {"shard": 1}),
+            ("mu", ("mu",), {}),
+            ("m", (), {"m": "8"}),
+            ("lam", (), {"lam": None}),
+        ],
+        ids=["other-shard", "missing-mu", "str-m", "null-lam"],
+    )
+    def test_begin_field_mismatch_named(self, tmp_path, field, drop, changes):
+        from repro.runtime.supervisor import ResumeDivergenceError
+
+        path = write_journal(tmp_path, EVENTS, shards=1)
+        edit_record(path, 0, drop=drop, **changes)
+        with pytest.raises(ResumeDivergenceError, match=f"begin {field}="):
+            resume_server(tmp_path, shards=1)
+
+    @pytest.mark.parametrize(
+        "field, drop, changes",
+        [
+            ("item", ("item",), {}),
+            ("item", (), {"item": 5}),
+            ("time", ("time",), {}),
+            ("time", (), {"time": "2.0"}),
+            ("time", (), {"time": float("inf")}),
+            ("time", (), {"time": float("nan")}),
+            ("server", (), {"server": 8}),
+            ("server", (), {"server": -1}),
+            ("server", (), {"server": 1.0}),
+            ("server", (), {"server": True}),
+            ("kind", (), {"kind": "crash"}),
+            ("kind", (), {"kind": "begin"}),
+            ("kind", ("kind",), {}),
+        ],
+        ids=[
+            "missing-item",
+            "int-item",
+            "missing-time",
+            "str-time",
+            "inf-time",
+            "nan-time",
+            "server-m",
+            "negative-server",
+            "float-server",
+            "bool-server",
+            "crash-kind",
+            "second-begin",
+            "missing-kind",
+        ],
+    )
+    def test_malformed_record_refused(self, tmp_path, field, drop, changes):
+        path = write_journal(tmp_path, EVENTS, shards=1)
+        edit_record(path, 2, drop=drop, **changes)
+        with pytest.raises(JournalCorruptError, match=f"seq 2: bad field '{field}'"):
+            resume_server(tmp_path, shards=1)
+
+    def test_server_outside_a_smaller_fleet_refused(self, tmp_path):
+        # An event on server 6 with begin's m edited to match a 4-server
+        # config: the record, not the solver, is what fails.
+        path = write_journal(tmp_path, (("x", 1.0, 6),), shards=1)
+        edit_record(path, 0, m=4)
+        with pytest.raises(JournalCorruptError, match="seq 1: bad field 'server'"):
+            resume_server(tmp_path, shards=1, num_servers=4)
+
+    def test_out_of_order_time_refused(self, tmp_path):
+        path = write_journal(tmp_path, EVENTS, shards=1)
+        edit_record(path, 2, time=0.5)  # before seq 1's time on item "x"
+        with pytest.raises(JournalCorruptError, match="seq 2: field 'time'"):
+            resume_server(tmp_path, shards=1)
+
+    def test_first_record_must_be_begin(self, tmp_path):
+        path = write_journal(tmp_path, EVENTS, shards=1)
+        edit_record(path, 0, kind="request")
+        with pytest.raises(JournalCorruptError, match="seq 0: field 'kind'"):
+            resume_server(tmp_path, shards=1)
+
+    def test_acquire_of_a_corrupt_wal_is_500(self, tmp_path):
+        # JournalCorruptError is a ValueError, yet /admin/acquire must
+        # answer it like a divergence (500), not like a bad index (400).
+        assert {route_item(item, 2) for item, _, _ in EVENTS} == {1}
+        write_journal(tmp_path, EVENTS, shards=2, owned_shards=(1,))
+        edit_record(tmp_path / "shard-1.jsonl", 2, drop=("item",))
+
+        async def run():
+            survivor = CacheServer(
+                ServerConfig(
+                    journal_dir=str(tmp_path), shards=2, owned_shards=(0,),
+                    meta_name="survivor.json",
+                )
+            )
+            await survivor.start()
+            client = HttpClient(survivor.config.host, survivor.port)
+            answer = await client.request("POST", "/admin/acquire", {"shard": 1})
+            await client.close()
+            owned = sorted(survivor.shards)
+            errors = survivor.counters["errors"]
+            await survivor.shutdown()
+            return answer, owned, errors
+
+        (status, payload, _), owned, errors = scenario(run)
+        assert status == 500
+        assert payload["error"].startswith("acquire failed")
+        assert "seq 2: bad field 'item'" in payload["error"]
+        assert owned == [0] and errors == 1
 
 
 class TestChaosKillResume:
