@@ -1,14 +1,15 @@
 """P9 — hash-sampled trace solving: error-vs-rate + speedup-vs-rate.
 
-Standalone script (also runnable under pytest) benchmarking
-``repro.workloads.sampling`` and ``repro.workloads.profiler`` on a
-synthetic Zipf trace (>= 1M rows in full mode) and writing
-``BENCH_trace_sampling.json`` at the repository root:
+``python benchmarks/bench_trace_sampling.py [--quick] [--json PATH]``
+benchmarks ``repro.workloads.sampling`` and ``repro.workloads.profiler``
+on a synthetic Zipf trace (1M rows in full mode) and writes
+``BENCH_trace_sampling.json`` (envelope, write rules and gate statuses:
+``_util.py``):
 
-* **error gate (hard, always)** — at every sample rate in the grid,
+* **error gates (hard everywhere)** — at every sample rate in the grid,
   ``estimate_offline_cost``'s confidence interval must cover the exact
   full-trace solve, and the point estimate must sit within 10% of it.
-* **determinism gate (hard, always)** — sampling a row-permuted,
+* **determinism gate (hard everywhere)** — sampling a row-permuted,
   re-interned copy of the trace with different ``chunk_rows`` must
   produce a byte-identical container file (sha256 compared).
 * **speedup gate** — at the headline rate the estimate's *solve*
@@ -16,36 +17,26 @@ synthetic Zipf trace (>= 1M rows in full mode) and writing
   ``CostEstimate.solve_s``) must be >= 10x below the exact solve; the
   end-to-end estimate time — which adds the O(rows) counting pass and
   the bootstrap, both fixed-cost — is reported alongside.  Hard in full
-  mode on boxes with >= 4 cpus; soft-warns in ``--quick`` mode and on
-  small runners, where the solve is too short for stable timing.
-* **profiler RSS gate (hard, always)** — ``profile_trace`` over the
-  full trace must grow this process's VmRSS by less than a fixed budget
+  mode with >= 4 usable CPUs, where the solve is long and quiet enough
+  for stable timing.
+* **profiler RSS gate (hard everywhere)** — ``profile_trace`` over the
+  full trace must grow this process's VmRSS by at most a fixed budget
   (memmap-native sweep, no record materialisation).
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_trace_sampling.py [--quick]
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import os
 import pathlib
 import sys
 import tempfile
-import time
 
 import numpy as np
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(ROOT / "src") not in sys.path:  # standalone invocation without install
-    sys.path.insert(0, str(ROOT / "src"))
+from _util import main, speedup, table, timing
 
-from repro.kernels import batch_sweep_backend  # noqa: E402
-from repro.workloads import (  # noqa: E402
+from repro.workloads import (
     ColumnarTrace,
     estimate_offline_cost,
     exact_offline_cost,
@@ -53,20 +44,15 @@ from repro.workloads import (  # noqa: E402
     sample_columnar,
     zipf_weights,
 )
-from repro.analysis import format_table  # noqa: E402
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-from _util import emit  # noqa: E402
-
-JSON_PATH = ROOT / "BENCH_trace_sampling.json"
-
-#: Sample-rate grid (full mode); the ISSUE's 1-10% regime.
+#: Sample-rate grid (full mode); the 1-10% regime.
 RATES = (0.01, 0.02, 0.05, 0.1)
 RATES_QUICK = (0.02, 0.05, 0.1)
 
 #: Headline speedup gate: estimate at this rate vs the exact solve.
 HEADLINE_RATE = 0.05
 SPEEDUP_GATE = 10.0
+SPEEDUP_GATE_MIN_CPUS = 4
 
 #: Point-estimate error budget (CI coverage is gated separately).
 REL_ERROR_GATE = 0.10
@@ -133,63 +119,71 @@ def permuted_copy(trace: ColumnarTrace, seed: int) -> ColumnarTrace:
     )
 
 
-def run_bench(quick: bool) -> dict:
-    if quick:
+def striped_chunk(rows: int) -> int:
+    """An awkward chunk size (not a divisor, not a power of two)."""
+    return max(1, rows // 7 + 3)
+
+
+def run_bench(run):
+    if run.quick:
         rows, items, m = 100_000, 2_000, 8
         rates = RATES_QUICK
     else:
         rows, items, m = 1_000_000, 20_000, 16
         rates = RATES
-    failures = []
     trace = synth_trace(rows, items, m, seed=5)
 
-    # Exact full-trace solve (the baseline both gates compare against).
-    t0 = time.perf_counter()
-    exact = exact_offline_cost(trace)
-    exact_s = time.perf_counter() - t0
+    # Exact full-trace solve (the baseline every gate compares against).
+    exact_s, exact = run.time(lambda: exact_offline_cost(trace))
 
     rate_rows = []
     for rate in rates:
-        t0 = time.perf_counter()
-        est = estimate_offline_cost(
-            trace, rate=rate, seed=SEED, top_exact=TOP_EXACT
-        )
-        est_s = time.perf_counter() - t0
-        rel_err = abs(est.estimate - exact) / exact
-        covered = est.covers(exact)
-        if not covered:
-            failures.append(
-                f"CI at rate {rate} missed the exact cost: "
-                f"[{est.ci_lo:.6g}, {est.ci_hi:.6g}] vs {exact:.6g}"
+        ests = []
+
+        def estimate():
+            ests.append(
+                estimate_offline_cost(
+                    trace, rate=rate, seed=SEED, top_exact=TOP_EXACT
+                )
             )
-        if rel_err > REL_ERROR_GATE:
-            failures.append(
-                f"estimate at rate {rate} off by {rel_err:.2%} "
-                f"(> {REL_ERROR_GATE:.0%})"
-            )
+
+        est_s, _ = run.time(estimate)
+        est, solve_s = ests[-1], timing([e.solve_s for e in ests])
         rate_rows.append(
             {
                 "rate": rate,
                 "estimate": est.estimate,
                 "ci_lo": est.ci_lo,
                 "ci_hi": est.ci_hi,
-                "ci_covers_exact": covered,
-                "rel_error": rel_err,
+                "ci_covers_exact": est.covers(exact),
+                "rel_error": abs(est.estimate - exact) / exact,
                 "rel_ci_width": (est.ci_hi - est.ci_lo) / exact,
                 "solve_fraction": est.solve_fraction,
                 "items_solved": est.items_solved,
                 "estimate_s": est_s,
-                "solve_s": est.solve_s,
-                "speedup_total": exact_s / est_s if est_s > 0 else 0.0,
-                "solve_speedup": (
-                    exact_s / est.solve_s if est.solve_s > 0 else 0.0
-                ),
+                "solve_s": solve_s,
+                "speedup_total": speedup(exact_s, est_s),
+                "solve_speedup": speedup(exact_s, solve_s),
             }
         )
+    run.gate("ci_covers_exact", all(r["ci_covers_exact"] for r in rate_rows))
+    worst_error = max(r["rel_error"] for r in rate_rows)
+    run.gate(
+        "rel_error",
+        worst_error <= REL_ERROR_GATE,
+        worst_error,
+        f"<= {REL_ERROR_GATE} at every rate",
+    )
+    headline = next(r for r in rate_rows if r["rate"] == HEADLINE_RATE)
+    run.speedup_gate(
+        "solve_speedup",
+        headline["solve_speedup"],
+        SPEEDUP_GATE,
+        min_cpus=SPEEDUP_GATE_MIN_CPUS,
+    )
 
-    # Byte-determinism: permuted + re-interned copy, different chunking,
-    # ideally a different process boundary too (covered by the test
-    # suite); the committed artefact records the sha256 agreement.
+    # Byte-determinism: permuted + re-interned copy, different chunking
+    # (the test suite adds a process boundary).
     with tempfile.TemporaryDirectory() as td:
         tdp = pathlib.Path(td)
         sample_columnar(trace, tdp / "a.col", 0.1, seed=SEED, chunk_rows=1 << 20)
@@ -201,154 +195,57 @@ def run_bench(quick: bool) -> dict:
             chunk_rows=striped_chunk(rows),
         )
         sha_a, sha_b = _sha(tdp / "a.col"), _sha(tdp / "b.col")
-    det_identical = sha_a == sha_b
-    if not det_identical:
-        failures.append(
-            "sampled containers diverged across permutation/chunking: "
-            f"{sha_a[:12]} vs {sha_b[:12]}"
-        )
+    run.gate("determinism", sha_a == sha_b)
 
     # Profiler sweep with the RSS gate.
     rss_before = _rss_kb(os.getpid())
-    t0 = time.perf_counter()
-    stats = profile_trace(trace)
-    profile_s = time.perf_counter() - t0
-    rss_after = _rss_kb(os.getpid())
-    rss_growth = rss_after - rss_before
-    if rss_growth > RSS_GATE_KB:
-        failures.append(
-            f"profiler RSS grew {rss_growth} KiB (> {RSS_GATE_KB} KiB)"
-        )
-
-    headline = next(
-        (r for r in rate_rows if r["rate"] == HEADLINE_RATE), None
+    profile_s, stats = run.time(lambda: profile_trace(trace))
+    rss_growth = _rss_kb(os.getpid()) - rss_before
+    run.gate(
+        "profiler_rss_kb", rss_growth <= RSS_GATE_KB, rss_growth, f"<= {RSS_GATE_KB}"
     )
-    return {
-        "benchmark": "trace_sampling",
-        "quick": quick,
+
+    series = {
         "rows": rows,
         "items": items,
         "m": m,
         "zipf_s": ZIPF_S,
         "seed": SEED,
         "top_exact": TOP_EXACT,
-        "backend": batch_sweep_backend(),
-        "cpus": os.cpu_count(),
         "exact_cost": exact,
         "exact_solve_s": exact_s,
         "rates": rate_rows,
         "determinism": {
             "sha256_original": sha_a,
             "sha256_permuted_rechunked": sha_b,
-            "identical": det_identical,
         },
         "profiler": {
             "profile_s": profile_s,
             "rss_growth_kb": rss_growth,
-            "rss_gate_kb": RSS_GATE_KB,
             "zipf_exponent": stats.zipf_exponent,
             "mean_max_predictability": stats.mean_max_predictability,
         },
-        "speedup_gate": {
-            "at_rate": HEADLINE_RATE,
-            "threshold": SPEEDUP_GATE,
-            "measured": headline["solve_speedup"] if headline else None,
-            "total_speedup": headline["speedup_total"] if headline else None,
-        },
-        "failures": failures,
     }
-
-
-def striped_chunk(rows: int) -> int:
-    """An awkward chunk size (not a divisor, not a power of two)."""
-    return max(1, rows // 7 + 3)
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument(
-        "--quick",
-        action="store_true",
-        help="100k-row trace for CI smoke: error + determinism + RSS "
-        "gates still hard, speedup gate soft-warns",
+    report = (
+        "P9: hash-sampled trace solving — error/speedup vs rate "
+        f"(rows={rows}, items={items}, m={m}, backend "
+        f"{run.host['batch_sweep_backend']}; timings median±MAD of "
+        f"{run.repeats})\n"
+        + table(rate_rows)
+        + "\n\n"
+        + table(
+            [
+                {
+                    "exact_cost": exact,
+                    "exact_solve_s": exact_s,
+                    "profile_s": profile_s,
+                    "profiler_rss_growth_kb": rss_growth,
+                }
+            ]
+        )
     )
-    ap.add_argument(
-        "--json",
-        type=pathlib.Path,
-        default=None,
-        help=f"output path (default {JSON_PATH}; quick runs don't "
-        "overwrite the committed artefact unless asked)",
-    )
-    args = ap.parse_args(argv)
-
-    payload = run_bench(args.quick)
-    out = args.json
-    if out is None:
-        # A --quick run on a CI box must not clobber the committed
-        # full-trace artefact that README/EXPERIMENTS cite.
-        out = JSON_PATH if not args.quick else None
-    if out is not None:
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-
-    emit(
-        "trace_sampling",
-        format_table(payload["rates"], precision=4)
-        + f"\n\nexact cost {payload['exact_cost']:.6g} "
-        f"in {payload['exact_solve_s']:.3f}s "
-        f"(rows={payload['rows']}, items={payload['items']}, "
-        f"m={payload['m']}, backend={payload['backend']})"
-        + "\ndeterminism: "
-        + (
-            "byte-identical across permutation + rechunking"
-            if payload["determinism"]["identical"]
-            else "DIVERGED"
-        )
-        + f"\nprofiler: {payload['profiler']['profile_s']:.3f}s, "
-        f"RSS growth {payload['profiler']['rss_growth_kb']} KiB "
-        f"(gate {payload['profiler']['rss_gate_kb']} KiB)",
-        header="P9: hash-sampled trace solving — error/speedup vs rate "
-        f"(CI coverage + <= {REL_ERROR_GATE:.0%} error hard at every "
-        f"rate; solve_speedup >= {SPEEDUP_GATE}x at rate "
-        f"{HEADLINE_RATE} on big boxes)",
-    )
-
-    if payload["failures"]:
-        for msg in payload["failures"]:
-            print(f"GATE VIOLATION: {msg}", file=sys.stderr)
-        return 1
-
-    gate = payload["speedup_gate"]
-    if gate["measured"] is None:
-        print(
-            f"speedup gate: headline rate {HEADLINE_RATE} not in this "
-            "grid; skipped"
-        )
-    elif gate["measured"] < SPEEDUP_GATE:
-        msg = (
-            f"speedup gate: measured solve speedup {gate['measured']:.2f}x "
-            f"< {SPEEDUP_GATE}x at rate {HEADLINE_RATE}"
-        )
-        # Hard only where timing is meaningful: full mode on a multi-core
-        # box.  Quick CI smoke and small runners soft-warn.
-        if args.quick or (os.cpu_count() or 1) < 4:
-            print(f"WARNING (soft on small runners): {msg}", file=sys.stderr)
-        else:
-            print(f"FAILED: {msg}", file=sys.stderr)
-            return 1
-    else:
-        print(
-            f"speedup gate passed: solve speedup {gate['measured']:.2f}x "
-            f">= {SPEEDUP_GATE}x at rate {HEADLINE_RATE} "
-            f"(end-to-end {gate['total_speedup']:.2f}x)"
-        )
-    return 0
-
-
-def test_trace_sampling_quick():
-    """Pytest entry: error, determinism and RSS gates must hold."""
-    payload = run_bench(quick=True)
-    assert payload["failures"] == []
+    return series, report
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("trace_sampling", __doc__, run_bench))

@@ -241,6 +241,7 @@ class TestReplicaSetFailover:
             assert rs.live_replicas() == [0]
             assert len(rs.failover_log) == 1
             assert rs.failover_log[0]["replica"] == 1
+            assert rs.failover_log[0]["ready_s"] < 10.0
             # Survivor now owns every shard; per-shard rows match the
             # reference exactly (nothing lost, duplicated, reordered).
             merged = asyncio.run(cluster_stats(rs.map_path))

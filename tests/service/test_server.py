@@ -15,7 +15,10 @@ Property families:
   degraded-partial that later settles;
 * **resume** — a restarted server replays its journals to the same
   merged decision digest as an uninterrupted run, including after a real
-  subprocess SIGKILL mid-load (chaos suite).
+  subprocess SIGKILL mid-load (chaos suite);
+* **bounded memory** — an open loop at twice the closed-loop capacity
+  against a 32-deep queue grows a server subprocess's RSS by less than
+  200,000 KiB, and SIGTERM drains it with exit 0.
 
 Tests drive the server in-process inside one event loop per test
 (``asyncio.run`` on a scenario coroutine) — no pytest-asyncio needed.
@@ -23,6 +26,11 @@ Tests drive the server in-process inside one event loop per test
 
 import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +41,7 @@ from repro.offline.streaming import StreamingSolver
 from repro.runtime.journal import JournalCorruptError
 from repro.service.loadgen import (
     HttpClient,
+    replay,
     run_load,
     synthetic_events,
 )
@@ -792,6 +801,77 @@ class TestChaosKillResume:
             assert o.ok, o.violations
             assert o.digest == o.reference_digest
             assert o.replayed >= o.kill_seq
+
+
+def _rss_kb(pid: int) -> int:
+    """VmRSS of ``pid`` in KiB, from /proc."""
+    with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    raise RuntimeError(f"no VmRSS line for pid {pid}")
+
+
+def _spawn_overload_server(journal_dir):
+    """``serve --no-sync`` with a 32-deep queue; blocks until bound."""
+    meta = journal_dir / "server.json"
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve",
+            "--journal-dir", str(journal_dir), "--shards", "2", "-m", "8",
+            "--no-sync", "--queue-depth", "32", "--deadline-ms", "250",
+        ],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        assert proc.poll() is None, f"server died (rc {proc.returncode})"
+        if meta.exists():
+            try:
+                info = json.loads(meta.read_text())
+            except json.JSONDecodeError:
+                continue  # mid-write
+            return proc, info["host"], info["port"]
+        time.sleep(0.02)
+    proc.kill()
+    raise AssertionError("server did not bind before the deadline")
+
+
+def _drain(proc):
+    proc.send_signal(signal.SIGTERM)
+    assert proc.wait(timeout=30) == 0, "SIGTERM drain did not exit 0"
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="reads VmRSS from /proc"
+)
+class TestOverload:
+    def test_rss_bounded_at_twice_capacity(self, tmp_path):
+        """Open loop at 2x the closed-loop capacity against a 32-deep
+        queue: admission control bounds the backlog, so the server's RSS
+        grows by less than 200,000 KiB."""
+        proc, host, port = _spawn_overload_server(tmp_path / "capacity")
+        try:
+            capacity = replay(
+                host, port, synthetic_events(6, 240, 8, seed=101), concurrency=8
+            )
+        finally:
+            _drain(proc)
+        assert capacity.give_ups == 0
+        rate = max(50.0, 2.0 * capacity.sent / capacity.elapsed)
+
+        events = synthetic_events(6, 304, 8, seed=300)
+        proc, host, port = _spawn_overload_server(tmp_path / "overload")
+        try:
+            replay(host, port, events[:4], fetch_stats=False)  # warm-up
+            rss_before = _rss_kb(proc.pid)
+            overload = replay(host, port, events[4:], rate=rate, concurrency=8)
+            rss_after = _rss_kb(proc.pid)
+        finally:
+            _drain(proc)
+        assert overload.sent == 300
+        assert rss_after - rss_before < 200_000
 
 
 class TestRouting:
