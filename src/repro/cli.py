@@ -36,7 +36,7 @@ Subcommands
     crash-safe restart.
 ``loadgen``
     Replay a trace (or a synthetic workload) against a running server —
-    open-loop at ``--rate`` req/s or closed-loop retry-until-accepted —
+    open-loop at ``--rate`` req/s or closed-loop redrive-until-settled —
     and report latency percentiles, shed rate, and the decision digest.
 
 Exit-code contract (stable; scripts and CI may rely on it):
@@ -534,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument(
         "--rate", type=float, default=None,
         help="open-loop target req/s (omit for closed-loop "
-        "retry-until-accepted)",
+        "redrive-until-settled)",
     )
     lg.add_argument(
         "--concurrency", type=int, default=8, help="client lanes/connections"
@@ -732,36 +732,45 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             + (", runner kills on" if args.kill_runner else ""),
         )
     )
-    failed = [o for o in outcomes if not o.ok]
-    if failed:
-        for o in failed:
-            for msg in o.violations:
-                print(f"INVARIANT VIOLATION: {msg}", file=sys.stderr)
-        print(
-            f"{len(failed)}/{len(outcomes)} scenarios FAILED", file=sys.stderr
-        )
-        return 1
     checks = "determinism, accounting, bounded recovery"
     if args.kill_runner:
         checks += ", kill/resume equivalence"
-    print(f"all invariants held ({checks})")
-    return 0
+    return _chaos_exit(outcomes, "scenarios", f"all invariants held ({checks})")
+
+
+def _chaos_exit(outcomes, noun: str, success: str) -> int:
+    """Exit status of a chaos sweep: 0 after printing ``success`` if every
+    outcome held; else every violation and the failed count on stderr, 1."""
+    failed = [o for o in outcomes if not o.ok]
+    if not failed:
+        print(success)
+        return 0
+    for o in failed:
+        for msg in o.violations:
+            print(f"INVARIANT VIOLATION: {msg}", file=sys.stderr)
+    print(f"{len(failed)}/{len(outcomes)} {noun} FAILED", file=sys.stderr)
+    return 1
+
+
+def _chaos_events(args: argparse.Namespace) -> list:
+    """The wire events of a live chaos sweep: the trace, or synthetic."""
+    from .service.loadgen import events_from_trace, synthetic_events
+
+    if args.trace is not None:
+        return events_from_trace(args.trace, limit=args.n)
+    return synthetic_events(
+        items=args.items,
+        count=args.n,
+        num_servers=args.servers if args.servers is not None else args.m,
+        seed=args.seed,
+    )
 
 
 def _cmd_chaos_server(args: argparse.Namespace) -> int:
     from .analysis.tables import format_table
     from .faults import chaos
-    from .service.loadgen import events_from_trace, synthetic_events
 
-    if args.trace is not None:
-        events = events_from_trace(args.trace, limit=args.n)
-    else:
-        events = synthetic_events(
-            items=args.items,
-            count=args.n,
-            num_servers=args.servers if args.servers is not None else args.m,
-            seed=args.seed,
-        )
+    events = _chaos_events(args)
     outcomes = chaos.server_kill_resume_suite(
         events,
         kill_points=args.kill_points,
@@ -776,34 +785,19 @@ def _cmd_chaos_server(args: argparse.Namespace) -> int:
             f"{len(outcomes)} SIGKILL points, {args.shards} shards",
         )
     )
-    failed = [o for o in outcomes if not o.ok]
-    if failed:
-        for o in failed:
-            for msg in o.violations:
-                print(f"INVARIANT VIOLATION: {msg}", file=sys.stderr)
-        print(f"{len(failed)}/{len(outcomes)} kill points FAILED", file=sys.stderr)
-        return 1
-    print(
+    return _chaos_exit(
+        outcomes,
+        "kill points",
         "all kill points resumed bit-identically "
-        "(merged decision digests match the uninterrupted run)"
+        "(merged decision digests match the uninterrupted run)",
     )
-    return 0
 
 
 def _cmd_chaos_cluster(args: argparse.Namespace) -> int:
     from .analysis.tables import format_table
     from .faults import chaos
-    from .service.loadgen import events_from_trace, synthetic_events
 
-    if args.trace is not None:
-        events = events_from_trace(args.trace, limit=args.n)
-    else:
-        events = synthetic_events(
-            items=args.items,
-            count=args.n,
-            num_servers=args.servers if args.servers is not None else args.m,
-            seed=args.seed,
-        )
+    events = _chaos_events(args)
     outcomes = chaos.cluster_failover_suite(
         events,
         scenarios=args.kill_points,
@@ -825,20 +819,12 @@ def _cmd_chaos_cluster(args: argparse.Namespace) -> int:
                if args.proxy_seed is not None else ""),
         )
     )
-    failed = [o for o in outcomes if not o.ok]
-    if failed:
-        for o in failed:
-            for msg in o.violations:
-                print(f"INVARIANT VIOLATION: {msg}", file=sys.stderr)
-        print(
-            f"{len(failed)}/{len(outcomes)} scenarios FAILED", file=sys.stderr
-        )
-        return 1
-    print(
+    return _chaos_exit(
+        outcomes,
+        "scenarios",
         "all scenarios converged bit-identically "
-        "(merged cluster digests match the uninterrupted single server)"
+        "(merged cluster digests match the uninterrupted single server)",
     )
-    return 0
 
 
 def _cmd_supervise(args: argparse.Namespace) -> int:

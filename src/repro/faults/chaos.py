@@ -41,7 +41,7 @@ sweeping (the CLI uses this to report every failure and exit non-zero).
 
 from __future__ import annotations
 
-import http.client
+import asyncio
 import json
 import shutil
 import signal
@@ -52,7 +52,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..core.instance import ProblemInstance
 from ..core.types import InvalidScheduleError
@@ -405,19 +405,6 @@ def server_kill_points(total: int, count: int, base_seed: int = 0) -> List[int]:
     return sorted(points)
 
 
-def _server_http(
-    host: str, port: int, method: str, path: str, body=None, timeout=5.0
-):
-    conn = http.client.HTTPConnection(host, port, timeout=timeout)
-    try:
-        blob = json.dumps(body) if body is not None else None
-        conn.request(method, path, blob, {"Content-Type": "application/json"})
-        resp = conn.getresponse()
-        return resp.status, json.loads(resp.read() or b"{}")
-    finally:
-        conn.close()
-
-
 def _serve_argv(journal_dir: Path, shards: int, m: int, resume: bool) -> list:
     argv = [
         sys.executable,
@@ -464,31 +451,76 @@ def _spawn_server(
     raise ChaosInvariantError("server did not bind before the deadline")
 
 
-def _post_event_until_accepted(
-    host: str, port: int, event: tuple, deadline: float
-) -> dict:
-    """At-least-once closed-loop send: retry shed/torn until settled."""
-    item, t, server = event
-    body = {"item": item, "time": t, "server": server}
-    while True:
+def _settle_all(
+    route: Union[str, Tuple[str, int]],
+    events: Sequence[tuple],
+    deadline: float,
+    ends: Tuple[int, ...] = (200,),
+) -> None:
+    """Settle ``events`` in order on one lane of the load generator's
+    settle loop, before ``deadline``.
+
+    ``route`` is a lone server's ``(host, port)`` or a cluster map
+    path.  A give-up, a final status outside ``ends`` or the deadline
+    raises :class:`ChaosInvariantError`.
+    """
+    from ..service.loadgen import ClusterClient, ClusterMap
+
+    async def drive() -> None:
+        client = ClusterClient(
+            route if isinstance(route, str) else ClusterMap.lone(*route)
+        )
         try:
-            status, payload = _server_http(
-                host, port, "POST", "/request", body
-            )
-        except (OSError, http.client.HTTPException, ValueError):
-            status, payload = -1, None
-        if status == 200 and payload.get("status") == "done":
-            return payload
-        if status not in (200, 429, 503, -1):
-            raise ChaosInvariantError(
-                f"unexpected status {status} for event {event}: {payload}"
-            )
-        if time.monotonic() > deadline:
-            raise ChaosInvariantError(
-                f"event {event} not accepted before the deadline "
-                f"(last status {status})"
-            )
-        time.sleep(0.05)
+            for event in events:
+                answer = await client.settle(event)
+                if answer is None:
+                    raise ChaosInvariantError(f"event {event} gave up")
+                if answer[0] not in ends:
+                    raise ChaosInvariantError(
+                        f"unexpected status {answer[0]} for event {event}: "
+                        f"{answer[1]}"
+                    )
+        finally:
+            await client.close()
+
+    try:
+        asyncio.run(asyncio.wait_for(drive(), deadline - time.monotonic()))
+    except asyncio.TimeoutError:
+        raise ChaosInvariantError("events not settled before the deadline") from None
+
+
+def _stats(host: str, port: int) -> dict:
+    """One server's ``GET /stats``."""
+    from ..service.loadgen import HttpClient
+
+    async def get() -> dict:
+        async with HttpClient(host, port, 5.0, 5.0) as client:
+            return (await client.request("GET", "/stats"))[1]
+
+    return asyncio.run(get())
+
+
+def _reference_run(
+    jdir: Path,
+    events: Sequence[tuple],
+    shards: int,
+    num_servers: int,
+    scenario_timeout: float,
+) -> dict:
+    """``/stats`` of one uninterrupted server after every event settled."""
+    deadline = time.monotonic() + scenario_timeout
+    proc, host, port = _spawn_server(
+        jdir, shards, num_servers, resume=False, deadline=deadline
+    )
+    try:
+        _settle_all((host, port), events, deadline)
+        stats = _stats(host, port)
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        rc = proc.wait(timeout=30)
+    if rc != 0:
+        raise ChaosInvariantError(f"reference server drain rc {rc}")
+    return stats
 
 
 def _torn_send(host: str, port: int, event: tuple) -> None:
@@ -499,15 +531,15 @@ def _torn_send(host: str, port: int, event: tuple) -> None:
     intact, torn mid-record, or missing the event entirely — all three
     must resume to the same stream once the event is resent.
     """
+    from ..service.loadgen import HttpClient
+
     item, t, server = event
-    blob = json.dumps({"item": item, "time": t, "server": server}).encode()
-    head = (
-        f"POST /request HTTP/1.1\r\nHost: {host}\r\n"
-        f"Content-Length: {len(blob)}\r\nConnection: close\r\n\r\n"
-    ).encode("latin-1")
+    request = HttpClient(host, port).encode(
+        "POST", "/request", {"item": item, "time": t, "server": server}
+    )
     try:
         with socket.create_connection((host, port), timeout=5.0) as sock:
-            sock.sendall(head + blob)
+            sock.sendall(request)
             time.sleep(0.01)  # let the server pick it up, maybe journal it
     except OSError:
         pass  # server may die under us — that is the point
@@ -548,24 +580,10 @@ def server_kill_resume_suite(
     base = root if root is not None else Path(tmp)  # type: ignore[arg-type]
     base.mkdir(parents=True, exist_ok=True)
 
-    def run_uninterrupted(jdir: Path) -> dict:
-        deadline = time.monotonic() + scenario_timeout
-        proc, host, port = _spawn_server(
-            jdir, shards, num_servers, resume=False, deadline=deadline
-        )
-        try:
-            for event in events:
-                _post_event_until_accepted(host, port, event, deadline)
-            _status, stats = _server_http(host, port, "GET", "/stats")
-        finally:
-            proc.send_signal(signal.SIGTERM)
-            rc = proc.wait(timeout=30)
-        if rc != 0:
-            raise ChaosInvariantError(f"reference server drain rc {rc}")
-        return stats
-
     try:
-        reference = run_uninterrupted(base / "reference")
+        reference = _reference_run(
+            base / "reference", events, shards, num_servers, scenario_timeout
+        )
         outcomes: List[ServerKillOutcome] = []
         for kill_seq in points:
             violations: List[str] = []
@@ -574,8 +592,7 @@ def server_kill_resume_suite(
             proc, host, port = _spawn_server(
                 jdir, shards, num_servers, resume=False, deadline=deadline
             )
-            for event in events[:kill_seq]:
-                _post_event_until_accepted(host, port, event, deadline)
+            _settle_all((host, port), events[:kill_seq], deadline)
             _torn_send(host, port, events[kill_seq])
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=30)
@@ -586,8 +603,7 @@ def server_kill_resume_suite(
             stats = None
             replayed = -1
             try:
-                _status, mid = _server_http(host, port, "GET", "/stats")
-                replayed = int(mid.get("replayed_events", -1))
+                replayed = int(_stats(host, port).get("replayed_events", -1))
                 if replayed < kill_seq:
                     violations.append(
                         f"kill {kill_seq}: only {replayed} events survived "
@@ -596,9 +612,8 @@ def server_kill_resume_suite(
                     )
                 # Resend from the kill point: the torn event settles
                 # (fresh apply or dedupe hit), the rest serve normally.
-                for event in events[kill_seq:]:
-                    _post_event_until_accepted(host, port, event, deadline)
-                _status, stats = _server_http(host, port, "GET", "/stats")
+                _settle_all((host, port), events[kill_seq:], deadline)
+                stats = _stats(host, port)
             finally:
                 proc.send_signal(signal.SIGTERM)
                 rc = proc.wait(timeout=30)
@@ -678,58 +693,6 @@ class ClusterFailoverOutcome:
         }
 
 
-def _cluster_route(map_path: str, item: str) -> Tuple[str, int]:
-    """Resolve ``item``'s owner address from the current routing map."""
-    from ..service.server import route_item
-
-    data = json.loads(Path(map_path).read_text())
-    shard = route_item(item, int(data["num_shards"]))
-    addr = data["shards"][str(shard)]
-    return str(addr["host"]), int(addr["port"])
-
-
-def _cluster_post_until_accepted(
-    map_path: str, event: tuple, deadline: float
-) -> dict:
-    """Cluster-aware closed-loop send: re-route + redrive until settled.
-
-    Retries through connection failures (the target may be partitioned,
-    dying, or already dead), ``421`` misroutes (the map moved under us —
-    re-read it), and ``429``/``503`` sheds; the server-side ``(item,
-    time)`` dedupe turns the at-least-once redrive into exactly-once.
-    """
-    item, t, server = event
-    body = {"item": item, "time": t, "server": server}
-    while True:
-        try:
-            host, port = _cluster_route(map_path, item)
-            status, payload = _server_http(
-                host, port, "POST", "/request", body, timeout=2.0
-            )
-        except (
-            OSError,
-            http.client.HTTPException,
-            ValueError,
-            KeyError,
-            json.JSONDecodeError,
-        ):
-            status, payload = -1, None
-        if status == 200 and payload.get("status") == "done":
-            return payload
-        if status == 409:
-            return payload  # settled: resend beyond the dedupe window
-        if status not in (200, 421, 429, 503, -1):
-            raise ChaosInvariantError(
-                f"unexpected status {status} for event {event}: {payload}"
-            )
-        if time.monotonic() > deadline:
-            raise ChaosInvariantError(
-                f"event {event} not settled before the deadline "
-                f"(last status {status})"
-            )
-        time.sleep(0.05)
-
-
 def cluster_failover_suite(
     events: Sequence[tuple],
     scenarios: int = 5,
@@ -775,7 +738,7 @@ def cluster_failover_suite(
     import tempfile
 
     from ..service.cluster import ClusterConfig, ReplicaSet
-    from ..service.loadgen import cluster_stats
+    from ..service.loadgen import ClusterMap, cluster_stats
     from ..service.server import route_item
     from .plan import NetworkFaultPlan
 
@@ -804,22 +767,6 @@ def cluster_failover_suite(
         if proxy_seed is not None
         else None
     )
-
-    def run_reference(jdir: Path) -> dict:
-        deadline = time.monotonic() + scenario_timeout
-        proc, host, port = _spawn_server(
-            jdir, shards, num_servers, resume=False, deadline=deadline
-        )
-        try:
-            for event in events:
-                _post_event_until_accepted(host, port, event, deadline)
-            _status, stats = _server_http(host, port, "GET", "/stats")
-        finally:
-            proc.send_signal(signal.SIGTERM)
-            rc = proc.wait(timeout=30)
-        if rc != 0:
-            raise ChaosInvariantError(f"reference server drain rc {rc}")
-        return stats
 
     def run_scenario(kind: str, boundary: int, jdir: Path, reference: dict):
         violations: List[str] = []
@@ -851,15 +798,15 @@ def cluster_failover_suite(
         rs.start()
         target = -1
         try:
-            for event in events[:boundary]:
-                _cluster_post_until_accepted(rs.map_path, event, deadline)
+            # A 409 settles too: a resend beyond the dedupe window.
+            _settle_all(rs.map_path, events[:boundary], deadline, (200, 409))
             shard = route_item(events[boundary][0], shards)
             target = rs.owner_of(shard)
             if kind == "kill":
                 # The boundary event is in flight (written, unanswered)
                 # when the SIGKILL lands: torn-tail WAL handoff.
-                host, port = _cluster_route(
-                    rs.map_path, events[boundary][0]
+                host, port = ClusterMap.load(rs.map_path).endpoint_for(
+                    events[boundary][0]
                 )
                 _torn_send(host, port, events[boundary])
                 rs.kill_replica(target)
@@ -871,17 +818,14 @@ def cluster_failover_suite(
                 healer.start()
             else:  # partition-failover: leave it on, health loop fences
                 rs.set_partition(target, True)
-            for event in events[boundary:]:
-                _cluster_post_until_accepted(rs.map_path, event, deadline)
+            _settle_all(rs.map_path, events[boundary:], deadline, (200, 409))
             if kind == "partition-failover":
                 # The failover may still be mid-flight after the last
                 # event settled on a survivor; wait for the ledger.
                 waited = time.monotonic()
                 while not rs.failover_log and time.monotonic() - waited < 30:
                     time.sleep(0.05)
-            import asyncio as _asyncio
-
-            merged = _asyncio.run(cluster_stats(rs.map_path))
+            merged = asyncio.run(cluster_stats(rs.map_path))
             failovers = len(rs.failover_log)
             if kind == "partition-heal" and failovers != 0:
                 violations.append(
@@ -933,7 +877,9 @@ def cluster_failover_suite(
             rs.stop()
 
     try:
-        reference = run_reference(base / "reference")
+        reference = _reference_run(
+            base / "reference", events, shards, num_servers, scenario_timeout
+        )
         outcomes: List[ClusterFailoverOutcome] = []
         for kind, boundary in zip(kinds, points):
             jdir = base / f"{kind}-{boundary}"

@@ -213,14 +213,10 @@ class ReplicaSet:
         assert self._loop is not None, "cluster not started"
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result(60)
 
-    def kill_replica(self, index: int, failover: bool = True) -> List[int]:
-        """SIGKILL replica ``index``; with ``failover`` (default) move
-        its shards to survivors immediately and return the moved list.
-
-        ``failover=False`` leaves detection to the health loop — the
-        path the detection-latency benchmark measures.
-        """
-        return self._call(self._kill_replica(index, failover))
+    def kill_replica(self, index: int) -> List[int]:
+        """SIGKILL replica ``index``, move its shards to survivors, and
+        return the moved list."""
+        return self._call(self._failover(self.replicas[index]))
 
     def set_partition(self, index: int, on: bool) -> None:
         """Flip replica ``index``'s proxy partition switch."""
@@ -398,34 +394,13 @@ class ReplicaSet:
                         await self._failover(replica)
 
     async def _probe(self, replica: Replica) -> bool:
-        host, port = replica.advertised
-        client = HttpClient(
-            host, port,
-            connect_timeout=self.config.health_timeout,
-            read_timeout=self.config.health_timeout,
-        )
+        timeout = self.config.health_timeout
         try:
-            status, _payload, _ = await client.request("GET", "/readyz")
+            async with HttpClient(*replica.advertised, timeout, timeout) as client:
+                status, _payload, _ = await client.request("GET", "/readyz")
             return status == 200
-        except (
-            ConnectionError,
-            OSError,
-            asyncio.IncompleteReadError,
-            asyncio.TimeoutError,
-        ):
+        except (OSError, asyncio.TimeoutError):
             return False
-        finally:
-            await client.close()
-
-    async def _kill_replica(self, index: int, failover: bool) -> List[int]:
-        replica = self.replicas[index]
-        if replica.state != "live":
-            return []
-        if replica.proc.poll() is None:
-            replica.proc.send_signal(signal.SIGKILL)
-        if failover:
-            return await self._failover(replica)
-        return []
 
     async def _set_proxy(self, index: int, attr: str, on: bool) -> None:
         replica = self.replicas[index]
@@ -482,16 +457,10 @@ class ReplicaSet:
             self._failing.discard(replica.index)
 
     async def _acquire(self, target: Replica, shard: int) -> None:
-        host, port = target.direct
-        client = HttpClient(
-            host, port, connect_timeout=5.0, read_timeout=30.0
-        )
-        try:
+        async with HttpClient(*target.direct, 5.0, 30.0) as client:
             status, payload, _ = await client.request(
                 "POST", "/admin/acquire", {"shard": shard}
             )
-        finally:
-            await client.close()
         if status != 200:
             raise ClusterError(
                 f"replica {target.index} refused shard {shard}: "

@@ -2,9 +2,10 @@
 
 Feeds a merged, time-ordered event stream — from a columnar trace
 container or a synthetic multi-item workload — into a running
-:class:`~repro.service.server.CacheServer` over plain HTTP/1.1
-keep-alive connections, and reports latency percentiles, achieved
-throughput, and the shed/degraded accounting the robustness gates need.
+:class:`~repro.service.server.CacheServer` or replicated cluster over
+plain HTTP/1.1 keep-alive connections, and reports latency percentiles,
+achieved throughput, and the shed/degraded accounting the robustness
+gates need.
 
 Two driving disciplines:
 
@@ -16,18 +17,19 @@ Two driving disciplines:
   is the discipline for overload experiments: at 2× the sustainable
   rate the server must shed with 429s rather than let latency grow
   without bound.
-* **closed-loop** (``rate=None``) — a fixed set of workers send
-  back-to-back, retrying 429/503/connection errors with jittered capped
-  backoff until each event is accepted.  Because every event is
-  eventually accepted exactly once (the server dedupes resends), the
-  accepted-event sequence — and therefore the decision digest — is
-  load-independent.  This is the discipline the kill/resume chaos proof
-  drives.
+* **closed-loop** (``rate=None``, and every cluster run) — a fixed set
+  of lanes send back-to-back, and :meth:`ClusterClient.settle` redrives
+  each event with jittered capped backoff until it is done.  Because
+  every event is eventually applied exactly once (the server dedupes
+  resends), the accepted-event sequence — and therefore the decision
+  digest — is load-independent.  This is the discipline the kill/resume
+  and failover chaos proofs drive.
 
 Events within one item must keep strictly increasing times (the
 streaming-DP contract); the closed-loop driver additionally keeps
-per-item *order* by routing every item to a fixed worker lane, so
-retries never reorder an item's events into 409 conflicts.
+per-item *order* by routing every item to a fixed lane
+(``route_item(item, lanes)``), so retries never reorder an item's
+events into 409 conflicts.
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ from __future__ import annotations
 import asyncio
 import json
 import random
-import time as _time
-import zlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from .server import _FramingError, _read_head, route_item
 
 __all__ = [
     "ClusterClient",
@@ -64,15 +66,18 @@ class HttpClient:
     """Minimal asyncio HTTP/1.1 keep-alive client for JSON endpoints.
 
     One instance owns one connection; it reconnects transparently after
-    a drop (server restart mid-chaos-run) on the next request.
+    a drop (server restart mid-chaos-run) on the next request.  As an
+    ``async with`` block it closes the connection on exit.
 
     ``connect_timeout`` / ``read_timeout`` bound each phase of a round
-    trip: on expiry the connection is closed (a half-read response must
-    never be reused) and ``asyncio.TimeoutError`` propagates — the
-    closed-loop retry path then reconnects and redrives the request,
-    which the server's dedupe makes exactly-once.  ``None`` disables a
-    timeout; a black-holed server then hangs the caller, which is
-    exactly the failure mode these knobs exist to kill.
+    trip: on expiry ``asyncio.TimeoutError`` propagates.  An answer the
+    server's own head reader refuses, or one torn before its body ends,
+    raises ``ConnectionError``.  Either way the connection is closed
+    first (a half-read answer must never be reused), and a closed-loop
+    lane reconnects and redrives the request, which the server's dedupe
+    makes exactly-once.  ``None`` disables a timeout; a black-holed
+    server then hangs the caller, which is exactly the failure mode
+    these knobs exist to kill.
     """
 
     def __init__(
@@ -89,6 +94,12 @@ class HttpClient:
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
 
+    async def __aenter__(self) -> "HttpClient":
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self.close()
+
     async def _connect(self) -> None:
         self._reader, self._writer = await asyncio.wait_for(
             asyncio.open_connection(self.host, self.port),
@@ -104,55 +115,45 @@ class HttpClient:
                 pass
             self._reader = self._writer = None
 
-    async def _read_response(self) -> Tuple[int, dict, Dict[str, str]]:
-        assert self._reader is not None
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionError("server closed the connection")
-        parts = status_line.split()
-        if len(parts) < 2 or not parts[1].isdigit():
-            # A connection reset can truncate the status line mid-byte;
-            # that is a dead connection, not a parse error.
-            raise ConnectionError(
-                f"malformed status line {status_line[:64]!r}"
-            )
-        status = int(parts[1])
-        headers: Dict[str, str] = {}
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            key, _, value = line.decode("latin-1").partition(":")
-            headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        raw = await self._reader.readexactly(length) if length else b""
-        try:
-            payload = json.loads(raw) if raw else {}
-        except json.JSONDecodeError as exc:
-            raise ConnectionError(f"truncated response body: {exc}") from exc
-        return status, payload, headers
-
-    async def request(
-        self, method: str, path: str, body: Optional[dict] = None
-    ) -> Tuple[int, dict, Dict[str, str]]:
-        """One round trip; returns (status, json body, headers)."""
-        if self._writer is None or self._writer.is_closing():
-            await self._connect()
-        assert self._reader is not None and self._writer is not None
+    def encode(self, method: str, path: str, body: Optional[dict] = None) -> bytes:
+        """The request as written on the wire: head, then the JSON body."""
         blob = json.dumps(body).encode("utf-8") if body is not None else b""
         head = (
             f"{method} {path} HTTP/1.1\r\nHost: {self.host}\r\n"
             f"Content-Length: {len(blob)}\r\nConnection: keep-alive\r\n\r\n"
         )
-        self._writer.write(head.encode("latin-1") + blob)
-        await self._writer.drain()
+        return head.encode("latin-1") + blob
+
+    async def _answer(self) -> Tuple[int, dict, Dict[str, str]]:
+        assert self._reader is not None
         try:
+            head = await _read_head(self._reader, response=True)
+            if head is None:
+                raise ConnectionError("connection closed before a whole head")
+            _version, status, headers, length, _raw = head
+            payload = json.loads(await self._reader.readexactly(length) or b"{}")
+            if not isinstance(payload, dict):
+                raise ValueError(f"body is a JSON {type(payload).__name__}")
+        except (_FramingError, asyncio.IncompleteReadError, ValueError) as exc:
+            raise ConnectionError(f"torn or refused answer: {exc}") from exc
+        return int(status), payload, headers
+
+    async def request(
+        self, method: str, path: str, body: Optional[dict] = None
+    ) -> Tuple[int, dict, Dict[str, str]]:
+        """One round trip; returns (status, json body, headers)."""
+        try:
+            if self._writer is None or self._writer.is_closing():
+                await self._connect()
+            assert self._writer is not None
+            self._writer.write(self.encode(method, path, body))
+            await self._writer.drain()
             return await asyncio.wait_for(
-                self._read_response(), timeout=self.read_timeout
+                self._answer(), timeout=self.read_timeout
             )
-        except asyncio.TimeoutError:
+        except BaseException:
             # The connection now holds a half-read (or never-sent)
-            # response: poison — drop it before anyone reuses it.
+            # answer: poison — drop it before anyone reuses it.
             await self.close()
             raise
 
@@ -205,16 +206,23 @@ def synthetic_events(
 
 @dataclass
 class LoadResult:
-    """What one load run observed (see :meth:`to_dict` for the report)."""
+    """What one load run observed (see :meth:`to_dict` for the report).
 
-    sent: int
-    statuses: Dict[int, int]
-    degraded: int
-    duplicates: int
-    retries: int
-    give_ups: int
-    latencies_ms: List[float]
-    elapsed: float
+    ``statuses`` counts every answer (``-1`` = transport failure) and
+    ``retries`` every redrive.  ``accepted`` counts the events the
+    server took: settled ones in a closed loop (a 200 whose ``status``
+    is ``done``), 200 answers in an open loop, which sends each once.
+    """
+
+    sent: int = 0
+    statuses: Dict[int, int] = field(default_factory=dict)
+    accepted: int = 0
+    degraded: int = 0
+    duplicates: int = 0
+    retries: int = 0
+    give_ups: int = 0
+    latencies_ms: List[float] = field(default_factory=list)
+    elapsed: float = 0.0
     stats: Optional[dict] = None
 
     def percentile(self, q: float) -> float:
@@ -223,12 +231,16 @@ class LoadResult:
         return float(np.percentile(np.asarray(self.latencies_ms), q))
 
     @property
-    def accepted(self) -> int:
-        return self.statuses.get(200, 0)
-
-    @property
     def shed(self) -> int:
         return self.statuses.get(429, 0) + self.statuses.get(503, 0)
+
+    def count(self, status: int, payload: dict, accepted: bool) -> None:
+        """Count one answer, and an accepted one's flags."""
+        self.statuses[status] = self.statuses.get(status, 0) + 1
+        if accepted:
+            self.accepted += 1
+            self.degraded += bool(payload.get("degraded"))
+            self.duplicates += bool(payload.get("duplicate"))
 
     def to_dict(self) -> dict:
         return {
@@ -252,25 +264,47 @@ class LoadResult:
         }
 
 
-def _lane(item: str, lanes: int) -> int:
-    """Fixed worker lane per item, so retries cannot reorder an item."""
-    return zlib.crc32(item.encode("utf-8")) % lanes
+async def _open_loop(
+    host: str,
+    port: int,
+    events: Sequence[Event],
+    rate: float,
+    concurrency: int,
+    connect_timeout: Optional[float],
+    read_timeout: Optional[float],
+) -> LoadResult:
+    """Fire each event once at its scheduled time; latency is measured
+    from the *schedule*, so generator backlog counts."""
+    result = LoadResult()
+    loop = asyncio.get_running_loop()
+    started = loop.time()
+    sem = asyncio.Semaphore(max(1, int(concurrency)) * 8)
 
+    async def fire(i: int, event: Event) -> None:
+        scheduled = started + i / rate
+        delay = scheduled - loop.time()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        item, t, server = event
+        body = {"item": item, "time": t, "server": server}
+        async with sem:
+            try:  # bursty: each send on its own connection
+                async with HttpClient(
+                    host, port, connect_timeout, read_timeout
+                ) as client:
+                    status, payload, _ = await client.request(
+                        "POST", "/request", body
+                    )
+            except (OSError, asyncio.TimeoutError):
+                status, payload = -1, {}
+            result.count(status, payload, status == 200)
+            result.sent += 1
+            if status == 200:
+                result.latencies_ms.append((loop.time() - scheduled) * 1000.0)
 
-async def _send_once(
-    client: HttpClient, event: Event, result: LoadResult
-) -> Tuple[int, dict]:
-    item, t, server = event
-    status, payload, _ = await client.request(
-        "POST", "/request", {"item": item, "time": t, "server": server}
-    )
-    result.statuses[status] = result.statuses.get(status, 0) + 1
-    if status == 200:
-        if payload.get("degraded"):
-            result.degraded += 1
-        if payload.get("duplicate"):
-            result.duplicates += 1
-    return status, payload
+    await asyncio.gather(*(fire(i, ev) for i, ev in enumerate(events)))
+    result.elapsed = loop.time() - started
+    return result
 
 
 async def run_load(
@@ -285,122 +319,36 @@ async def run_load(
     connect_timeout: Optional[float] = 5.0,
     read_timeout: Optional[float] = 15.0,
 ) -> LoadResult:
-    """Drive ``events`` against a server; see the module docstring.
+    """Drive ``events`` against one server; see the module docstring.
 
     ``rate`` selects open-loop (target req/s, no retries — refused is
-    refused) versus closed-loop (``None``: retry-until-accepted).  A
+    refused) versus closed-loop (``None``): the lane driver of
+    :func:`run_cluster_load` on the fixed route of this one server.  A
     request that exceeds ``read_timeout`` counts as a torn send: the
-    lane closes its connection, reconnects, and (closed-loop) redrives
-    the event through the server's dedupe path — a stalled or
-    black-holed server can no longer hang a lane forever.
+    lane reconnects and (closed-loop) redrives the event through the
+    server's dedupe path — a stalled or black-holed server can no longer
+    hang a lane forever.
     """
-    result = LoadResult(
-        sent=0,
-        statuses={},
-        degraded=0,
-        duplicates=0,
-        retries=0,
-        give_ups=0,
-        latencies_ms=[],
-        elapsed=0.0,
-    )
-    loop = asyncio.get_running_loop()
-    started = loop.time()
-    lanes = max(1, int(concurrency))
-    clients = [
-        HttpClient(
-            host, port,
-            connect_timeout=connect_timeout, read_timeout=read_timeout,
+    if rate is None:
+        result = await _run_lanes(
+            ClusterMap.lone(host, port),
+            events, concurrency, retries, backoff, connect_timeout, read_timeout,
         )
-        for _ in range(lanes)
-    ]
-    rng = random.Random(1234)
-
-    if rate is not None:
-        # Open-loop: fire each event at its scheduled time; latency is
-        # measured from the *schedule*, so generator backlog counts.
-        sem = asyncio.Semaphore(lanes * 8)
-
-        async def fire(i: int, event: Event) -> None:
-            scheduled = started + i / rate
-            delay = scheduled - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            async with sem:
-                client = HttpClient(  # bursty: own connection
-                    host, port,
-                    connect_timeout=connect_timeout,
-                    read_timeout=read_timeout,
-                )
-                try:
-                    status, _payload = await _send_once(client, event, result)
-                except (
-                    ConnectionError,
-                    OSError,
-                    asyncio.IncompleteReadError,
-                    asyncio.TimeoutError,
-                ):
-                    result.statuses[-1] = result.statuses.get(-1, 0) + 1
-                    status = -1
-                finally:
-                    await client.close()
-                result.sent += 1
-                if status == 200:
-                    result.latencies_ms.append(
-                        (loop.time() - scheduled) * 1000.0
-                    )
-
-        await asyncio.gather(*(fire(i, ev) for i, ev in enumerate(events)))
     else:
-        # Closed-loop: per-item lanes, retry shed/torn sends until
-        # accepted (or retries exhausted -> give_up).
-        queues: List[List[Event]] = [[] for _ in range(lanes)]
-        for event in events:
-            queues[_lane(event[0], lanes)].append(event)
-
-        async def drain(lane: int) -> None:
-            client = clients[lane]
-            for event in queues[lane]:
-                sent_at = loop.time()
-                for attempt in range(retries + 1):
-                    try:
-                        status, _payload = await _send_once(
-                            client, event, result
-                        )
-                    except (
-                        ConnectionError,
-                        OSError,
-                        asyncio.IncompleteReadError,
-                        asyncio.TimeoutError,
-                    ):
-                        await client.close()
-                        status = -1
-                        result.statuses[-1] = result.statuses.get(-1, 0) + 1
-                    if status not in (429, 503, -1):
-                        result.latencies_ms.append(
-                            (loop.time() - sent_at) * 1000.0
-                        )
-                        break
-                    if attempt < retries:
-                        result.retries += 1
-                        pause = min(2.0, backoff * (2**attempt))
-                        await asyncio.sleep(pause * (1 - 0.5 * rng.random()))
-                else:
-                    result.give_ups += 1
-                result.sent += 1
-
-        await asyncio.gather(*(drain(i) for i in range(lanes)))
-
-    result.elapsed = loop.time() - started
+        result = await _open_loop(
+            host, port, events, rate, concurrency, connect_timeout, read_timeout
+        )
     if fetch_stats:
-        probe = HttpClient(host, port)
-        try:
-            _status, stats, _ = await probe.request("GET", "/stats")
-            result.stats = stats
-        finally:
-            await probe.close()
-    for client in clients:
-        await client.close()
+        # A read is safe to repeat: retry it through transport failures.
+        async with HttpClient(host, port, connect_timeout, read_timeout) as probe:
+            for attempt in range(retries + 1):
+                try:
+                    _status, result.stats, _ = await probe.request("GET", "/stats")
+                    break
+                except (OSError, asyncio.TimeoutError):
+                    if attempt == retries:
+                        raise
+                    await asyncio.sleep(backoff)
     return result
 
 
@@ -448,21 +396,25 @@ class ClusterMap:
             endpoints=endpoints,
         )
 
+    @classmethod
+    def lone(cls, host: str, port: int) -> "ClusterMap":
+        """The fixed route of a lone server: one shard on one endpoint."""
+        return cls(epoch=0, num_shards=1, endpoints={0: (host, port)})
+
     def endpoint_for(self, item: str) -> Tuple[str, int]:
-        shard = zlib.crc32(item.encode("utf-8")) % self.num_shards
-        return self.endpoints[shard]
+        return self.endpoints[route_item(item, self.num_shards)]
 
 
 class ClusterClient:
-    """Failover-aware closed-loop client over a replicated cluster.
+    """Failover-aware closed-loop client: routes each event, settles it.
 
-    Routes every event to the replica owning its shard (per the latest
-    :class:`ClusterMap`), and on any failure — connection refused/reset,
-    read timeout, ``421`` misroute after a failover, ``429``/``503``
-    shed — reloads the map, reconnects, and *redrives the same request*.
-    The server's ``(item, time)`` dedupe makes the redrive exactly-once:
-    however many times an event is sent, it is applied at most once and
-    every send converges on the settled decision.
+    ``route`` is a cluster's ``cluster.json`` path, reloaded whenever a
+    request lands on a non-owner (``421``) or an endpoint stops
+    answering, or a fixed :class:`ClusterMap`.  :meth:`settle` redrives
+    an event until it is done; the server's ``(item, time)`` dedupe
+    makes the redrive exactly-once: however many times an event is
+    sent, it is applied at most once and every send converges on the
+    settled decision.
 
     ``hedge``: optional hedged-read delay (seconds).  When a send shows
     no response after the delay, a duplicate is fired on a *fresh*
@@ -472,16 +424,17 @@ class ClusterClient:
 
     def __init__(
         self,
-        map_path: str,
+        route: Union[str, ClusterMap],
         connect_timeout: Optional[float] = 2.0,
         read_timeout: Optional[float] = 5.0,
         hedge: Optional[float] = None,
     ):
-        self.map_path = map_path
+        fixed = isinstance(route, ClusterMap)
+        self.map_path: Optional[str] = None if fixed else route
+        self.map: Optional[ClusterMap] = route if fixed else None
         self.connect_timeout = connect_timeout
         self.read_timeout = read_timeout
         self.hedge = hedge
-        self.map: Optional[ClusterMap] = None
         self.refreshes = 0
         self.redrives = 0
         self.hedges = 0
@@ -489,23 +442,13 @@ class ClusterClient:
 
     def refresh(self) -> None:
         """Reload the routing map (keeps the old one on a torn read)."""
+        if self.map_path is None:
+            return  # a fixed route
         try:
             self.map = ClusterMap.load(self.map_path)
             self.refreshes += 1
         except (OSError, ValueError, KeyError):
             pass  # mid-rename or missing: retry with the stale map
-
-    def _client_for(self, addr: Tuple[str, int]) -> HttpClient:
-        client = self._clients.get(addr)
-        if client is None:
-            client = HttpClient(
-                addr[0],
-                addr[1],
-                connect_timeout=self.connect_timeout,
-                read_timeout=self.read_timeout,
-            )
-            self._clients[addr] = client
-        return client
 
     async def close(self) -> None:
         for client in self._clients.values():
@@ -515,22 +458,19 @@ class ClusterClient:
     async def _attempt(
         self, addr: Tuple[str, int], body: dict, fresh: bool
     ) -> Tuple[int, dict]:
-        if fresh:
+        """One POST on ``addr``'s kept connection, or a fresh one closed after."""
+        client = None if fresh else self._clients.get(addr)
+        if client is None:
             client = HttpClient(
-                addr[0],
-                addr[1],
-                connect_timeout=self.connect_timeout,
-                read_timeout=self.read_timeout,
+                addr[0], addr[1], self.connect_timeout, self.read_timeout
             )
-            try:
-                status, payload, _ = await client.request(
-                    "POST", "/request", body
-                )
-                return status, payload
-            finally:
+            if not fresh:
+                self._clients[addr] = client
+        try:
+            status, payload, _ = await client.request("POST", "/request", body)
+        finally:
+            if fresh:
                 await client.close()
-        client = self._client_for(addr)
-        status, payload, _ = await client.request("POST", "/request", body)
         return status, payload
 
     async def send(self, event: Event) -> Tuple[int, dict]:
@@ -566,61 +506,87 @@ class ClusterClient:
                 if not task.done():
                     task.cancel()
 
-    async def send_until_done(
+    async def settle(
         self,
         event: Event,
         result: Optional[LoadResult] = None,
         retries: int = 64,
         backoff: float = 0.05,
         rng: Optional[random.Random] = None,
-    ) -> Optional[dict]:
-        """Redrive ``event`` until it settles; ``None`` on give-up.
+    ) -> Optional[Tuple[int, dict]]:
+        """Redrive ``event`` until it ends; ``None`` once ``retries`` run out.
 
-        Retryable outcomes: shed (``429``/``503``), misroute (``421``,
-        with a map refresh), deadline-degraded ``pending``, and any
-        transport failure (reset, refused, timeout — the endpoint's
-        client is dropped and the map refreshed, since a dead address
-        usually means a failover is in flight).
+        A 200 whose ``status`` is ``done`` settles it (a duplicate
+        answer too).  Redriven with capped, jittered backoff: a
+        transport failure (reset, refusal, timeout, a torn or refused
+        answer), ``421`` (after a map refresh, as after a transport
+        failure: a dead address usually means a failover is in flight),
+        ``429``/``503`` sheds, and a 200 not yet done (``pending`` past
+        its deadline).  Any other status ends the event too.  Returns
+        the last ``(status, payload)``, so ``status == 200`` means
+        settled.  ``result`` counts every answer and redrive, and the
+        settled answer as accepted.
         """
         rng = rng if rng is not None else random.Random(4321)
         for attempt in range(retries + 1):
             try:
                 status, payload = await self.send(event)
-            except (
-                ConnectionError,
-                OSError,
-                asyncio.IncompleteReadError,
-                asyncio.TimeoutError,
-            ):
-                status, payload = -1, None
-                if self.map is not None:
-                    item = event[0]
-                    addr = self.map.endpoint_for(item)
-                    stale = self._clients.pop(addr, None)
-                    if stale is not None:
-                        await stale.close()
+            except (OSError, asyncio.TimeoutError):
+                status, payload = -1, {}
+            settled = status == 200 and payload.get("status") == "done"
             if result is not None:
-                result.statuses[status] = result.statuses.get(status, 0) + 1
-            if status == 200 and payload.get("status", "done") == "done":
-                if result is not None:
-                    if payload.get("degraded"):
-                        result.degraded += 1
-                    if payload.get("duplicate"):
-                        result.duplicates += 1
-                return payload
-            if status not in (200, 421, 429, 503, -1):
-                raise RuntimeError(
-                    f"unexpected status {status} for {event}: {payload}"
-                )
+                result.count(status, payload, settled)
+            if settled or status not in (200, 421, 429, 503, -1):
+                return status, payload
             if status in (421, -1):
                 self.refresh()
             if attempt < retries:
                 self.redrives += 1
                 if result is not None:
                     result.retries += 1
-                pause = min(1.0, backoff * (2 ** min(attempt, 5)))
+                pause = min(1.0, backoff * 2 ** min(attempt, 5))
                 await asyncio.sleep(pause * (1 - 0.5 * rng.random()))
         return None
+
+
+async def _run_lanes(
+    route: Union[str, ClusterMap],
+    events: Sequence[Event],
+    concurrency: int,
+    retries: int,
+    backoff: float,
+    connect_timeout: Optional[float],
+    read_timeout: Optional[float],
+    hedge: Optional[float] = None,
+) -> LoadResult:
+    """The closed loop: lane ``route_item(item, lanes)`` settles its
+    events one at a time through :meth:`ClusterClient.settle`."""
+    result = LoadResult()
+    loop = asyncio.get_running_loop()
+    started = loop.time()
+    lanes = max(1, int(concurrency))
+    queues: List[List[Event]] = [[] for _ in range(lanes)]
+    for event in events:
+        queues[route_item(event[0], lanes)].append(event)
+
+    async def drain(lane: int) -> None:
+        client = ClusterClient(route, connect_timeout, read_timeout, hedge)
+        rng = random.Random(1000 + lane)
+        try:
+            for event in queues[lane]:
+                sent_at = loop.time()
+                answer = await client.settle(event, result, retries, backoff, rng)
+                result.sent += 1
+                if answer is None:
+                    result.give_ups += 1
+                elif answer[0] == 200:
+                    result.latencies_ms.append((loop.time() - sent_at) * 1000.0)
+        finally:
+            await client.close()
+
+    await asyncio.gather(*(drain(lane) for lane in range(lanes)))
+    result.elapsed = loop.time() - started
+    return result
 
 
 async def run_cluster_load(
@@ -634,62 +600,19 @@ async def run_cluster_load(
     hedge: Optional[float] = None,
     fetch_stats: bool = True,
 ) -> LoadResult:
-    """Closed-loop cluster replay: per-item lanes, redrive-until-settled.
+    """Closed-loop cluster replay, routed by ``map_path``'s latest map.
 
-    The cluster analogue of closed-loop :func:`run_load`: every event is
-    eventually applied exactly once (dedupe absorbs redrives and
-    hedges), so the merged decision stream — and its digest — is
-    independent of which replicas failed, when, or how often the client
-    had to re-route.
+    Every event is eventually applied exactly once (dedupe absorbs
+    redrives and hedges), so the merged decision stream — and its
+    digest — is independent of which replicas failed, when, or how
+    often the client had to re-route.
     """
-    result = LoadResult(
-        sent=0,
-        statuses={},
-        degraded=0,
-        duplicates=0,
-        retries=0,
-        give_ups=0,
-        latencies_ms=[],
-        elapsed=0.0,
+    result = await _run_lanes(
+        map_path, events, concurrency, retries, backoff,
+        connect_timeout, read_timeout, hedge,
     )
-    loop = asyncio.get_running_loop()
-    started = loop.time()
-    lanes = max(1, int(concurrency))
-    clients = [
-        ClusterClient(
-            map_path,
-            connect_timeout=connect_timeout,
-            read_timeout=read_timeout,
-            hedge=hedge,
-        )
-        for _ in range(lanes)
-    ]
-    queues: List[List[Event]] = [[] for _ in range(lanes)]
-    for event in events:
-        queues[_lane(event[0], lanes)].append(event)
-
-    async def drain(lane: int) -> None:
-        client = clients[lane]
-        rng = random.Random(1000 + lane)
-        for event in queues[lane]:
-            sent_at = loop.time()
-            payload = await client.send_until_done(
-                event, result, retries=retries, backoff=backoff, rng=rng
-            )
-            if payload is None:
-                result.give_ups += 1
-            else:
-                result.latencies_ms.append((loop.time() - sent_at) * 1000.0)
-            result.sent += 1
-
-    try:
-        await asyncio.gather(*(drain(i) for i in range(lanes)))
-        result.elapsed = loop.time() - started
-        if fetch_stats:
-            result.stats = await cluster_stats(map_path)
-    finally:
-        for client in clients:
-            await client.close()
+    if fetch_stats:
+        result.stats = await cluster_stats(map_path)
     return result
 
 
@@ -717,13 +640,8 @@ async def cluster_stats(map_path: str, timeout: float = 5.0) -> dict:
     }
     replicas = []
     for addr, shards in sorted(by_addr.items()):
-        client = HttpClient(
-            addr[0], addr[1], connect_timeout=timeout, read_timeout=timeout
-        )
-        try:
+        async with HttpClient(addr[0], addr[1], timeout, timeout) as client:
             _status, stats, _ = await client.request("GET", "/stats")
-        finally:
-            await client.close()
         owned = set(shards)
         for row in stats.get("shards", []):
             if row["shard"] in owned:

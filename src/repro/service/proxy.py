@@ -30,9 +30,12 @@ verbatim).  Window schedules are keyed to proxy uptime; the
 :attr:`partition` / :attr:`blackhole` switches give chaos suites exact,
 event-boundary control on top.
 
-The proxy parses HTTP/1.1 framing (``Content-Length`` bodies, the only
-dialect both ends of this repo speak) purely to find message boundaries;
-the bytes it relays are the bytes it read, unmodified.
+The proxy frames messages with the server's own head reader
+(:func:`~repro.service.server._read_head`, ``Content-Length`` bodies,
+the only dialect both ends of this repo speak) purely to find message
+boundaries; the bytes it relays are the bytes it read, unmodified.  A
+request the reader refuses is answered as the server would answer it
+(same status, same body), then both sides are closed.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from pathlib import Path
 from typing import Optional, Set, Tuple
 
 from ..faults.plan import NetworkFaultPlan
+from .server import _FramingError, _read_head, _render
 
 __all__ = ["ChaosProxy", "run_proxy"]
 
@@ -51,32 +55,19 @@ __all__ = ["ChaosProxy", "run_proxy"]
 _STALL_TICK = 0.01
 
 
-async def _read_message(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """One full HTTP/1.1 message (head + body), raw bytes as read.
+async def _message(
+    reader: asyncio.StreamReader, response: bool = False
+) -> Optional[bytes]:
+    """One whole message (head + body), raw bytes as read.
 
-    Returns ``None`` on a clean EOF before the first byte.  Raises
-    ``asyncio.IncompleteReadError`` on a torn message — the caller
-    aborts the relay, which is exactly what a half-written peer
-    deserves.
+    ``None`` when the stream ends before a whole head; a torn body
+    raises ``asyncio.IncompleteReadError`` and refused framing
+    :class:`~repro.service.server._FramingError`.
     """
-    head = bytearray()
-    line = await reader.readline()
-    if not line:
+    head = await _read_head(reader, response)
+    if head is None:
         return None
-    head += line
-    length = 0
-    while True:
-        line = await reader.readline()
-        if not line:
-            raise asyncio.IncompleteReadError(bytes(head), None)
-        head += line
-        if line in (b"\r\n", b"\n"):
-            break
-        key, _, value = line.decode("latin-1").partition(":")
-        if key.strip().lower() == "content-length":
-            length = int(value.strip() or "0")
-    body = await reader.readexactly(length) if length else b""
-    return bytes(head) + body
+    return head[4] + await reader.readexactly(head[3])
 
 
 class ChaosProxy:
@@ -191,13 +182,8 @@ class ChaosProxy:
         self._live.add(up_writer.transport)
         try:
             await self._relay(conn, reader, writer, up_reader, up_writer)
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            OSError,
-            ValueError,
-        ):
-            pass  # torn peer or mid-relay abort: drop both sides
+        except (asyncio.IncompleteReadError, OSError, _FramingError):
+            pass  # torn peer, refused answer or mid-relay abort: drop both
         finally:
             self._live.discard(writer.transport)
             self._live.discard(up_writer.transport)
@@ -218,7 +204,12 @@ class ChaosProxy:
     ) -> None:
         msg = 0
         while True:
-            request = await _read_message(reader)
+            try:
+                request = await _message(reader)
+            except _FramingError as exc:
+                writer.write(_render(exc.status, {"error": str(exc)}, [], False))
+                await writer.drain()
+                return
             if request is None:
                 return
             if self._partition_active():
@@ -243,14 +234,14 @@ class ChaosProxy:
                 self.counters["duplicated"] += 1
                 up_writer.write(request)
                 await up_writer.drain()
-            response = await _read_message(up_reader)
+            response = await _message(up_reader, response=True)
             if response is None:
                 writer.transport.abort()
                 return
             if p.duplicate:
                 # The server answered the duplicate too; swallow it so
                 # the client's request/response pairing stays intact.
-                extra = await _read_message(up_reader)
+                extra = await _message(up_reader, response=True)
                 if extra is None:
                     writer.transport.abort()
                     return

@@ -65,8 +65,10 @@ bodies) so the stdlib is enough on both ends; see ``docs/API.md`` for
 the endpoint and degradation contract.  Framing is checked before any
 body is read: a malformed ``Content-Length`` is answered 400, a body
 over :data:`MAX_BODY_BYTES` 413, and request or header lines over the
-line caps 414/431, each followed by closing the connection.  Each event
-is validated before it is queued: a time that is not positive and
+line caps 414/431, each followed by closing the connection; a head cut
+off before its blank line is no request and goes unanswered.  The same
+reader frames the chaos proxy's and the load generator's messages.
+Each event is validated before it is queued: a time that is not positive and
 finite, or a server that is not an integer in ``[0, num_servers)``, is
 answered 400 and never counted as accepted.
 """
@@ -110,15 +112,19 @@ _REASONS = {
 #: Largest request body the server reads.  A longer ``Content-Length`` is
 #: answered 413 before any of the body is read.
 MAX_BODY_BYTES = 1 << 20
-#: Longest request line or header line, line terminator included.  A
+#: Largest response body a client or proxy reads.  No answer comes near
+#: it (a ``/batch`` answer is a few times its request); it only keeps a
+#: length of thousands of digits away from int().
+MAX_RESPONSE_BYTES = 1 << 40
+#: Longest start line or header line, line terminator included.  A
 #: longer request line is answered 414, a longer header line 431.
 MAX_LINE_BYTES = 8 << 10
-#: Most header lines one request may carry; one more is answered 431.
+#: Most header lines one message may carry; one more is answered 431.
 MAX_HEADER_LINES = 100
 
 
 class _FramingError(Exception):
-    """A request whose HTTP framing the server refuses to read further."""
+    """A message whose HTTP framing the reader refuses to read further."""
 
     def __init__(self, status: int, message: str):
         super().__init__(message)
@@ -137,26 +143,48 @@ async def _read_line(reader: asyncio.StreamReader, status: int) -> bytes:
 
 
 async def _read_head(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, Dict[str, str], int]]:
-    """``(method, path, headers, body length)`` of the next request.
+    reader: asyncio.StreamReader, response: bool = False
+) -> Optional[Tuple[str, str, Dict[str, str], int, bytes]]:
+    """The next message head: ``(a, b, headers, body length, raw bytes)``.
 
-    ``None`` on a clean end of stream.  Framing the server will not read
-    raises :class:`_FramingError` with the status to answer: 400 for a
-    bad request line or ``Content-Length``, 413 for a body over
-    :data:`MAX_BODY_BYTES`, 414/431 for lines or headers over the caps.
+    The server, the chaos proxy and the client all frame HTTP/1.1 here.
+    ``a, b`` are a request line's method and target, or with
+    ``response`` a status line's version and three-digit status; the
+    raw bytes are the head exactly as read.  ``None`` when the stream
+    ends before the head's blank line: a torn head is no message.
+    Framing the reader will not read raises :class:`_FramingError` with
+    the status a server answers: 400 for a bad start line or
+    ``Content-Length``, 413 for a body over :data:`MAX_BODY_BYTES`
+    (:data:`MAX_RESPONSE_BYTES` for a response), 414/431 for lines or
+    headers over the caps.
     """
     line = await _read_line(reader, 414)
-    if not line:
+    if not line.endswith(b"\n"):
         return None
-    parts = line.decode("latin-1").split()
-    if len(parts) != 3:
-        raise _FramingError(400, "bad request line")
-    method, path, _version = parts
+    lines = [line]
+    if response:
+        parts = line.decode("latin-1").split(None, 2)
+        if not (
+            len(parts) >= 2
+            and parts[0].startswith("HTTP/")
+            and len(parts[1]) == 3
+            and parts[1].isascii()
+            and parts[1].isdigit()
+        ):
+            raise _FramingError(400, "bad status line")
+        cap = MAX_RESPONSE_BYTES
+    else:
+        parts = line.decode("latin-1").split()
+        if len(parts) != 3:
+            raise _FramingError(400, "bad request line")
+        cap = MAX_BODY_BYTES
     headers: Dict[str, str] = {}
     for _ in range(MAX_HEADER_LINES + 1):
         hline = await _read_line(reader, 431)
-        if hline in (b"\r\n", b"\n", b""):
+        if not hline.endswith(b"\n"):
+            return None
+        lines.append(hline)
+        if hline in (b"\r\n", b"\n"):
             break
         key, _, value = hline.decode("latin-1").partition(":")
         headers[key.strip().lower()] = value.strip()
@@ -168,11 +196,22 @@ async def _read_head(
     # A length with more digits than the cap is over it; checking that
     # first keeps int() off strings it refuses to parse (>4300 digits).
     digits = raw.lstrip("0") or "0"
-    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
-        raise _FramingError(
-            413, f"body of {digits[:20]} bytes exceeds {MAX_BODY_BYTES}"
-        )
-    return method, path.split("?", 1)[0], headers, int(digits)
+    if len(digits) > len(str(cap)) or int(digits) > cap:
+        raise _FramingError(413, f"body of {digits[:20]} bytes exceeds {cap}")
+    return parts[0], parts[1], headers, int(digits), b"".join(lines)
+
+
+def _render(status: int, payload: dict, extra: list, keep: bool) -> bytes:
+    """One JSON response, as the server writes it."""
+    blob = json.dumps(payload).encode("utf-8")
+    head = [
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(blob)}",
+        f"Connection: {'keep-alive' if keep else 'close'}",
+    ]
+    head.extend(f"{k}: {v}" for k, v in extra)
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + blob
 
 
 def _finite(x: float) -> bool:
@@ -1086,22 +1125,22 @@ class CacheServer:
                     head = await _read_head(reader)
                 except _FramingError as exc:
                     # The rest of the stream cannot be framed: answer, close.
-                    writer.write(
-                        self._render(exc.status, {"error": str(exc)}, [], False)
-                    )
+                    writer.write(_render(exc.status, {"error": str(exc)}, [], False))
                     await writer.drain()
                     break
                 if head is None:
                     break
-                method, path, headers, length = head
+                method, target, headers, length, _raw = head
                 body = await reader.readexactly(length) if length else b""
                 try:
-                    status, payload, extra = await self._dispatch(method, path, body)
+                    status, payload, extra = await self._dispatch(
+                        method, target.split("?", 1)[0], body
+                    )
                 except Exception as exc:  # noqa: BLE001 - last-resort boundary
                     self.counters["errors"] += 1
                     status, payload, extra = 500, {"error": f"internal: {exc}"}, []
                 keep = headers.get("connection", "keep-alive").lower() != "close"
-                writer.write(self._render(status, payload, extra, keep))
+                writer.write(_render(status, payload, extra, keep))
                 await writer.drain()
                 if not keep:
                     break
@@ -1113,18 +1152,6 @@ class CacheServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-
-    @staticmethod
-    def _render(status: int, payload: dict, extra: list, keep: bool) -> bytes:
-        blob = json.dumps(payload).encode("utf-8")
-        head = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(blob)}",
-            f"Connection: {'keep-alive' if keep else 'close'}",
-        ]
-        head.extend(f"{k}: {v}" for k, v in extra)
-        return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + blob
 
 
 def run_server(config: ServerConfig) -> int:

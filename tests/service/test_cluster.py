@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.faults.plan import NetworkFaultPlan
 from repro.service.cluster import ClusterConfig, ReplicaSet
 from repro.service.loadgen import (
     ClusterClient,
@@ -31,6 +32,7 @@ from repro.service.loadgen import (
     run_load,
     synthetic_events,
 )
+from repro.service.proxy import ChaosProxy
 from repro.service.server import CacheServer, ServerConfig, route_item
 
 
@@ -188,6 +190,83 @@ class TestClusterMap:
             await client.close()
 
         scenario(run)
+
+
+class TestHedgedReads:
+    def test_every_slow_send_hedges_and_settles(self, tmp_path):
+        """Every answer held 0.2 s behind a 0.05 s hedge: each event
+        fires one hedge and settles, and the digest is the direct run's."""
+        events = synthetic_events(items=3, count=20, num_servers=6, seed=21)
+
+        async def direct():
+            server = CacheServer(
+                ServerConfig(
+                    journal_dir=str(tmp_path / "direct"),
+                    shards=2, num_servers=6,
+                )
+            )
+            await server.start()
+            res = await run_load("127.0.0.1", server.port, events, concurrency=1)
+            await server.shutdown()
+            return res.stats["digest"]
+
+        async def hedged():
+            server = CacheServer(
+                ServerConfig(
+                    journal_dir=str(tmp_path / "hedged"),
+                    shards=2, num_servers=6,
+                )
+            )
+            await server.start()
+            plan = NetworkFaultPlan(reorder_rate=1.0, reorder_hold=0.2)
+            proxy = ChaosProxy("127.0.0.1", server.port, plan=plan)
+            await proxy.start()
+            map_path = tmp_path / "cluster.json"
+            map_path.write_text(json.dumps({
+                "epoch": 1,
+                "num_shards": 1,
+                "shards": {"0": {"host": "127.0.0.1", "port": proxy.port}},
+            }))
+            client = ClusterClient(str(map_path), hedge=0.05)
+            try:
+                answers = [await client.settle(event) for event in events]
+            finally:
+                await client.close()
+            async with HttpClient("127.0.0.1", server.port) as probe:
+                _status, stats, _ = await probe.request("GET", "/stats")
+            await proxy.stop()
+            await server.shutdown()
+            return client.hedges, answers, stats["digest"]
+
+        reference = scenario(direct)
+        hedges, answers, digest = scenario(hedged)
+        assert hedges == len(events)
+        assert all(status == 200 for status, _payload in answers)
+        assert digest == reference
+
+
+class TestClusterFailoverSuite:
+    def test_kill_and_partition_scenarios_converge(self, tmp_path):
+        """One SIGKILL, one healed and one escalated partition: each
+        converges to the single-server reference digest."""
+        from repro.faults.chaos import cluster_failover_suite
+
+        events = synthetic_events(items=6, count=60, num_servers=8, seed=0)
+        outcomes = cluster_failover_suite(
+            events,
+            scenarios=3,
+            base_seed=0,
+            shards=4,
+            replicas=3,
+            num_servers=8,
+            include_partitions=True,
+            work_dir=str(tmp_path),
+        )
+        assert [o.kind for o in outcomes] == [
+            "kill", "partition-heal", "partition-failover",
+        ]
+        for o in outcomes:
+            assert o.ok, o.violations
 
 
 class TestReplicaSetFailover:

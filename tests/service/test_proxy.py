@@ -114,7 +114,54 @@ async def _digest_via_proxy(events, tmp, plan, shards=2, retries=64):
     return res, proxy.counters
 
 
+async def _answer_to_eof(port, raw):
+    """Send ``raw`` on a fresh connection; the whole answer, read to EOF."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(raw)
+    await writer.drain()
+    answer = await asyncio.wait_for(reader.read(), 5.0)
+    writer.close()
+    await writer.wait_closed()
+    return answer
+
+
+#: Requests the server refuses (400, 413, 431) before reading a body.
+_MALFORMED = {
+    "length-minus-5": b"POST /request HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+    "length-12abc": b"POST /request HTTP/1.1\r\nContent-Length: 12abc\r\n\r\n",
+    "length-5000-nines": (
+        b"POST /batch HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n"
+    ),
+    "header-line-70000": (
+        b"GET /stats HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n"
+    ),
+    "header-lines-200": b"GET /stats HTTP/1.1\r\n" + b"X-Pad: a\r\n" * 200 + b"\r\n",
+}
+
+
 class TestTransparency:
+    @pytest.mark.parametrize("raw", list(_MALFORMED.values()), ids=list(_MALFORMED))
+    def test_refused_request_answered_as_the_server_would(self, raw):
+        """A pass-through proxy answers a request it refuses byte for
+        byte as the server does, then closes."""
+
+        async def run():
+            server = CacheServer(ServerConfig(shards=1))
+            await server.start()
+            proxy = ChaosProxy("127.0.0.1", server.port)
+            await proxy.start()
+            try:
+                direct = await _answer_to_eof(server.port, raw)
+                proxied = await _answer_to_eof(proxy.port, raw)
+            finally:
+                await proxy.stop()
+                await server.shutdown()
+            return direct, proxied
+
+        direct, proxied = scenario(run)
+        assert direct.split(b" ", 2)[1] in (b"400", b"413", b"431")
+        assert proxied == direct
+
     def test_passthrough_digest_identical(self, tmp_path):
         """An empty plan relays verbatim: digests match, no faults fire."""
         events = synthetic_events(items=5, count=80, num_servers=6, seed=4)

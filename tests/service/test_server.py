@@ -334,6 +334,43 @@ class TestHttpFraming:
             assert 0 <= head[3] <= MAX_BODY_BYTES
 
 
+class TestClientFraming:
+    """The client reads answers with the server's head reader: a torn or
+    refused answer is a ``ConnectionError``, which every retry loop
+    redrives, never a status or payload."""
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n",
+            b"HTTP/1.1 20",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 12abc\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nContent-Length: -3\r\n\r\n{}",
+        ],
+        ids=["torn-head", "cut-status", "length-12abc", "length-minus-3"],
+    )
+    def test_torn_or_refused_answer_is_connection_error(self, answer):
+        async def stub(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            writer.write(answer)
+            await writer.drain()
+            writer.close()
+
+        async def run():
+            upstream = await asyncio.start_server(stub, "127.0.0.1", 0)
+            port = upstream.sockets[0].getsockname()[1]
+            client = HttpClient("127.0.0.1", port, read_timeout=5.0)
+            try:
+                with pytest.raises(ConnectionError):
+                    await client.request("GET", "/stats")
+            finally:
+                await client.close()
+                upstream.close()
+                await upstream.wait_closed()
+
+        scenario(run)
+
+
 class TestDegradationLadder:
     def test_queue_full_sheds_429_with_retry_after(self, tmp_path):
         async def run():
