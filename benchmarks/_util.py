@@ -114,22 +114,18 @@ class Run:
         name: str,
         measured: Optional[float],
         threshold: float,
-        min_cpus: int = 1,
         c_sweep: bool = False,
     ) -> None:
         """Record the timing gate ``measured >= threshold``.
 
-        It is hard only in full mode, with at least ``min_cpus`` usable
-        CPUs and, if ``c_sweep``, the compiled sweep; elsewhere it reads
-        ``not_run`` with the reason.
+        It is hard only in full mode and, if ``c_sweep``, on the
+        compiled sweep; elsewhere it reads ``not_run`` with the reason.
         """
-        cpus = self.host["usable_cpus"]
         backend = self.host["batch_sweep_backend"]
         reasons = [
             why
             for unmet, why in (
                 (self.quick, "quick mode"),
-                (cpus < min_cpus, f"{cpus} usable CPU(s), needs {min_cpus}"),
                 (c_sweep and backend != "c", f"{backend} sweep, needs c"),
             )
             if unmet

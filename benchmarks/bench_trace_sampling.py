@@ -17,8 +17,8 @@ on a synthetic Zipf trace (1M rows in full mode) and writes
   ``CostEstimate.solve_s``) must be >= 10x below the exact solve; the
   end-to-end estimate time — which adds the O(rows) counting pass and
   the bootstrap, both fixed-cost — is reported alongside.  Hard in full
-  mode with >= 4 usable CPUs, where the solve is long and quiet enough
-  for stable timing.
+  mode, where the solve is long enough for stable timing; nothing it
+  times uses a second CPU.
 * **profiler RSS gate (hard everywhere)** — ``profile_trace`` over the
   full trace must grow this process's VmRSS by at most a fixed budget
   (memmap-native sweep, no record materialisation).
@@ -52,7 +52,6 @@ RATES_QUICK = (0.02, 0.05, 0.1)
 #: Headline speedup gate: estimate at this rate vs the exact solve.
 HEADLINE_RATE = 0.05
 SPEEDUP_GATE = 10.0
-SPEEDUP_GATE_MIN_CPUS = 4
 
 #: Point-estimate error budget (CI coverage is gated separately).
 REL_ERROR_GATE = 0.10
@@ -175,12 +174,7 @@ def run_bench(run):
         f"<= {REL_ERROR_GATE} at every rate",
     )
     headline = next(r for r in rate_rows if r["rate"] == HEADLINE_RATE)
-    run.speedup_gate(
-        "solve_speedup",
-        headline["solve_speedup"],
-        SPEEDUP_GATE,
-        min_cpus=SPEEDUP_GATE_MIN_CPUS,
-    )
+    run.speedup_gate("solve_speedup", headline["solve_speedup"], SPEEDUP_GATE)
 
     # Byte-determinism: permuted + re-interned copy, different chunking
     # (the test suite adds a process boundary).

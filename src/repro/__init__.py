@@ -19,133 +19,77 @@ Quickstart
 4.4
 """
 
-from .core import (
-    CacheInterval,
-    CostModel,
-    InvalidInstanceError,
-    InvalidScheduleError,
-    ProblemInstance,
-    Request,
-    Transfer,
-)
-from .offline import (
-    OfflineResult,
-    optimal_cost,
-    reconstruct_schedule,
-    solve_exact,
-    solve_offline,
-    solve_offline_bisect,
-    solve_offline_naive,
-)
-from .emulator import EmulationReport, LatencyModel, emulate
-from .faults import FaultContext, FaultPlan, FaultyRunResult, Outage
-from .kernels import solve_offline_batch
-from .offline import StreamingSolver
-from .online import (
-    AlwaysTransfer,
-    MarkovPredictor,
-    NeverDelete,
-    OracleNextRequest,
-    PredictiveCaching,
-    RandomizedTTL,
-    RecedingHorizonPlanner,
-    SpeculativeCaching,
-    SpeculativeCachingResilient,
-    double_transfer,
-    verify_theorem3,
-)
-from .service import (
-    CacheServer,
-    MultiItemInstance,
-    MultiItemOnlineService,
-    ServerConfig,
-    multi_item_workload,
-    solve_offline_multi,
-)
-from .workloads import (
-    ColumnarTrace,
-    CostEstimate,
-    WorkloadStats,
-    convert_csv,
-    estimate_offline_cost,
-    exact_offline_cost,
-    mine_instance_columnar,
-    profile_trace,
-    sample_columnar,
-    sample_trace,
-)
-from .schedule import (
-    Schedule,
-    render_schedule,
-    validate_schedule,
-)
-from .runtime import RunBudget, RunJournal, RunSnapshot, SupervisedRun, Supervisor
-from .sim import OnlineRunResult, ReplayDriver, run_online, run_online_faulty
+from ._lazy import exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AlwaysTransfer",
-    "CacheInterval",
-    "CacheServer",
-    "CostModel",
-    "InvalidInstanceError",
-    "EmulationReport",
-    "FaultContext",
-    "FaultPlan",
-    "FaultyRunResult",
-    "InvalidScheduleError",
-    "LatencyModel",
-    "MarkovPredictor",
-    "ColumnarTrace",
-    "MultiItemInstance",
-    "MultiItemOnlineService",
-    "NeverDelete",
-    "OfflineResult",
-    "OnlineRunResult",
-    "OracleNextRequest",
-    "Outage",
-    "PredictiveCaching",
-    "ProblemInstance",
-    "RandomizedTTL",
-    "RecedingHorizonPlanner",
-    "ReplayDriver",
-    "Request",
-    "RunBudget",
-    "RunJournal",
-    "RunSnapshot",
-    "Schedule",
-    "ServerConfig",
-    "SupervisedRun",
-    "Supervisor",
-    "SpeculativeCaching",
-    "SpeculativeCachingResilient",
-    "StreamingSolver",
-    "Transfer",
-    "multi_item_workload",
-    "solve_offline_multi",
-    "convert_csv",
-    "mine_instance_columnar",
-    "CostEstimate",
-    "WorkloadStats",
-    "estimate_offline_cost",
-    "exact_offline_cost",
-    "profile_trace",
-    "sample_columnar",
-    "sample_trace",
-    "double_transfer",
-    "emulate",
-    "optimal_cost",
-    "reconstruct_schedule",
-    "render_schedule",
-    "run_online",
-    "run_online_faulty",
-    "solve_exact",
-    "solve_offline",
-    "solve_offline_batch",
-    "solve_offline_bisect",
-    "solve_offline_naive",
-    "validate_schedule",
-    "verify_theorem3",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        ".core": (
+            "CacheInterval",
+            "CostModel",
+            "InvalidInstanceError",
+            "InvalidScheduleError",
+            "ProblemInstance",
+            "Request",
+            "Transfer",
+        ),
+        ".offline": (
+            "OfflineResult",
+            "StreamingSolver",
+            "optimal_cost",
+            "reconstruct_schedule",
+            "solve_exact",
+            "solve_offline",
+            "solve_offline_bisect",
+            "solve_offline_naive",
+        ),
+        ".emulator": ("EmulationReport", "LatencyModel", "emulate"),
+        ".faults": ("FaultContext", "FaultPlan", "FaultyRunResult", "Outage"),
+        ".kernels": ("solve_offline_batch",),
+        ".online": (
+            "AlwaysTransfer",
+            "MarkovPredictor",
+            "NeverDelete",
+            "OracleNextRequest",
+            "PredictiveCaching",
+            "RandomizedTTL",
+            "RecedingHorizonPlanner",
+            "SpeculativeCaching",
+            "SpeculativeCachingResilient",
+            "double_transfer",
+            "verify_theorem3",
+        ),
+        ".service": (
+            "CacheServer",
+            "MultiItemInstance",
+            "MultiItemOnlineService",
+            "ServerConfig",
+            "multi_item_workload",
+            "solve_offline_multi",
+        ),
+        ".workloads": (
+            "ColumnarTrace",
+            "CostEstimate",
+            "WorkloadStats",
+            "convert_csv",
+            "estimate_offline_cost",
+            "exact_offline_cost",
+            "mine_instance_columnar",
+            "profile_trace",
+            "sample_columnar",
+            "sample_trace",
+        ),
+        ".schedule": ("Schedule", "render_schedule", "validate_schedule"),
+        ".runtime": (
+            "RunBudget",
+            "RunJournal",
+            "RunSnapshot",
+            "SupervisedRun",
+            "Supervisor",
+        ),
+        ".sim": ("OnlineRunResult", "ReplayDriver", "run_online", "run_online_faulty"),
+    },
+)
+__all__.append("__version__")

@@ -1,21 +1,18 @@
 """Classic capacity-oriented caching (Table I's left-hand column)."""
 
-from .paging import (
-    FIFO,
-    LFU,
-    LRU,
-    BeladyMIN,
-    PagingPolicy,
-    PagingResult,
-    simulate_paging,
-)
+from .._lazy import exports
 
-__all__ = [
-    "FIFO",
-    "LFU",
-    "LRU",
-    "BeladyMIN",
-    "PagingPolicy",
-    "PagingResult",
-    "simulate_paging",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        ".paging": (
+            "FIFO",
+            "LFU",
+            "LRU",
+            "BeladyMIN",
+            "PagingPolicy",
+            "PagingResult",
+            "simulate_paging",
+        ),
+    },
+)

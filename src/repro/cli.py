@@ -1137,9 +1137,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         f"({report['achieved_rps']:.0f} req/s achieved)"
     )
     print(
-        f"  accepted {report['accepted']}, shed {report['shed']} "
-        f"({report['shed_rate']:.1%}), degraded {report['degraded']}, "
-        f"duplicates {report['duplicates']}, give-ups {report['give_ups']}"
+        f"  accepted {report['accepted']}, shed events {report['shed_events']} "
+        f"({report['shed_rate']:.1%}), shed answers {report['shed_answers']}, "
+        f"degraded {report['degraded']}, duplicates {report['duplicates']}, "
+        f"give-ups {report['give_ups']}"
     )
     print(
         f"  latency p50 {report['p50_ms']:.2f} ms, "

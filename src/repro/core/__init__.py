@@ -6,41 +6,29 @@ with its O(mn) pre-scan (``p(i)``, ``σ_i``, ``b_i``, ``B_i``, cover-index
 lookup).
 """
 
-from .instance import PivotLookup, ProblemInstance
-from .transforms import (
-    concat,
-    permute_servers,
-    scale_costs,
-    split_at,
-    time_scale,
-    time_shift,
-    with_cost,
-)
-from .types import (
-    CacheInterval,
-    CostModel,
-    InvalidInstanceError,
-    InvalidScheduleError,
-    Request,
-    Transfer,
-    sort_requests,
-)
+from .._lazy import exports
 
-__all__ = [
-    "CacheInterval",
-    "CostModel",
-    "InvalidInstanceError",
-    "InvalidScheduleError",
-    "PivotLookup",
-    "ProblemInstance",
-    "Request",
-    "Transfer",
-    "concat",
-    "permute_servers",
-    "scale_costs",
-    "sort_requests",
-    "split_at",
-    "time_scale",
-    "time_shift",
-    "with_cost",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        ".instance": ("PivotLookup", "ProblemInstance"),
+        ".transforms": (
+            "concat",
+            "permute_servers",
+            "scale_costs",
+            "split_at",
+            "time_scale",
+            "time_shift",
+            "with_cost",
+        ),
+        ".types": (
+            "CacheInterval",
+            "CostModel",
+            "InvalidInstanceError",
+            "InvalidScheduleError",
+            "Request",
+            "Transfer",
+            "sort_requests",
+        ),
+    },
+)

@@ -1,15 +1,12 @@
 """Latency emulator: pricing the axis the paper's model abstracts away."""
 
-from .emulator import EmulationReport, RequestOutcome, emulate
-from .frontier import FrontierPoint, cost_latency_frontier, pareto_front
-from .latency import LatencyModel
+from .._lazy import exports
 
-__all__ = [
-    "EmulationReport",
-    "FrontierPoint",
-    "LatencyModel",
-    "RequestOutcome",
-    "cost_latency_frontier",
-    "emulate",
-    "pareto_front",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        ".emulator": ("EmulationReport", "RequestOutcome", "emulate"),
+        ".frontier": ("FrontierPoint", "cost_latency_frontier", "pareto_front"),
+        ".latency": ("LatencyModel",),
+    },
+)

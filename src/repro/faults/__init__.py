@@ -12,15 +12,18 @@
 Entry point: :func:`repro.sim.engine.run_online_faulty`.
 """
 
-from .injector import FaultContext, FaultyRunResult
-from .plan import FaultEvent, FaultPlan, NetworkFaultPlan, Outage, Perturbation
+from .._lazy import exports
 
-__all__ = [
-    "FaultContext",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultyRunResult",
-    "NetworkFaultPlan",
-    "Outage",
-    "Perturbation",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        ".injector": ("FaultContext", "FaultyRunResult"),
+        ".plan": (
+            "FaultEvent",
+            "FaultPlan",
+            "NetworkFaultPlan",
+            "Outage",
+            "Perturbation",
+        ),
+    },
+)

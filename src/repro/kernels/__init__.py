@@ -45,40 +45,26 @@ gates on this unconditionally, and ``tests/offline/test_kernels.py``
 property-tests it on random instances (ties, degenerate fleets).
 """
 
-from .batch import (
-    BatchLayout,
-    batch_sweep_backend,
-    solve_offline_batch,
-)
-from .online import (
-    ONLINE_KERNELS,
-    OnlineKernelRun,
-    decision_digest,
-    run_online_batch,
-    run_online_layout,
-    run_online_vector,
-    vector_policy_config,
-)
-from .prescan import (
-    build_pivot_matrix,
-    per_server_lists,
-    prescan_arrays,
-    prev_same_server,
-)
+from .._lazy import exports
 
-__all__ = [
-    "BatchLayout",
-    "batch_sweep_backend",
-    "solve_offline_batch",
-    "ONLINE_KERNELS",
-    "OnlineKernelRun",
-    "decision_digest",
-    "run_online_batch",
-    "run_online_layout",
-    "run_online_vector",
-    "vector_policy_config",
-    "build_pivot_matrix",
-    "per_server_lists",
-    "prescan_arrays",
-    "prev_same_server",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        ".batch": ("BatchLayout", "batch_sweep_backend", "solve_offline_batch"),
+        ".online": (
+            "ONLINE_KERNELS",
+            "OnlineKernelRun",
+            "decision_digest",
+            "run_online_batch",
+            "run_online_layout",
+            "run_online_vector",
+            "vector_policy_config",
+        ),
+        ".prescan": (
+            "build_pivot_matrix",
+            "per_server_lists",
+            "prescan_arrays",
+            "prev_same_server",
+        ),
+    },
+)

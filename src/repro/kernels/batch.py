@@ -738,10 +738,68 @@ def solve_layout(layout: BatchLayout) -> List["OfflineResult"]:
     return _solve(layout, _sweep_c if _resolve_backend() == "c" else _sweep_python)
 
 
+def _check_layout(layout: BatchLayout) -> None:
+    """Raise ``ValueError`` unless every offset and index is in range.
+
+    Both sweeps trust them, the C one with raw pointers, so a
+    hand-built layout is checked here first, with ``O(total)`` numpy
+    operations: one entry per item in each item column, at least one
+    server and the origin among them, row slices that pack ``[0,
+    total)`` in order, server arenas inside ``[0, Σ m)``, server ids in
+    ``[0, m)`` and predecessors in ``[-1, local index)``.
+    """
+    items, total = layout.num_items, layout.total
+    col = {name: np.asarray(getattr(layout, name)) for name, _ in _ITEM_COLUMNS}
+    for name, arr in col.items():
+        if arr.shape != (items,):
+            raise ValueError(
+                f"layout column {name!r} has shape {arr.shape}; "
+                f"need ({items},), one entry per item"
+            )
+    srv, p = np.asarray(layout.srv)[:total], np.asarray(layout.p)[:total]
+    for name, arr in (("srv", srv), ("p", p)):
+        if arr.shape != (total,):
+            raise ValueError(f"layout column {name!r} needs {total} entries")
+    if items == 0:
+        return
+
+    def refuse(ok: np.ndarray, what: str) -> None:
+        if not ok.all():
+            k = int(np.flatnonzero(~ok)[0])
+            raise ValueError(f"layout item {layout.names[k]!r}: {what}")
+
+    off, nreq, mserv, origin, soff = (
+        col[name] for name in ("off", "nreq", "mserv", "origin", "soff")
+    )
+    refuse((mserv >= 1) & (origin >= 0) & (origin < mserv), "origin outside [0, m)")
+    refuse((nreq >= 0) & (nreq < total), f"request count outside [0, {total})")
+    starts = _starts(nreq + 1)
+    if int(nreq.sum()) + items != total or not np.array_equal(off, starts):
+        raise ValueError(f"layout row slices do not pack [0, {total}) in order")
+    state = mserv.sum()
+    refuse(
+        (soff >= 0) & (soff <= state - mserv), f"server arena outside [0, {state})"
+    )
+    # The slices pack the rows in order, so reduceat at their starts
+    # gives per-item extremes.  p(i) < i - off[k] iff p(i) - i < -off[k].
+    refuse(
+        (np.minimum.reduceat(srv, starts) >= 0)
+        & (np.maximum.reduceat(srv, starts) < mserv),
+        "server id outside [0, m)",
+    )
+    refuse(
+        (np.minimum.reduceat(p, starts) >= -1)
+        & (np.maximum.reduceat(p - np.arange(total), starts) < -starts),
+        "predecessor outside [-1, local index)",
+    )
+
+
 def _solve(layout: BatchLayout, sweep) -> List["OfflineResult"]:
-    """:func:`solve_layout` on the given sweep backend."""
+    """:func:`solve_layout` on the given sweep backend, after
+    :func:`_check_layout`."""
     from ..offline.result import OfflineResult
 
+    _check_layout(layout)
     total = layout.total
     C = np.empty(total, dtype=np.float64)
     D = np.empty(total, dtype=np.float64)

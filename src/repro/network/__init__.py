@@ -1,11 +1,11 @@
 """Cluster substrate: servers, layouts and (heterogeneous) cost models."""
 
-from .cluster import Cluster, Server
-from .costmodel import HeterogeneousCostModel, homogeneous_as_heterogeneous
+from .._lazy import exports
 
-__all__ = [
-    "Cluster",
-    "HeterogeneousCostModel",
-    "Server",
-    "homogeneous_as_heterogeneous",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        ".cluster": ("Cluster", "Server"),
+        ".costmodel": ("HeterogeneousCostModel", "homogeneous_as_heterogeneous"),
+    },
+)

@@ -9,35 +9,19 @@
 * :func:`reconstruct_schedule` — optimal schedule via backtracking.
 """
 
-from .beam import BeamResult, solve_beam
-from .bounds import BoundReport, bound_report, marginal_bounds, running_bound
-from .dp import optimal_cost, solve_offline
-from .exact import ExactResult, solve_exact
-from .naive import solve_offline_bisect, solve_offline_naive
-from .parametric import SensitivityPoint, lambda_breakpoints, lambda_sensitivity
-from .reconstruct import reconstruct_schedule
-from .result import FROM_C, FROM_D, OfflineResult
-from .streaming import StreamingSolver
+from .._lazy import exports
 
-__all__ = [
-    "FROM_C",
-    "FROM_D",
-    "StreamingSolver",
-    "BeamResult",
-    "BoundReport",
-    "ExactResult",
-    "OfflineResult",
-    "SensitivityPoint",
-    "bound_report",
-    "marginal_bounds",
-    "lambda_breakpoints",
-    "lambda_sensitivity",
-    "optimal_cost",
-    "reconstruct_schedule",
-    "running_bound",
-    "solve_beam",
-    "solve_exact",
-    "solve_offline",
-    "solve_offline_bisect",
-    "solve_offline_naive",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        ".beam": ("BeamResult", "solve_beam"),
+        ".bounds": ("BoundReport", "bound_report", "marginal_bounds", "running_bound"),
+        ".dp": ("optimal_cost", "solve_offline"),
+        ".exact": ("ExactResult", "solve_exact"),
+        ".naive": ("solve_offline_bisect", "solve_offline_naive"),
+        ".parametric": ("SensitivityPoint", "lambda_breakpoints", "lambda_sensitivity"),
+        ".reconstruct": ("reconstruct_schedule",),
+        ".result": ("FROM_C", "FROM_D", "OfflineResult"),
+        ".streaming": ("StreamingSolver",),
+    },
+)

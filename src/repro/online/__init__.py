@@ -12,54 +12,40 @@
   :class:`RandomizedTTL`.
 """
 
-from .base import OnlineAlgorithm
-from .baselines import AlwaysTransfer, NeverDelete, RandomizedTTL
-from .double_transfer import DoubleTransferResult, double_transfer
-from .horizon import RecedingHorizonPlanner
-from .predictive import (
-    MarkovPredictor,
-    NextUsePredictor,
-    OracleNextRequest,
-    PredictiveCaching,
-)
-from .reductions import (
-    ReductionReport,
-    check_short_windows_cached,
-    check_single_cover_on_big_gaps,
-    gap_cover_matrix,
-    reduced_cost,
-    refined_sigma,
-    short_request_set,
-    verify_theorem3,
-)
-from .resilient import SpeculativeCachingResilient
-from .speculative import SpeculativeCaching
-from .trusted import NoisyOracle, TrustedPredictionCaching
-from .workfunction import WorkFunctionCaching
+from .._lazy import exports
 
-__all__ = [
-    "AlwaysTransfer",
-    "DoubleTransferResult",
-    "MarkovPredictor",
-    "NeverDelete",
-    "NoisyOracle",
-    "NextUsePredictor",
-    "OnlineAlgorithm",
-    "OracleNextRequest",
-    "PredictiveCaching",
-    "RandomizedTTL",
-    "RecedingHorizonPlanner",
-    "ReductionReport",
-    "SpeculativeCaching",
-    "SpeculativeCachingResilient",
-    "TrustedPredictionCaching",
-    "WorkFunctionCaching",
-    "check_short_windows_cached",
-    "check_single_cover_on_big_gaps",
-    "double_transfer",
-    "gap_cover_matrix",
-    "reduced_cost",
-    "refined_sigma",
-    "short_request_set",
-    "verify_theorem3",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        ".base": ("OnlineAlgorithm",),
+        ".baselines": ("AlwaysTransfer", "NeverDelete", "RandomizedTTL"),
+        ".double_transfer": ("DoubleTransferResult", "double_transfer"),
+        ".horizon": ("RecedingHorizonPlanner",),
+        ".predictive": (
+            "MarkovPredictor",
+            "NextUsePredictor",
+            "OracleNextRequest",
+            "PredictiveCaching",
+        ),
+        ".reductions": (
+            "ReductionReport",
+            "check_short_windows_cached",
+            "check_single_cover_on_big_gaps",
+            "gap_cover_matrix",
+            "reduced_cost",
+            "refined_sigma",
+            "short_request_set",
+            "verify_theorem3",
+        ),
+        ".resilient": ("SpeculativeCachingResilient",),
+        ".speculative": ("SpeculativeCaching",),
+        ".trusted": ("NoisyOracle", "TrustedPredictionCaching"),
+        ".workfunction": ("WorkFunctionCaching",),
+    },
+)
+
+# The function shares its name with its submodule, and importing
+# ``repro.online.double_transfer`` (``reductions`` does) sets the package
+# attribute to the module, so ``__getattr__`` would never see the name.
+# Binding the function here, after that import, keeps it the export.
+from .double_transfer import double_transfer  # noqa: E402

@@ -16,26 +16,19 @@ such run *killable, resumable and deadline-bounded*:
   three agree on.
 """
 
-from .digest import canonical_json, digest_value, state_digest
-from .journal import JournalCorruptError, RunJournal
-from .snapshot import RunSnapshot, SnapshotIntegrityError
-from .supervisor import (
-    ResumeDivergenceError,
-    RunBudget,
-    SupervisedRun,
-    Supervisor,
-)
+from .._lazy import exports
 
-__all__ = [
-    "JournalCorruptError",
-    "ResumeDivergenceError",
-    "RunBudget",
-    "RunJournal",
-    "RunSnapshot",
-    "SnapshotIntegrityError",
-    "SupervisedRun",
-    "Supervisor",
-    "canonical_json",
-    "digest_value",
-    "state_digest",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        ".digest": ("canonical_json", "digest_value", "state_digest"),
+        ".journal": ("JournalCorruptError", "RunJournal"),
+        ".snapshot": ("RunSnapshot", "SnapshotIntegrityError"),
+        ".supervisor": (
+            "ResumeDivergenceError",
+            "RunBudget",
+            "SupervisedRun",
+            "Supervisor",
+        ),
+    },
+)

@@ -1,40 +1,19 @@
 """Schedules: containers, validation, diagrams and the space-time graph."""
 
-from .diagram import render_instance, render_schedule
-from .export import (
-    schedule_from_dict,
-    schedule_from_json,
-    schedule_to_dict,
-    schedule_to_dot,
-    schedule_to_json,
-)
-from .schedule import Schedule, coverage_gaps, merge_intervals
-from .svg import render_svg, write_svg
-from .spacetime import (
-    build_spacetime_graph,
-    migration_only_cost,
-    schedule_edge_cost,
-    schedule_is_tree,
-)
-from .validate import is_standard_form, validate_schedule
+from .._lazy import exports
 
-__all__ = [
-    "Schedule",
-    "build_spacetime_graph",
-    "coverage_gaps",
-    "is_standard_form",
-    "merge_intervals",
-    "migration_only_cost",
-    "render_instance",
-    "render_svg",
-    "render_schedule",
-    "schedule_edge_cost",
-    "schedule_from_dict",
-    "schedule_from_json",
-    "schedule_is_tree",
-    "schedule_to_dict",
-    "schedule_to_dot",
-    "schedule_to_json",
-    "validate_schedule",
-    "write_svg",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        ".diagram": ("render_instance", "render_schedule"),
+        ".schedule": ("Schedule", "coverage_gaps", "merge_intervals"),
+        ".svg": ("render_svg", "write_svg"),
+        ".spacetime": (
+            "build_spacetime_graph",
+            "migration_only_cost",
+            "schedule_edge_cost",
+            "schedule_is_tree",
+        ),
+        ".validate": ("is_standard_form", "validate_schedule"),
+    },
+)

@@ -18,13 +18,14 @@ the flat arrays), but it powers
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, List, Tuple
 
 from ..core.instance import ProblemInstance
 from ..core.types import InvalidScheduleError
 from .schedule import Schedule
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "build_spacetime_graph",
@@ -49,6 +50,8 @@ def build_spacetime_graph(
     transfer edges between each request vertex ``(s_i, i)`` and every other
     server's column-``i`` vertex (both directions) carry weight ``λ``.
     """
+    import networkx as nx
+
     g = nx.DiGraph()
     m, n = instance.num_servers, instance.n
     cost = instance.cost
@@ -137,6 +140,8 @@ def schedule_is_tree(schedule: Schedule, instance: ProblemInstance) -> bool:
     the check reduces to: the undirected edge-induced subgraph is acyclic
     and connected, with the origin start vertex included.
     """
+    import networkx as nx
+
     edges = schedule_to_edges(schedule, instance)
     if not edges:
         return True

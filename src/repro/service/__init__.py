@@ -1,30 +1,19 @@
 """Multi-item service layer (exact per-item decomposition) and live serving."""
 
-from .multi import (
-    MultiItemInstance,
-    MultiItemOfflineResult,
-    MultiItemOnlineService,
-    multi_item_workload,
-    solve_offline_multi,
-)
-from .server import CacheServer, ServerConfig, route_item, run_server
-from .proxy import ChaosProxy, run_proxy
-from .cluster import ClusterConfig, Replica, ReplicaSet, run_cluster
+from .._lazy import exports
 
-__all__ = [
-    "CacheServer",
-    "ChaosProxy",
-    "ClusterConfig",
-    "Replica",
-    "ReplicaSet",
-    "MultiItemInstance",
-    "ServerConfig",
-    "route_item",
-    "run_cluster",
-    "run_proxy",
-    "run_server",
-    "MultiItemOfflineResult",
-    "MultiItemOnlineService",
-    "multi_item_workload",
-    "solve_offline_multi",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        ".multi": (
+            "MultiItemInstance",
+            "MultiItemOfflineResult",
+            "MultiItemOnlineService",
+            "multi_item_workload",
+            "solve_offline_multi",
+        ),
+        ".server": ("CacheServer", "ServerConfig", "route_item", "run_server"),
+        ".proxy": ("ChaosProxy", "run_proxy"),
+        ".cluster": ("ClusterConfig", "Replica", "ReplicaSet", "run_cluster"),
+    },
+)

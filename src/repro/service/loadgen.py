@@ -212,11 +212,15 @@ class LoadResult:
     ``retries`` every redrive.  ``accepted`` counts the events the
     server took: settled ones in a closed loop (a 200 whose ``status``
     is ``done``), 200 answers in an open loop, which sends each once.
+    ``shed_events`` counts the events whose final answer was a shed
+    (``429``/``503``): a closed-loop give-up that ended on one, or an
+    open-loop event's one answer.
     """
 
     sent: int = 0
     statuses: Dict[int, int] = field(default_factory=dict)
     accepted: int = 0
+    shed_events: int = 0
     degraded: int = 0
     duplicates: int = 0
     retries: int = 0
@@ -231,7 +235,8 @@ class LoadResult:
         return float(np.percentile(np.asarray(self.latencies_ms), q))
 
     @property
-    def shed(self) -> int:
+    def shed_answers(self) -> int:
+        """``429``/``503`` answers over all attempts."""
         return self.statuses.get(429, 0) + self.statuses.get(503, 0)
 
     def count(self, status: int, payload: dict, accepted: bool) -> None:
@@ -247,8 +252,9 @@ class LoadResult:
             "sent": self.sent,
             "statuses": {str(k): v for k, v in sorted(self.statuses.items())},
             "accepted": self.accepted,
-            "shed": self.shed,
-            "shed_rate": self.shed / self.sent if self.sent else 0.0,
+            "shed_answers": self.shed_answers,
+            "shed_events": self.shed_events,
+            "shed_rate": self.shed_events / self.sent if self.sent else 0.0,
             "degraded": self.degraded,
             "duplicates": self.duplicates,
             "retries": self.retries,
@@ -298,6 +304,7 @@ async def _open_loop(
             except (OSError, asyncio.TimeoutError):
                 status, payload = -1, {}
             result.count(status, payload, status == 200)
+            result.shed_events += status in (429, 503)
             result.sent += 1
             if status == 200:
                 result.latencies_ms.append((loop.time() - scheduled) * 1000.0)
@@ -524,8 +531,9 @@ class ClusterClient:
         ``429``/``503`` sheds, and a 200 not yet done (``pending`` past
         its deadline).  Any other status ends the event too.  Returns
         the last ``(status, payload)``, so ``status == 200`` means
-        settled.  ``result`` counts every answer and redrive, and the
-        settled answer as accepted.
+        settled.  ``result`` counts every answer and redrive, the
+        settled answer as accepted, and a give-up whose last answer was
+        a shed as a shed event.
         """
         rng = rng if rng is not None else random.Random(4321)
         for attempt in range(retries + 1):
@@ -546,6 +554,8 @@ class ClusterClient:
                     result.retries += 1
                 pause = min(1.0, backoff * 2 ** min(attempt, 5))
                 await asyncio.sleep(pause * (1 - 0.5 * rng.random()))
+        if result is not None and status in (429, 503):
+            result.shed_events += 1
         return None
 
 

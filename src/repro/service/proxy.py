@@ -35,7 +35,8 @@ The proxy frames messages with the server's own head reader
 the only dialect both ends of this repo speak) purely to find message
 boundaries; the bytes it relays are the bytes it read, unmodified.  A
 request the reader refuses is answered as the server would answer it
-(same status, same body), then both sides are closed.
+(same status, same body), then both sides are closed; so are both after
+relaying an answer that carries ``Connection: close``.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ _STALL_TICK = 0.01
 
 async def _message(
     reader: asyncio.StreamReader, response: bool = False
-) -> Optional[bytes]:
-    """One whole message (head + body), raw bytes as read.
+) -> Optional[Tuple[bytes, bool]]:
+    """One whole message (head + body), raw bytes as read, and whether
+    the connection stays open after it (no ``Connection: close``).
 
     ``None`` when the stream ends before a whole head; a torn body
     raises ``asyncio.IncompleteReadError`` and refused framing
@@ -67,7 +69,8 @@ async def _message(
     head = await _read_head(reader, response)
     if head is None:
         return None
-    return head[4] + await reader.readexactly(head[3])
+    keep = head[2].get("connection", "keep-alive").lower() != "close"
+    return head[4] + await reader.readexactly(head[3]), keep
 
 
 class ChaosProxy:
@@ -205,13 +208,14 @@ class ChaosProxy:
         msg = 0
         while True:
             try:
-                request = await _message(reader)
+                got = await _message(reader)
             except _FramingError as exc:
                 writer.write(_render(exc.status, {"error": str(exc)}, [], False))
                 await writer.drain()
                 return
-            if request is None:
+            if got is None:
                 return
+            request = got[0]
             if self._partition_active():
                 writer.transport.abort()
                 up_writer.transport.abort()
@@ -234,10 +238,11 @@ class ChaosProxy:
                 self.counters["duplicated"] += 1
                 up_writer.write(request)
                 await up_writer.drain()
-            response = await _message(up_reader, response=True)
-            if response is None:
+            got = await _message(up_reader, response=True)
+            if got is None:
                 writer.transport.abort()
                 return
+            response, keep = got
             if p.duplicate:
                 # The server answered the duplicate too; swallow it so
                 # the client's request/response pairing stays intact.
@@ -269,6 +274,8 @@ class ChaosProxy:
             else:
                 writer.write(response)
                 await writer.drain()
+            if not keep:
+                return  # the server closes after this answer: so does the relay
 
 
 def run_proxy(

@@ -1,24 +1,18 @@
 """Discrete-event simulation substrate for the online algorithms."""
 
-from .engine import (
-    ReplayDriver,
-    ReplayEvent,
-    merged_event_stream,
-    run_online,
-    run_online_faulty,
-)
-from .events import Event, EventQueue
-from .recorder import CopyLifetime, OnlineRunResult, RunRecorder
+from .._lazy import exports
 
-__all__ = [
-    "CopyLifetime",
-    "Event",
-    "EventQueue",
-    "OnlineRunResult",
-    "ReplayDriver",
-    "ReplayEvent",
-    "RunRecorder",
-    "merged_event_stream",
-    "run_online",
-    "run_online_faulty",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        ".engine": (
+            "ReplayDriver",
+            "ReplayEvent",
+            "merged_event_stream",
+            "run_online",
+            "run_online_faulty",
+        ),
+        ".events": ("Event", "EventQueue"),
+        ".recorder": ("CopyLifetime", "OnlineRunResult", "RunRecorder"),
+    },
+)

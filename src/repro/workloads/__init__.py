@@ -1,79 +1,48 @@
 """Workload substrates: synthetic arrivals, mobility trajectories, traces."""
 
-from .diurnal import diurnal_instance, diurnal_rate
-from .flashcrowd import flash_crowd_instance
-from .predictability import empirical_entropy, lz_entropy_rate, max_predictability
-from .synthetic import (
-    arrival_gaps,
-    choose_servers,
-    mmpp_instance,
-    poisson_zipf_instance,
-    random_instance,
-    renewal_instance,
-    zipf_weights,
-)
-from .columnar import (
-    ColumnarTrace,
-    convert_csv,
-    is_columnar,
-    mine_instance_columnar,
-    read_columnar,
-    write_columnar,
-)
-from .profiler import ItemStats, WorkloadStats, profile_trace
-from .sampling import (
-    CostEstimate,
-    SampleStats,
-    estimate_offline_cost,
-    exact_offline_cost,
-    item_hash,
-    online_trace_costs,
-    sample_columnar,
-    sample_trace,
-    sampled_items,
-    solve_trace_costs,
-)
-from .traces import TraceRecord, mine_instance, read_trace, write_trace
-from .trajectory import MarkovMobility, RandomWaypoint, merge_streams
+from .._lazy import exports
 
-__all__ = [
-    "ColumnarTrace",
-    "CostEstimate",
-    "ItemStats",
-    "MarkovMobility",
-    "RandomWaypoint",
-    "SampleStats",
-    "TraceRecord",
-    "WorkloadStats",
-    "arrival_gaps",
-    "choose_servers",
-    "convert_csv",
-    "diurnal_instance",
-    "diurnal_rate",
-    "empirical_entropy",
-    "estimate_offline_cost",
-    "exact_offline_cost",
-    "flash_crowd_instance",
-    "is_columnar",
-    "item_hash",
-    "lz_entropy_rate",
-    "max_predictability",
-    "merge_streams",
-    "mine_instance",
-    "mine_instance_columnar",
-    "mmpp_instance",
-    "online_trace_costs",
-    "poisson_zipf_instance",
-    "profile_trace",
-    "random_instance",
-    "read_columnar",
-    "read_trace",
-    "renewal_instance",
-    "sample_columnar",
-    "sample_trace",
-    "sampled_items",
-    "solve_trace_costs",
-    "write_columnar",
-    "write_trace",
-    "zipf_weights",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        ".diurnal": ("diurnal_instance", "diurnal_rate"),
+        ".flashcrowd": ("flash_crowd_instance",),
+        ".predictability": (
+            "empirical_entropy",
+            "lz_entropy_rate",
+            "max_predictability",
+        ),
+        ".synthetic": (
+            "arrival_gaps",
+            "choose_servers",
+            "mmpp_instance",
+            "poisson_zipf_instance",
+            "random_instance",
+            "renewal_instance",
+            "zipf_weights",
+        ),
+        ".columnar": (
+            "ColumnarTrace",
+            "convert_csv",
+            "is_columnar",
+            "mine_instance_columnar",
+            "read_columnar",
+            "write_columnar",
+        ),
+        ".profiler": ("ItemStats", "WorkloadStats", "profile_trace"),
+        ".sampling": (
+            "CostEstimate",
+            "SampleStats",
+            "estimate_offline_cost",
+            "exact_offline_cost",
+            "item_hash",
+            "online_trace_costs",
+            "sample_columnar",
+            "sample_trace",
+            "sampled_items",
+            "solve_trace_costs",
+        ),
+        ".traces": ("TraceRecord", "mine_instance", "read_trace", "write_trace"),
+        ".trajectory": ("MarkovMobility", "RandomWaypoint", "merge_streams"),
+    },
+)

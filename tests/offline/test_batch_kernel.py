@@ -56,6 +56,38 @@ def _column_entry(name, inst):
     )
 
 
+def two_item_layout():
+    """Rows 0-3 are item a's (m = 2), rows 4-6 item b's (m = 3)."""
+    return BatchLayout.from_instances(
+        {
+            "a": make_instance([1.0, 2.0, 3.5], [0, 1, 0], m=2),
+            "b": make_instance([0.5, 1.0], [1, 1], m=3),
+        }
+    )
+
+
+def edit(index, value):
+    """A copy of a layout column with one entry replaced."""
+
+    def bad(column):
+        column = column.copy()
+        column[index] = value
+        return column
+
+    return bad
+
+
+@pytest.fixture
+def no_c_sweep(monkeypatch):
+    """A C library whose sweep fails the test if it is ever called."""
+
+    class Library:
+        def repro_batch_sweep(self, *args):
+            raise AssertionError("the C sweep ran on a bad layout")
+
+    monkeypatch.setattr(batch_kernel, "_load_sweep_lib", Library)
+
+
 def assert_batch_matches_frontier(batch, per_item):
     for name, res in batch.items():
         assert_bit_identical(per_item[name], res)
@@ -323,14 +355,25 @@ class TestBatchLayout:
         assert_batch_matches_frontier(solve_offline_batch(items), per_item)
 
     @pytest.mark.parametrize(
-        "field, bad",
+        "field, bad, match",
         [
-            ("t", lambda a: a.astype(np.float32)),
-            ("srv", lambda a: a.astype(np.int32)),
-            ("mu", lambda a: a.astype(np.float32)),
-            ("sigma", lambda a: np.repeat(a, 2)[::2]),
-            ("off", lambda a: np.repeat(a, 2)[::2]),
-            ("B", lambda a: a[:-1]),
+            ("t", lambda a: a.astype(np.float32), "C kernel needs"),
+            ("srv", lambda a: a.astype(np.int32), "C kernel needs"),
+            ("mu", lambda a: a.astype(np.float32), "C kernel needs"),
+            ("sigma", lambda a: np.repeat(a, 2)[::2], "C kernel needs"),
+            ("off", lambda a: np.repeat(a, 2)[::2], "C kernel needs"),
+            ("B", lambda a: a[:-1], "C kernel needs"),
+            ("mu", lambda a: np.append(a, 1.0), "one entry per item"),
+            ("mserv", edit(0, 0), "origin outside"),
+            ("origin", edit(1, 3), "origin outside"),
+            ("nreq", edit(1, 10), "request count outside"),
+            ("off", edit(1, 3), "do not pack"),
+            ("nreq", edit(1, 1), "do not pack"),
+            ("soff", edit(1, 3), "server arena outside"),
+            ("srv", edit(5, 2**20), "server id outside"),
+            ("srv", edit(2, -1), "server id outside"),
+            ("p", edit(5, 1), "predecessor outside"),
+            ("p", edit(2, -2), "predecessor outside"),
         ],
         ids=[
             "float32-t",
@@ -339,26 +382,33 @@ class TestBatchLayout:
             "strided-sigma",
             "strided-off",
             "short-B",
+            "extra-mu",
+            "no-servers",
+            "origin-past-fleet",
+            "count-past-total",
+            "overlapping-slices",
+            "unpacked-tail",
+            "arena-past-end",
+            "server-past-fleet",
+            "negative-server",
+            "predecessor-ahead",
+            "predecessor-below-minus-one",
         ],
     )
-    def test_bad_layout_column_rejected_before_c(self, monkeypatch, field, bad):
-        # The C sweep takes raw addresses: a column of the wrong dtype,
-        # a strided (non-contiguous) one, or one that is too short must
-        # raise ValueError before the library is called.
-        class Library:
-            def repro_batch_sweep(self, *args):
-                raise AssertionError("the C sweep ran on a bad layout")
+    def test_bad_layout_column_rejected_before_c(self, no_c_sweep, field, bad, match):
+        # The C sweep takes raw addresses and trusts every offset and
+        # index in them: a column of the wrong dtype, a strided
+        # (non-contiguous) one, one that is too short, or a value out
+        # of range must raise ValueError before the library is called.
+        layout = two_item_layout()
+        setattr(layout, field, bad(getattr(layout, field)))
+        with backend("c"), pytest.raises(ValueError, match=match):
+            solve_layout(layout)
 
-        monkeypatch.setattr(batch_kernel, "_load_sweep_lib", Library)
-        items = {
-            "a": make_instance([1.0, 2.0, 3.5], [0, 1, 0], m=2),
-            "b": make_instance([0.5, 1.0], [1, 1], m=3),
-        }
-        layout = BatchLayout.from_instances(items)
-        column = bad(getattr(layout, field))
-        assert np.array_equal(column[:3], getattr(layout, field)[:3])
-        setattr(layout, field, column)
-        with backend("c"), pytest.raises(ValueError, match="C kernel needs"):
+    def test_bad_layout_value_rejected_by_python_sweep(self):
+        layout = two_item_layout()
+        layout.srv = edit(5, 2**20)(layout.srv)
+        with backend("python"), pytest.raises(ValueError, match="server id outside"):
             solve_layout(layout)
 
     def test_solve_layout_results_carry_no_instance(self):

@@ -162,6 +162,28 @@ class TestTransparency:
         assert direct.split(b" ", 2)[1] in (b"400", b"413", b"431")
         assert proxied == direct
 
+    def test_connection_close_answer_ends_the_relay(self):
+        """After relaying an answer that carries ``Connection: close``,
+        the proxy closes the client side as the server does."""
+        raw = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+
+        async def run():
+            server = CacheServer(ServerConfig(shards=1))
+            await server.start()
+            proxy = ChaosProxy("127.0.0.1", server.port)
+            await proxy.start()
+            try:
+                direct = await _answer_to_eof(server.port, raw)
+                proxied = await _answer_to_eof(proxy.port, raw)
+            finally:
+                await proxy.stop()
+                await server.shutdown()
+            return direct, proxied
+
+        direct, proxied = scenario(run)
+        assert b"Connection: close" in direct
+        assert proxied == direct
+
     def test_passthrough_digest_identical(self, tmp_path):
         """An empty plan relays verbatim: digests match, no faults fire."""
         events = synthetic_events(items=5, count=80, num_servers=6, seed=4)

@@ -407,6 +407,47 @@ class TestDegradationLadder:
         assert statuses == [200, 200]
         assert shed == 1
 
+    @staticmethod
+    def load_behind_a_held_queue(tmp_path, events, **load):
+        """``run_load`` against one shard of depth 1 whose worker is held
+        for 0.3 s, so every send but one in that window is shed."""
+
+        async def run():
+            config = ServerConfig(
+                journal_dir=str(tmp_path), shards=1, queue_depth=1
+            )
+            server = CacheServer(config)
+            gate = asyncio.Event()
+            server.shards[0].gate = gate
+            await server.start()
+            asyncio.get_running_loop().call_later(0.3, gate.set)
+            res = await run_load(
+                config.host, server.port, events, fetch_stats=False, **load
+            )
+            await server.shutdown()
+            return res.to_dict()
+
+        return scenario(run)
+
+    def test_closed_loop_redriven_sheds_are_no_shed_events(self, tmp_path):
+        events = synthetic_events(items=16, count=200, num_servers=4, seed=0)
+        report = self.load_behind_a_held_queue(
+            tmp_path, events, concurrency=16, retries=64
+        )
+        assert report["accepted"] == 200 and report["give_ups"] == 0
+        statuses = report["statuses"]
+        assert report["shed_answers"] == (
+            statuses.get("429", 0) + statuses.get("503", 0)
+        ) > 0
+        assert report["shed_events"] == 0
+        assert report["shed_rate"] == 0.0
+
+    def test_open_loop_shed_events_are_its_shed_answers(self, tmp_path):
+        events = synthetic_events(items=4, count=20, num_servers=4, seed=0)
+        report = self.load_behind_a_held_queue(tmp_path, events, rate=200.0)
+        assert report["shed_events"] == report["shed_answers"] > 0
+        assert report["shed_rate"] == report["shed_events"] / report["sent"]
+
     def test_watermark_degrades_to_cheapest_feasible(self, tmp_path):
         async def run():
             config = ServerConfig(

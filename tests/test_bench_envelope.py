@@ -50,23 +50,15 @@ def test_passing_gates_exit_0(util):
     assert run.write({}, "report", None) == 0
 
 
-def test_unmet_hard_condition_reads_not_run_with_reason_and_value(util, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    run = util.Run("x", quick=False)
-    run.speedup_gate("speedup", 2.0, 10.0, min_cpus=4)
-    gate = run.gates["speedup"]
-    assert gate["status"] == "not_run"
-    assert gate["reason"] == "1 usable CPU(s), needs 4"
-    assert gate["measured"] == 2.0
-    assert run.write({}, "report", None) == 0
-
-
 def test_c_sweep_condition(util):
     run = util.Run("x", quick=False)
     run.host["batch_sweep_backend"] = "python"
-    run.speedup_gate("batch", 12.0, 5.0, c_sweep=True)
-    assert run.gates["batch"]["status"] == "not_run"
-    assert run.gates["batch"]["reason"] == "python sweep, needs c"
+    run.speedup_gate("batch", 2.0, 5.0, c_sweep=True)
+    gate = run.gates["batch"]
+    assert gate["status"] == "not_run"
+    assert gate["reason"] == "python sweep, needs c"
+    assert gate["measured"] == 2.0  # a not_run gate keeps its value
+    assert run.write({}, "report", None) == 0
 
 
 def test_identity_failure_fails_in_quick_mode(util):

@@ -5,28 +5,20 @@ behaviour change needs the goldens (and EXPERIMENTS.md) updated in the
 same commit.
 """
 
-import json
-
 import pytest
 
-from repro import solve_offline
+from repro import CacheInterval, Transfer, solve_offline
 from repro.online import SpeculativeCaching
 from repro.paperdata import fig2_instance, fig6_instance, fig7_instance
-from repro.schedule import schedule_to_dict
 
-FIG6_GOLDEN_SCHEDULE = {
-    "version": 1,
-    "intervals": [
-        {"server": 0, "start": 0.0, "end": 1.4},
-        {"server": 1, "start": 0.5, "end": 4.0},
-    ],
-    "transfers": [
-        {"time": 0.5, "src": 0, "dst": 1},
-        {"time": 0.8, "src": 0, "dst": 2},
-        {"time": 1.1, "src": 0, "dst": 3},
-        {"time": 4.0, "src": 1, "dst": 2},
-    ],
-}
+FIG6_GOLDEN_INTERVALS = [CacheInterval(0, 0.0, 1.4), CacheInterval(1, 0.5, 4.0)]
+
+FIG6_GOLDEN_TRANSFERS = [
+    Transfer(0.5, 0, 1),
+    Transfer(0.8, 0, 2),
+    Transfer(1.1, 0, 3),
+    Transfer(4.0, 1, 2),
+]
 
 FIG2_GOLDEN_COSTS = {"caching": 3.2, "transfer": 4.0, "total": 7.2}
 
@@ -41,16 +33,9 @@ FIG7_GOLDEN_COUNTERS = {
 
 class TestGoldens:
     def test_fig6_schedule_atoms(self):
-        sched = solve_offline(fig6_instance()).schedule()
-        got = schedule_to_dict(sched)
-        assert got == FIG6_GOLDEN_SCHEDULE
-
-    def test_fig6_schedule_json_stable(self):
-        from repro.schedule import schedule_to_json
-
-        sched = solve_offline(fig6_instance()).schedule()
-        # JSON form is sorted-keys deterministic.
-        assert json.loads(schedule_to_json(sched)) == FIG6_GOLDEN_SCHEDULE
+        canon = solve_offline(fig6_instance()).schedule().canonical()
+        assert canon.intervals == FIG6_GOLDEN_INTERVALS
+        assert canon.transfers == FIG6_GOLDEN_TRANSFERS
 
     def test_fig2_costs(self):
         inst = fig2_instance()
