@@ -60,51 +60,61 @@ import sys
 from typing import List, Optional
 
 from .core.types import CostModel
-from .kernels.online import ONLINE_KERNELS
-from .offline.dp import KERNELS, solve_offline
-from .online.baselines import AlwaysTransfer, NeverDelete, RandomizedTTL
-from .online.predictive import MarkovPredictor, PredictiveCaching
-from .online.resilient import SpeculativeCachingResilient
-from .online.speculative import SpeculativeCaching
-from .schedule.diagram import render_schedule
-from .workloads.synthetic import poisson_zipf_instance
-from .workloads.traces import TraceRecord, mine_instance, write_trace
 
 __all__ = ["main", "build_parser"]
 
+# Each handler imports what it runs, so a ``serve`` start loads neither
+# the solvers nor the policies; the parser's choices are therefore
+# literals, which ``tests/test_cli.py`` pins to the tables they name.
 
-def _predictive_factory() -> PredictiveCaching:
-    return PredictiveCaching(MarkovPredictor())
+#: ``--policy`` values: the keys of :func:`_policies`, sorted.
+_POLICY_CHOICES = (
+    "always-transfer",
+    "never-delete",
+    "predictive",
+    "randomized-ttl",
+    "sc",
+    "sc-r",
+)
+
+#: One ``--kernel`` flag covers both kernel families: ``KERNELS``
+#: ("frontier"/"reference" pin the off-line sweep), then the
+#: ``ONLINE_KERNELS`` it lacks ("event" pins the online replay); the
+#: family a name does not belong to runs its "auto".
+_KERNEL_CHOICES = ("auto", "frontier", "reference", "event")
 
 
-def _randomized_ttl_factory() -> RandomizedTTL:
-    # Seeded so repeated CLI invocations are byte-identical (the repo-wide
-    # determinism contract); pass a different seed via the library API.
-    return RandomizedTTL(seed=0)
+def _policies() -> dict:
+    """``--policy`` value -> factory of a fresh online policy."""
+    from .online.baselines import AlwaysTransfer, NeverDelete, RandomizedTTL
+    from .online.predictive import MarkovPredictor, PredictiveCaching
+    from .online.resilient import SpeculativeCachingResilient
+    from .online.speculative import SpeculativeCaching
 
-
-_POLICIES = {
-    "sc": SpeculativeCaching,
-    "sc-r": SpeculativeCachingResilient,
-    "always-transfer": AlwaysTransfer,
-    "never-delete": NeverDelete,
-    "randomized-ttl": _randomized_ttl_factory,
-    "predictive": _predictive_factory,
-}
-
-# One --kernel flag covers both kernel families: "frontier"/"reference"
-# pin the off-line sweep, "event" pins the online replay, and the family
-# a name does not belong to runs its "auto".
-_KERNEL_CHOICES = list(KERNELS) + [k for k in ONLINE_KERNELS if k not in KERNELS]
+    return {
+        "sc": SpeculativeCaching,
+        "sc-r": SpeculativeCachingResilient,
+        "always-transfer": AlwaysTransfer,
+        "never-delete": NeverDelete,
+        # Seeded so repeated CLI invocations are byte-identical (the
+        # repo-wide determinism contract); pass a different seed via the
+        # library API.
+        "randomized-ttl": lambda: RandomizedTTL(seed=0),
+        "predictive": lambda: PredictiveCaching(MarkovPredictor()),
+    }
 
 
 def _dp_kernel(kernel: str) -> str:
     """The off-line-DP half of the global ``--kernel`` value."""
+    from .offline.dp import KERNELS
+
     return kernel if kernel in KERNELS else "auto"
 
 
 def _online_kernel(kernel: str) -> str:
     """The online-replay half of the global ``--kernel`` value."""
+    from .kernels.online import ONLINE_KERNELS
+
     return kernel if kernel in ONLINE_KERNELS else "auto"
 
 
@@ -143,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--item", default=None)
     op.add_argument("--servers", type=int, default=None)
     op.add_argument(
-        "--policy", choices=sorted(_POLICIES), default="sc", help="online policy"
+        "--policy", choices=_POLICY_CHOICES, default="sc", help="online policy"
     )
     op.add_argument("--epoch", type=int, default=None, help="SC epoch size")
     op.add_argument("--diagram", action="store_true")
@@ -246,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("-n", type=int, default=200, help="synthetic request count")
     sv.add_argument("-m", type=int, default=8, help="synthetic fleet size")
     sv.add_argument(
-        "--policy", choices=sorted(_POLICIES), default="sc-r", help="online policy"
+        "--policy", choices=_POLICY_CHOICES, default="sc-r", help="online policy"
     )
     sv.add_argument("--seed", type=int, default=0, help="workload/fault seed")
     sv.add_argument(
@@ -297,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mp.add_argument("--seed", type=int, default=0, help="synthetic workload seed")
     mp.add_argument(
-        "--policy", choices=sorted(_POLICIES), default=None,
+        "--policy", choices=_POLICY_CHOICES, default=None,
         help="also serve the items online with this policy "
         "(omit for off-line solve only)",
     )
@@ -582,6 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace):
+    from .workloads.traces import mine_instance
+
     cost = CostModel(mu=args.mu, lam=args.lam)
     return mine_instance(
         args.trace,
@@ -593,6 +605,9 @@ def _load(args: argparse.Namespace):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .offline.dp import solve_offline
+    from .schedule.diagram import render_schedule
+
     inst = _load(args)
     res = solve_offline(inst, kernel=_dp_kernel(args.kernel))
     sched = res.schedule()
@@ -606,11 +621,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_online(args: argparse.Namespace) -> int:
+    from .offline.dp import solve_offline
+    from .online.speculative import SpeculativeCaching
+    from .schedule.diagram import render_schedule
+
     inst = _load(args)
     if args.policy == "sc" and args.epoch is not None:
         algo = SpeculativeCaching(epoch_size=args.epoch)
     else:
-        algo = _POLICIES[args.policy]()
+        algo = _policies()[args.policy]()
     run = algo.run(inst, kernel=_online_kernel(args.kernel))
     opt = solve_offline(inst, kernel=_dp_kernel(args.kernel)).optimal_cost
     print(f"instance: {inst}")
@@ -625,13 +644,15 @@ def _cmd_online(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .analysis.tables import format_table
+    from .offline.dp import solve_offline
 
     inst = _load(args)
     opt = solve_offline(inst, kernel=_dp_kernel(args.kernel)).optimal_cost
     rows = [{"policy": "off-line optimal", "cost": opt, "ratio": 1.0}]
-    for key in sorted(_POLICIES):
+    policies = _policies()
+    for key in _POLICY_CHOICES:
         # each factory yields a fresh policy
-        run = _POLICIES[key]().run(inst, kernel=_online_kernel(args.kernel))
+        run = policies[key]().run(inst, kernel=_online_kernel(args.kernel))
         rows.append(
             {"policy": run.algorithm, "cost": run.cost, "ratio": run.cost / opt}
         )
@@ -641,6 +662,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .workloads.synthetic import poisson_zipf_instance
+    from .workloads.traces import TraceRecord, write_trace
+
     inst = poisson_zipf_instance(
         n=args.n,
         m=args.m,
@@ -660,7 +684,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_paper(args: argparse.Namespace) -> int:
+    from .offline.dp import solve_offline
+    from .online.speculative import SpeculativeCaching
     from .paperdata import fig2_instance, fig6_instance, fig7_instance
+    from .schedule.diagram import render_schedule
 
     inst = fig6_instance()
     res = solve_offline(inst)
@@ -690,6 +717,8 @@ def _cmd_paper(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .faults import chaos
+    from .online.resilient import SpeculativeCachingResilient
+    from .workloads.synthetic import poisson_zipf_instance
 
     if args.kill_replica or args.partition:
         return _cmd_chaos_cluster(args)
@@ -830,6 +859,7 @@ def _cmd_chaos_cluster(args: argparse.Namespace) -> int:
 def _cmd_supervise(args: argparse.Namespace) -> int:
     from .faults.plan import FaultPlan
     from .runtime import RunBudget, Supervisor
+    from .workloads.synthetic import poisson_zipf_instance
 
     if args.trace is not None:
         inst = _load(args)
@@ -862,7 +892,7 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    factory = _POLICIES[args.policy]
+    factory = _policies()[args.policy]
     supervisor = Supervisor(
         factory,
         inst,
@@ -939,7 +969,7 @@ def _cmd_service(args: argparse.Namespace) -> int:
     off = solve_offline_multi(svc, kernel=_dp_kernel(args.kernel))
     online = None
     if args.policy is not None:
-        online = MultiItemOnlineService(_POLICIES[args.policy]).run(
+        online = MultiItemOnlineService(_policies()[args.policy]).run(
             svc, kernel=_online_kernel(args.kernel)
         )
     breakdown = off.cost_breakdown()
@@ -1279,6 +1309,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_svg(args: argparse.Namespace) -> int:
+    from .offline.dp import solve_offline
     from .schedule.svg import write_svg
 
     inst = _load(args)

@@ -80,6 +80,8 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from .prescan import sort_key
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> kernels)
     from ..core.instance import ProblemInstance
     from ..offline.result import OfflineResult
@@ -281,7 +283,7 @@ class BatchLayout:
         # successor) pairs — the batched prev_same_server.
         p_global = np.full(total, -1, dtype=np.int64)
         if total > 1:
-            order = np.lexsort((srv_all, item_id))
+            order = np.lexsort((sort_key(srv_all), sort_key(item_id)))
             same = (srv_all[order[1:]] == srv_all[order[:-1]]) & (
                 item_id[order[1:]] == item_id[order[:-1]]
             )

@@ -6,10 +6,10 @@ pivot pointer matrix (Fig. 5).  The reference formulation loops:
 per-server slices for ``p(i)``, and a backward per-row Python sweep for
 the matrix — ``O(n)`` interpreter iterations that would dominate
 end-to-end time once the DP sweep itself is fast.  This module computes
-the very same arrays with whole-array numpy primitives
-(``argsort``/``searchsorted`` for grouping, ``minimum.accumulate`` for
-the suffix sweep), so construction costs a handful of vector operations
-regardless of ``n``.
+the very same arrays with whole-array numpy primitives (a stable
+``argsort`` on a :func:`sort_key` plus ``searchsorted`` for grouping,
+``minimum.accumulate`` for the suffix sweep), so construction costs a
+handful of vector operations regardless of ``n``.
 
 All functions are pure array-in/array-out (no instance types), keeping
 the kernel import-free of :mod:`repro.core`; the instance constructor
@@ -25,11 +25,33 @@ from typing import List, Tuple
 import numpy as np
 
 __all__ = [
+    "sort_key",
     "per_server_lists",
     "prev_same_server",
     "prescan_arrays",
     "build_pivot_matrix",
 ]
+
+
+def sort_key(values: np.ndarray) -> np.ndarray:
+    """``values`` as the narrowest unsigned dtype that holds every value.
+
+    numpy's stable sort is a radix sort for integer keys of 16 bits or
+    less, several times faster than the merge/timsort that wider keys
+    get.  A cast that keeps every value cannot change a stable
+    permutation, so ``np.lexsort``/``argsort(kind="stable")`` on the key
+    equal the same sort on ``values``.  The width comes from the array's
+    actual maximum, never its dtype (ids read from a file are not
+    range-checked), so no value wraps; an empty, non-integer or negative
+    array, or one above ``2**32 - 1``, comes back unchanged.
+    """
+    if values.size == 0 or values.dtype.kind not in "iu" or values.min() < 0:
+        return values
+    top = int(values.max())
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if top <= np.iinfo(dtype).max:
+            return values.astype(dtype, copy=False)
+    return values
 
 
 def per_server_lists(servers: np.ndarray, num_servers: int) -> List[np.ndarray]:
@@ -38,7 +60,7 @@ def per_server_lists(servers: np.ndarray, num_servers: int) -> List[np.ndarray]:
     ``servers`` is the length ``n+1`` array including ``r_0``; the
     returned list has one ascending index array per server id.
     """
-    order = np.argsort(servers, kind="stable")
+    order = np.argsort(sort_key(servers), kind="stable")
     split = np.searchsorted(servers[order], np.arange(num_servers + 1))
     return [
         np.ascontiguousarray(order[split[j] : split[j + 1]])
@@ -58,7 +80,7 @@ def prev_same_server(servers: np.ndarray) -> np.ndarray:
     p = np.full(n1, -1, dtype=np.int64)
     if n1 < 2:
         return p
-    order = np.argsort(servers, kind="stable")
+    order = np.argsort(sort_key(servers), kind="stable")
     same = servers[order[1:]] == servers[order[:-1]]
     p[order[1:][same]] = order[:-1][same]
     return p

@@ -5,7 +5,8 @@ such run *killable, resumable and deadline-bounded*:
 
 * :mod:`~repro.runtime.journal` — a write-ahead JSONL event journal
   (monotone sequence numbers, per-event state digests, torn-tail
-  recovery);
+  recovery), with the resume-divergence error and the run budget its
+  readers share;
 * :mod:`~repro.runtime.snapshot` — atomic checkpoints of the full
   engine + policy + fault-context state, including RNG streams and open
   cache intervals;
@@ -22,13 +23,13 @@ __getattr__, __dir__, __all__ = exports(
     __name__,
     {
         ".digest": ("canonical_json", "digest_value", "state_digest"),
-        ".journal": ("JournalCorruptError", "RunJournal"),
-        ".snapshot": ("RunSnapshot", "SnapshotIntegrityError"),
-        ".supervisor": (
+        ".journal": (
+            "JournalCorruptError",
             "ResumeDivergenceError",
             "RunBudget",
-            "SupervisedRun",
-            "Supervisor",
+            "RunJournal",
         ),
+        ".snapshot": ("RunSnapshot", "SnapshotIntegrityError"),
+        ".supervisor": ("SupervisedRun", "Supervisor"),
     },
 )

@@ -22,19 +22,62 @@ Record shapes (all plain JSON objects):
 * ``{"seq": k, "kind": "request"|"crash"|"recover", "time": t, ...}`` —
   the ``k``-th delivered event, digest of the state *after* delivery;
 * ``{"seq": n, "kind": "finish", "cost": c, "digest": h}`` — epilogue.
+
+The two types every journal reader shares live here too, so the live
+server uses them without importing the engine-run supervisor:
+:class:`ResumeDivergenceError` (a replay disagrees with what the
+journal recorded) and :class:`RunBudget` (the deadline of one execution
+slice).
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-__all__ = ["JournalCorruptError", "RunJournal"]
+__all__ = [
+    "JournalCorruptError",
+    "ResumeDivergenceError",
+    "RunBudget",
+    "RunJournal",
+]
 
 
 class JournalCorruptError(ValueError):
     """The journal file violates the WAL contract (non-tail corruption)."""
+
+
+class ResumeDivergenceError(RuntimeError):
+    """A resumed run failed to reproduce the journaled state digests."""
+
+
+@dataclass(frozen=True)
+class RunBudget:
+    """Deadline bounds for one supervised execution slice.
+
+    Parameters
+    ----------
+    max_events:
+        Absolute event-sequence ceiling: execution pauses once this many
+        events have been delivered *in total* (across run + resumes).
+        Deterministic — the kill point of choice for tests and chaos.
+    max_seconds:
+        Wall-clock allowance for this slice, measured from the moment
+        :meth:`Supervisor.run` / :meth:`Supervisor.resume` starts
+        stepping.  Affects only *where* the run pauses, never any
+        simulated outcome.
+    """
+
+    max_events: Optional[int] = None
+    max_seconds: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.max_events is not None and self.max_events < 0:
+            raise ValueError(f"max_events must be >= 0, got {self.max_events}")
+        if self.max_seconds is not None and self.max_seconds < 0:
+            raise ValueError(f"max_seconds must be >= 0, got {self.max_seconds}")
 
 
 class RunJournal:

@@ -34,41 +34,10 @@ from ..faults.plan import FaultPlan
 from ..sim.engine import ReplayDriver
 from ..sim.recorder import OnlineRunResult
 from .digest import state_digest
-from .journal import RunJournal
+from .journal import ResumeDivergenceError, RunBudget, RunJournal
 from .snapshot import RunSnapshot
 
-__all__ = ["ResumeDivergenceError", "RunBudget", "SupervisedRun", "Supervisor"]
-
-
-class ResumeDivergenceError(RuntimeError):
-    """A resumed run failed to reproduce the journaled state digests."""
-
-
-@dataclass(frozen=True)
-class RunBudget:
-    """Deadline bounds for one supervised execution slice.
-
-    Parameters
-    ----------
-    max_events:
-        Absolute event-sequence ceiling: execution pauses once this many
-        events have been delivered *in total* (across run + resumes).
-        Deterministic — the kill point of choice for tests and chaos.
-    max_seconds:
-        Wall-clock allowance for this slice, measured from the moment
-        :meth:`Supervisor.run` / :meth:`Supervisor.resume` starts
-        stepping.  Affects only *where* the run pauses, never any
-        simulated outcome.
-    """
-
-    max_events: Optional[int] = None
-    max_seconds: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.max_events is not None and self.max_events < 0:
-            raise ValueError(f"max_events must be >= 0, got {self.max_events}")
-        if self.max_seconds is not None and self.max_seconds < 0:
-            raise ValueError(f"max_seconds must be >= 0, got {self.max_seconds}")
+__all__ = ["SupervisedRun", "Supervisor"]
 
 
 @dataclass

@@ -88,8 +88,12 @@ from typing import Dict, List, Optional, Tuple
 from ..core.types import CostModel, InvalidInstanceError
 from ..offline.streaming import StreamingSolver
 from ..runtime.digest import digest_value
-from ..runtime.journal import JournalCorruptError, RunJournal
-from ..runtime.supervisor import ResumeDivergenceError, RunBudget
+from ..runtime.journal import (
+    JournalCorruptError,
+    ResumeDivergenceError,
+    RunBudget,
+    RunJournal,
+)
 
 __all__ = ["ServerConfig", "CacheServer", "route_item", "run_server"]
 

@@ -5,18 +5,19 @@ once and returns :class:`WorkloadStats` — the per-item quantities the
 learning-augmented online policies need as their substrate:
 
 * per-item and per-server request counts (chunked ``np.bincount``);
-* the interarrival distribution: one stable ``np.lexsort`` groups rows
-  item-major/time-ordered, ``np.diff`` masked to same-item pairs yields
-  every per-item gap, and a log-spaced ``np.bincount`` histogram plus
-  per-item moment accumulators (weighted bincounts) come out of the same
-  arrays;
+* the interarrival distribution: one stable ``np.lexsort`` (on a
+  :func:`~repro.kernels.prescan.sort_key`, so the item ids radix-sort)
+  groups rows item-major/time-ordered, ``np.diff`` masked to same-item
+  pairs yields every per-item gap, and a log-spaced ``np.bincount``
+  histogram plus per-item moment accumulators (weighted bincounts) come
+  out of the same arrays;
 * popularity skew: Zipf exponent (log-log rank/count fit) and
   top-1/top-10 share;
 * burstiness ``B = (σ - μ) / (σ + μ)`` per item (≈0 Poisson, →1 bursty,
   →-1 periodic);
 * predictability of the heaviest items' server sequences via the
-  vectorised :func:`~repro.workloads.predictability.lz_entropy_rate` and
-  the Fano bound
+  suffix-array :func:`~repro.workloads.predictability.lz_entropy_rate`
+  and the Fano bound
   :func:`~repro.workloads.predictability.max_predictability`.
 
 The sweep never materialises :class:`TraceRecord` lists — everything is
@@ -35,6 +36,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.types import InvalidInstanceError
+from ..kernels.prescan import sort_key
 from .columnar import ColumnarTrace
 from .predictability import (
     empirical_entropy,
@@ -230,7 +232,7 @@ def profile_trace(
     # item; every per-item interarrival gap is then a masked diff.
     ids = np.asarray(trace.item_ids).astype(np.int64, copy=False)
     times = np.asarray(trace.times).astype(np.float64, copy=False)
-    order = np.lexsort((times, ids))
+    order = np.lexsort((times, sort_key(ids)))
     ids_sorted = ids[order]
     times_sorted = times[order]
     same_item = ids_sorted[1:] == ids_sorted[:-1]

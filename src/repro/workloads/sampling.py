@@ -55,6 +55,7 @@ import numpy as np
 
 from ..analysis.bootstrap import bootstrap_ci, bootstrap_t_ci
 from ..core.types import CostModel, InvalidInstanceError
+from ..kernels.prescan import sort_key
 from .columnar import ColumnarTrace
 from .traces import _enforce_min_gap
 
@@ -378,7 +379,7 @@ def _trace_entries(
     # Item-major, time-ordered within item; stability keeps equal-time
     # rows in original order, matching the per-item stable sort the
     # miner performs.
-    order = np.lexsort((times, ids))
+    order = np.lexsort((times, sort_key(ids)))
     times = np.ascontiguousarray(times[order], dtype=np.float64)
     servers = servers[order].astype(np.int64)
     ids = ids[order].astype(np.int64)

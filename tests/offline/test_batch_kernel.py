@@ -280,6 +280,31 @@ class TestBatchLayout:
                 == getattr(by_inst, field).tobytes()
             ), field
 
+    def test_from_columns_matches_from_instances_on_wide_keys(self):
+        # Over 256 items and over 256 servers: the concatenated lexsort
+        # then groups by uint16 keys, not the uint8 ones the small
+        # hypothesis batches reach.
+        rng = np.random.default_rng(11)
+        items = {}
+        for k in range(300):
+            m = 300 if k % 50 == 0 else int(rng.integers(1, 9))
+            n = int(rng.integers(1, 30))
+            times = np.cumsum(rng.uniform(0.05, 2.0, size=n)).tolist()
+            servers = rng.integers(0, m, size=n)
+            servers[-1] = m - 1
+            items[f"item-{k:03d}"] = make_instance(times, servers, m=m)
+        by_inst = BatchLayout.from_instances(items)
+        by_cols = BatchLayout.from_columns(
+            [_column_entry(name, inst) for name, inst in items.items()]
+        )
+        assert by_cols.names == by_inst.names
+        assert by_inst.srv.max() > 256
+        for field in ("off", "srv", "p", "sigma", "B"):
+            assert (
+                getattr(by_cols, field).tobytes()
+                == getattr(by_inst, field).tobytes()
+            ), field
+
     def test_result_arrays_are_readonly_views(self):
         items = {
             "a": make_instance([1.0, 2.0], [0, 1], m=2),

@@ -6,7 +6,8 @@ compares *bytes*, not ``pytest.approx``.  Three layers:
 * ``solve_offline`` on every sweep backend, its ``kernel="frontier"``
   Python loop, and batched solves vs the reference sweep, including
   tie-heavy integer-gap instances and single-server degenerate cases;
-* the vectorized pre-scan vs its loop reference twins;
+* the vectorized pre-scan vs its loop reference twins, and the
+  narrow sort keys it groups by;
 * the streaming solver vs the batch solver on the same
   prefix.
 """
@@ -28,6 +29,7 @@ from repro.kernels.prescan import (
     prescan_arrays,
     prev_same_server,
     prev_same_server_reference,
+    sort_key,
 )
 from repro.offline.streaming import StreamingSolver
 
@@ -237,6 +239,59 @@ class TestPrescanVsReferenceTwins:
         assert sigma.tobytes() == inst.sigma.tobytes()
         assert b.tobytes() == inst.b.tobytes()
         assert B.tobytes() == inst.B.tobytes()
+
+
+class TestSortKey:
+    """``sort_key`` narrows without wrapping, so stable sorts stay equal."""
+
+    @pytest.mark.parametrize(
+        "top, dtype",
+        [
+            (255, np.uint8),
+            (256, np.uint16),
+            (65535, np.uint16),
+            (65536, np.uint32),
+            (2**32 - 1, np.uint32),
+            (2**32, np.int64),
+        ],
+    )
+    def test_width_follows_the_maximum(self, top, dtype):
+        values = np.array([0, top, 7], dtype=np.int64)
+        key = sort_key(values)
+        assert key.dtype == dtype
+        assert key.astype(np.int64).tolist() == values.tolist()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.empty(0, dtype=np.int64),
+            np.array([3, -1, 2], dtype=np.int64),
+            np.array([-(2**40), 5], dtype=np.int64),
+            np.array([0.0, 3.5]),
+        ],
+    )
+    def test_unnarrowable_input_comes_back_unchanged(self, values):
+        assert sort_key(values) is values
+
+    @pytest.mark.parametrize("top", [200, 60_000, 3_000_000, 2**33])
+    def test_sorts_on_the_key_equal_sorts_on_the_values(self, top):
+        rng = np.random.default_rng(top)
+        values = rng.integers(0, top + 1, size=5_000, dtype=np.int64)
+        values[0] = top
+        other = rng.integers(0, 50, size=values.shape[0], dtype=np.int64)
+        key = sort_key(values)
+        assert (
+            np.argsort(key, kind="stable").tobytes()
+            == np.argsort(values, kind="stable").tobytes()
+        )
+        assert (
+            np.lexsort((other, key)).tobytes()
+            == np.lexsort((other, values)).tobytes()
+        )
+        assert (
+            np.lexsort((key, other)).tobytes()
+            == np.lexsort((values, other)).tobytes()
+        )
 
 
 class TestStreamingVsBatch:

@@ -127,6 +127,19 @@ class TestParser:
             with pytest.raises(SystemExit):
                 main(["--kernel", removed, "compare", trace])
 
+    def test_literal_choices_match_the_tables_they_name(self):
+        # The parser's choices are literals so that building it imports
+        # neither the solvers nor the policies; they must still list
+        # exactly what the handlers accept.
+        from repro.cli import _KERNEL_CHOICES, _POLICY_CHOICES, _policies
+        from repro.kernels.online import ONLINE_KERNELS
+        from repro.offline.dp import KERNELS
+
+        assert _KERNEL_CHOICES == KERNELS + tuple(
+            k for k in ONLINE_KERNELS if k not in KERNELS
+        )
+        assert _POLICY_CHOICES == tuple(sorted(_policies()))
+
 
 @pytest.fixture
 def item_trace(tmp_path):

@@ -32,8 +32,15 @@ UNUSED_BY_SERVING = (
     "networkx",
     "repro.analysis",
     "repro.emulator",
+    "repro.faults.plan",
+    "repro.kernels.online",
     "repro.offline.beam",
+    "repro.offline.dp",
+    "repro.runtime.supervisor",
+    "repro.schedule.diagram",
     "repro.schedule.spacetime",
+    "repro.sim.engine",
+    "repro.workloads.synthetic",
 )
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.network import Cluster
 from repro.workloads import (
@@ -12,6 +14,7 @@ from repro.workloads import (
     lz_entropy_rate,
     max_predictability,
 )
+from repro.workloads.predictability import _lpnf, _lz_entropy_rate_reference
 
 
 class TestEntropyEstimators:
@@ -41,13 +44,12 @@ class TestEntropyEstimators:
 
 
 class TestVectorizedBitIdentity:
-    """The whole-array entropy estimators must match their scalar twins
-    bit for bit — the profiler calls them per item, so the vectorized
-    forms are the production path and the scalar scans the oracle."""
+    """The array entropy estimators must match their scalar twins bit
+    for bit — the profiler calls them per item, so the suffix-array and
+    bincount forms are the production path and the scalar scans the
+    oracle."""
 
     def test_lz_matches_reference_random(self, rng):
-        from repro.workloads.predictability import _lz_entropy_rate_reference
-
         for _ in range(25):
             n = int(rng.integers(2, 80))
             m = int(rng.integers(2, 7))
@@ -55,8 +57,6 @@ class TestVectorizedBitIdentity:
             assert lz_entropy_rate(seq) == _lz_entropy_rate_reference(seq)
 
     def test_lz_matches_reference_structured(self):
-        from repro.workloads.predictability import _lz_entropy_rate_reference
-
         cases = [
             [0, 1] * 30,
             [0, 0, 1, 1] * 20,
@@ -92,6 +92,71 @@ class TestVectorizedBitIdentity:
     def test_lz_accepts_ndarray_and_list(self):
         seq = [0, 1, 0, 1, 1, 0, 2]
         assert lz_entropy_rate(seq) == lz_entropy_rate(np.asarray(seq))
+
+
+def brute_lpnf(seq):
+    """``max_{j<i} min(lcp(i, j), i - j)`` straight from its definition."""
+    n = len(seq)
+    lcp = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        for j in range(i - 1, -1, -1):
+            if seq[i] == seq[j]:
+                lcp[i][j] = lcp[i + 1][j + 1] + 1
+    return [max((min(lcp[i][j], i - j) for j in range(i)), default=0) for i in range(n)]
+
+
+@st.composite
+def symbol_sequences(draw, max_n=200):
+    """Random sequences over 1-16 symbols, and periodic ones: a random
+    block repeated, with at most two point mutations."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    m = draw(st.integers(min_value=1, max_value=16))
+    symbol = st.integers(min_value=0, max_value=m - 1)
+    if not draw(st.booleans()):
+        return draw(st.lists(symbol, min_size=n, max_size=n))
+    block = draw(st.lists(symbol, min_size=1, max_size=12))
+    seq = (block * (n // len(block) + 1))[:n]
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if n else 0):
+        seq[draw(st.integers(min_value=0, max_value=n - 1))] = draw(symbol)
+    return seq
+
+
+_SETTINGS = dict(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestSuffixArrayLPnF:
+    """The suffix-array longest previous non-overlapping factor behind
+    :func:`lz_entropy_rate`, against its definition and the scalar scan."""
+
+    @given(symbol_sequences())
+    @settings(**_SETTINGS)
+    def test_lpnf_matches_definition(self, seq):
+        got = _lpnf(np.asarray(seq, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == brute_lpnf(seq)
+
+    @given(symbol_sequences(max_n=120))
+    @settings(**_SETTINGS)
+    def test_entropy_rate_matches_scalar_scan(self, seq):
+        assert lz_entropy_rate(seq) == _lz_entropy_rate_reference(seq)
+
+    # Λ sums computed with the former O(n²) lag-loop estimator; every Λ
+    # is an integer, so the rate must come out exactly.
+    @pytest.mark.parametrize(
+        "seq, lambda_sum",
+        [
+            pytest.param(([0, 1, 2] * 1334)[:4000], 4_001_999, id="period-3"),
+            pytest.param([int(i == 2000) for i in range(4000)], 3_003_000, id="one-1"),
+            pytest.param(
+                np.random.default_rng(0).integers(0, 16, 4000), 13_280, id="random-16"
+            ),
+        ],
+    )
+    def test_pinned_lambda_sums(self, seq, lambda_sum):
+        n = 4000
+        assert lz_entropy_rate(seq) == n * math.log2(n) / lambda_sum
 
 
 class TestMaxPredictability:
