@@ -30,7 +30,7 @@ from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..kernels.prescan import per_server_lists, prescan_arrays
+from ..kernels.prescan import per_server_lists, prescan_columns
 from .types import CostModel, InvalidInstanceError, Request
 
 __all__ = ["ProblemInstance", "PivotLookup"]
@@ -151,40 +151,25 @@ class ProblemInstance:
 
         ``t``/``srv`` are the full length ``n+1`` arrays including the
         boundary request ``r_0`` at index 0; both are owned by the
-        instance from here on (callers must pass fresh copies).
+        instance from here on (callers must pass fresh copies).  The
+        checks and the pre-scan are :func:`prescan_columns` on one
+        item, the same call a packed batch makes.
         """
         self.cost = cost if cost is not None else CostModel()
         self.origin = int(origin)
-        n = t.shape[0] - 1
-        finite = np.isfinite(t)
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite)[0])
-            raise InvalidInstanceError(
-                f"request times must be finite; got t={t[bad]} at index {bad}"
-            )
-        if np.any(np.diff(t) <= 0):
-            bad = int(np.flatnonzero(np.diff(t) <= 0)[0])
-            raise InvalidInstanceError(
-                f"request times must be strictly increasing after t_0="
-                f"{t[0]}; violation at index {bad + 1} (t={t[bad + 1]})"
-            )
         m = int(num_servers) if num_servers is not None else int(srv.max()) + 1
-        if m <= 0:
-            raise InvalidInstanceError(f"need at least one server, got m={m}")
-        if srv.max() >= m or self.origin >= m or self.origin < 0:
-            raise InvalidInstanceError(
-                f"server ids must lie in [0, {m}); got max id {int(srv.max())}"
-                f" and origin {self.origin}"
-            )
+        self.p, self.sigma, self.b, self.B = prescan_columns(
+            t,
+            srv,
+            np.zeros(1, dtype=np.int64),
+            np.array([m]),
+            np.array([self.cost.mu]),
+            np.array([self.cost.lam]),
+        )
         self.num_servers = m
         self.t = t
         self.srv = srv
-        self.n = n
-        # Vectorized pre-scan (repro.kernels.prescan): p, sigma, b, B in
-        # a handful of whole-array numpy operations.
-        self.p, self.sigma, self.b, self.B = prescan_arrays(
-            t, srv, self.cost.mu, self.cost.lam
-        )
+        self.n = t.shape[0] - 1
         self._freeze()
 
     # -- construction helpers ------------------------------------------------

@@ -6,9 +6,10 @@ line.  This subpackage holds the *fast paths* — drop-in replacements
 for the interpreter-bound hot loops, each differentially tested
 bit-identical to its reference twin:
 
-* :mod:`repro.kernels.prescan` — the instance pre-scan (``p``, ``σ``,
-  ``b``, ``B``, per-server lists) and the reference sweep's pivot
-  matrix as whole-array numpy operations instead of
+* :mod:`repro.kernels.prescan` — the one check and pre-scan of request
+  columns (``prescan_columns``: ``p``, ``σ``, ``b``, ``B`` for one
+  instance or a packed batch), per-server lists and the reference
+  sweep's pivot matrix, as whole-array numpy operations instead of
   per-request/per-server Python loops.
 * :mod:`repro.kernels.batch` — the off-line DP sweep, the one
   production path for whole sequences: per-server monotone pivot
@@ -63,8 +64,7 @@ __getattr__, __dir__, __all__ = exports(
         ".prescan": (
             "build_pivot_matrix",
             "per_server_lists",
-            "prescan_arrays",
-            "prev_same_server",
+            "prescan_columns",
         ),
     },
 )

@@ -15,7 +15,10 @@ whole batch into one array program:
   and a stacked per-server accumulator arena.  Ragged batches need no
   padding: item ``k`` owns ``[off[k], off[k] + n_k + 1)`` of every
   column (index ``off[k]`` is its boundary request ``r_0``) and
-  ``[soff[k], soff[k] + m_k)`` of the server-state arena.
+  ``[soff[k], soff[k] + m_k)`` of the server-state arena.  It is built
+  from pre-scanned instances, or from packed raw ``t``/``srv`` columns
+  that :func:`repro.kernels.prescan.prescan_columns` checks and
+  pre-scans in one call — the call every instance makes for itself.
 * :func:`solve_offline_batch` — one kernel call that sweeps every item
   and splits the stacked outputs back into per-item
   :class:`~repro.offline.result.OfflineResult` views, keyed in input
@@ -80,7 +83,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .prescan import sort_key
+from .prescan import prescan_columns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> kernels)
     from ..core.instance import ProblemInstance
@@ -88,19 +91,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> kernels)
 
 __all__ = [
     "BatchLayout",
-    "ColumnEntry",
     "solve_offline_batch",
     "solve_layout",
     "batch_sweep_backend",
 ]
 
 _INF = math.inf
-
-#: Raw-column batch entry, the instance-free construction path:
-#: ``(name, times, servers, num_servers, mu, lam, origin, start_time)``
-#: with ``times``/``servers`` excluding the boundary request ``r_0``
-#: (the columns the trace samplers carve out of a columnar trace).
-ColumnEntry = Tuple[str, np.ndarray, np.ndarray, int, float, float, int, float]
 
 
 # ---------------------------------------------------------------------------
@@ -189,133 +185,42 @@ class BatchLayout:
         )
 
     @classmethod
-    def from_columns(cls, entries: Sequence[ColumnEntry]) -> "BatchLayout":
+    def from_columns(
+        cls,
+        names: Sequence[str],
+        t: np.ndarray,
+        srv: np.ndarray,
+        off: np.ndarray,
+        mserv: np.ndarray,
+        mu: np.ndarray,
+        lam: np.ndarray,
+    ) -> "BatchLayout":
         """Pack raw request columns, running ONE pre-scan for the batch.
 
-        This is the trace samplers' path: entries arrive as raw
-        ``times``/``servers`` arrays cut from the mapped columns, and
-        the whole batch is validated and pre-scanned with whole-array
-        numpy primitives — one stable ``lexsort`` groups every item's
-        requests by server at once (the concatenated twin of
-        :func:`repro.kernels.prescan.prev_same_server`), ``sigma``/``b``
-        are elementwise, and ``B`` is a per-item ``cumsum`` (per-item on
-        purpose: a segmented global scan would change float summation
-        order and break bit-identity with instance construction).
+        The trace samplers' path: the columns are laid out as
+        :func:`repro.kernels.prescan.prescan_columns` takes them, and
+        that one call checks and pre-scans the whole batch, the same
+        call every :class:`~repro.core.instance.ProblemInstance` makes
+        for itself, so the layout equals :meth:`from_instances`' byte
+        for byte.
         """
-        from ..core.types import InvalidInstanceError
-
-        if not entries:
-            raise ValueError("need at least one item to build a batch")
-        names: List[str] = []
-        t_parts: List[np.ndarray] = []
-        srv_parts: List[np.ndarray] = []
-        n1_list: List[int] = []
-        for name, times, servers, m, mu, lam, origin, start in entries:
-            times = np.ascontiguousarray(times, dtype=np.float64)
-            servers = np.ascontiguousarray(servers, dtype=np.int64)
-            if times.ndim != 1 or times.shape != servers.shape:
-                raise InvalidInstanceError(
-                    f"item {name!r}: times and servers must be equal-length "
-                    f"1-D arrays, got {times.shape} vs {servers.shape}"
-                )
-            names.append(name)
-            t_parts.append(np.asarray([start], dtype=np.float64))
-            t_parts.append(times)
-            srv_parts.append(np.asarray([origin], dtype=np.int64))
-            srv_parts.append(servers)
-            n1_list.append(times.shape[0] + 1)
-        n1 = np.asarray(n1_list, dtype=np.int64)
-        off = _starts(n1)
-        mserv = np.asarray([e[3] for e in entries], dtype=np.int64)
-        origin = np.asarray([e[6] for e in entries], dtype=np.int64)
-        mu = np.asarray([e[4] for e in entries], dtype=np.float64)
-        lam = np.asarray([e[5] for e in entries], dtype=np.float64)
-        t_all = np.concatenate(t_parts)
-        srv_all = np.concatenate(srv_parts)
-        total = t_all.shape[0]
-        item_id = np.repeat(np.arange(len(n1), dtype=np.int64), n1)
-
-        # Validation — the vectorized twin of ProblemInstance._init_arrays.
-        if np.any(mserv < 1):
-            k = int(np.flatnonzero(mserv < 1)[0])
-            raise InvalidInstanceError(
-                f"item {names[k]!r}: need at least one server, "
-                f"got m={int(mserv[k])}"
-            )
-        if np.any((origin < 0) | (origin >= mserv)):
-            k = int(np.flatnonzero((origin < 0) | (origin >= mserv))[0])
-            raise InvalidInstanceError(
-                f"item {names[k]!r}: origin {int(origin[k])} outside "
-                f"[0, {int(mserv[k])})"
-            )
-        srv_bad = (srv_all < 0) | (srv_all >= mserv[item_id])
-        if np.any(srv_bad):
-            j = int(np.flatnonzero(srv_bad)[0])
-            k = int(item_id[j])
-            raise InvalidInstanceError(
-                f"item {names[k]!r}: server ids must lie in "
-                f"[0, {int(mserv[k])}); got {int(srv_all[j])}"
-            )
-        finite = np.isfinite(t_all)
-        if not finite.all():
-            j = int(np.flatnonzero(~finite)[0])
-            k = int(item_id[j])
-            raise InvalidInstanceError(
-                f"item {names[k]!r}: request times must be finite; got "
-                f"t={t_all[j]} at index {j - int(off[k])}"
-            )
-        if total > 1:
-            gaps = np.diff(t_all)
-            intra = item_id[1:] == item_id[:-1]  # skip inter-item seams
-            bad = (gaps <= 0) & intra
-            if np.any(bad):
-                j = int(np.flatnonzero(bad)[0])
-                k = int(item_id[j])
-                raise InvalidInstanceError(
-                    f"item {names[k]!r}: request times must be strictly "
-                    f"increasing after t_0={t_all[off[k]]}; violation at "
-                    f"index {j + 1 - int(off[k])} (t={t_all[j + 1]})"
-                )
-
-        # Concatenated pre-scan: one stable lexsort groups by (item,
-        # server) while keeping time order inside each group, so
-        # consecutive same-group entries are exactly the (predecessor,
-        # successor) pairs — the batched prev_same_server.
-        p_global = np.full(total, -1, dtype=np.int64)
-        if total > 1:
-            order = np.lexsort((sort_key(srv_all), sort_key(item_id)))
-            same = (srv_all[order[1:]] == srv_all[order[:-1]]) & (
-                item_id[order[1:]] == item_id[order[:-1]]
-            )
-            p_global[order[1:][same]] = order[:-1][same]
-        off_rep = off[item_id]
-        p_local = np.where(p_global >= 0, p_global - off_rep, -1)
-        with np.errstate(invalid="ignore"):
-            sigma = np.where(
-                p_global >= 0, t_all - t_all[np.maximum(p_global, 0)], np.inf
-            )
-        sigma[off] = np.inf
-        b = np.minimum(lam[item_id], mu[item_id] * sigma)
-        b[off] = 0.0
-        # Per-item cumsum (NOT a segmented global scan): same summation
-        # order as prescan_arrays, hence bit-identical B columns.
-        B = np.empty(total, dtype=np.float64)
-        for k in range(len(n1)):
-            lo = int(off[k])
-            hi = lo + int(n1[k])
-            np.cumsum(b[lo:hi], out=B[lo:hi])
+        t = np.ascontiguousarray(t, dtype=np.float64)
+        srv = np.ascontiguousarray(srv, dtype=np.int64)
+        off, mserv = np.asarray(off, dtype=np.int64), np.asarray(mserv, dtype=np.int64)
+        mu, lam = np.asarray(mu, dtype=np.float64), np.asarray(lam, dtype=np.float64)
+        p, sigma, _, B = prescan_columns(t, srv, off, mserv, mu, lam, names)
         return cls(
             names=tuple(names),
             off=off,
-            nreq=n1 - 1,
+            nreq=np.diff(off, append=t.shape[0]) - 1,
             soff=_starts(mserv),
             mserv=mserv,
-            origin=origin,
+            origin=srv[off],
             mu=mu,
             lam=lam,
-            t=t_all,
-            srv=srv_all,
-            p=p_local,
+            t=t,
+            srv=srv,
+            p=p,
             sigma=sigma,
             B=B,
         )

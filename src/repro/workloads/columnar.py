@@ -15,8 +15,10 @@ binary twin:
   a read-only ``np.memmap`` view on first access, so touching one item
   of a huge log never loads the rest;
 * :func:`convert_csv` — a **chunked CSV→columnar converter** that
-  streams arbitrarily large logs at bounded memory (parsed chunks are
-  appended to per-column spill files, then spliced into the container);
+  streams arbitrarily large logs at bounded memory: the chunks of the
+  one CSV parser behind :func:`~repro.workloads.traces.read_trace` are
+  appended to per-column spill files, then spliced into the container,
+  so both readers accept and refuse the same logs;
 * :func:`mine_instance_columnar` — mining straight from the mapped
   columns into a :class:`~repro.core.instance.ProblemInstance` with zero
   intermediate :class:`~repro.workloads.traces.TraceRecord` objects.
@@ -28,7 +30,6 @@ binary twin:
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
@@ -41,7 +42,7 @@ import numpy as np
 
 from ..core.instance import ProblemInstance
 from ..core.types import CostModel, InvalidInstanceError
-from .traces import TraceRecord, _columns_to_instance, _nonfinite_time
+from .traces import TraceRecord, _columns_to_instance, _csv_chunks
 
 __all__ = [
     "ColumnarTrace",
@@ -342,18 +343,6 @@ def read_columnar(path: Union[str, Path]) -> ColumnarTrace:
 # ---------------------------------------------------------------------------
 
 
-def _check_times(times: np.ndarray, first_line: int) -> None:
-    """Refuse a NaN or infinite time among a chunk's parsed rows.
-
-    One vectorized pass per chunk keeps the per-row parse loop free of
-    checks; ``first_line`` is the CSV line number of ``times[0]``.
-    """
-    finite = np.isfinite(times)
-    if not finite.all():
-        j = int(np.flatnonzero(~finite)[0])
-        raise InvalidInstanceError(_nonfinite_time(first_line + j, times[j]))
-
-
 def convert_csv(
     src: Union[str, Path, io.TextIOBase],
     dest: Union[str, Path],
@@ -367,12 +356,11 @@ def convert_csv(
     chunk plus the item string table, independent of the log length.
     Returns the number of rows converted.
 
-    Parsing (``float``/``int`` coercion, the finite-time check, optional
-    ``user``/``item`` columns, defaults, error messages with line
-    numbers) matches
-    :func:`repro.workloads.traces.read_trace` exactly, so
-    ``convert_csv`` + :func:`mine_instance_columnar` reproduce
-    ``mine_instance`` on the CSV bit-for-bit.
+    Parsing is the same parser as :func:`repro.workloads.traces.read_trace`
+    (the format of :mod:`repro.workloads.traces`), so
+    :meth:`~ColumnarTrace.to_records` equals its records and
+    :func:`mine_instance_columnar` reproduces ``mine_instance`` on the
+    CSV bit-for-bit.
 
     Failure is clean: the container is assembled in a ``.tmp`` sibling
     that is atomically renamed over ``dest`` only on success, and every
@@ -384,58 +372,19 @@ def convert_csv(
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     dest = Path(dest)
     tmp = dest.with_name(dest.name + ".tmp")
-    own = isinstance(src, (str, Path))
-    fh = None
     spills: Dict[str, io.BufferedRandom] = {}
     interned: Dict[str, int] = {}
     rows = 0
     ok = False
     try:
-        fh = open(src, "r", newline="") if own else src
         for name, _ in _COLUMNS:
             spills[name] = open(
                 dest.with_name(dest.name + f".{name}.spill"), "w+b"
             )
-        reader = csv.reader(fh)
-        fields = next(reader, None)
-        if fields is None or "time" not in fields:
-            raise InvalidInstanceError("trace is missing its header line")
-        if "server" not in fields:
-            raise InvalidInstanceError("trace header lacks a 'server' column")
-        col = {name: fields.index(name) for name in fields}
-        i_time, i_server = col["time"], col["server"]
-        i_user, i_item = col.get("user"), col.get("item")
-        chunk: Dict[str, list] = {name: [] for name, _ in _COLUMNS}
-
-        def flush() -> None:
-            cols = [np.asarray(chunk[name], dtype=dtype) for name, dtype in _COLUMNS]
-            _check_times(cols[0], rows - cols[0].shape[0] + 2)
-            for (name, _), col in zip(_COLUMNS, cols):
-                col.tofile(spills[name])
-                chunk[name].clear()
-
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                chunk["time"].append(float(row[i_time]))
-                chunk["server"].append(int(row[i_server]))
-                user = row[i_user] if i_user is not None else ""
-                chunk["user"].append(int(user) if user else -1)
-                item = row[i_item] if i_item is not None else ""
-                chunk["item_id"].append(
-                    interned.setdefault(item, len(interned))
-                )
-            except (TypeError, ValueError, IndexError) as exc:
-                # A non-finite time on an earlier line of this chunk is
-                # the first bad line, as read_trace reports it.
-                done = rows % chunk_rows
-                _check_times(np.asarray(chunk["time"][:done]), lineno - done)
-                raise InvalidInstanceError(
-                    f"bad trace line {lineno}: {row!r}"
-                ) from exc
-            rows += 1
-            if rows % chunk_rows == 0:
-                flush()
-        flush()
+        for chunk in _csv_chunks(src, interned, chunk_rows):
+            for (name, dtype), col in zip(_COLUMNS, chunk):
+                np.asarray(col, dtype=dtype).tofile(spills[name])
+            rows += chunk[0].shape[0]
 
         header_bytes, offsets = _build_header(rows, tuple(interned))
         with open(tmp, "wb") as out:
@@ -450,8 +399,6 @@ def convert_csv(
         ok = True
         return rows
     finally:
-        if own and fh is not None:
-            fh.close()
         for spill in spills.values():
             spill.close()
             Path(spill.name).unlink(missing_ok=True)

@@ -38,7 +38,9 @@ error bound:
 
 Per-item costs mirror the mining semantics of
 ``traces._columns_to_instance`` exactly (stable time sort, min-gap
-sweep, start-time convention), so :func:`solve_trace_costs` is
+sweep, start-time convention) on packed columns, which one
+:meth:`~repro.kernels.batch.BatchLayout.from_columns` call checks and
+pre-scans as instances do, so :func:`solve_trace_costs` is
 bit-identical to ``MultiItemInstance.from_columnar`` +
 ``solve_offline_batch`` — the property tests assert that.
 """
@@ -49,7 +51,7 @@ import hashlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +60,9 @@ from ..core.types import CostModel, InvalidInstanceError
 from ..kernels.prescan import sort_key
 from .columnar import ColumnarTrace
 from .traces import _enforce_min_gap
+
+if TYPE_CHECKING:  # pragma: no cover - imported on use
+    from ..kernels.batch import BatchLayout
 
 __all__ = [
     "HASH_SPACE",
@@ -350,7 +355,7 @@ def sample_columnar(
 # ---------------------------------------------------------------------------
 
 
-def _trace_entries(
+def _trace_layout(
     trace: ColumnarTrace,
     items: Optional[np.ndarray],
     cost: Optional[CostModel],
@@ -358,54 +363,57 @@ def _trace_entries(
     origin: int,
     min_gap: float,
     chunk_rows: int,
-) -> Tuple[np.ndarray, List[tuple]]:
-    """Per-item batch-layout column entries: ``(ids, entries)`` id-ascending.
+) -> Tuple[np.ndarray, Optional[BatchLayout]]:
+    """Every selected item packed into one layout: ``(ids, layout)``.
 
-    Mirrors the mining tail of ``traces._columns_to_instance`` — stable
-    sort by time, :func:`_enforce_min_gap` sweep, identical start-time
-    convention — producing the :meth:`BatchLayout.from_columns` entries
-    both the offline and online trace-cost paths pack, so every per-item
-    result is bit-identical to ``mine_instance_columnar`` plus the
-    per-item solver/policy on the same rows.
+    ``ids`` are the packed items' ids, ascending; the layout is ``None``
+    when no row is selected.  Mirrors the mining tail of
+    ``traces._columns_to_instance`` — stable sort by time,
+    :func:`_enforce_min_gap` sweep, identical start-time convention — so
+    every per-item result is bit-identical to ``mine_instance_columnar``
+    plus the per-item solver/policy on the same rows.
     """
+    from ..kernels.batch import BatchLayout
+
+    empty = np.empty(0, dtype=np.int64)
     if trace.rows == 0:
-        return np.empty(0, dtype=np.int64), []
+        return empty, None
     if num_servers is None:
         num_servers = _fleet_size(trace, chunk_rows)
     cost = cost if cost is not None else CostModel()
     times, servers, _, ids = _select_rows(trace, items, None, chunk_rows)
     if times.shape[0] == 0:
-        return np.empty(0, dtype=np.int64), []
+        return empty, None
     # Item-major, time-ordered within item; stability keeps equal-time
     # rows in original order, matching the per-item stable sort the
     # miner performs.
     order = np.lexsort((times, sort_key(ids)))
     times = np.ascontiguousarray(times[order], dtype=np.float64)
-    servers = servers[order].astype(np.int64)
-    ids = ids[order].astype(np.int64)
-    bounds = np.flatnonzero(np.diff(ids)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [ids.shape[0]]))
-    entries = []
-    solved_ids = np.empty(starts.shape[0], dtype=np.int64)
-    for k, (lo, hi) in enumerate(zip(starts, ends)):
-        t = _enforce_min_gap(times[lo:hi].copy(), min_gap)
-        start = t[0] - max(min_gap, 1e-6)
-        item_id = int(ids[lo])
-        solved_ids[k] = item_id
-        entries.append(
-            (
-                trace.item_table[item_id],
-                t,
-                servers[lo:hi],
-                num_servers,
-                cost.mu,
-                cost.lam,
-                origin,
-                0.0 if start > 0 else start,
-            )
-        )
-    return solved_ids, entries
+    servers, ids = servers[order], ids[order]
+    del order
+    seams = np.flatnonzero(ids[1:] != ids[:-1])
+    starts = np.append(0, seams + 1)
+    # Only items whose gaps are not all > 0 (ties, or a NaN) run the
+    # min-gap sweep, in place; the check skips the item seams.
+    rising = times[1:] > times[:-1]
+    rising[seams] = True
+    falls = np.flatnonzero(~rising)
+    ends = np.append(starts[1:], times.shape[0])
+    for k in np.unique(np.searchsorted(seams, falls, side="right")).tolist():
+        _enforce_min_gap(times[starts[k] : ends[k]], min_gap)
+    start = times[starts] - max(min_gap, 1e-6)
+    start[start > 0] = 0.0
+    solved, count = ids[starts].astype(np.int64), starts.shape[0]
+    layout = BatchLayout.from_columns(
+        [trace.item_table[i] for i in solved.tolist()],
+        np.insert(times, starts, start),
+        np.insert(servers.astype(np.int64), starts, origin),
+        starts + np.arange(count),
+        np.full(count, num_servers, dtype=np.int64),
+        np.full(count, cost.mu),
+        np.full(count, cost.lam),
+    )
+    return solved, layout
 
 
 def _solve_costs_by_id(
@@ -419,19 +427,19 @@ def _solve_costs_by_id(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Optimal cost per selected item id: ``(ids, costs)`` id-ascending.
 
-    Packs every selected item (see :func:`_trace_entries`) into ONE
-    :class:`~repro.kernels.batch.BatchLayout` and sweeps it with the
-    batched kernel, so each per-item cost is bit-identical to
-    ``mine_instance_columnar`` + ``solve_offline`` on the same rows.
+    Packs every selected item into ONE
+    :class:`~repro.kernels.batch.BatchLayout` (:func:`_trace_layout`)
+    and sweeps it with the batched kernel, so each per-item cost is
+    bit-identical to ``mine_instance_columnar`` + ``solve_offline`` on
+    the same rows.
     """
-    from ..kernels.batch import BatchLayout, solve_layout
+    from ..kernels.batch import solve_layout
 
-    solved_ids, entries = _trace_entries(
+    solved_ids, layout = _trace_layout(
         trace, items, cost, num_servers, origin, min_gap, chunk_rows
     )
-    if not entries:
+    if layout is None:
         return solved_ids, np.empty(0, dtype=np.float64)
-    layout = BatchLayout.from_columns(entries)
     results = solve_layout(layout)
     costs = np.array([res.optimal_cost for res in results], dtype=np.float64)
     return solved_ids, costs
@@ -484,16 +492,14 @@ def online_trace_costs(
     epoch_size).run`` on the same rows, so a sampled columnar trace can
     report empirical online/OPT gaps at trace scale.
     """
-    from ..kernels.batch import BatchLayout
     from ..kernels.online import run_online_layout
 
     trace = _open(trace)
-    _, entries = _trace_entries(
+    _, layout = _trace_layout(
         trace, items, cost, num_servers, origin, min_gap, chunk_rows
     )
-    if not entries:
+    if layout is None:
         return {}
-    layout = BatchLayout.from_columns(entries)
     runs = run_online_layout(layout, window_factor, epoch_size)
     return {name: run.cost for name, run in zip(layout.names, runs)}
 

@@ -58,6 +58,11 @@ class TestConstruction:
         with pytest.raises(Exception, match="server ids"):
             make_instance([1.0], [3], m=2)
 
+    def test_negative_server_id_rejected(self):
+        # The check covers the minimum too, not only the maximum.
+        with pytest.raises(InvalidInstanceError, match="server ids"):
+            ProblemInstance.from_arrays([1.0, 2.0, 3.0], [-1, 1, -1], num_servers=2)
+
     def test_bad_origin_rejected(self):
         with pytest.raises(Exception, match="server ids|origin"):
             ProblemInstance([(1.0, 0)], num_servers=2, origin=5)

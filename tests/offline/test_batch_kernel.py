@@ -43,7 +43,8 @@ _SETTINGS = dict(
 )
 
 def _column_entry(name, inst):
-    """The raw-column tuple the shard workers read for one item."""
+    """One item's raw columns: ``(name, times, servers, m, mu, lam,
+    origin, t_0)``, without the boundary request ``r_0``."""
     return (
         name,
         inst.t[1:],
@@ -53,6 +54,29 @@ def _column_entry(name, inst):
         inst.cost.lam,
         inst.origin,
         float(inst.t[0]),
+    )
+
+
+def _packed(entries):
+    """``BatchLayout.from_columns`` arguments: ``entries`` back to back,
+    each item's ``r_0`` first."""
+    names, t, srv, off, mserv, mu, lam = [], [], [], [], [], [], []
+    for name, times, servers, m, mu_k, lam_k, origin, start in entries:
+        off.append(len(t))
+        names.append(name)
+        t += [start, *times]
+        srv += [origin, *servers]
+        mserv.append(m)
+        mu.append(mu_k)
+        lam.append(lam_k)
+    return (
+        names,
+        np.asarray(t, dtype=np.float64),
+        np.asarray(srv, dtype=np.int64),
+        np.asarray(off, dtype=np.int64),
+        mserv,
+        mu,
+        lam,
     )
 
 
@@ -252,13 +276,13 @@ class TestBatchLayout:
     @given(items=instance_batches())
     @settings(**_SETTINGS)
     def test_from_columns_matches_from_instances(self, items):
-        # The raw-column pre-scan (one concatenated lexsort + per-item
-        # cumsum) must reproduce the instances' own pre-scan columns
-        # bit-for-bit — this is what lets shard workers skip instance
-        # construction entirely.
+        # The packed-column pre-scan (one prescan_columns call for the
+        # batch) must reproduce the instances' own one-item pre-scans
+        # bit-for-bit — this is what lets the trace samplers skip
+        # instance construction entirely.
         by_inst = BatchLayout.from_instances(items)
         by_cols = BatchLayout.from_columns(
-            [_column_entry(name, inst) for name, inst in items.items()]
+            *_packed(_column_entry(name, inst) for name, inst in items.items())
         )
         assert by_cols.names == by_inst.names
         for field in (
@@ -281,8 +305,8 @@ class TestBatchLayout:
             ), field
 
     def test_from_columns_matches_from_instances_on_wide_keys(self):
-        # Over 256 items and over 256 servers: the concatenated lexsort
-        # then groups by uint16 keys, not the uint8 ones the small
+        # Over 256 items and over 256 servers: the (item, server) key
+        # then sorts as uint32, not the uint8/uint16 keys the small
         # hypothesis batches reach.
         rng = np.random.default_rng(11)
         items = {}
@@ -295,7 +319,7 @@ class TestBatchLayout:
             items[f"item-{k:03d}"] = make_instance(times, servers, m=m)
         by_inst = BatchLayout.from_instances(items)
         by_cols = BatchLayout.from_columns(
-            [_column_entry(name, inst) for name, inst in items.items()]
+            *_packed(_column_entry(name, inst) for name, inst in items.items())
         )
         assert by_cols.names == by_inst.names
         assert by_inst.srv.max() > 256
@@ -329,20 +353,35 @@ class TestBatchLayout:
         good = _column_entry("ok", make_instance([1.0, 2.0], [0, 1], m=2))
         with pytest.raises(InvalidInstanceError, match="strictly increasing"):
             BatchLayout.from_columns(
-                [good, ("bad", [1.0, 1.0], [0, 1], 2, 1.0, 1.0, 0, 0.0)]
+                *_packed([good, ("bad", [1.0, 1.0], [0, 1], 2, 1.0, 1.0, 0, 0.0)])
             )
         with pytest.raises(InvalidInstanceError, match="server ids"):
             BatchLayout.from_columns(
-                [good, ("bad", [1.0, 2.0], [0, 5], 2, 1.0, 1.0, 0, 0.0)]
+                *_packed([good, ("bad", [1.0, 2.0], [0, 5], 2, 1.0, 1.0, 0, 0.0)])
             )
         with pytest.raises(InvalidInstanceError, match="origin"):
             BatchLayout.from_columns(
-                [good, ("bad", [1.0, 2.0], [0, 1], 2, 1.0, 1.0, 7, 0.0)]
+                *_packed([good, ("bad", [1.0, 2.0], [0, 1], 2, 1.0, 1.0, 7, 0.0)])
             )
         with pytest.raises(InvalidInstanceError, match="at least one server"):
             BatchLayout.from_columns(
-                [good, ("bad", [1.0, 2.0], [0, 0], 0, 1.0, 1.0, 0, 0.0)]
+                *_packed([good, ("bad", [1.0, 2.0], [0, 0], 0, 1.0, 1.0, 0, 0.0)])
             )
+
+    def test_from_columns_refuses_bad_packing(self):
+        names, t, srv, off, mserv, mu, lam = _packed(
+            [_column_entry(k, make_instance([1.0, 2.0], [0, 1], m=2)) for k in "ab"]
+        )
+        for columns in (
+            (t, srv[:-1], off, mserv, mu, lam),
+            (t, srv, off, mserv[:1], mu, lam),
+            (t, srv, [1, 3], mserv, mu, lam),
+            (t, srv, [0, 0], mserv, mu, lam),
+            (t, srv, [0, 6], mserv, mu, lam),
+            (t[:0], srv[:0], off[:0], [], [], []),
+        ):
+            with pytest.raises(InvalidInstanceError, match="packed columns need"):
+                BatchLayout.from_columns(names[: len(columns[2])], *columns)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_from_columns_rejects_nonfinite_times(self, bad):
@@ -352,7 +391,7 @@ class TestBatchLayout:
             with pytest.raises(
                 InvalidInstanceError, match="'bad': request times must be finite"
             ):
-                BatchLayout.from_columns([good, entry])
+                BatchLayout.from_columns(*_packed([good, entry]))
 
     def test_mixed_costs_and_fleets_in_one_batch(self):
         # Nothing in the layout assumes homogeneity across items: fleet

@@ -35,6 +35,23 @@ class TestSolve:
         assert "error" in capsys.readouterr().err
 
 
+class TestBadTrace:
+    def test_negative_server_fails_alike_on_every_kernel(self, tmp_path, capsys):
+        # The instance constructor refuses the trace before any kernel
+        # runs, so every path exits 2 with the same message.
+        path = tmp_path / "neg.csv"
+        path.write_text("time,server\n1.0,0\n2.0,-1\n3.0,1\n")
+        errors = []
+        for argv in (
+            ["--kernel", "event", "online", str(path), "--servers", "2"],
+            ["--kernel", "reference", "solve", str(path), "--servers", "2"],
+        ):
+            assert main(argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "server ids must lie in [0, 2); got -1" in errors[0]
+
+
 class TestOnline:
     @pytest.mark.parametrize(
         "policy",

@@ -24,6 +24,7 @@ from repro.workloads import (
     write_columnar,
     write_trace,
 )
+from repro.workloads.sampling import solve_trace_costs
 
 _SETTINGS = dict(
     max_examples=40,
@@ -182,6 +183,86 @@ class TestConverter:
     def test_bad_chunk_rows(self, tmp_path):
         with pytest.raises(ValueError, match="chunk_rows"):
             convert_csv(tmp_path / "t.csv", tmp_path / "t.col", chunk_rows=0)
+
+
+#: CSV inputs on which ``read_trace`` and ``convert_csv`` once parted
+#: ways: each reads as the records given, or fails with the message
+#: given (naming the physical line) from both.
+ONE_FORMAT = {
+    "blank line mid-file": (
+        "time,server,item\n1.0,0,a\n\n2.0,1,a\n",
+        [TraceRecord(1.0, 0, item="a"), TraceRecord(2.0, 1, item="a")],
+    ),
+    "blank lines at EOF": (
+        "time,server,item\n1.0,0,a\n2.0,1,a\n\n\n",
+        [TraceRecord(1.0, 0, item="a"), TraceRecord(2.0, 1, item="a")],
+    ),
+    "bad row after a blank line": (
+        "time,server\n1.0,0\n\nnope,1\n",
+        "bad trace line 4: ['nope', '1']",
+    ),
+    "short row": (
+        "time,server,user,item\n1.0,0,3,a\n2.0,1\n",
+        "bad trace line 3: ['2.0', '1']",
+    ),
+    "repeated header column": (
+        "time,server,time\n1.0,0,2.0\n",
+        "bad trace line 1: trace header repeats column 'time'",
+    ),
+    "bad row after a quoted newline": (
+        'time,server,item\n1.0,0,"multi\nline"\nnope,1,a\n',
+        "bad trace line 4: ['nope', '1', 'a']",
+    ),
+}
+
+
+class TestOneFormat:
+    @pytest.mark.parametrize("case", list(ONE_FORMAT))
+    def test_read_trace_and_convert_csv_agree(self, tmp_path, case):
+        text, expected = ONE_FORMAT[case]
+        csv_path, dest = tmp_path / "t.csv", tmp_path / "t.col"
+        csv_path.write_text(text)
+        if isinstance(expected, str):
+            with pytest.raises(InvalidInstanceError) as from_csv:
+                read_trace(csv_path)
+            with pytest.raises(InvalidInstanceError) as from_convert:
+                convert_csv(csv_path, dest)
+            assert str(from_csv.value) == str(from_convert.value) == expected
+            assert not dest.exists()
+        else:
+            convert_csv(csv_path, dest)
+            assert read_trace(csv_path) == read_columnar(dest).to_records()
+            assert read_trace(csv_path) == expected
+
+    def test_out_of_range_id_names_its_line(self, tmp_path):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("time,server\n1.0,0\n2.0,4294967296\n")
+        msg = "bad trace line 3: server and user must be 32-bit integers"
+        with pytest.raises(InvalidInstanceError, match=msg):
+            read_trace(csv_path)
+        with pytest.raises(InvalidInstanceError, match=msg):
+            convert_csv(csv_path, tmp_path / "t.col")
+
+
+class TestNonFiniteContainerTime:
+    @pytest.mark.parametrize(
+        "mine",
+        [
+            solve_trace_costs,
+            mine_instance_columnar,
+            MultiItemInstance.from_columnar,
+        ],
+        ids=["solve_trace_costs", "mine_instance_columnar", "from_columnar"],
+    )
+    def test_nan_time_reaches_the_prescan(self, tmp_path, mine):
+        # A NaN fails the "all gaps > 0" test without any gap <= 0; the
+        # min-gap sweep must leave it to the pre-scan's finite check.
+        path = tmp_path / "t.col"
+        ColumnarTrace(
+            [1.0, np.nan, 3.0], [0, 1, 0], [-1, -1, -1], [0, 0, 0], ("a",)
+        ).save(path)
+        with pytest.raises(InvalidInstanceError, match="request times must be finite"):
+            mine(path)
 
 
 class TestMiningIdentity:
