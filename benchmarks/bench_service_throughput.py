@@ -10,8 +10,8 @@ statuses: ``_util.py``):
 * **identity (hard everywhere)** — the columnar-ingested service must
   equal the CSV-ingested one item by item.
 * **converter RSS (hard everywhere)** — converting a 10× longer log at
-  the same chunk size must not cost proportionally more peak RSS
-  (subprocess ``ru_maxrss``).
+  the same chunk size must not cost proportionally more peak RSS (the
+  subprocess's ``VmHWM``, ``ru_maxrss`` where ``/proc`` is missing).
 * **ingest rate** — columnar ingestion must be ≥10× CSV ingestion;
   single-threaded, so hard in every full run (1M rows).
 
@@ -50,12 +50,22 @@ def _synth_log(rows, items, m, seed):
 
 
 def _convert_rss_kb(csv_path, dest, chunk_rows):
-    """Peak RSS (KiB) of converting ``csv_path`` in a fresh interpreter."""
+    """Peak RSS (KiB) of converting ``csv_path`` in a fresh interpreter.
+
+    Linux's ``ru_maxrss`` keeps the spawning process's high-water mark
+    across the exec (it read this bench's own ~370 MiB for both logs),
+    so the child reports ``VmHWM``, which starts afresh with its own
+    image, where ``/proc`` has it.
+    """
     script = (
         "import resource, sys\n"
         "from repro.workloads.columnar import convert_csv\n"
         "convert_csv(sys.argv[1], sys.argv[2], chunk_rows=int(sys.argv[3]))\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "try:\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        print(next(l.split()[1] for l in fh if l.startswith('VmHWM:')))\n"
+        "except OSError:\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(

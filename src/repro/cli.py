@@ -937,25 +937,15 @@ def _cmd_service(args: argparse.Namespace) -> int:
     from .analysis.tables import format_table
     from .service import MultiItemInstance, MultiItemOnlineService
     from .service import multi_item_workload, solve_offline_multi
-    from .workloads.columnar import is_columnar
-    from .workloads.traces import read_trace
 
     cost = CostModel(mu=args.mu, lam=args.lam)
     if args.trace is not None:
-        if is_columnar(args.trace):
-            svc = MultiItemInstance.from_columnar(
-                args.trace,
-                num_servers=args.servers,
-                cost=cost,
-                origin=args.origin,
-            )
-        else:
-            svc = MultiItemInstance.from_records(
-                read_trace(args.trace),
-                num_servers=args.servers,
-                cost=cost,
-                origin=args.origin,
-            )
+        svc = MultiItemInstance.from_columnar(
+            _open_columnar(args.trace),
+            num_servers=args.servers,
+            cost=cost,
+            origin=args.origin,
+        )
     else:
         svc = multi_item_workload(
             num_items=args.items,
@@ -1207,13 +1197,12 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _open_columnar(path: str) -> "object":
-    """Open a columnar container, or columnarise a CSV trace in memory."""
-    from .workloads.columnar import ColumnarTrace, is_columnar
-    from .workloads.traces import read_trace
+    """Open a columnar container, or parse a CSV trace into columns in memory."""
+    from .workloads.columnar import ColumnarTrace, _csv_trace, is_columnar
 
     if is_columnar(path):
         return ColumnarTrace.open(path)
-    return ColumnarTrace.from_records(read_trace(path))
+    return _csv_trace(path)
 
 
 def _parse_window(spec: Optional[str]) -> Optional[tuple]:

@@ -28,26 +28,28 @@ The sweep itself is the amortised ``O(n + m + P)`` frontier loop (its
 algorithm notes are on :func:`_sweep_python`), run once per item over
 the packed columns.
 
-This module also owns the backend choice for both compiled kernels: this
-DP sweep and the SC block step of :mod:`repro.kernels.online`.  Each has
+This module also owns the backend choice for the three compiled entry
+points: this DP sweep, the SC block step of :mod:`repro.kernels.online`
+and the CSV block scanner of :mod:`repro.workloads.traces`.  Each has
 two interchangeable backends, and one process-wide choice picks the
-backend for both:
+backend for all three:
 
 ``"c"``
-    ``_batch_sweep.c`` and ``_sc_step.c``, compiled together on first
-    use with the system C compiler (``$CC``/``cc``/``gcc``/``clang``;
-    ``-O2 -fPIC -shared -ffp-contract=off``, no fast-math) into one
-    library in a per-user cache directory (``$REPRO_KERNEL_CACHE`` or
-    ``$TMPDIR/repro-kernels-<uid>``, named by the hash of both sources
-    and the flags) and loaded via :mod:`ctypes`.  Both entry points
-    take raw addresses, each checked first by :func:`_addr` (dtype,
+    ``_batch_sweep.c``, ``_sc_step.c`` and ``_csv_scan.c``, compiled
+    together on first use with the system C compiler
+    (``$CC``/``cc``/``gcc``/``clang``; ``-O2 -fPIC -shared
+    -ffp-contract=off``, no fast-math) into one library in a per-user
+    cache directory (``$REPRO_KERNEL_CACHE`` or
+    ``$TMPDIR/repro-kernels-<uid>``, named by the hash of the sources
+    and the flags) and loaded via :mod:`ctypes`.  Every entry point
+    takes raw addresses, each checked first by :func:`_addr` (dtype,
     1-D, contiguous, long enough, writable for outputs).
     ``-ffp-contract=off`` forbids fused multiply-adds, so every
     expression rounds exactly like its Python twin.
 ``"python"``
-    Pure-Python transliterations of the same loops — the executable
-    specifications, and the automatic fallback when no compiler exists
-    or the build fails.
+    Pure-Python loops — the executable specifications (for the scanner,
+    the ``csv.reader`` row loop it fronts), and the automatic fallback
+    when no compiler exists or the build fails.
 
 Both sweep backends are bit-identical to each other and to the
 reference sweep on every result field including tie-breaks;
@@ -58,9 +60,10 @@ instance.  The differential suites (``tests/offline/test_kernels.py``,
 ``tests/online/test_online_kernels.py`` does for both SC steps against
 the per-event run.  :func:`batch_sweep_backend` reports the backend in
 use.  The ``REPRO_BATCH_SWEEP`` environment variable is the only
-switch: unset, empty or ``auto`` picks C when the library builds and
-Python otherwise, ``c`` / ``python`` pin one backend (for debugging and
-CI runs of the fallback), and any other value raises ``ValueError``.
+switch, for all three: unset, empty or ``auto`` picks C when the
+library builds and Python otherwise, ``c`` / ``python`` pin one backend
+(for debugging and CI runs of the fallback), and any other value raises
+``ValueError``.
 
 Import discipline: like the rest of :mod:`repro.kernels`, this module
 must not import :mod:`repro.core` at module level (the instance
@@ -236,13 +239,14 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # C backend: compile on demand with the system toolchain, cache by source
 # hash, load via ctypes.  No third-party build machinery — the host's C
-# compiler builds it, or both kernels fall back to their Python loops.
+# compiler builds it, or every kernel falls back to its Python loop.
 # ---------------------------------------------------------------------------
 
-#: The C kernels, built into one library: the DP sweep and the SC step.
+#: The C kernels, built into one library: the DP sweep, the SC step and
+#: the CSV block scanner.
 _SOURCE_PATHS = tuple(
     os.path.join(os.path.dirname(__file__), name)
-    for name in ("_batch_sweep.c", "_sc_step.c")
+    for name in ("_batch_sweep.c", "_sc_step.c", "_csv_scan.c")
 )
 
 #: Exact flag set the bit-identity contract depends on: -ffp-contract=off
@@ -308,8 +312,8 @@ def _compile_sweep() -> str:
 def _load_sweep_lib():
     """Compile+load the C kernels once per process; None when unavailable.
 
-    Returns the :class:`ctypes.CDLL` with ``repro_batch_sweep`` and
-    ``repro_sc_step`` typed.
+    Returns the :class:`ctypes.CDLL` with ``repro_batch_sweep``,
+    ``repro_sc_step`` and ``repro_csv_scan`` typed.
     """
     with _lib_lock:
         if _lib_state["loaded"]:
@@ -344,6 +348,11 @@ def _load_sweep_lib():
                 *[ptr] * 8,  # ledger columns
                 i64,  # lcap
             ]
+            scan = lib.repro_csv_scan
+            scan.restype = i64
+            # buf, len, cols, cap, the 4 row columns, table, tsize,
+            # first, st (see traces._scanned_chunks).
+            scan.argtypes = [ptr, i64, ptr, i64, *[ptr] * 5, i64, ptr, ptr]
             _lib_state["lib"] = lib
         except (OSError, RuntimeError) as exc:
             _lib_state["lib"] = None
@@ -353,9 +362,9 @@ def _load_sweep_lib():
 
 
 def batch_sweep_backend() -> str:
-    """The backend both compiled kernels run on now: ``"c"`` / ``"python"``.
+    """The backend the compiled kernels run on now: ``"c"`` / ``"python"``.
 
-    One answer for the DP sweep and the SC step.  ``REPRO_BATCH_SWEEP``
+    One answer for the DP sweep, the SC step and the CSV scanner.  ``REPRO_BATCH_SWEEP``
     (trimmed, case-insensitive) pins it: unset, empty or ``auto`` picks
     C when the library builds and Python otherwise, ``c`` / ``python``
     pin that backend, and any other value raises ``ValueError`` — a

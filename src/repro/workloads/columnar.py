@@ -326,6 +326,21 @@ def _pad_to(fh, offset: int) -> None:
         fh.write(b"\0" * gap)
 
 
+def _csv_trace(src: Union[str, Path, io.TextIOBase]) -> ColumnarTrace:
+    """An in-memory trace of a CSV log: the parser's chunks, concatenated.
+
+    The columns :func:`convert_csv` would write, without the container
+    file and without one :class:`TraceRecord` per row.
+    """
+    interned: Dict[str, int] = {}
+    chunks = list(_csv_chunks(src, interned))
+    columns = [
+        np.concatenate([c[k] for c in chunks]) if chunks else np.empty(0, dtype)
+        for k, (_, dtype) in enumerate(_COLUMNS)
+    ]
+    return ColumnarTrace(*columns, tuple(interned))
+
+
 def write_columnar(
     records: Sequence[TraceRecord], path: Union[str, Path]
 ) -> None:

@@ -218,6 +218,17 @@ class TestConvert:
         out = capsys.readouterr().out
         assert "converted 120 rows" in out and "bytes" in out
 
+    def test_profile_of_a_csv_is_the_profile_of_its_container(
+        self, item_trace, tmp_path, capsys
+    ):
+        col = str(tmp_path / "svc.col")
+        assert main(["convert", item_trace, col]) == 0
+        capsys.readouterr()
+        assert main(["profile", item_trace, "--json", "-"]) == 0
+        from_csv = capsys.readouterr().out
+        assert main(["profile", col, "--json", "-"]) == 0
+        assert capsys.readouterr().out == from_csv
+
 
 class TestChaos:
     def test_clean_sweep_exits_zero(self, capsys):
