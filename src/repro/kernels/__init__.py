@@ -8,7 +8,8 @@ bit-identical to its reference twin:
 
 * :mod:`repro.kernels.prescan` — the one check and pre-scan of request
   columns (``prescan_columns``: ``p``, ``σ``, ``b``, ``B`` for one
-  instance or a packed batch), per-server lists and the reference
+  instance or a packed batch; compiled C where it provably equals its
+  numpy path, which runs the rest), per-server lists and the reference
   sweep's pivot matrix, as whole-array numpy operations instead of
   per-request/per-server Python loops.
 * :mod:`repro.kernels.batch` — the off-line DP sweep, the one
@@ -31,12 +32,13 @@ bit-identical to its reference twin:
   columns, so a multi-item service or an instance block is one call.
   What ``run_online(kernel="auto")`` runs for plain ``SpeculativeCaching``.
 
-Backends: the batched DP sweep and the SC block step are compiled
-together into one cached C library, with their Python loops as the
-fallback.  :func:`batch_sweep_backend` names the backend both run on,
-and the ``REPRO_BATCH_SWEEP`` environment variable (unset, empty,
-``auto``, ``c`` or ``python``) is the one switch that pins it; no
-function takes a backend argument.
+Backends: the batched DP sweep, the SC block step, the CSV block
+scanner and the trace pack and pre-scan are compiled together into one
+cached C library, with their Python or numpy paths as the fallback.
+:func:`batch_sweep_backend` names the backend they all run on, and the
+``REPRO_BATCH_SWEEP`` environment variable (unset, empty, ``auto``,
+``c`` or ``python``) is the one switch that pins it; no function takes
+a backend argument.
 
 Determinism contract: a kernel never changes *what* is computed, only
 *how fast*.  ``C``/``D`` vectors, ``served_by_cache``, backtracking

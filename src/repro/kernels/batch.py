@@ -28,15 +28,17 @@ The sweep itself is the amortised ``O(n + m + P)`` frontier loop (its
 algorithm notes are on :func:`_sweep_python`), run once per item over
 the packed columns.
 
-This module also owns the backend choice for the three compiled entry
-points: this DP sweep, the SC block step of :mod:`repro.kernels.online`
-and the CSV block scanner of :mod:`repro.workloads.traces`.  Each has
-two interchangeable backends, and one process-wide choice picks the
-backend for all three:
+This module also owns the backend choice for the compiled entry
+points: this DP sweep, the SC block step of :mod:`repro.kernels.online`,
+the CSV block scanner of :mod:`repro.workloads.traces`, the pre-scan of
+:func:`repro.kernels.prescan.prescan_columns` and the trace samplers'
+pack (``sampling._pack_c``).  Each has two interchangeable backends, and
+one process-wide choice picks the backend for all of them:
 
 ``"c"``
-    ``_batch_sweep.c``, ``_sc_step.c`` and ``_csv_scan.c``, compiled
-    together on first use with the system C compiler
+    ``_batch_sweep.c``, ``_sc_step.c``, ``_csv_scan.c`` and
+    ``_prescan.c``, compiled together on first use with the system C
+    compiler
     (``$CC``/``cc``/``gcc``/``clang``; ``-O2 -fPIC -shared
     -ffp-contract=off``, no fast-math) into one library in a per-user
     cache directory (``$REPRO_KERNEL_CACHE`` or
@@ -48,8 +50,11 @@ backend for all three:
     expression rounds exactly like its Python twin.
 ``"python"``
     Pure-Python loops — the executable specifications (for the scanner,
-    the ``csv.reader`` row loop it fronts), and the automatic fallback
-    when no compiler exists or the build fails.
+    the ``csv.reader`` row loop it fronts; for the pre-scan and the
+    pack, their numpy paths), and the automatic fallback when no
+    compiler exists or the build fails.  The scanner, the pre-scan and
+    the pack take only inputs whose result provably equals their
+    fallback's, which runs on the rest under either backend.
 
 Both sweep backends are bit-identical to each other and to the
 reference sweep on every result field including tie-breaks;
@@ -60,7 +65,7 @@ instance.  The differential suites (``tests/offline/test_kernels.py``,
 ``tests/online/test_online_kernels.py`` does for both SC steps against
 the per-event run.  :func:`batch_sweep_backend` reports the backend in
 use.  The ``REPRO_BATCH_SWEEP`` environment variable is the only
-switch, for all three: unset, empty or ``auto`` picks C when the
+switch, for all of them: unset, empty or ``auto`` picks C when the
 library builds and Python otherwise, ``c`` / ``python`` pin one backend
 (for debugging and CI runs of the fallback), and any other value raises
 ``ValueError``.
@@ -242,11 +247,11 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
 # compiler builds it, or every kernel falls back to its Python loop.
 # ---------------------------------------------------------------------------
 
-#: The C kernels, built into one library: the DP sweep, the SC step and
-#: the CSV block scanner.
+#: The C kernels, built into one library: the DP sweep, the SC step, the
+#: CSV block scanner, and the trace pack and pre-scan.
 _SOURCE_PATHS = tuple(
     os.path.join(os.path.dirname(__file__), name)
-    for name in ("_batch_sweep.c", "_sc_step.c", "_csv_scan.c")
+    for name in ("_batch_sweep.c", "_sc_step.c", "_csv_scan.c", "_prescan.c")
 )
 
 #: Exact flag set the bit-identity contract depends on: -ffp-contract=off
@@ -276,8 +281,8 @@ def _find_compiler() -> Union[str, None]:
 def _compile_sweep() -> str:
     """Compile the C kernels into the cache; returns the .so path.
 
-    The artefact name carries the hash of both sources and the flags, so
-    editing either C file transparently rebuilds and stale caches can
+    The artefact name carries the hash of every source and the flags, so
+    editing any C file transparently rebuilds and stale caches can
     never serve old code; the ``os.replace`` publish keeps concurrent
     builders race-free.
     """
@@ -313,7 +318,8 @@ def _load_sweep_lib():
     """Compile+load the C kernels once per process; None when unavailable.
 
     Returns the :class:`ctypes.CDLL` with ``repro_batch_sweep``,
-    ``repro_sc_step`` and ``repro_csv_scan`` typed.
+    ``repro_sc_step``, ``repro_csv_scan``, ``repro_pack_count``,
+    ``repro_pack_rows`` and ``repro_prescan`` typed.
     """
     with _lib_lock:
         if _lib_state["loaded"]:
@@ -353,6 +359,20 @@ def _load_sweep_lib():
             # buf, len, cols, cap, the 4 row columns, table, tsize,
             # first, st (see traces._scanned_chunks).
             scan.argtypes = [ptr, i64, ptr, i64, *[ptr] * 5, i64, ptr, ptr]
+            count = lib.repro_pack_count
+            count.restype = i64
+            # rows, times, ids, keep, ntab, counts, order, last (see
+            # sampling._pack_c).
+            count.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr]
+            pack = lib.repro_pack_rows
+            pack.restype = i64
+            # rows, times, servers, ids, keep, ntab, cursor, end, t, srv.
+            pack.argtypes = [i64, ptr, ptr, ptr, ptr, i64, *[ptr] * 4]
+            prescan = lib.repro_prescan
+            prescan.restype = i64
+            # items, total, the 4 item and 2 row columns, the 4 outputs,
+            # last, nlast (see prescan._prescan_c).
+            prescan.argtypes = [i64, i64, *[ptr] * 11, i64]
             _lib_state["lib"] = lib
         except (OSError, RuntimeError) as exc:
             _lib_state["lib"] = None
@@ -364,7 +384,8 @@ def _load_sweep_lib():
 def batch_sweep_backend() -> str:
     """The backend the compiled kernels run on now: ``"c"`` / ``"python"``.
 
-    One answer for the DP sweep, the SC step and the CSV scanner.  ``REPRO_BATCH_SWEEP``
+    One answer for every compiled entry point: the DP sweep, the SC
+    step, the CSV scanner, the pre-scan and the trace pack.  ``REPRO_BATCH_SWEEP``
     (trimmed, case-insensitive) pins it: unset, empty or ``auto`` picks
     C when the library builds and Python otherwise, ``c`` / ``python``
     pin that backend, and any other value raises ``ValueError`` — a

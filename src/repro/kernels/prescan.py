@@ -5,19 +5,31 @@ Theorem 2) of request columns: :class:`~repro.core.instance.ProblemInstance`
 calls it on one item and :meth:`~repro.kernels.batch.BatchLayout.from_columns`
 on a packed batch, so both refuse the same inputs with the same messages
 and hold the same bytes.  The reference DP sweep's pivot pointer matrix
-(Fig. 5) is built here too.  Everything is whole-array numpy (a stable
-``argsort`` on a :func:`sort_key` to group, ``minimum.accumulate`` for
-the matrix's suffix sweep); only ``B`` is summed per item.
+(Fig. 5) is built here too.
+
+The pre-scan runs in C (``_prescan.c``, one pass per item with a
+per-server last-index scratch) when the compiled kernels are in use
+(:func:`repro.kernels.batch.batch_sweep_backend`) and the columns are
+ones whose result provably equals the numpy path's; see
+:func:`_prescan_c` for what it declines.  The numpy path
+(:func:`_prescan_numpy`: a stable ``argsort`` on a :func:`sort_key` to
+group, ``B`` summed per item) is the fallback without a compiler, runs
+every input the C code declines or refuses, raises every message, and
+is the oracle of ``tests/offline/test_prescan_pack.py``.  Everything
+else here is whole-array numpy (``minimum.accumulate`` for the matrix's
+suffix sweep).
 
 Functions are array-in/array-out and import :mod:`repro.core` only to
-raise its error; ``tests/offline/test_kernels.py`` pins them to the
-``*_reference`` loop twins below, the executable specification.
+raise its error, and :mod:`repro.kernels.batch` only when they run (a
+server start imports this module but not the compiled kernels);
+``tests/offline/test_kernels.py`` pins them to the ``*_reference`` loop
+twins below, the executable specification.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, NoReturn, Optional, Sequence, Tuple
+from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,6 +120,74 @@ def prescan_columns(
             f"and servers (shapes {t.shape}, {srv.shape}), offsets rising "
             f"from 0 below that length and one m, mu, lam (and name) per item"
         )
+    scanned = _prescan_c(t, srv, off, mserv, mu, lam)
+    if scanned is None:
+        scanned = _prescan_numpy(t, srv, off, mserv, mu, lam, fail)
+    return scanned
+
+
+def _prescan_c(
+    t: np.ndarray,
+    srv: np.ndarray,
+    off: np.ndarray,
+    mserv: np.ndarray,
+    mu: np.ndarray,
+    lam: np.ndarray,
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`prescan_columns` in C (``_prescan.c``), or ``None``.
+
+    ``None`` sends the call to :func:`_prescan_numpy`: on the Python
+    backend, for columns the C code does not take (dtypes other than
+    ``float64``/``int64``, non-contiguous arrays), for ``max(m)`` above
+    the column length (the per-server scratch never outgrows the
+    output, so one huge server id costs no ``O(m)`` memory), and when
+    the C code refuses: at a failed check, so that the numpy body
+    raises the message, and at a ``mu`` or ``lam`` that is NaN or
+    carries a sign bit, where ``np.minimum``'s pick between equal or
+    NaN operands is not pinned.
+    """
+    from . import batch
+
+    if batch._resolve_backend() != "c":
+        return None
+    total, items = t.shape[0], off.shape[0]
+    columns = ((off, np.int64), (mserv, np.int64), (mu, np.float64), (lam, np.float64))
+    rows = ((t, np.float64), (srv, np.int64))
+    if not all(a.dtype == dt and a.flags.c_contiguous for a, dt in columns + rows):
+        return None
+    nlast = max(int(mserv.max()), 0)
+    if nlast > total:
+        return None
+    p = np.empty(total, dtype=np.int64)
+    sigma, b, B = (np.empty(total, dtype=np.float64) for _ in range(3))
+    last = np.empty(nlast, dtype=np.int64)
+    refused = batch._load_sweep_lib().repro_prescan(
+        items,
+        total,
+        *[batch._addr(a, dt, items) for a, dt in columns],
+        *[batch._addr(a, dt, total) for a, dt in rows],
+        batch._addr(p, np.int64, total, out=True),
+        *[batch._addr(a, np.float64, total, out=True) for a in (sigma, b, B)],
+        batch._addr(last, np.int64, nlast, out=True),
+        nlast,
+    )
+    return None if refused else (p, sigma, b, B)
+
+
+def _prescan_numpy(
+    t: np.ndarray,
+    srv: np.ndarray,
+    off: np.ndarray,
+    mserv: np.ndarray,
+    mu: np.ndarray,
+    lam: np.ndarray,
+    fail: Callable[..., NoReturn],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`prescan_columns` in numpy, after its layout check.
+
+    The fallback without a C compiler, the path for every input
+    :func:`_prescan_c` does not take, and its test oracle.
+    """
     total, items = t.shape[0], off.shape[0]
     bounds = off.tolist() + [total]  # item k owns bounds[k]:bounds[k + 1]
     out = (

@@ -93,6 +93,8 @@ class MultiItemInstance:
         by_item: Dict[str, List[TraceRecord]] = {}
         for r in records:
             by_item.setdefault(r.item or "item-0", []).append(r)
+        if not by_item:
+            raise InvalidInstanceError("need at least one item")
         if num_servers is None:
             num_servers = max(r.server for rs in by_item.values() for r in rs) + 1
         items = {

@@ -42,7 +42,17 @@ sweep, start-time convention) on packed columns, which one
 :meth:`~repro.kernels.batch.BatchLayout.from_columns` call checks and
 pre-scans as instances do, so :func:`solve_trace_costs` is
 bit-identical to ``MultiItemInstance.from_columnar`` +
-``solve_offline_batch`` — the property tests assert that.
+``solve_offline_batch`` — the property tests assert that.  The packing
+runs in C (``kernels/_prescan.c``: a stable counting sort by item id of
+the mapped columns, read in place) when the compiled kernels are in use
+(:func:`repro.kernels.batch.batch_sweep_backend`) and no kept item's
+times fall in row order, where it provably equals the numpy path
+(chunked row selection, a ``lexsort`` by item and time, ``np.insert``
+for each ``r_0``).  The numpy path runs every other input, is the
+fallback without a compiler, and is the oracle of
+``tests/offline/test_prescan_pack.py``.  Every entry point refuses a row
+whose item id does not index the item table
+(:class:`~repro.core.types.InvalidInstanceError`, naming the first).
 """
 
 from __future__ import annotations
@@ -162,15 +172,18 @@ def _select_rows(
 
     Touches the memmap columns ``chunk_rows`` at a time; peak memory is
     one chunk plus the gathered (kept) rows, never the whole trace and
-    never any :class:`TraceRecord` objects.
+    never any :class:`TraceRecord` objects.  Raises
+    :class:`InvalidInstanceError` at the first row whose item id does
+    not index the item table.
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     t_parts, s_parts, u_parts, i_parts = [], [], [], []
-    rows = trace.rows
+    rows, size = trace.rows, len(trace.item_table)
     for lo in range(0, rows, chunk_rows):
         hi = min(lo + chunk_rows, rows)
         ids = np.asarray(trace.item_ids[lo:hi])
+        _check_item_ids(ids, lo, size)
         if keep_item is not None:
             mask = keep_item[ids]
         else:
@@ -209,8 +222,22 @@ def _item_counts(trace: ColumnarTrace, chunk_rows: int) -> np.ndarray:
     for lo in range(0, rows, chunk_rows):
         hi = min(lo + chunk_rows, rows)
         ids = np.asarray(trace.item_ids[lo:hi])
+        _check_item_ids(ids, lo, counts.shape[0])
         counts += np.bincount(ids, minlength=counts.shape[0])
     return counts
+
+
+def _bad_item_id(row: int, item: int, size: int) -> InvalidInstanceError:
+    return InvalidInstanceError(
+        f"trace row {row} has item id {item}, outside the item table [0, {size})"
+    )
+
+
+def _check_item_ids(ids: np.ndarray, lo: int, size: int) -> None:
+    """Refuse the first id, in rows from ``lo``, outside ``[0, size)``."""
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        j = int(np.argmax((ids < 0) | (ids >= size)))
+        raise _bad_item_id(lo + j, int(ids[j]), size)
 
 
 def _fleet_size(trace: ColumnarTrace, chunk_rows: int) -> int:
@@ -355,6 +382,12 @@ def sample_columnar(
 # ---------------------------------------------------------------------------
 
 
+#: Order flags of ``repro_pack_count`` (``kernels/_prescan.c``): an item
+#: whose times, in row order, repeat one (``_TIE``) or fall (``_FALL``;
+#: a NaN compares as a fall).
+_TIE, _FALL = 1, 2
+
+
 def _trace_layout(
     trace: ColumnarTrace,
     items: Optional[np.ndarray],
@@ -371,7 +404,9 @@ def _trace_layout(
     ``traces._columns_to_instance`` — stable sort by time,
     :func:`_enforce_min_gap` sweep, identical start-time convention — so
     every per-item result is bit-identical to ``mine_instance_columnar``
-    plus the per-item solver/policy on the same rows.
+    plus the per-item solver/policy on the same rows.  The compiled pack
+    (:func:`_pack_c`) runs when it provably equals :func:`_pack_numpy`,
+    which runs otherwise.
     """
     from ..kernels.batch import BatchLayout
 
@@ -381,9 +416,45 @@ def _trace_layout(
     if num_servers is None:
         num_servers = _fleet_size(trace, chunk_rows)
     cost = cost if cost is not None else CostModel()
+    packed = _pack_c(trace, items, origin, min_gap, chunk_rows)
+    if packed is None:
+        packed = _pack_numpy(trace, items, origin, min_gap, chunk_rows)
+    solved, t, srv, off = packed
+    count = solved.shape[0]
+    if count == 0:
+        return solved, None
+    layout = BatchLayout.from_columns(
+        [trace.item_table[i] for i in solved.tolist()],
+        t,
+        srv,
+        off,
+        np.full(count, num_servers, dtype=np.int64),
+        np.full(count, cost.mu),
+        np.full(count, cost.lam),
+    )
+    return solved, layout
+
+
+def _pack_numpy(
+    trace: ColumnarTrace,
+    items: Optional[np.ndarray],
+    origin: int,
+    min_gap: float,
+    chunk_rows: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The selected rows packed item-major: ``(ids, t, srv, off)``.
+
+    ``ids`` are the packed items' ids, ascending; item ``k``'s rows sit
+    in time order from ``off[k] + 1``, after its ``r_0`` (start time,
+    ``origin``) at ``off[k]``, as
+    :func:`~repro.kernels.prescan.prescan_columns` takes them.  The
+    fallback without a C compiler, the path for every input
+    :func:`_pack_c` does not take, and its test oracle.
+    """
     times, servers, _, ids = _select_rows(trace, items, None, chunk_rows)
     if times.shape[0] == 0:
-        return empty, None
+        none = np.empty(0, dtype=np.int64)
+        return none, np.empty(0, dtype=np.float64), none, none
     # Item-major, time-ordered within item; stability keeps equal-time
     # rows in original order, matching the per-item stable sort the
     # miner performs.
@@ -403,17 +474,101 @@ def _trace_layout(
         _enforce_min_gap(times[starts[k] : ends[k]], min_gap)
     start = times[starts] - max(min_gap, 1e-6)
     start[start > 0] = 0.0
-    solved, count = ids[starts].astype(np.int64), starts.shape[0]
-    layout = BatchLayout.from_columns(
-        [trace.item_table[i] for i in solved.tolist()],
+    return (
+        ids[starts].astype(np.int64),
         np.insert(times, starts, start),
         np.insert(servers.astype(np.int64), starts, origin),
-        starts + np.arange(count),
-        np.full(count, num_servers, dtype=np.int64),
-        np.full(count, cost.mu),
-        np.full(count, cost.lam),
+        starts + np.arange(starts.shape[0]),
     )
-    return solved, layout
+
+
+def _pack_c(
+    trace: ColumnarTrace,
+    items: Optional[np.ndarray],
+    origin: int,
+    min_gap: float,
+    chunk_rows: int,
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`_pack_numpy` in C (``kernels/_prescan.c``), or ``None``.
+
+    A stable counting sort by item id of the ``time``, ``server`` and
+    ``item_id`` columns, read in place (the memmaps of an opened trace).
+    Each kept row goes to ``off[k] + 1 +`` its rank within item ``k``.
+    That equals the numpy path's stable time sort exactly when no kept
+    item's times fall in row order: both then keep row order within an
+    item, ties included, and items with a tie run the same min-gap sweep
+    on their segment.  ``None`` sends the call to :func:`_pack_numpy`:
+    on the Python backend, when a kept item's times fall (or hold a
+    NaN), for a mask that is not a boolean array of the table's length,
+    for a column that is not native-endian and contiguous, and for
+    ``chunk_rows < 1``, which the numpy path refuses.  An id outside the
+    item table raises the numpy path's error.
+    """
+    from ..kernels.batch import _addr, _load_sweep_lib, _resolve_backend, _starts
+
+    if chunk_rows < 1 or _resolve_backend() != "c":
+        return None
+    rows, size = trace.rows, len(trace.item_table)
+    columns = ((trace.times, np.float64), (trace.servers, np.int32), (trace.item_ids, np.int32))
+    if items is None:
+        keep = np.ones(size, dtype=np.uint8)
+    elif isinstance(items, np.ndarray) and items.dtype == np.bool_ and items.shape == (size,):
+        keep = np.ascontiguousarray(items).view(np.uint8)
+    else:
+        return None
+    if not all(c.dtype == dt and c.flags.c_contiguous for c, dt in columns):
+        return None
+    lib = _load_sweep_lib()
+    times, servers, ids = (_addr(c, dt, rows) for c, dt in columns)
+    keep_at = _addr(keep, np.uint8, size)
+    counts = np.zeros(size, dtype=np.int64)
+    flags = np.zeros(size, dtype=np.uint8)
+    last = np.empty(size, dtype=np.float64)
+    bad = lib.repro_pack_count(
+        rows,
+        times,
+        ids,
+        keep_at,
+        size,
+        _addr(counts, np.int64, size, out=True),
+        _addr(flags, np.uint8, size, out=True),
+        _addr(last, np.float64, size, out=True),
+    )
+    if bad >= 0:
+        raise _bad_item_id(bad, int(trace.item_ids[bad]), size)
+    solved = np.flatnonzero(counts)
+    flags, sizes = flags[solved], counts[solved]
+    if (flags & _FALL).any():
+        return None
+    off = _starts(sizes + 1)
+    total = int(sizes.sum()) + solved.shape[0]
+    cursor = np.zeros(size, dtype=np.int64)
+    cursor[solved] = off + 1
+    end = cursor + counts
+    t = np.empty(total, dtype=np.float64)
+    srv = np.empty(total, dtype=np.int64)
+    moved = lib.repro_pack_rows(
+        rows,
+        times,
+        servers,
+        ids,
+        keep_at,
+        size,
+        _addr(cursor, np.int64, size, out=True),
+        _addr(end, np.int64, size),
+        _addr(t, np.float64, total, out=True),
+        _addr(srv, np.int64, total, out=True),
+    )
+    if moved >= 0:  # the columns changed since the count
+        return None
+    for k in np.flatnonzero(flags & _TIE).tolist():
+        lo = int(off[k]) + 1
+        _enforce_min_gap(t[lo : lo + int(sizes[k])], min_gap)
+    start = t[off + 1] - max(min_gap, 1e-6)
+    start[start > 0] = 0.0
+    t[off] = start
+    srv[off] = origin
+    return solved, t, srv, off
 
 
 def _solve_costs_by_id(

@@ -103,11 +103,18 @@ def edit(index, value):
 
 @pytest.fixture
 def no_c_sweep(monkeypatch):
-    """A C library whose sweep fails the test if it is ever called."""
+    """A C library whose sweep fails the test if it is ever called.
+
+    Its pre-scan refuses every input, so the instances a test builds
+    take the numpy pre-scan, compiler or not.
+    """
 
     class Library:
         def repro_batch_sweep(self, *args):
             raise AssertionError("the C sweep ran on a bad layout")
+
+        def repro_prescan(self, *args):
+            return 1  # PRESCAN_REFUSED
 
     monkeypatch.setattr(batch_kernel, "_load_sweep_lib", Library)
 

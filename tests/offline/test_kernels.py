@@ -50,8 +50,9 @@ BACKENDS = ("python", "c") if batch_sweep_backend() == "c" else ("python",)
 
 @contextmanager
 def backend(name):
-    """Pin both compiled kernels' backend (DP sweep and SC step) for the
-    block, through ``REPRO_BATCH_SWEEP`` — the only switch there is.
+    """Pin the compiled kernels' backend (DP sweep, SC step, CSV scanner,
+    trace pack and pre-scan) for the block, through
+    ``REPRO_BATCH_SWEEP`` — the only switch there is.
 
     A context manager rather than the ``monkeypatch`` fixture, which
     hypothesis rejects in ``@given`` tests.
@@ -180,13 +181,14 @@ class TestFrontierVsReference:
 
     def test_frontier_kernel_never_enters_the_library(self, monkeypatch):
         # kernel="frontier" is the Python oracle loop even when C is
-        # pinned: the compiled library must not be touched at all.
+        # pinned: the compiled library must not be touched at all.  The
+        # instance is built first, since its pre-scan may run in C.
         def boom(*args):
             raise AssertionError("kernel='frontier' entered the C library")
 
+        inst = make_instance([1.0, 2.0, 3.5, 4.0], [0, 1, 0, 1], m=2)
         monkeypatch.setattr(batch_kernel, "_sweep_c", boom)
         monkeypatch.setattr(batch_kernel, "_load_sweep_lib", boom)
-        inst = make_instance([1.0, 2.0, 3.5, 4.0], [0, 1, 0, 1], m=2)
         with backend("c"):
             res = solve_offline(inst, kernel="frontier")
         assert_bit_identical(solve_offline(inst, kernel="reference"), res)

@@ -36,6 +36,13 @@ class TestMultiItemInstance:
         with pytest.raises(InvalidInstanceError):
             MultiItemInstance({})
 
+    @pytest.mark.parametrize("num_servers", [None, 3])
+    def test_no_records_rejected(self, num_servers):
+        # As from_columnar refuses an empty trace; without num_servers
+        # the fleet size was max() of nothing.
+        with pytest.raises(InvalidInstanceError, match="need at least one item"):
+            MultiItemInstance.from_records([], num_servers=num_servers)
+
     def test_fleet_mismatch_rejected(self):
         with pytest.raises(InvalidInstanceError, match="fleet"):
             MultiItemInstance(

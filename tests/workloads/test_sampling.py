@@ -30,6 +30,7 @@ from repro.workloads import (
     exact_offline_cost,
     item_hash,
     mine_instance_columnar,
+    online_trace_costs,
     sample_columnar,
     sample_trace,
     sampled_items,
@@ -37,6 +38,8 @@ from repro.workloads import (
     zipf_weights,
 )
 from repro.workloads.sampling import HASH_SPACE, SampleStats
+
+from ..offline.test_kernels import BACKENDS, backend
 
 _SETTINGS = dict(
     max_examples=30,
@@ -290,6 +293,46 @@ class TestSolveTraceCosts:
             np.empty(0, "<i4"), (),
         )
         assert solve_trace_costs(empty) == {}
+
+
+class TestItemIdsOutsideTheTable:
+    """A row whose item id does not index the item table is refused by
+    every entry point, naming the first such row, on both backends.
+
+    An id of -1 used to read ``item_table[-1]`` (two layout items named
+    ``'b'``, one cost lost in the dict), and one past the table raised a
+    bare ``IndexError`` or numpy's ``bincount`` error."""
+
+    CALLS = {
+        "solve": lambda tr, tmp: solve_trace_costs(tr),
+        "solve-masked": lambda tr, tmp: solve_trace_costs(
+            tr, items=np.array([True, False])
+        ),
+        "solve-chunked": lambda tr, tmp: solve_trace_costs(tr, chunk_rows=2),
+        "online": lambda tr, tmp: online_trace_costs(tr),
+        "exact": lambda tr, tmp: exact_offline_cost(tr),
+        "estimate": lambda tr, tmp: estimate_offline_cost(tr, rate=0.5),
+        "sample": lambda tr, tmp: sample_trace(tr, 1.0),
+        "sample-columnar": lambda tr, tmp: sample_columnar(tr, tmp / "s.col", 1.0),
+    }
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize(
+        "ids, row, bad",
+        [([0, 1, -1, 1, 0, -1], 2, -1), ([0, 1, 0, 2, 0, 1], 3, 2)],
+        ids=["negative", "past-the-table"],
+    )
+    def test_refused(self, name, call, ids, row, bad, tmp_path):
+        trace = ColumnarTrace(
+            np.arange(1.0, 7.0), [0, 1, 0, 1, 0, 1], np.full(6, -1), ids, ("a", "b")
+        )
+        with backend(name), pytest.raises(InvalidInstanceError) as err:
+            self.CALLS[call](trace, tmp_path)
+        assert str(err.value) == (
+            f"trace row {row} has item id {bad}, outside the item table [0, 2)"
+        )
+        assert not (tmp_path / "s.col").exists()
 
 
 class TestEstimateOfflineCost:
