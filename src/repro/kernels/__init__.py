@@ -9,7 +9,8 @@ bit-identical to its reference twin:
 * :mod:`repro.kernels.prescan` — the one check and pre-scan of request
   columns (``prescan_columns``: ``p``, ``σ``, ``b``, ``B`` for one
   instance or a packed batch; compiled C where it provably equals its
-  numpy path, which runs the rest), per-server lists and the reference
+  numpy path, which runs the rest; fleets up to ``MAX_SERVERS``),
+  per-server lists and the reference
   sweep's pivot matrix, as whole-array numpy operations instead of
   per-request/per-server Python loops.
 * :mod:`repro.kernels.batch` — the off-line DP sweep, the one
@@ -33,8 +34,9 @@ bit-identical to its reference twin:
   What ``run_online(kernel="auto")`` runs for plain ``SpeculativeCaching``.
 
 Backends: the batched DP sweep, the SC block step, the CSV block
-scanner and the trace pack and pre-scan are compiled together into one
-cached C library, with their Python or numpy paths as the fallback.
+scanner, the trace pack and pre-scan, and the profiler's item-major
+pass and LPNF are compiled together into one cached C library, with
+their Python or numpy paths as the fallback.
 :func:`batch_sweep_backend` names the backend they all run on, and the
 ``REPRO_BATCH_SWEEP`` environment variable (unset, empty, ``auto``,
 ``c`` or ``python``) is the one switch that pins it; no function takes
@@ -64,6 +66,7 @@ __getattr__, __dir__, __all__ = exports(
             "vector_policy_config",
         ),
         ".prescan": (
+            "MAX_SERVERS",
             "build_pivot_matrix",
             "per_server_lists",
             "prescan_columns",

@@ -7,7 +7,8 @@
  *
  *   - repro_pack_count counts the kept rows of each item and flags how
  *     each kept item's times run in row order: strictly rising, with a
- *     tie, or with a fall (a NaN compares as a fall);
+ *     tie, or with a fall (a NaN compares as a fall); the profiler's
+ *     compiled scan (_profile.c) runs it too, with every item kept;
  *   - repro_pack_rows writes each kept row to the item's next slot, so
  *     the rows of an item keep their row order.
  *
@@ -39,7 +40,7 @@
 #include <stdint.h>
 
 /* Order flags of repro_pack_count — must match _TIE/_FALL in
- * repro/workloads/sampling.py. */
+ * repro/kernels/batch.py. */
 #define ORDER_TIE 1
 #define ORDER_FALL 2
 

@@ -31,14 +31,16 @@ the packed columns.
 This module also owns the backend choice for the compiled entry
 points: this DP sweep, the SC block step of :mod:`repro.kernels.online`,
 the CSV block scanner of :mod:`repro.workloads.traces`, the pre-scan of
-:func:`repro.kernels.prescan.prescan_columns` and the trace samplers'
-pack (``sampling._pack_c``).  Each has two interchangeable backends, and
-one process-wide choice picks the backend for all of them:
+:func:`repro.kernels.prescan.prescan_columns`, the trace samplers'
+pack (``sampling._pack_c``), and the profiler's item-major pass
+(``profiler._scan_c``) and LPNF (``predictability._lpnf_c``).  Each has
+two interchangeable backends, and one process-wide choice picks the
+backend for all of them:
 
 ``"c"``
-    ``_batch_sweep.c``, ``_sc_step.c``, ``_csv_scan.c`` and
-    ``_prescan.c``, compiled together on first use with the system C
-    compiler
+    ``_batch_sweep.c``, ``_sc_step.c``, ``_csv_scan.c``,
+    ``_prescan.c`` and ``_profile.c``, compiled together on first use
+    with the system C compiler
     (``$CC``/``cc``/``gcc``/``clang``; ``-O2 -fPIC -shared
     -ffp-contract=off``, no fast-math) into one library in a per-user
     cache directory (``$REPRO_KERNEL_CACHE`` or
@@ -50,11 +52,12 @@ one process-wide choice picks the backend for all of them:
     expression rounds exactly like its Python twin.
 ``"python"``
     Pure-Python loops — the executable specifications (for the scanner,
-    the ``csv.reader`` row loop it fronts; for the pre-scan and the
-    pack, their numpy paths), and the automatic fallback when no
-    compiler exists or the build fails.  The scanner, the pre-scan and
-    the pack take only inputs whose result provably equals their
-    fallback's, which runs on the rest under either backend.
+    the ``csv.reader`` row loop it fronts; for the pre-scan, the pack
+    and the profiler, their numpy paths), and the automatic fallback
+    when no compiler exists or the build fails.  The scanner, the
+    pre-scan, the pack and the profiler's pass take only inputs whose
+    result provably equals their fallback's, which runs on the rest
+    under either backend.
 
 Both sweep backends are bit-identical to each other and to the
 reference sweep on every result field including tie-breaks;
@@ -87,7 +90,7 @@ import subprocess
 import tempfile
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -248,10 +251,13 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 #: The C kernels, built into one library: the DP sweep, the SC step, the
-#: CSV block scanner, and the trace pack and pre-scan.
+#: CSV block scanner, the trace pack and pre-scan, and the profiler's
+#: passes.
 _SOURCE_PATHS = tuple(
     os.path.join(os.path.dirname(__file__), name)
-    for name in ("_batch_sweep.c", "_sc_step.c", "_csv_scan.c", "_prescan.c")
+    for name in (
+        "_batch_sweep.c", "_sc_step.c", "_csv_scan.c", "_prescan.c", "_profile.c"
+    )
 )
 
 #: Exact flag set the bit-identity contract depends on: -ffp-contract=off
@@ -319,7 +325,8 @@ def _load_sweep_lib():
 
     Returns the :class:`ctypes.CDLL` with ``repro_batch_sweep``,
     ``repro_sc_step``, ``repro_csv_scan``, ``repro_pack_count``,
-    ``repro_pack_rows`` and ``repro_prescan`` typed.
+    ``repro_pack_rows``, ``repro_prescan``, ``repro_profile_gaps``,
+    ``repro_profile_bins``, ``repro_lpnf_work`` and ``repro_lpnf`` typed.
     """
     with _lib_lock:
         if _lib_state["loaded"]:
@@ -362,7 +369,7 @@ def _load_sweep_lib():
             count = lib.repro_pack_count
             count.restype = i64
             # rows, times, ids, keep, ntab, counts, order, last (see
-            # sampling._pack_c).
+            # sampling._pack_c and profiler._scan_c).
             count.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr]
             pack = lib.repro_pack_rows
             pack.restype = i64
@@ -373,6 +380,20 @@ def _load_sweep_lib():
             # items, total, the 4 item and 2 row columns, the 4 outputs,
             # last, nlast (see prescan._prescan_c).
             prescan.argtypes = [i64, i64, *[ptr] * 11, i64]
+            gaps = lib.repro_profile_gaps
+            gaps.restype = i64
+            # rows, times, servers, ids, ntab, counts, goff, soff, scap,
+            # seen, last, gaps, gsum, gsq, seq, range (see
+            # profiler._scan_c).
+            gaps.argtypes = [i64, *[ptr] * 3, i64, *[ptr] * 11]
+            bins = lib.repro_profile_bins
+            bins.restype = None
+            bins.argtypes = [i64, ptr, i64, ptr, ptr]  # ngaps, gaps, bins, edges, hist
+            lib.repro_lpnf_work.restype = i64
+            lib.repro_lpnf_work.argtypes = [i64]
+            lpnf = lib.repro_lpnf
+            lpnf.restype = i64
+            lpnf.argtypes = [i64, ptr, ptr, ptr]  # n, sym, out, work
             _lib_state["lib"] = lib
         except (OSError, RuntimeError) as exc:
             _lib_state["lib"] = None
@@ -385,7 +406,8 @@ def batch_sweep_backend() -> str:
     """The backend the compiled kernels run on now: ``"c"`` / ``"python"``.
 
     One answer for every compiled entry point: the DP sweep, the SC
-    step, the CSV scanner, the pre-scan and the trace pack.  ``REPRO_BATCH_SWEEP``
+    step, the CSV scanner, the pre-scan, the trace pack, and the
+    profiler's item-major pass and LPNF.  ``REPRO_BATCH_SWEEP``
     (trimmed, case-insensitive) pins it: unset, empty or ``auto`` picks
     C when the library builds and Python otherwise, ``c`` / ``python``
     pin that backend, and any other value raises ``ValueError`` — a
@@ -461,6 +483,48 @@ def _addr(arr: np.ndarray, dtype, size: int, out: bool = False) -> int:
             f"{getattr(arr, 'shape', None)}"
         )
     return arr.ctypes.data
+
+
+#: Order flags of ``repro_pack_count`` (``_prescan.c``): an item whose
+#: times, in row order, repeat one (``_TIE``) or fall (``_FALL``; a NaN
+#: compares as a fall).
+_TIE, _FALL = 1, 2
+
+
+def _count_rows(
+    trace, keep: np.ndarray
+) -> Optional[Tuple[Tuple[int, int, int], int, np.ndarray, np.ndarray]]:
+    """``repro_pack_count`` over a trace's mapped columns, or ``None``.
+
+    The first pass of the trace samplers' pack and of the profiler's
+    item-major scan.  ``None`` unless the trace's times, servers and
+    item ids are native-endian float64/int32/int32 and contiguous, as
+    the compiled passes read them in place.  Otherwise ``(columns, bad,
+    counts, flags)``: the three column addresses, the first row whose
+    item id lies outside ``[0, len(keep))`` (``-1`` if none), the rows
+    of each item ``keep`` marks and their order flags (``_TIE``,
+    ``_FALL``).
+    """
+    rows, size = trace.rows, keep.shape[0]
+    dtypes = (np.float64, np.int32, np.int32)
+    columns = (trace.times, trace.servers, trace.item_ids)
+    if not all(c.dtype == dt and c.flags.c_contiguous for c, dt in zip(columns, dtypes)):
+        return None
+    times, servers, ids = (_addr(c, dt, rows) for c, dt in zip(columns, dtypes))
+    counts = np.zeros(size, dtype=np.int64)
+    flags = np.zeros(size, dtype=np.uint8)
+    last = np.empty(size, dtype=np.float64)
+    bad = _load_sweep_lib().repro_pack_count(
+        rows,
+        times,
+        ids,
+        _addr(keep, np.uint8, size),
+        size,
+        _addr(counts, np.int64, size, out=True),
+        _addr(flags, np.uint8, size, out=True),
+        _addr(last, np.float64, size, out=True),
+    )
+    return (times, servers, ids), bad, counts, flags
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,17 @@ from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
+    "MAX_SERVERS",
     "sort_key",
     "per_server_lists",
     "prescan_columns",
     "build_pivot_matrix",
 ]
+
+#: The largest fleet size ``m`` any instance, batch or profile takes.
+#: Per-server arrays (the DP sweep's scratch, a profile's server counts)
+#: are sized by ``m``, so one stray server id must not size them.
+MAX_SERVERS = 1 << 20
 
 
 def sort_key(values: np.ndarray) -> np.ndarray:
@@ -92,9 +98,11 @@ def prescan_columns(
     ``srv[off]`` are the origins; the ``mserv``, ``mu`` and ``lam`` arrays
     have one entry per item.  Raises
     :class:`~repro.core.types.InvalidInstanceError`, prefixed ``item
-    'name': `` when ``names`` is given, for ``m < 1``, an origin or server
-    id outside ``[0, m)``, a non-finite time, times that do not strictly
-    increase within an item, or columns not laid out this way.  Returns
+    'name': `` when ``names`` is given, for ``m < 1`` or ``m >``
+    :data:`MAX_SERVERS` (before anything is sized by ``m``), an origin
+    or server id outside ``[0, m)``, a non-finite time, times that do
+    not strictly increase within an item, or columns not laid out this
+    way.  Returns
     item-local ``p`` (``-1`` for the dummy ``r_{-j}``), ``sigma``
     (``inf`` there), ``b = min(λ, μσ)`` (``0`` at each ``r_0``) and its
     running sum ``B``, restarted per item — the proof of Theorem 2.
@@ -120,6 +128,10 @@ def prescan_columns(
             f"and servers (shapes {t.shape}, {srv.shape}), offsets rising "
             f"from 0 below that length and one m, mu, lam (and name) per item"
         )
+    huge = mserv > MAX_SERVERS
+    if huge.any():
+        k = int(np.argmax(huge))
+        fail(f"need at most {MAX_SERVERS} servers, got m={int(mserv[k])}", k)
     scanned = _prescan_c(t, srv, off, mserv, mu, lam)
     if scanned is None:
         scanned = _prescan_numpy(t, srv, off, mserv, mu, lam, fail)

@@ -122,20 +122,23 @@ class MultiItemInstance:
         is mined with the same construction as :meth:`from_records`, so
         the result is bit-identical to the CSV path on the same log.
         Items keep first-appearance order, matching ``from_records``'s
-        insertion order.
+        insertion order.  Raises
+        :class:`~repro.core.types.InvalidInstanceError` at the first row
+        whose item id lies outside the item table.
         """
-        from ..workloads.columnar import ColumnarTrace, _mine_selected
+        from ..workloads.columnar import ColumnarTrace, _check_item_ids, _mine_selected
 
         if not isinstance(trace, ColumnarTrace):
             trace = ColumnarTrace.open(trace)
         if trace.rows == 0:
             raise InvalidInstanceError("need at least one item")
+        ids = np.asarray(trace.item_ids)
+        _check_item_ids(ids, 0, len(trace.item_table))
         if num_servers is None:
             num_servers = int(trace.servers.max()) + 1
         # One stable argsort groups the rows by raw item id while keeping
         # original row order inside each group — O(rows log rows) total,
         # versus one full-column scan per item.
-        ids = np.asarray(trace.item_ids)
         order = np.argsort(ids, kind="stable")
         bounds = np.flatnonzero(np.diff(ids[order])) + 1
         segments = np.split(order, bounds)

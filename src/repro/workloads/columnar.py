@@ -68,6 +68,19 @@ _COLUMNS = (
 )
 
 
+def _bad_item_id(row: int, item: int, size: int) -> InvalidInstanceError:
+    return InvalidInstanceError(
+        f"trace row {row} has item id {item}, outside the item table [0, {size})"
+    )
+
+
+def _check_item_ids(ids: np.ndarray, lo: int, size: int) -> None:
+    """Refuse the first id, in rows from ``lo``, outside ``[0, size)``."""
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        j = int(np.argmax((ids < 0) | (ids >= size)))
+        raise _bad_item_id(lo + j, int(ids[j]), size)
+
+
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 

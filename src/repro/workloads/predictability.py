@@ -10,9 +10,11 @@ generators' predictability can be reported alongside benchmark results:
   of a symbol sequence, ``S ≈ (n · log2 n) / Σ_i Λ_i``, where ``Λ_i`` is
   the length of the shortest substring starting at ``i`` that never
   appeared before ``i``.  Every ``Λ_i`` comes off one suffix array of
-  the sequence in ``O(n log n)`` array operations (:func:`_lpnf`), so
-  the profiler's 4,000-symbol sequences cost milliseconds, not the
-  ``O(n²)`` of a scan over every lag.
+  the sequence, built in C (``kernels/_profile.c``, :func:`_lpnf_c`)
+  when the compiled kernels are in use and otherwise in ``O(n log n)``
+  array operations (:func:`_lpnf`, also the oracle), so one of the
+  profiler's 4,000-symbol sequences costs about a millisecond in C and
+  a few in numpy, not the ``O(n²)`` of a scan over every lag.
 * :func:`max_predictability` — the Fano-bound maximum predictability
   ``Π_max`` solving ``H(Π) + (1 - Π) log2(N - 1) = S``.
 
@@ -23,7 +25,7 @@ the paper's premise — while uniform random workloads sit near ``1/N``.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,15 +43,62 @@ def lz_entropy_rate(symbols: Sequence[int]) -> float:
     Equivalently ``Λ_i = L_i + 1`` with ``L_i`` the longest previous
     non-overlapping factor at ``i`` — the longest match of the suffix at
     ``i`` fully contained in the history — which :func:`_lpnf` computes
-    for every ``i`` at once from a suffix array.  Every ``Λ_i`` is an
-    integer, so the result equals the scalar scan's bit for bit
+    for every ``i`` at once from a suffix array (:func:`_lpnf_c`, in C,
+    when the compiled kernels are in use).  Every ``Λ_i`` is an integer,
+    so the result equals the scalar scan's bit for bit
     (regression-tested).
     """
-    seq = np.asarray([int(x) for x in symbols], dtype=np.int64)
+    seq = _int64_symbols(symbols)
     n = int(seq.shape[0])
     if n < 2 or int(seq.min()) == int(seq.max()):
         return 0.0
-    return float(n * math.log2(n) / (int(_lpnf(seq).sum()) + n))
+    lpnf = _lpnf_c(seq)
+    if lpnf is None:
+        lpnf = _lpnf(seq)
+    return float(n * math.log2(n) / (int(lpnf.sum()) + n))
+
+
+def _int64_symbols(symbols: Sequence[int]) -> np.ndarray:
+    """``symbols`` as an int64 vector, each value read through ``int``.
+
+    A 1-D array of a signed, or narrower than 64-bit unsigned, integer
+    dtype holds only values int64 keeps, so a cast reads the same values
+    without a Python loop.
+    """
+    if isinstance(symbols, np.ndarray) and symbols.ndim == 1:
+        kind, width = symbols.dtype.kind, symbols.dtype.itemsize
+        if kind == "i" or (kind == "u" and width < 8):
+            return symbols.astype(np.int64)
+    return np.asarray([int(x) for x in symbols], dtype=np.int64)
+
+
+def _lpnf_c(seq: np.ndarray) -> Optional[np.ndarray]:
+    """:func:`_lpnf` in C (``kernels/_profile.c``), or ``None``.
+
+    ``None`` on the Python backend
+    (:func:`repro.kernels.batch.batch_sweep_backend`), where
+    :func:`_lpnf` runs.  The symbols go in as their ranks among the
+    distinct values, the alphabet the C code's counting sorts need; a
+    suffix array is unique, so both paths read every ``L_i`` off the
+    same one.
+    """
+    from ..kernels import batch
+
+    if batch._resolve_backend() != "c":
+        return None
+    n = int(seq.shape[0])
+    lib = batch._load_sweep_lib()
+    ranks = np.unique(seq, return_inverse=True)[1].astype(np.int64)
+    out = np.empty(n, dtype=np.int64)
+    words = int(lib.repro_lpnf_work(n))
+    work = np.empty(words, dtype=np.int64)
+    total = lib.repro_lpnf(
+        n,
+        batch._addr(ranks, np.int64, n),
+        batch._addr(out, np.int64, n, out=True),
+        batch._addr(work, np.int64, words, out=True),
+    )
+    return out if total >= 0 else None
 
 
 def _lpnf(seq: np.ndarray) -> np.ndarray:

@@ -1,16 +1,14 @@
-"""Single-pass memmap-native workload profiler with bounded RSS.
+"""Memmap-native workload profiler with bounded RSS.
 
 :func:`profile_trace` sweeps a :class:`ColumnarTrace`'s mapped columns
-once and returns :class:`WorkloadStats` — the per-item quantities the
+and returns :class:`WorkloadStats` — the per-item quantities the
 learning-augmented online policies need as their substrate:
 
-* per-item and per-server request counts (chunked ``np.bincount``);
-* the interarrival distribution: one stable ``np.lexsort`` (on a
-  :func:`~repro.kernels.prescan.sort_key`, so the item ids radix-sort)
-  groups rows item-major/time-ordered, ``np.diff`` masked to same-item
-  pairs yields every per-item gap, and a log-spaced ``np.bincount``
-  histogram plus per-item moment accumulators (weighted bincounts) come
-  out of the same arrays;
+* per-server request counts and the time range (chunked numpy), after
+  every row's item id, server id and time are checked;
+* per-item request counts and the interarrival distribution from one
+  item-major pass: every per-item gap in time order, a log-spaced
+  histogram over them and per-item gap moments;
 * popularity skew: Zipf exponent (log-log rank/count fit) and
   top-1/top-10 share;
 * burstiness ``B = (σ - μ) / (σ + μ)`` per item (≈0 Poisson, →1 bursty,
@@ -20,8 +18,21 @@ learning-augmented online policies need as their substrate:
   and the Fano bound
   :func:`~repro.workloads.predictability.max_predictability`.
 
+The item-major pass runs in C (``kernels/_profile.c``) when the compiled
+kernels are in use (:func:`repro.kernels.batch.batch_sweep_backend`)
+and no item's times fall in row order: a count pass and a gap scan over
+the mapped columns write the gaps item-major, and a binning kernel
+places each one with a log estimate fixed up exactly against the edges.
+The numpy path (:func:`_scan_numpy`: one stable ``np.lexsort`` on a
+:func:`~repro.kernels.prescan.sort_key`, a masked ``np.diff``,
+``searchsorted`` binning and weighted bincounts) runs every other trace,
+is the fallback without a compiler and is the oracle of
+``tests/workloads/test_profile_kernel.py``.  Both hand the same arrays
+to the same numpy code for the means and deviations, so every byte of
+:class:`WorkloadStats` is the same on either path.
+
 The sweep never materialises :class:`TraceRecord` lists — everything is
-whole-array numpy over (chunked) memmap reads, so RSS is bounded by a
+whole-array work over (chunked) memmap reads, so RSS is bounded by a
 few flat arrays of ``rows`` scalars (~24 bytes/row), two orders of
 magnitude below record materialisation.
 """
@@ -31,13 +42,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, NoReturn, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.types import InvalidInstanceError
-from ..kernels.prescan import sort_key
-from .columnar import ColumnarTrace
+from ..kernels.prescan import MAX_SERVERS, sort_key
+from .columnar import ColumnarTrace, _bad_item_id
 from .predictability import (
     empirical_entropy,
     lz_entropy_rate,
@@ -170,27 +181,225 @@ class WorkloadStats:
         return "\n".join(lines)
 
 
-def _chunked_counts(
+def _checked_counts(
     trace: ColumnarTrace, chunk_rows: int
-) -> Tuple[np.ndarray, np.ndarray, float, float]:
-    """(item_counts, server_counts, t_min, t_max) in one chunked pass."""
-    item_counts = np.zeros(len(trace.item_table), dtype=np.int64)
+) -> Tuple[np.ndarray, float, float]:
+    """(server_counts, t_min, t_max) in one chunked pass over checked rows.
+
+    Raises :class:`InvalidInstanceError` at the first row whose item id
+    lies outside the item table, whose server id lies outside ``[0,``
+    :data:`~repro.kernels.prescan.MAX_SERVERS` ``)`` or whose time is
+    not finite, before anything is counted or sized by it.
+    """
+    size = len(trace.item_table)
     server_parts: List[np.ndarray] = []
     t_min, t_max = math.inf, -math.inf
     rows = trace.rows
     for lo in range(0, rows, chunk_rows):
         hi = min(lo + chunk_rows, rows)
         ids = np.asarray(trace.item_ids[lo:hi])
-        item_counts += np.bincount(ids, minlength=item_counts.shape[0])
-        server_parts.append(np.bincount(np.asarray(trace.servers[lo:hi])))
+        servers = np.asarray(trace.servers[lo:hi])
         times = np.asarray(trace.times[lo:hi])
-        t_min = min(t_min, float(times.min()))
-        t_max = max(t_max, float(times.max()))
+        first, last = float(times.min()), float(times.max())
+        if (
+            ids.min() < 0
+            or ids.max() >= size
+            or servers.min() < 0
+            or servers.max() >= MAX_SERVERS
+            or not (math.isfinite(first) and math.isfinite(last))
+        ):
+            _refuse_row(lo, ids, servers, times, size)
+        server_parts.append(np.bincount(servers))
+        t_min = min(t_min, first)
+        t_max = max(t_max, last)
     width = max(p.shape[0] for p in server_parts)
     server_counts = np.zeros(width, dtype=np.int64)
     for p in server_parts:
         server_counts[: p.shape[0]] += p
-    return item_counts, server_counts, t_min, t_max
+    return server_counts, t_min, t_max
+
+
+def _refuse_row(
+    lo: int, ids: np.ndarray, servers: np.ndarray, times: np.ndarray, size: int
+) -> NoReturn:
+    """Raise for the first bad row of a chunk that starts at row ``lo``."""
+    item_bad = (ids < 0) | (ids >= size)
+    server_bad = (servers < 0) | (servers >= MAX_SERVERS)
+    j = int(np.argmax(item_bad | server_bad | ~np.isfinite(times)))
+    if item_bad[j]:
+        raise _bad_item_id(lo + j, int(ids[j]), size)
+    if server_bad[j]:
+        raise InvalidInstanceError(
+            f"trace row {lo + j} has server id {int(servers[j])}, outside "
+            f"[0, {MAX_SERVERS})"
+        )
+    raise InvalidInstanceError(
+        f"trace row {lo + j} has time {float(times[j])!r}; times must be finite"
+    )
+
+
+class _Scan(NamedTuple):
+    """What the item-major pass hands the rest of the profile."""
+
+    item_counts: np.ndarray  # int64 [num_items]
+    gaps: np.ndarray  # float64: per item (ids ascending), its gaps in time order
+    edges: np.ndarray  # float64 [bins + 1]
+    hist: np.ndarray  # int64 [bins]
+    gap_sum: np.ndarray  # float64 [num_items]
+    gap_sq: np.ndarray  # float64 [num_items]
+    sequences: Dict[int, np.ndarray]  # profiled item -> its first servers
+
+
+def _heaviest(item_counts: np.ndarray, n: int) -> np.ndarray:
+    """The ``n`` heaviest item ids: count descending, then id ascending."""
+    return np.lexsort((np.arange(item_counts.shape[0]), -item_counts))[:n]
+
+
+def _profiled(item_counts: np.ndarray, predictability_items: int) -> List[int]:
+    """Items that get a predictability estimate: the heaviest with >= 2 rows."""
+    top = _heaviest(item_counts, max(int(predictability_items), 0))
+    return [int(k) for k in top if item_counts[k] >= 2]
+
+
+def _edges(smallest: float, largest: float, bins: int) -> np.ndarray:
+    """Log-spaced histogram edges from the smallest positive gap to the
+    largest; ``smallest = inf`` means no positive gap."""
+    if smallest == math.inf:  # no gaps, or all zero (fully tied stamps)
+        return np.geomspace(1e-9, 1.0, bins + 1)
+    return np.geomspace(smallest, float(max(largest, smallest * (1 + 1e-9))), bins + 1)
+
+
+def _scan_numpy(
+    trace: ColumnarTrace,
+    bins: int,
+    predictability_items: int,
+    predictability_cap: int,
+    chunk_rows: int,
+) -> _Scan:
+    """The item-major pass in numpy.
+
+    The fallback without a C compiler, the path for every trace
+    :func:`_scan_c` does not take, and its test oracle.
+    """
+    n_items = len(trace.item_table)
+    item_counts = np.zeros(n_items, dtype=np.int64)
+    for lo in range(0, trace.rows, chunk_rows):
+        ids = np.asarray(trace.item_ids[lo : lo + chunk_rows])
+        item_counts += np.bincount(ids, minlength=n_items)
+
+    # One stable lexsort groups rows item-major, time-ordered within the
+    # item; every per-item interarrival gap is then a masked diff.
+    ids = np.asarray(trace.item_ids).astype(np.int64, copy=False)
+    times = np.asarray(trace.times).astype(np.float64, copy=False)
+    order = np.lexsort((times, sort_key(ids)))
+    ids_sorted = ids[order]
+    times_sorted = times[order]
+    same_item = ids_sorted[1:] == ids_sorted[:-1]
+    diffs = np.diff(times_sorted)[same_item]
+    diff_items = ids_sorted[1:][same_item]
+    positive = diffs[diffs > 0]
+    edges = _edges(
+        float(positive.min()) if positive.size else math.inf,
+        float(diffs.max()) if diffs.size else -math.inf,
+        bins,
+    )
+    idx = np.clip(np.searchsorted(edges, diffs, side="right") - 1, 0, bins - 1)
+    hist = np.bincount(idx, minlength=bins).astype(np.int64)
+    # Per-item gap moments via weighted bincounts.
+    gap_sum = np.bincount(diff_items, weights=diffs, minlength=n_items)
+    gap_sq = np.bincount(diff_items, weights=diffs * diffs, minlength=n_items)
+
+    profiled = _profiled(item_counts, predictability_items)
+    servers_sorted = np.asarray(trace.servers)[order]
+    item_lo = np.searchsorted(ids_sorted, profiled, side="left")
+    item_hi = np.searchsorted(ids_sorted, profiled, side="right")
+    sequences = {
+        k: servers_sorted[a:b][:predictability_cap]
+        for k, a, b in zip(profiled, item_lo.tolist(), item_hi.tolist())
+    }
+    return _Scan(item_counts, diffs, edges, hist, gap_sum, gap_sq, sequences)
+
+
+def _scan_c(
+    trace: ColumnarTrace,
+    bins: int,
+    predictability_items: int,
+    predictability_cap: int,
+) -> Optional[_Scan]:
+    """:func:`_scan_numpy` in C (``kernels/_profile.c``), or ``None``.
+
+    ``repro_pack_count`` counts each item's rows and flags the items
+    whose times fall in row order.  When none falls, row order within an
+    item is its stable time order, so ``repro_profile_gaps`` reads the
+    numpy path's gaps, in its order, straight off the mapped columns;
+    ``repro_profile_bins`` bins them exactly as ``searchsorted`` does.
+    ``None`` sends the call to :func:`_scan_numpy`: on the Python
+    backend, for a column that is not native-endian and contiguous,
+    when an item's times fall, and when the edges are not finite and
+    non-decreasing (a gap overflowed).
+    """
+    from ..kernels.batch import (
+        _FALL,
+        _addr,
+        _count_rows,
+        _load_sweep_lib,
+        _resolve_backend,
+        _starts,
+    )
+
+    if _resolve_backend() != "c":
+        return None
+    rows, size = trace.rows, len(trace.item_table)
+    counted = _count_rows(trace, np.ones(size, dtype=np.uint8))
+    if counted is None:
+        return None
+    (times, servers, ids), bad, counts, flags = counted
+    if bad >= 0 or (flags & _FALL).any():
+        return None
+
+    profiled = _profiled(counts, predictability_items)
+    scap = np.zeros(size, dtype=np.int64)
+    scap[profiled] = [len(range(int(counts[k]))[:predictability_cap]) for k in profiled]
+    per_item = np.maximum(counts - 1, 0)
+    ngaps, nseq = int(per_item.sum()), int(scap.sum())
+    goff, soff = _starts(per_item), _starts(scap)
+    gaps = np.empty(ngaps, dtype=np.float64)
+    gap_sum, gap_sq = np.zeros(size), np.zeros(size)
+    seq = np.empty(nseq, dtype=np.int32)
+    seen = np.zeros(size, dtype=np.int64)
+    last = np.empty(size, dtype=np.float64)
+    span = np.empty(2, dtype=np.float64)
+    lib = _load_sweep_lib()
+    moved = lib.repro_profile_gaps(
+        rows,
+        times,
+        servers,
+        ids,
+        size,
+        *[_addr(a, np.int64, size) for a in (counts, goff, soff, scap)],
+        _addr(seen, np.int64, size, out=True),
+        _addr(last, np.float64, size, out=True),
+        _addr(gaps, np.float64, ngaps, out=True),
+        _addr(gap_sum, np.float64, size, out=True),
+        _addr(gap_sq, np.float64, size, out=True),
+        _addr(seq, np.int32, nseq, out=True),
+        _addr(span, np.float64, 2, out=True),
+    )
+    if moved >= 0:  # the columns changed since the count
+        return None
+    edges = _edges(float(span[0]), float(span[1]), bins)
+    if not (np.isfinite(edges).all() and (edges[1:] >= edges[:-1]).all()):
+        return None
+    hist = np.zeros(bins, dtype=np.int64)
+    lib.repro_profile_bins(
+        ngaps,
+        _addr(gaps, np.float64, ngaps),
+        bins,
+        _addr(edges, np.float64, bins + 1),
+        _addr(hist, np.int64, bins, out=True),
+    )
+    sequences = {k: seq[soff[k] : soff[k] + scap[k]] for k in profiled}
+    return _Scan(counts, gaps, edges, hist, gap_sum, gap_sq, sequences)
 
 
 def profile_trace(
@@ -215,6 +424,13 @@ def profile_trace(
     top_items:
         How many :class:`ItemStats` rows to keep (at least
         ``predictability_items``).
+
+    Raises :class:`InvalidInstanceError` for an empty trace and at the
+    first row whose item id lies outside the item table, whose server
+    id lies outside ``[0,`` :data:`~repro.kernels.prescan.MAX_SERVERS`
+    ``)`` or whose time is not finite.  The item-major pass runs in C
+    when it provably equals the numpy path (:func:`_scan_c`), which
+    runs otherwise; the result is the same to the byte.
     """
     if not isinstance(trace, ColumnarTrace):
         trace = ColumnarTrace.open(trace)
@@ -222,47 +438,28 @@ def profile_trace(
         raise InvalidInstanceError("cannot profile an empty trace")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
+    if chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     n_items = len(trace.item_table)
-    item_counts, server_counts, t_min, t_max = _chunked_counts(
-        trace, chunk_rows
-    )
+    server_counts, t_min, t_max = _checked_counts(trace, chunk_rows)
     num_servers = server_counts.shape[0]
-
-    # One stable lexsort groups rows item-major, time-ordered within the
-    # item; every per-item interarrival gap is then a masked diff.
-    ids = np.asarray(trace.item_ids).astype(np.int64, copy=False)
-    times = np.asarray(trace.times).astype(np.float64, copy=False)
-    order = np.lexsort((times, sort_key(ids)))
-    ids_sorted = ids[order]
-    times_sorted = times[order]
-    same_item = ids_sorted[1:] == ids_sorted[:-1]
-    diffs = np.diff(times_sorted)[same_item]
-    diff_items = ids_sorted[1:][same_item]
+    scan = _scan_c(trace, bins, predictability_items, predictability_cap)
+    if scan is None:
+        scan = _scan_numpy(
+            trace, bins, predictability_items, predictability_cap, chunk_rows
+        )
+    item_counts, diffs = scan.item_counts, scan.gaps
 
     if diffs.size:
         mean = float(diffs.mean())
         std = float(diffs.std())
         cv = std / mean if mean > 0 else math.nan
-        positive = diffs[diffs > 0]
-        if positive.size:
-            lo_edge = float(positive.min())
-            hi_edge = float(max(diffs.max(), lo_edge * (1 + 1e-9)))
-            edges = np.geomspace(lo_edge, hi_edge, bins + 1)
-        else:  # all gaps zero (fully tied stamps)
-            edges = np.geomspace(1e-9, 1.0, bins + 1)
-        idx = np.clip(
-            np.searchsorted(edges, diffs, side="right") - 1, 0, bins - 1
-        )
-        hist = np.bincount(idx, minlength=bins).astype(np.int64)
     else:
         mean = cv = math.nan
-        edges = np.geomspace(1e-9, 1.0, bins + 1)
-        hist = np.zeros(bins, dtype=np.int64)
 
-    # Per-item gap moments via weighted bincounts -> burstiness.
-    gap_n = np.bincount(diff_items, minlength=n_items).astype(np.float64)
-    gap_sum = np.bincount(diff_items, weights=diffs, minlength=n_items)
-    gap_sq = np.bincount(diff_items, weights=diffs * diffs, minlength=n_items)
+    # Per-item gap moments -> burstiness.
+    gap_n = np.maximum(item_counts - 1, 0).astype(np.float64)
+    gap_sum, gap_sq = scan.gap_sum, scan.gap_sq
     burst = np.full(n_items, math.nan)
     with np.errstate(invalid="ignore", divide="ignore"):
         defined = gap_n >= 2
@@ -290,19 +487,15 @@ def profile_trace(
 
     # Heaviest items: stats rows + predictability of server sequences.
     n_top = max(int(top_items), int(predictability_items))
-    by_count = np.lexsort((np.arange(n_items), -item_counts))[:n_top]
-    servers_sorted = np.asarray(trace.servers)[order]
-    item_lo = np.searchsorted(ids_sorted, by_count, side="left")
-    item_hi = np.searchsorted(ids_sorted, by_count, side="right")
     top_rows: List[ItemStats] = []
     pis: List[float] = []
-    for j, item_id in enumerate(by_count):
+    for j, item_id in enumerate(_heaviest(item_counts, n_top)):
         cnt = int(item_counts[item_id])
         if cnt == 0:
             continue
         entropy = h0 = pi = None
         if j < predictability_items and cnt >= 2:
-            seq = servers_sorted[item_lo[j] : item_hi[j]][:predictability_cap]
+            seq = scan.sequences[int(item_id)]
             entropy = lz_entropy_rate(seq)
             h0 = empirical_entropy(seq)
             pi = max_predictability(entropy, num_servers)
@@ -329,8 +522,8 @@ def profile_trace(
         t_end=t_max,
         item_counts=item_counts,
         server_counts=server_counts,
-        interarrival_edges=edges,
-        interarrival_hist=hist,
+        interarrival_edges=scan.edges,
+        interarrival_hist=scan.hist,
         interarrival_mean=mean,
         interarrival_cv=cv,
         burstiness=burst,

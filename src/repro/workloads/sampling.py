@@ -68,7 +68,7 @@ import numpy as np
 from ..analysis.bootstrap import bootstrap_ci, bootstrap_t_ci
 from ..core.types import CostModel, InvalidInstanceError
 from ..kernels.prescan import sort_key
-from .columnar import ColumnarTrace
+from .columnar import ColumnarTrace, _bad_item_id, _check_item_ids
 from .traces import _enforce_min_gap
 
 if TYPE_CHECKING:  # pragma: no cover - imported on use
@@ -227,19 +227,6 @@ def _item_counts(trace: ColumnarTrace, chunk_rows: int) -> np.ndarray:
     return counts
 
 
-def _bad_item_id(row: int, item: int, size: int) -> InvalidInstanceError:
-    return InvalidInstanceError(
-        f"trace row {row} has item id {item}, outside the item table [0, {size})"
-    )
-
-
-def _check_item_ids(ids: np.ndarray, lo: int, size: int) -> None:
-    """Refuse the first id, in rows from ``lo``, outside ``[0, size)``."""
-    if ids.size and (ids.min() < 0 or ids.max() >= size):
-        j = int(np.argmax((ids < 0) | (ids >= size)))
-        raise _bad_item_id(lo + j, int(ids[j]), size)
-
-
 def _fleet_size(trace: ColumnarTrace, chunk_rows: int) -> int:
     """Fleet size ``max(server) + 1`` via a chunked max."""
     best = -1
@@ -382,12 +369,6 @@ def sample_columnar(
 # ---------------------------------------------------------------------------
 
 
-#: Order flags of ``repro_pack_count`` (``kernels/_prescan.c``): an item
-#: whose times, in row order, repeat one (``_TIE``) or fall (``_FALL``;
-#: a NaN compares as a fall).
-_TIE, _FALL = 1, 2
-
-
 def _trace_layout(
     trace: ColumnarTrace,
     items: Optional[np.ndarray],
@@ -504,36 +485,29 @@ def _pack_c(
     ``chunk_rows < 1``, which the numpy path refuses.  An id outside the
     item table raises the numpy path's error.
     """
-    from ..kernels.batch import _addr, _load_sweep_lib, _resolve_backend, _starts
+    from ..kernels.batch import (
+        _FALL,
+        _TIE,
+        _addr,
+        _count_rows,
+        _load_sweep_lib,
+        _resolve_backend,
+        _starts,
+    )
 
     if chunk_rows < 1 or _resolve_backend() != "c":
         return None
     rows, size = trace.rows, len(trace.item_table)
-    columns = ((trace.times, np.float64), (trace.servers, np.int32), (trace.item_ids, np.int32))
     if items is None:
         keep = np.ones(size, dtype=np.uint8)
     elif isinstance(items, np.ndarray) and items.dtype == np.bool_ and items.shape == (size,):
         keep = np.ascontiguousarray(items).view(np.uint8)
     else:
         return None
-    if not all(c.dtype == dt and c.flags.c_contiguous for c, dt in columns):
+    counted = _count_rows(trace, keep)
+    if counted is None:
         return None
-    lib = _load_sweep_lib()
-    times, servers, ids = (_addr(c, dt, rows) for c, dt in columns)
-    keep_at = _addr(keep, np.uint8, size)
-    counts = np.zeros(size, dtype=np.int64)
-    flags = np.zeros(size, dtype=np.uint8)
-    last = np.empty(size, dtype=np.float64)
-    bad = lib.repro_pack_count(
-        rows,
-        times,
-        ids,
-        keep_at,
-        size,
-        _addr(counts, np.int64, size, out=True),
-        _addr(flags, np.uint8, size, out=True),
-        _addr(last, np.float64, size, out=True),
-    )
+    (times, servers, ids), bad, counts, flags = counted
     if bad >= 0:
         raise _bad_item_id(bad, int(trace.item_ids[bad]), size)
     solved = np.flatnonzero(counts)
@@ -547,12 +521,12 @@ def _pack_c(
     end = cursor + counts
     t = np.empty(total, dtype=np.float64)
     srv = np.empty(total, dtype=np.int64)
-    moved = lib.repro_pack_rows(
+    moved = _load_sweep_lib().repro_pack_rows(
         rows,
         times,
         servers,
         ids,
-        keep_at,
+        _addr(keep, np.uint8, size),
         size,
         _addr(cursor, np.int64, size, out=True),
         _addr(end, np.int64, size),

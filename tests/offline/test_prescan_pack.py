@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.types import InvalidInstanceError
 from repro.kernels import batch_sweep_backend, prescan
-from repro.kernels.prescan import prescan_columns
+from repro.kernels.prescan import MAX_SERVERS, prescan_columns
 from repro.workloads import sampling
 from repro.workloads.columnar import ColumnarTrace
 
@@ -192,6 +192,22 @@ class TestPrescanColumns:
         got, want = _scan_on(name, bad, names), _scan_on("python", bad, names)
         assert want[:2] == ("raised", InvalidInstanceError)
         assert got == want
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("named", [False, True])
+    def test_fleet_above_the_bound_is_refused(self, name, named):
+        # Refused before anything is sized by m; m at the bound passes.
+        t = np.arange(4, dtype=np.float64)
+        srv = np.array([0, 1, 0, 1], dtype=np.int64)
+        off = np.array([0, 2], dtype=np.int64)
+        one = np.ones(2)
+        names = ["a", "b"] if named else None
+        at_bound = (t, srv, off, np.array([2, MAX_SERVERS]), one, one)
+        assert _scan_on(name, at_bound, names)[0] == "ok"
+        over = (t, srv, off, np.array([2, MAX_SERVERS + 1]), one, one)
+        msg = f"need at most {MAX_SERVERS} servers, got m={MAX_SERVERS + 1}"
+        got = _scan_on(name, over, names)
+        assert got == ("raised", InvalidInstanceError, ("item 'b': " if named else "") + msg)
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_layout_refusal_is_shared(self, name):

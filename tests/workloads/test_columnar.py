@@ -6,12 +6,15 @@ same :class:`ProblemInstance` as mining the CSV directly — same floats,
 same de-dup nudges, same sort tie-breaking, same arrays bit for bit.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import InvalidInstanceError, MultiItemInstance
+from repro.kernels.prescan import MAX_SERVERS
 from repro.workloads import (
     ColumnarTrace,
     TraceRecord,
@@ -19,12 +22,13 @@ from repro.workloads import (
     is_columnar,
     mine_instance,
     mine_instance_columnar,
+    profile_trace,
     read_columnar,
     read_trace,
     write_columnar,
     write_trace,
 )
-from repro.workloads.sampling import solve_trace_costs
+from repro.workloads.sampling import online_trace_costs, solve_trace_costs
 
 _SETTINGS = dict(
     max_examples=40,
@@ -263,6 +267,30 @@ class TestNonFiniteContainerTime:
         ).save(path)
         with pytest.raises(InvalidInstanceError, match="request times must be finite"):
             mine(path)
+
+
+class TestContainerIdChecks:
+    def test_from_columnar_refuses_item_ids_outside_the_table(self):
+        # These rows used to be filed under the last name, 'b'.
+        trace = ColumnarTrace(
+            np.arange(6.0), np.zeros(6), np.full(6, -1), [0, 1, -1, 1, 0, -1], ("a", "b")
+        )
+        msg = "trace row 2 has item id -1, outside the item table [0, 2)"
+        with pytest.raises(InvalidInstanceError, match=re.escape(msg)):
+            MultiItemInstance.from_columnar(trace)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [solve_trace_costs, online_trace_costs, MultiItemInstance.from_columnar, profile_trace],
+        ids=["solve_trace_costs", "online_trace_costs", "from_columnar", "profile_trace"],
+    )
+    def test_server_id_above_the_fleet_bound(self, entry):
+        # One stray id would size every per-server array by it.
+        trace = ColumnarTrace(
+            [1.0, 2.0], [0, MAX_SERVERS], [-1, -1], [0, 0], ("a",)
+        )
+        with pytest.raises(InvalidInstanceError, match=str(MAX_SERVERS)):
+            entry(trace)
 
 
 class TestMiningIdentity:

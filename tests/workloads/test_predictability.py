@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.kernels import batch_sweep_backend
 from repro.network import Cluster
 from repro.workloads import (
     MarkovMobility,
@@ -14,7 +15,13 @@ from repro.workloads import (
     lz_entropy_rate,
     max_predictability,
 )
-from repro.workloads.predictability import _lpnf, _lz_entropy_rate_reference
+from repro.workloads.predictability import _lpnf, _lpnf_c, _lz_entropy_rate_reference
+
+from ..offline.test_kernels import BACKENDS, backend
+
+needs_c = pytest.mark.skipif(
+    batch_sweep_backend() != "c", reason="no C compiler: repro_lpnf cannot run"
+)
 
 
 class TestEntropyEstimators:
@@ -93,6 +100,15 @@ class TestVectorizedBitIdentity:
         seq = [0, 1, 0, 1, 1, 0, 2]
         assert lz_entropy_rate(seq) == lz_entropy_rate(np.asarray(seq))
 
+    @pytest.mark.parametrize(
+        "dtype", ["int8", "uint8", "int32", "uint32", "int64", "uint64", "float64"]
+    )
+    def test_lz_reads_every_integer_dtype_like_a_list(self, dtype):
+        # Integer arrays are cast in one step, other input goes through
+        # int() per symbol; both must read the same values.
+        seq = [3, 1, 3, 1, 1, 3, 2, 0, 3, 1]
+        assert lz_entropy_rate(np.asarray(seq, dtype=dtype)) == lz_entropy_rate(seq)
+
 
 def brute_lpnf(seq):
     """``max_{j<i} min(lcp(i, j), i - j)`` straight from its definition."""
@@ -126,6 +142,17 @@ _SETTINGS = dict(
 )
 
 
+def lpnfs(seq):
+    """``_lpnf`` on ``seq`` and, when the kernels build, ``repro_lpnf``
+    (``kernels/_profile.c``: counting-sort suffix array, Kasai LCP,
+    chain walks with a binary-lifting fallback)."""
+    out = [_lpnf(seq)]
+    if "c" in BACKENDS:
+        with backend("c"):
+            out.append(_lpnf_c(seq))
+    return out
+
+
 class TestSuffixArrayLPnF:
     """The suffix-array longest previous non-overlapping factor behind
     :func:`lz_entropy_rate`, against its definition and the scalar scan."""
@@ -133,14 +160,30 @@ class TestSuffixArrayLPnF:
     @given(symbol_sequences())
     @settings(**_SETTINGS)
     def test_lpnf_matches_definition(self, seq):
-        got = _lpnf(np.asarray(seq, dtype=np.int64))
-        assert got.dtype == np.int64
-        assert got.tolist() == brute_lpnf(seq)
+        want = brute_lpnf(seq)
+        for got in lpnfs(np.asarray(seq, dtype=np.int64)):
+            assert got.dtype == np.int64
+            assert got.tolist() == want
 
     @given(symbol_sequences(max_n=120))
     @settings(**_SETTINGS)
     def test_entropy_rate_matches_scalar_scan(self, seq):
-        assert lz_entropy_rate(seq) == _lz_entropy_rate_reference(seq)
+        want = _lz_entropy_rate_reference(seq)
+        for name in BACKENDS:
+            with backend(name):
+                assert lz_entropy_rate(seq) == want
+
+    @needs_c
+    @pytest.mark.parametrize("n", [600, 4000])
+    @pytest.mark.parametrize("period", [1, 2, 3, 7])
+    def test_compiled_lpnf_on_long_periods(self, n, period):
+        # Long periodic runs make long chains: the walks hand them to
+        # binary lifting, which must land on the same crossings.
+        seq = np.resize(np.arange(period), n).astype(np.int64)
+        seq[n // 2] = period  # one mutation splits the run
+        with backend("c"):
+            got = _lpnf_c(seq)
+        np.testing.assert_array_equal(got, _lpnf(seq))
 
     # Λ sums computed with the former O(n²) lag-loop estimator; every Λ
     # is an integer, so the rate must come out exactly.

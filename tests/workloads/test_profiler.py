@@ -7,11 +7,13 @@ their brute-force definitions.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from repro import InvalidInstanceError
+from repro.kernels.prescan import MAX_SERVERS
 from repro.workloads import (
     ColumnarTrace,
     TraceRecord,
@@ -20,6 +22,8 @@ from repro.workloads import (
     write_columnar,
     zipf_weights,
 )
+
+from ..offline.test_kernels import BACKENDS, backend
 
 
 def make_trace(rows=5000, items=50, m=6, seed=0):
@@ -77,6 +81,59 @@ class TestCountsAndShape:
         )
         with pytest.raises(InvalidInstanceError, match="empty"):
             profile_trace(empty)
+
+
+def six_rows(times=None, servers=None, ids=None):
+    """A 6-row trace over items ``('a', 'b')`` with one field overridden."""
+    return ColumnarTrace(
+        np.arange(6.0) if times is None else np.array(times),
+        np.zeros(6) if servers is None else np.array(servers),
+        np.full(6, -1),
+        np.array([0, 1, 0, 1, 0, 1]) if ids is None else np.array(ids),
+        ("a", "b"),
+    )
+
+
+class TestInputChecks:
+    """Every row is checked before anything is counted or sized by it,
+    on both backends, and the first bad row is named."""
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("bad", [-1, 2, 7])
+    def test_item_id_outside_the_table(self, name, bad):
+        trace = six_rows(ids=[0, 1, bad, 1, 0, bad])
+        msg = f"trace row 2 has item id {bad}, outside the item table [0, 2)"
+        with backend(name), pytest.raises(InvalidInstanceError, match=re.escape(msg)):
+            profile_trace(trace)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("bad", [-1, MAX_SERVERS])
+    def test_server_id_outside_the_fleet_bound(self, name, bad):
+        trace = six_rows(servers=[0, 1, 0, bad, 1, 0])
+        msg = f"trace row 3 has server id {bad}, outside [0, {MAX_SERVERS})"
+        with backend(name), pytest.raises(InvalidInstanceError, match=re.escape(msg)):
+            profile_trace(trace)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("chunk_rows", [1 << 20, 2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time(self, name, chunk_rows, bad):
+        # One NaN used to set t_start by chunk: inf, 0.5 or 3.0.
+        trace = six_rows(times=[0.5, 1.0, bad, 3.0, 4.0, 5.0])
+        msg = f"trace row 2 has time {bad!r}; times must be finite"
+        with backend(name), pytest.raises(InvalidInstanceError, match=re.escape(msg)):
+            profile_trace(trace, chunk_rows=chunk_rows)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_first_bad_row_wins(self, name):
+        trace = six_rows(times=[0.0, 1.0, 2.0, 3.0, math.nan, 5.0], ids=[0, 1, 0, -1, 0, 1])
+        with backend(name), pytest.raises(InvalidInstanceError, match="trace row 3 "):
+            profile_trace(trace, chunk_rows=4)
+
+    @pytest.mark.parametrize("chunk_rows", [0, -3])
+    def test_chunk_rows_below_one(self, chunk_rows):
+        with pytest.raises(ValueError, match="chunk_rows must be >= 1"):
+            profile_trace(six_rows(), chunk_rows=chunk_rows)
 
 
 class TestInterarrivals:
