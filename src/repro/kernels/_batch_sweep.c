@@ -4,7 +4,8 @@
  * One call sweeps EVERY item of a packed batch: the per-item request
  * columns (t / srv / p / sigma / B, each of length n_k + 1 including the
  * boundary request r_0) live back to back in flat arrays, with per-item
- * offsets, and the per-server accumulator state is stacked likewise.
+ * offsets, and the per-server accumulators are one scratch arena of
+ * max m_k slots that each item initialises before it reads them.
  * Within an item the algorithm is a line-by-line transliteration of the
  * Python sweep; across items it simply advances the base
  * pointers — instance-major, so each item's sweep touches a contiguous
@@ -40,7 +41,6 @@ int64_t repro_batch_sweep(
     int64_t n_items,
     const int64_t *off,     /* [n_items] start of item's column block   */
     const int64_t *nreq,    /* [n_items] request count n_k (excl. r_0)  */
-    const int64_t *soff,    /* [n_items] start of item's server state   */
     const int64_t *mserv,   /* [n_items] fleet size m_k                 */
     const int64_t *origin,  /* [n_items] server holding the item at t_0 */
     const double *mu_arr,   /* [n_items] caching cost per time unit     */
@@ -55,13 +55,13 @@ int64_t repro_batch_sweep(
     uint8_t *served,        /* [N1] out: served_by_cache                */
     int64_t *tag,           /* [N1] out: choice_d_tag                   */
     int64_t *karg,          /* [N1] out: choice_d_k (item-local)        */
-    int64_t *open_q,        /* [sum m_k] scratch                        */
-    double *run_min,        /* [sum m_k] scratch                        */
-    int64_t *run_arg,       /* [sum m_k] scratch                        */
-    int64_t *run_srv,       /* [sum m_k] scratch                        */
-    int64_t *fwd,           /* [sum m_k] scratch                        */
-    int64_t *bwd,           /* [sum m_k] scratch                        */
-    uint8_t *listed)        /* [sum m_k] scratch                        */
+    int64_t *oq,            /* [max m_k] scratch: open_q                */
+    double *rmin,           /* [max m_k] scratch: run_min               */
+    int64_t *rarg,          /* [max m_k] scratch: run_arg               */
+    int64_t *rsrv,          /* [max m_k] scratch: run_srv               */
+    int64_t *fw,            /* [max m_k] scratch: fwd                   */
+    int64_t *bw,            /* [max m_k] scratch: bwd                   */
+    uint8_t *lst)           /* [max m_k] scratch: listed                */
 {
     int64_t advances = 0; /* total pivot-pointer advances (the P bound) */
 
@@ -83,14 +83,6 @@ int64_t repro_batch_sweep(
         uint8_t *pserved = served + base;
         int64_t *ptag = tag + base;
         int64_t *pkarg = karg + base;
-
-        int64_t *oq = open_q + soff[item];
-        double *rmin = run_min + soff[item];
-        int64_t *rarg = run_arg + soff[item];
-        int64_t *rsrv = run_srv + soff[item];
-        int64_t *fw = fwd + soff[item];
-        int64_t *bw = bwd + soff[item];
-        uint8_t *lst = listed + soff[item];
 
         /* Empty accumulators; r_0 opens the origin's window. */
         for (int64_t j = 0; j < m; j++) {

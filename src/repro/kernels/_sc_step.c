@@ -1,10 +1,10 @@
 /* Speculative Caching block step — C twin of _step_python in
  * repro/kernels/online.py.
  *
- * One call advances ONE item's SC/TTL(γ) state over a block of requests
- * tb/sb[j0, nblk).  The state lives in arrays the caller owns (this file
- * never allocates), so a state can be copied, checkpointed and resumed
- * between calls:
+ * One call advances ONE item's SC/TTL(γ) state over a whole block of
+ * requests tb/sb[0, nblk).  The state lives in arrays the caller owns
+ * (this file never allocates), so a state can be copied, checkpointed
+ * and resumed between calls:
  *
  *   - per server: expiry, refresh cause (kind code + time) and the ledger
  *     row of its open lifetime (-1 when it holds no copy);
@@ -13,13 +13,12 @@
  *     transfer k - 1 created;
  *   - the scalars in iv[] (slots below).
  *
- * Restartable: before each expiration group and before each request the
- * step checks for room in the queue (a group re-arms at most m copies, a
- * request pushes 2 entries) and the ledger (1 row per request).  When out
- * of room it stores the scalars and returns the block index it reached;
- * the caller drops the consumed queue prefix or doubles the arrays and
- * calls again from that index.  Stopping between groups is safe because
- * advance(t) resumes between groups.
+ * Room: a request pushes at most 2 entries, and an advance re-arms at
+ * most one copy, always into a drained queue, which restarts at slot 0.
+ * So the room the caller reserves for the block (2 * nblk + m + 2 queue
+ * slots, nblk ledger rows) always suffices.  The room checks before each
+ * expiration group and each request only guard the raw-pointer writes:
+ * running out is the defensive error ERR_NO_ROOM, not a resume point.
  *
  * Bit-identity contract (asserted by tests/online/test_online_kernels.py
  * against the per-event SpeculativeCaching run):
@@ -27,13 +26,19 @@
  *   - strict `<` pops, `expiry >= t` hits, the `expiry == e` staleness
  *     rule, and same-time groups deduplicated in first-occurrence order;
  *   - the survivor tie rule: the first "dst" cause in group order, else
- *     the first of the latest causes (Python's max());
+ *     the first of the latest causes (Python's max()); one copy survives,
+ *     as the group that extends is every live copy;
  *   - extension re-arms are the chained sum e + W, never e + k*W, and the
  *     build passes -ffp-contract=off so no fused multiply-add rounds
  *     differently from Python;
- *   - an out-of-order push is an ordered insert (bisect_right from head);
+ *   - every push is at least every pending entry (W >= 0, times
+ *     non-decreasing), so appending keeps the heap's pop order;
  *   - the fallback source is the lowest server id among the freshest
  *     live copies (Python's max() again).
+ *
+ * A lone-copy re-arm that does not move the expiry past e (W below the
+ * clock's resolution at e) would pop the same group forever; it is the
+ * error ERR_WINDOW instead.
  *
  * The function is pure C99 + stdint and is compiled on demand, together
  * with _batch_sweep.c, by repro/kernels/batch.py; when no compiler is
@@ -42,7 +47,6 @@
 
 #include <math.h>
 #include <stdint.h>
-#include <string.h>
 
 /* Refresh-cause codes — must match CAUSE_* in repro/kernels/online.py. */
 #define CAUSE_NONE 0
@@ -71,9 +75,11 @@ enum {
     IV_FALLBACKS
 };
 
-/* Error returns — the two defensive RuntimeErrors of the Python step. */
+/* Error returns — must match _ERR_* in online.py. */
 #define ERR_NO_LIVE_COPY (-1)
 #define ERR_ALREADY_HOLDS (-2)
+#define ERR_NO_ROOM (-3)
+#define ERR_WINDOW (-4)
 
 typedef struct {
     double *qt;
@@ -82,28 +88,13 @@ typedef struct {
     int64_t qlen;
 } Queue;
 
-/* Schedule an expiration: append when it keeps the queue in (time, seq)
- * order, else insert after every entry with an equal or earlier time. */
+/* Schedule an expiration: append, restarting a drained queue at slot 0. */
 static void push(Queue *q, double time, int64_t server)
 {
-    if (q->head >= q->qlen || time >= q->qt[q->qlen - 1]) {
-        q->qt[q->qlen] = time;
-        q->qs[q->qlen] = server;
-    } else {
-        int64_t lo = q->head, hi = q->qlen;
-        while (lo < hi) {
-            const int64_t mid = (lo + hi) / 2;
-            if (time < q->qt[mid])
-                hi = mid;
-            else
-                lo = mid + 1;
-        }
-        const size_t tail = (size_t)(q->qlen - lo);
-        memmove(q->qt + lo + 1, q->qt + lo, tail * sizeof(double));
-        memmove(q->qs + lo + 1, q->qs + lo, tail * sizeof(int64_t));
-        q->qt[lo] = time;
-        q->qs[lo] = server;
-    }
+    if (q->head == q->qlen)
+        q->head = q->qlen = 0;
+    q->qt[q->qlen] = time;
+    q->qs[q->qlen] = server;
     q->qlen++;
 }
 
@@ -129,7 +120,6 @@ int64_t repro_sc_step(
     int64_t m,              /* fleet size                                  */
     double W,               /* speculative window window_factor*(lam/mu)   */
     int64_t epoch_size,     /* transfers per epoch; <= 0: one epoch        */
-    int64_t j0,             /* first block index to consume                */
     int64_t nblk,           /* block length                                */
     const double *tb,       /* [nblk] request times                        */
     const int64_t *sb,      /* [nblk] request servers, in [0, m)           */
@@ -138,7 +128,7 @@ int64_t repro_sc_step(
     int64_t *cause_kind,    /* [m] refresh-cause code                      */
     double *cause_time,     /* [m] refresh-cause time                      */
     int64_t *open_life,     /* [m] ledger row of the open lifetime or -1   */
-    int64_t *scratch,       /* [3m] group / keep / remaining buffers       */
+    int64_t *group,         /* [m] scratch: one expiration group           */
     double *qt,             /* [qcap] queue times                          */
     int64_t *qs,            /* [qcap] queue servers                        */
     int64_t qcap,
@@ -158,18 +148,18 @@ int64_t repro_sc_step(
     int64_t hits = iv[IV_HITS], expirations = iv[IV_EXPIRATIONS];
     int64_t extensions = iv[IV_EXTENSIONS], epochs = iv[IV_EPOCHS];
     int64_t fallbacks = iv[IV_FALLBACKS];
-    int64_t *group = scratch, *keep = scratch + m, *remaining = scratch + 2 * m;
     int64_t status;
-    int64_t j;
 
-    for (j = j0; j < nblk; j++) {
+    for (int64_t j = 0; j < nblk; j++) {
         const double t = tb[j];
         const int64_t server = sb[j];
 
         /* advance(t): expiration groups due strictly before t. */
         while (q.head < q.qlen && q.qt[q.head] < t) {
-            if (q.qlen + m > qcap)
-                goto out_of_room;
+            if (q.qlen + m > qcap) {
+                status = ERR_NO_ROOM;
+                goto save;
+            }
             /* pop_group: discard stale entries up to the earliest valid
              * one, then gather every valid entry due at the same time. */
             double e = 0.0;
@@ -199,74 +189,51 @@ int64_t repro_sc_step(
                         group[glen++] = s2;
                 }
             }
-            const int64_t deletable = c - 1;
-            if (deletable >= glen) {
-                for (int64_t k = 0; k < glen; k++) {
+            /* Delete the group while the floor holds; otherwise it is
+             * every live copy (invariant 1 in online.py) and one copy
+             * survives, by the tie rule. */
+            int64_t w = -1;
+            if (c - 1 < glen) {
+                for (int64_t k = 0; k < glen && w < 0; k++)
+                    if (cause_kind[group[k]] == CAUSE_DST)
+                        w = k;
+                if (w < 0) {
+                    w = 0;
+                    double best = cause_key(cause_kind, cause_time, group[0]);
+                    for (int64_t k = 1; k < glen; k++) {
+                        const double ct =
+                            cause_key(cause_kind, cause_time, group[k]);
+                        if (ct > best) {
+                            best = ct;
+                            w = k;
+                        }
+                    }
+                }
+            }
+            for (int64_t k = 0; k < glen; k++) {
+                if (k != w) {
                     expire(group[k], e, expiry, open_life, lt_end, lt_ended);
                     c--;
                     expirations++;
                 }
-            } else {
-                /* _extension_survivors: the repeated tie rule. */
-                const int64_t count = glen - deletable;
-                int64_t nkeep = 0;
-                if (count >= glen) {
-                    for (int64_t k = 0; k < glen; k++)
-                        keep[nkeep++] = group[k];
-                } else {
-                    int64_t nrem = glen;
-                    for (int64_t k = 0; k < glen; k++)
-                        remaining[k] = group[k];
-                    for (int64_t round = 0; round < count; round++) {
-                        int64_t w = -1;
-                        for (int64_t k = 0; k < nrem; k++) {
-                            if (cause_kind[remaining[k]] == CAUSE_DST) {
-                                w = k;
-                                break;
-                            }
-                        }
-                        if (w < 0) {
-                            w = 0;
-                            double best = cause_key(cause_kind, cause_time,
-                                                    remaining[0]);
-                            for (int64_t k = 1; k < nrem; k++) {
-                                const double ct = cause_key(
-                                    cause_kind, cause_time, remaining[k]);
-                                if (ct > best) {
-                                    best = ct;
-                                    w = k;
-                                }
-                            }
-                        }
-                        keep[nkeep++] = remaining[w];
-                        for (int64_t k = w; k + 1 < nrem; k++)
-                            remaining[k] = remaining[k + 1];
-                        nrem--;
-                    }
-                }
-                for (int64_t k = 0; k < glen; k++) {
-                    int64_t kk = 0;
-                    while (kk < nkeep && keep[kk] != group[k])
-                        kk++;
-                    if (kk == nkeep) {
-                        expire(group[k], e, expiry, open_life, lt_end,
-                               lt_ended);
-                        c--;
-                        expirations++;
-                    }
-                }
+            }
+            if (w >= 0) {
+                const double e2 = e + W;
                 extensions++;
-                for (int64_t k = 0; k < nkeep; k++) {
-                    const double e2 = e + W;
-                    expiry[keep[k]] = e2;
-                    push(&q, e2, keep[k]);
+                if (!(e2 > e)) {
+                    status = ERR_WINDOW;
+                    goto save;
                 }
+                expiry[group[w]] = e2;
+                push(&q, e2, group[w]);
             }
         }
 
         /* Step 3: serve r_j. */
-        if (q.qlen + 2 > qcap || nlife + 1 > lcap)
-            goto out_of_room;
+        if (q.qlen + 2 > qcap || nlife + 1 > lcap) {
+            status = ERR_NO_ROOM;
+            goto save;
+        }
         if (expiry[server] >= t) {
             hits++;
             lt_last[open_life[server]] = t;
@@ -340,8 +307,7 @@ int64_t repro_sc_step(
         last = server;
         n++;
     }
-out_of_room:
-    status = j;
+    status = 0;
 save:
     iv[IV_N] = n;
     iv[IV_HEAD] = q.head;

@@ -11,12 +11,12 @@ whole batch into one array program:
 
 * :class:`BatchLayout` — the concatenated ``t``/``srv``/``p``/``sigma``/
   ``B`` request columns of every item laid back to back (instance-major,
-  each column slice contiguous), plus per-item offset/size/cost vectors
-  and a stacked per-server accumulator arena.  Ragged batches need no
-  padding: item ``k`` owns ``[off[k], off[k] + n_k + 1)`` of every
-  column (index ``off[k]`` is its boundary request ``r_0``) and
-  ``[soff[k], soff[k] + m_k)`` of the server-state arena.  It is built
-  from pre-scanned instances, or from packed raw ``t``/``srv`` columns
+  each column slice contiguous), plus per-item offset/size/cost vectors.
+  Ragged batches need no padding: item ``k`` owns ``[off[k], off[k] +
+  n_k + 1)`` of every column (index ``off[k]`` is its boundary request
+  ``r_0``).  The sweep's per-server accumulators are one scratch arena
+  of ``max_k m_k`` slots, which each item initialises before use.  It is
+  built from pre-scanned instances, or from packed raw ``t``/``srv`` columns
   that :func:`repro.kernels.prescan.prescan_columns` checks and
   pre-scans in one call — the call every instance makes for itself.
 * :func:`solve_offline_batch` — one kernel call that sweeps every item
@@ -123,15 +123,12 @@ class BatchLayout:
     item ``k`` owns the contiguous slice ``[off[k], off[k] + n_k + 1)``
     with its boundary request ``r_0`` at local index 0.  ``p`` holds
     *item-local* predecessor indices (``-1`` for a server's first
-    request), so every per-item slice is self-contained.  The
-    server-state arena spans ``Σ_k m_k`` slots starting at ``soff[k]``
-    per item.
+    request), so every per-item slice is self-contained.
     """
 
     names: Tuple[str, ...]
     off: np.ndarray  # int64 [items] — column-slice starts
     nreq: np.ndarray  # int64 [items] — per-item n (excl. r_0)
-    soff: np.ndarray  # int64 [items] — server-arena starts
     mserv: np.ndarray  # int64 [items] — per-item fleet size m
     origin: np.ndarray  # int64 [items]
     mu: np.ndarray  # float64 [items]
@@ -183,7 +180,6 @@ class BatchLayout:
             names=names,
             off=_starts(n1),
             nreq=n1 - 1,
-            soff=_starts(mserv),
             mserv=mserv,
             origin=np.asarray([inst.origin for inst in insts], dtype=np.int64),
             mu=np.asarray([inst.cost.mu for inst in insts], dtype=np.float64),
@@ -224,7 +220,6 @@ class BatchLayout:
             names=tuple(names),
             off=off,
             nreq=np.diff(off, append=t.shape[0]) - 1,
-            soff=_starts(mserv),
             mserv=mserv,
             origin=srv[off],
             mu=mu,
@@ -336,16 +331,15 @@ def _load_sweep_lib():
             i64, ptr = ctypes.c_int64, ctypes.c_void_p
             fn = lib.repro_batch_sweep
             fn.restype = i64
-            # n_items, the 12 layout columns, the 5 outputs, the 7
+            # n_items, the 11 layout columns, the 5 outputs, the 7
             # scratch arrays (see _sweep_c for the order).
-            fn.argtypes = [i64, *[ptr] * 24]
+            fn.argtypes = [i64, *[ptr] * 23]
             step = lib.repro_sc_step
             step.restype = i64
             step.argtypes = [
                 i64,  # m
                 ctypes.c_double,  # W
                 i64,  # epoch_size
-                i64,  # j0
                 i64,  # nblk
                 ptr,  # tb
                 ptr,  # sb
@@ -354,7 +348,7 @@ def _load_sweep_lib():
                 ptr,  # cause_kind
                 ptr,  # cause_time
                 ptr,  # open_life
-                ptr,  # scratch
+                ptr,  # group
                 ptr,  # qt
                 ptr,  # qs
                 i64,  # qcap
@@ -443,7 +437,6 @@ def _resolve_backend() -> str:
 _ITEM_COLUMNS = (
     ("off", np.int64),
     ("nreq", np.int64),
-    ("soff", np.int64),
     ("mserv", np.int64),
     ("origin", np.int64),
     ("mu", np.float64),
@@ -457,7 +450,8 @@ _ROW_COLUMNS = (
     ("B", np.float64),
 )
 #: Dtypes of the sweep's per-server scratch arrays: open_q, run_min,
-#: run_arg, run_srv, fwd, bwd, listed.
+#: run_arg, run_srv, fwd, bwd, listed.  Each holds ``max(mserv)`` slots,
+#: shared by every item.
 _SCRATCH = (np.int64, np.float64, np.int64, np.int64, np.int64, np.int64, np.uint8)
 
 
@@ -701,7 +695,6 @@ def _sweep_c(
     karg: np.ndarray,
 ) -> None:
     items, total = layout.num_items, layout.total
-    state = int(layout.mserv.sum())
     outputs = (
         (C, np.float64),
         (D, np.float64),
@@ -714,7 +707,7 @@ def _sweep_c(
         *[_addr(getattr(layout, f), dt, total) for f, dt in _ROW_COLUMNS],
         *[_addr(arr, dt, total, out=True) for arr, dt in outputs],
     ]
-    scratch = [np.empty(state, dtype=dt) for dt in _SCRATCH]
+    scratch = [np.empty(int(layout.mserv.max(initial=0)), dtype=dt) for dt in _SCRATCH]
     args += [arr.ctypes.data for arr in scratch]
     _load_sweep_lib().repro_batch_sweep(items, *args)
 
@@ -746,8 +739,9 @@ def _check_layout(layout: BatchLayout) -> None:
     hand-built layout is checked here first, with ``O(total)`` numpy
     operations: one entry per item in each item column, at least one
     server and the origin among them, row slices that pack ``[0,
-    total)`` in order, server arenas inside ``[0, Σ m)``, server ids in
-    ``[0, m)`` and predecessors in ``[-1, local index)``.
+    total)`` in order, server ids in ``[0, m)`` and predecessors in
+    ``[-1, local index)``.  The C sweep's scratch arena holds
+    ``max(m)`` slots, so server ids in range keep it in bounds.
     """
     items, total = layout.num_items, layout.total
     col = {name: np.asarray(getattr(layout, name)) for name, _ in _ITEM_COLUMNS}
@@ -769,18 +763,14 @@ def _check_layout(layout: BatchLayout) -> None:
             k = int(np.flatnonzero(~ok)[0])
             raise ValueError(f"layout item {layout.names[k]!r}: {what}")
 
-    off, nreq, mserv, origin, soff = (
-        col[name] for name in ("off", "nreq", "mserv", "origin", "soff")
+    off, nreq, mserv, origin = (
+        col[name] for name in ("off", "nreq", "mserv", "origin")
     )
     refuse((mserv >= 1) & (origin >= 0) & (origin < mserv), "origin outside [0, m)")
     refuse((nreq >= 0) & (nreq < total), f"request count outside [0, {total})")
     starts = _starts(nreq + 1)
     if int(nreq.sum()) + items != total or not np.array_equal(off, starts):
         raise ValueError(f"layout row slices do not pack [0, {total}) in order")
-    state = mserv.sum()
-    refuse(
-        (soff >= 0) & (soff <= state - mserv), f"server arena outside [0, {state})"
-    )
     # The slices pack the rows in order, so reduceat at their starts
     # gives per-item extremes.  p(i) < i - off[k] iff p(i) - i < -off[k].
     refuse(

@@ -30,9 +30,8 @@ and ``REPRO_BATCH_SWEEP`` is the one switch that pins it:
 ``"c"``
     ``_sc_step.c``, compiled into the same cached library as the DP
     sweep and called through :mod:`ctypes` on the state's arrays in
-    place.  When the expiration queue or the ledger runs out of room the
-    C step returns the requests it consumed; :func:`step_block` drops
-    the consumed queue prefix or doubles the arrays and calls it again.
+    place, once per block: :func:`_reserve` makes room for the block
+    first, and invariant 4 below shows that this room always suffices.
 ``"python"``
     :func:`_step_python`, the executable specification of the C step and
     the fallback when no compiler exists.
@@ -40,20 +39,15 @@ and ``REPRO_BATCH_SWEEP`` is the one switch that pins it:
 What both backends replay, rule for rule:
 
 * the expiration queue is a flat ``(time, server)`` array consumed by a
-  head index.  SC's pushes are monotone non-decreasing in time (a
-  refresh at ``t`` grants ``t + W``, never earlier than any pending
-  entry; a lone-copy extension at ``e`` grants ``e + W`` after every
-  pending valid entry has fired), so appends keep the array in exactly
-  the heap's ``(time, seq)`` pop order; an ordered insert covers any
-  out-of-order push so the replication is exact by construction, not by
-  conjecture.  Lazy invalidation is the same time-match rule as
+  head index; a push appends, and restarts a drained queue at slot 0.
+  Lazy invalidation is the same time-match rule as
   :meth:`EventQueue.pop_group` (``expiry[s] == entry time``), stale
   entries are consumed on the way, and same-time entries are gathered
   into one group deduplicated in first-occurrence order;
 * expiration groups replay paper step 4 verbatim: delete all when the
-  floor holds, otherwise pick survivors by the transfer-target tie rule
-  (first ``"dst"`` cause in group order, else the latest cause) and
-  re-arm them flat at ``e + W`` — the lone-copy extension chain is the
+  floor holds, otherwise keep one survivor by the transfer-target tie
+  rule (first ``"dst"`` cause in group order, else the latest cause) and
+  re-arm it flat at ``e + W`` — the lone-copy extension chain is the
   same repeated addition ``e, e+W, (e+W)+W, ...`` as the per-event code,
   never the algebraically equal ``e + k·W``;
 * request handling replays step 3: the window test ``expiry[s] >= t``,
@@ -66,6 +60,33 @@ What both backends replay, rule for rule:
   exact touch-merges-too rule, and charge ``μ · Σ durations + Σ λ`` with
   Python's ``sum`` like the recorder (compensated summation on 3.12+, so
   a C fold would not be bit-identical there).
+
+Four invariants make the plain append exact and one step call per block
+enough (``tests/online/test_online_kernels.py`` checks 2 and 3 after
+every block):
+
+1. An expiration group that extends holds every live copy.  The floor
+   makes ``count = glen - (c - 1)`` positive only when ``glen = c``, and
+   ``count`` is then 1.  No pending entry is later than the group's
+   time ``e``: valid entries belong to live copies, and a dead server's
+   entries end at its last refresh + ``W`` <= ``e``.  So the queue is
+   empty when the survivor is re-armed.
+2. With ``W >= 0`` (:class:`SCState` checks μ and λ) and request times
+   non-decreasing (:func:`step_block` checks them), every push is at
+   least every pending entry, so appends keep the heap's
+   ``(time, seq)`` pop order.
+3. After any block, no pending entry precedes the last request time, so
+   :func:`finish`'s ``end(t_n)`` has nothing to drain.
+4. Room: a request pushes at most two entries, and an advance re-arms at
+   most one copy into a drained queue, so the ``2k + m + 2`` queue
+   slots one :func:`_reserve` makes for a ``k``-request block are never
+   exceeded.  The C step still checks room before it writes, as a
+   defensive error, not a resume point.
+
+A lone-copy re-arm that leaves ``e + W == e`` (a window below the
+clock's resolution at ``e``) would pop the same group forever; both
+backends, like the per-event run, raise ``ValueError`` naming ``W`` and
+``e`` instead.
 
 The eligibility test is deliberately ``type(...) is SpeculativeCaching``
 — subclasses (randomised TTL windows, predictive windows, the resilient
@@ -88,7 +109,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -176,12 +196,20 @@ _INITIAL_CAP = 16
 #: 2**62), so the C step's int64 sees them clamped without changing a
 #: decision.
 _EPOCH_CAP = 1 << 62
-#: The C step's error returns, and the messages both backends raise.
-_ERR_NO_LIVE_COPY = -1
+#: The C step's error returns (``_sc_step.c``'s ``ERR_*``), and the
+#: messages both backends raise.
+_ERR_NO_LIVE_COPY, _ERR_ALREADY_HOLDS, _ERR_NO_ROOM, _ERR_WINDOW = -1, -2, -3, -4
 _NO_LIVE_COPY = (
     "no live copy anywhere at t={}; the never-drop-the-last-copy rule is broken"
 )
 _ALREADY_HOLDS = "server {} already holds a copy"
+_NO_ROOM = "the SC step ran out of reserved room; the room bound is broken"
+#: Also raised by the per-event ``SpeculativeCaching.advance``.
+_UNRESOLVED_WINDOW = (
+    "the speculative window W={!r} does not move a lone copy's expiry past "
+    "e={!r}: the clock cannot resolve it there, so the extension chain "
+    "would never end"
+)
 
 _digest_value = None
 
@@ -430,8 +458,10 @@ class SCState:
 
     Construction replays ``r_0``: the origin holds the initial copy,
     armed at ``t0 + W``.  Parameters are checked by
-    :func:`validate_sc_params`; ``origin`` must lie in
-    ``[0, num_servers)``.
+    :func:`validate_sc_params`, ``mu`` and ``lam`` by
+    :class:`~repro.core.types.CostModel` (finite and ``> 0``); ``origin``
+    must lie in ``[0, num_servers)`` and ``t0`` must be finite.  Anything
+    else raises ``ValueError``.
     """
 
     def __init__(
@@ -446,12 +476,17 @@ class SCState:
         name: str = "",
         algorithm: Optional[str] = None,
     ):
+        from ..core.types import CostModel
+
         window_factor, epoch_size = validate_sc_params(window_factor, epoch_size)
         m = operator.index(num_servers)
         origin = operator.index(origin)
         if m < 1 or not 0 <= origin < m:
             raise ValueError(f"need origin in [0, m) with m >= 1, got {origin}, {m}")
         mu, lam, t0 = float(mu), float(lam), float(t0)
+        CostModel(mu=mu, lam=lam)
+        if not math.isfinite(t0):
+            raise ValueError(f"t0 must be finite, got {t0}")
         # Same expression as SpeculativeCaching._window.
         W = window_factor * (lam / mu)
         self.name = name
@@ -513,9 +548,11 @@ class SCBlock(NamedTuple):
 def step_block(state: SCState, t, srv) -> SCBlock:
     """Advance ``state`` over the requests ``(t[j], srv[j])``.
 
-    Times must be non-decreasing from the last request seen and servers
-    must lie in ``[0, m)``; otherwise ``ValueError`` is raised before the
-    state changes.  The backend is the one
+    Times must be finite and non-decreasing from the last request seen
+    and servers must lie in ``[0, m)``; otherwise ``ValueError`` is
+    raised before the state changes.  A window the clock cannot resolve
+    (``e + W == e`` at a lone-copy extension) raises ``ValueError`` too.
+    The backend is the one
     :func:`~repro.kernels.batch.batch_sweep_backend` names; both leave
     the same state, and any split of a sequence into blocks leaves the
     same state as one block.
@@ -546,10 +583,17 @@ def _check_block(state: SCState, t: np.ndarray, srv: np.ndarray) -> None:
         raise ValueError(
             f"server ids must lie in [0, {state.m}), got {int(srv[bad])}"
         )
-    if t[0] < state.last_t or bool(np.any(t[1:] < t[:-1])):
+    # Negated comparisons, so a NaN anywhere fails too; with the order
+    # checked, finite ends make every time finite.
+    if not (
+        t[0] >= state.last_t
+        and bool(np.all(t[1:] >= t[:-1]))
+        and math.isfinite(t[0])
+        and math.isfinite(t[-1])
+    ):
         raise ValueError(
-            "request times must be non-decreasing from the last request "
-            f"seen (t={state.last_t}); refusing an out-of-order block"
+            "request times must be finite and non-decreasing from the last "
+            f"request seen (t={state.last_t}); refusing an out-of-order block"
         )
 
 
@@ -577,11 +621,12 @@ def _grow(arr: np.ndarray, size: int, keep: int) -> np.ndarray:
 
 def _reserve(state: SCState, requests: int) -> None:
     """Room for ``requests`` more requests: two queue pushes and one ledger
-    row each, plus one expiration group (at most ``m`` re-arms).
+    row each, plus the ``m`` free slots the C step checks for before each
+    expiration group (which re-arms at most one copy).
 
     Drops the consumed queue prefix first and doubles only when that is
-    not enough.  Extensions push without bound, so the C step can still
-    run out of room; it then returns and :func:`_step_c` calls this again.
+    not enough.  This room always suffices (invariant 4 of the module
+    docstring), so one C call serves a whole block.
     """
     room = 2 * requests + state.m + 2
     if state.qt.shape[0] - state.qlen < room:
@@ -597,16 +642,27 @@ def _reserve(state: SCState, requests: int) -> None:
 
 
 def _step_c(lib, state: SCState, t: np.ndarray, srv: np.ndarray) -> None:
-    """Run ``repro_sc_step`` over the block, resuming after every early
-    return for room."""
+    """Run ``repro_sc_step`` over the whole block in one call, after one
+    :func:`_reserve`."""
     m = state.m
     k = t.shape[0]
-    epoch = 0 if state.epoch_size is None else min(state.epoch_size, _EPOCH_CAP)
-    scratch = np.empty(3 * m, dtype=np.int64)
-    iv = np.empty(len(_IV_FIELDS), dtype=np.int64)
-    # Per-server arrays are never reallocated; the queue and the ledger
-    # may be, by _reserve, so their addresses are taken per call.
-    fixed = (
+    _reserve(state, k)
+    qcap = state.qt.shape[0]
+    lcap = state.lt_srv.shape[0]
+    if not (
+        0 <= state.head <= state.qlen <= qcap
+        and 1 <= state.nlife <= lcap
+        and 0 <= state.last < m
+    ):
+        raise ValueError("SCState scalars are out of range")
+    iv = np.array([getattr(state, f) for f in _IV_FIELDS], dtype=np.int64)
+    group = np.empty(m, dtype=np.int64)
+    n0 = state.n
+    got = lib.repro_sc_step(
+        m,
+        state.W,
+        0 if state.epoch_size is None else min(state.epoch_size, _EPOCH_CAP),
+        k,
         _addr(t, np.float64, k),
         _addr(srv, np.int64, k),
         iv.ctypes.data,
@@ -614,62 +670,39 @@ def _step_c(lib, state: SCState, t: np.ndarray, srv: np.ndarray) -> None:
         _addr(state.cause_kind, np.int64, m, out=True),
         _addr(state.cause_time, np.float64, m, out=True),
         _addr(state.open_life, np.int64, m, out=True),
-        scratch.ctypes.data,
+        group.ctypes.data,
+        _addr(state.qt, np.float64, qcap, out=True),
+        _addr(state.qs, np.int64, qcap, out=True),
+        qcap,
+        *[
+            _addr(getattr(state, col), dtype, lcap, out=True)
+            for col, dtype in zip(_LEDGER, _LEDGER_DTYPES)
+        ],
+        lcap,
     )
-    j = 0
-    while j < k:
-        _reserve(state, k - j)
-        qcap = state.qt.shape[0]
-        lcap = state.lt_srv.shape[0]
-        if not (
-            0 <= state.head <= state.qlen <= qcap
-            and 1 <= state.nlife <= lcap
-            and 0 <= state.last < m
-        ):
-            raise ValueError("SCState scalars are out of range")
-        iv[:] = [getattr(state, f) for f in _IV_FIELDS]
-        n0 = state.n
-        got = lib.repro_sc_step(
-            m,
-            state.W,
-            epoch,
-            j,
-            k,
-            *fixed,
-            _addr(state.qt, np.float64, qcap, out=True),
-            _addr(state.qs, np.int64, qcap, out=True),
-            qcap,
-            *[
-                _addr(getattr(state, col), dtype, lcap, out=True)
-                for col, dtype in zip(_LEDGER, _LEDGER_DTYPES)
-            ],
-            lcap,
-        )
-        for f, value in zip(_IV_FIELDS, iv.tolist()):
-            setattr(state, f, value)
-        if got < 0:
-            at = j + state.n - n0
-            if got == _ERR_NO_LIVE_COPY:
-                raise RuntimeError(_NO_LIVE_COPY.format(float(t[at])))
-            raise RuntimeError(_ALREADY_HOLDS.format(int(srv[at])))
-        j = got
+    for f, value in zip(_IV_FIELDS, iv.tolist()):
+        setattr(state, f, value)
+    if got == _ERR_NO_LIVE_COPY:
+        raise RuntimeError(_NO_LIVE_COPY.format(float(t[state.n - n0])))
+    if got == _ERR_ALREADY_HOLDS:
+        raise RuntimeError(_ALREADY_HOLDS.format(int(srv[state.n - n0])))
+    if got == _ERR_WINDOW:
+        e = float(state.expiry.max())  # the lone survivor's (invariant 1)
+        raise ValueError(_UNRESOLVED_WINDOW.format(state.W, e))
+    if got == _ERR_NO_ROOM:
+        raise RuntimeError(_NO_ROOM)
 
 
-def _step_python(
-    state: SCState,
-    ts: List[float],
-    ss: List[int],
-    drain_to: Optional[float] = None,
-) -> None:
+def _step_python(state: SCState, ts: List[float], ss: List[int]) -> None:
     """Advance ``state`` over ``(ts[j], ss[j])`` — the C step's spec.
 
     Works on native lists copied out of the state and stores them back at
-    the end (so a raise leaves the state as it was).  ``drain_to`` runs
-    one more ``advance(drain_to)`` after the block: :func:`finish`'s
-    end-of-sequence drain.  Every arithmetic expression mirrors its
-    per-event twin character for character — ``t + W`` like ``_arm``,
-    ``e + W`` like the flat re-arm — so results agree bitwise, not just
-    to tolerance.
+    the end (so a raise leaves the state as it was).  Every arithmetic
+    expression mirrors its per-event twin character for character —
+    ``t + W`` like ``_arm``, ``e + W`` like the flat re-arm — so results
+    agree bitwise, not just to tolerance.  Pushes append and a drained
+    queue restarts at slot 0, as in the C step, so an extension chain
+    keeps the lists short.
     """
     m = state.m
     W = state.W
@@ -687,14 +720,6 @@ def _step_python(
     n, c, r, last = state.n, state.c, state.r, state.last
     hits, expirations = state.hits, state.expirations
     extensions, epochs, fallbacks = state.extensions, state.epochs, state.fallbacks
-
-    def push_slow(time: float, server: int) -> None:  # pragma: no cover
-        # SC pushes monotonically non-decreasing, so the hot paths just
-        # append; this insert is the exact-order safety net replicating
-        # heap (time, seq) placement for any out-of-order push.
-        pos = bisect_right(qt, time, head)
-        qt.insert(pos, time)
-        qs.insert(pos, server)
 
     def advance(t: float) -> None:
         nonlocal head, c, expirations, extensions
@@ -721,9 +746,26 @@ def _step_python(
             # Dedupe by server, order preserved (dict.fromkeys twin).
             if len(group) > 1:
                 group = list(dict.fromkeys(group))
-            deletable = c - 1
-            if deletable >= len(group):
-                for s2 in group:
+            # Delete the group while the floor holds; otherwise it is
+            # every live copy (invariant 1) and one copy survives, by
+            # _tie_survivor's rule.
+            if c - 1 >= len(group):
+                keep = -1
+            elif len(group) == 1:
+                keep = group[0]
+            else:
+                for keep in group:
+                    if cause_kind[keep] == CAUSE_DST:
+                        break
+                else:
+                    keep = max(
+                        group,
+                        key=lambda s3: cause_time[s3]
+                        if cause_kind[s3] != CAUSE_NONE
+                        else _NEG_INF,
+                    )
+            for s2 in group:
+                if s2 != keep:
                     expiry[s2] = _NEG_INF
                     c -= 1
                     expirations += 1
@@ -731,56 +773,29 @@ def _step_python(
                     open_life[s2] = -1
                     l_end[li] = e
                     l_ended[li] = END_EXPIRE
-            else:
-                count = len(group) - deletable
-                if count >= len(group):
-                    keep = group
-                else:
-                    # _extension_survivors: repeated tie rule; count is
-                    # provably 1 here (the group is every live copy) but
-                    # the general loop is kept for exactness.
-                    remaining = list(group)
-                    keep = []
-                    for _ in range(count):
-                        winner = -1
-                        for s2 in remaining:
-                            if cause_kind[s2] == CAUSE_DST:
-                                winner = s2
-                                break
-                        if winner < 0:
-                            winner = max(
-                                remaining,
-                                key=lambda s3: cause_time[s3]
-                                if cause_kind[s3] != CAUSE_NONE
-                                else _NEG_INF,
-                            )
-                        keep.append(winner)
-                        remaining.remove(winner)
-                for s2 in group:
-                    if s2 not in keep:
-                        expiry[s2] = _NEG_INF
-                        c -= 1
-                        expirations += 1
-                        li = open_life[s2]
-                        open_life[s2] = -1
-                        l_end[li] = e
-                        l_ended[li] = END_EXPIRE
+            if keep >= 0:
                 extensions += 1
-                for s2 in keep:
-                    e2 = e + W
-                    expiry[s2] = e2
-                    if head >= qlen or e2 >= qt[-1]:
-                        qt.append(e2)
-                        qs.append(s2)
-                    else:  # pragma: no cover - unreachable for SC
-                        push_slow(e2, s2)
-                    qlen = len(qt)
+                e2 = e + W
+                if not e2 > e:
+                    raise ValueError(_UNRESOLVED_WINDOW.format(W, e))
+                expiry[keep] = e2
+                if head == qlen:
+                    head = 0
+                    qt.clear()
+                    qs.clear()
+                qt.append(e2)
+                qs.append(keep)
+                qlen = len(qt)
 
     for i, (t, server) in enumerate(zip(ts, ss), n + 1):
         # pop_group pops nothing unless an entry sits strictly before t,
         # so the guard is an exact (and much cheaper) no-op detector.
         if head < len(qt) and qt[head] < t:
             advance(t)
+        if head == len(qt):  # drained: restart at slot 0, like the C push
+            head = 0
+            qt.clear()
+            qs.clear()
         if expiry[server] >= t:
             hits += 1
             l_last[open_life[server]] = t
@@ -788,11 +803,8 @@ def _step_python(
             cause_time[server] = t
             e2 = t + W
             expiry[server] = e2
-            if head >= len(qt) or e2 >= qt[-1]:
-                qt.append(e2)
-                qs.append(server)
-            else:  # pragma: no cover - unreachable for SC
-                push_slow(e2, server)
+            qt.append(e2)
+            qs.append(server)
         else:
             src = last
             if not (expiry[src] >= t and src != server):
@@ -820,20 +832,14 @@ def _step_python(
             cause_time[server] = t
             e2 = t + W
             expiry[server] = e2
-            if head >= len(qt) or e2 >= qt[-1]:
-                qt.append(e2)
-                qs.append(server)
-            else:  # pragma: no cover - unreachable for SC
-                push_slow(e2, server)
+            qt.append(e2)
+            qs.append(server)
             l_last[open_life[src]] = t
             cause_kind[src] = CAUSE_SRC
             cause_time[src] = t
             expiry[src] = e2
-            if head >= len(qt) or e2 >= qt[-1]:
-                qt.append(e2)
-                qs.append(src)
-            else:  # pragma: no cover - unreachable for SC
-                push_slow(e2, src)
+            qt.append(e2)
+            qs.append(src)
             r += 1
             if epoch_size is not None and r >= epoch_size:
                 for s2 in range(m):
@@ -849,8 +855,6 @@ def _step_python(
                 l_reset[li] = 1
         last = server
     n += len(ts)
-    if drain_to is not None and head < len(qt) and qt[head] < drain_to:
-        advance(drain_to)
 
     state.expiry[:] = expiry
     state.cause_kind[:] = cause_kind
@@ -877,16 +881,13 @@ def finish(state: SCState) -> OnlineKernelRun:
     """End-of-sequence accounting: the run's :class:`OnlineKernelRun`.
 
     Replays the per-event ``end(t_n)`` + :meth:`RunRecorder.finalize` +
-    ``Schedule`` canonicalisation at ``t_n = state.last_t``.  Open
+    ``Schedule`` canonicalisation at ``t_n = state.last_t``.  ``end(t_n)``
+    drains the timers due strictly before ``t_n``, and none is pending
+    (invariant 3 of the module docstring), so nothing runs for it.  Open
     lifetimes are truncated in the result only, so the state can keep
     stepping afterwards.
     """
     t_end = state.last_t
-    # end(t_n): drain timers strictly before the horizon.  advance(t_n)
-    # already ran for the last request and every refresh since grants
-    # t + W >= t, so nothing is due; kept as the per-event twin.
-    if state.head < state.qlen and state.qt[state.head] < t_end:  # pragma: no cover
-        _step_python(state, [], [], drain_to=t_end)
     nl = state.nlife
     held = state.lt_ended[:nl] == END_OPEN
     srv = state.lt_srv[:nl].tolist()

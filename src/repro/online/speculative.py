@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from ..kernels.online import validate_sc_params
+from ..kernels.online import _UNRESOLVED_WINDOW, validate_sc_params
 from ..sim.events import Event, EventQueue
 from .base import OnlineAlgorithm
 
@@ -125,8 +125,9 @@ class SpeculativeCaching(OnlineAlgorithm):
         """
         return self._window()
 
-    def _arm(self, server: int, now: float, flat: bool = False) -> None:
-        """(Re)schedule the expiration of ``server``'s copy.
+    def _arm(self, server: int, now: float, flat: bool = False) -> float:
+        """(Re)schedule the expiration of ``server``'s copy; returns the
+        window granted.
 
         ``flat=True`` bypasses :meth:`_window_for` and grants the full
         base window — used for lone-copy extensions, where a zero-width
@@ -135,6 +136,7 @@ class SpeculativeCaching(OnlineAlgorithm):
         window = self._window() if flat else self._window_for(server, now)
         self.expiry[server] = now + window
         self.queue.push(self.expiry[server], kind="expire", server=server)
+        return window
 
     def _valid(self, ev: Event) -> bool:
         return ev.kind == "expire" and self.expiry[ev.server] == ev.time
@@ -157,7 +159,10 @@ class SpeculativeCaching(OnlineAlgorithm):
         :meth:`_copy_floor`: when a simultaneous group would, enough of
         its members survive with extended leases (paper step 4 — the
         lone-copy extension and the source/target tie are the two
-        floor-1 shapes).
+        floor-1 shapes).  A survivor whose window does not move its
+        expiry past ``e`` (``e + W == e``: the clock cannot resolve the
+        window there) would be popped again forever, so that raises
+        ``ValueError``.
         """
         while True:
             group = self.queue.pop_group(t, self._valid)
@@ -182,7 +187,9 @@ class SpeculativeCaching(OnlineAlgorithm):
                         self._delete(s, e)
                 self.rec.counters["extensions"] += 1
                 for s in keep:
-                    self._arm(s, e, flat=True)
+                    window = self._arm(s, e, flat=True)
+                    if not self.expiry[s] > e:
+                        raise ValueError(_UNRESOLVED_WINDOW.format(window, e))
 
     def _extension_survivors(self, servers: List[int], count: int) -> List[int]:
         """Pick ``count`` survivors among simultaneously-expiring copies.

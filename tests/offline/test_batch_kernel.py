@@ -11,6 +11,8 @@ and the raw-column packing path must produce the same layout as packing
 pre-scanned instances.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +29,8 @@ from repro.kernels.batch import (
 )
 from repro.kernels.online import run_online_vector
 from repro.offline.streaming import StreamingSolver
+from repro.workloads import ColumnarTrace
+from repro.workloads.sampling import solve_trace_costs
 
 from ..conftest import instances, make_instance
 from .test_kernels import (
@@ -295,7 +299,6 @@ class TestBatchLayout:
         for field in (
             "off",
             "nreq",
-            "soff",
             "mserv",
             "origin",
             "mu",
@@ -440,7 +443,6 @@ class TestBatchLayout:
             ("nreq", edit(1, 10), "request count outside"),
             ("off", edit(1, 3), "do not pack"),
             ("nreq", edit(1, 1), "do not pack"),
-            ("soff", edit(1, 3), "server arena outside"),
             ("srv", edit(5, 2**20), "server id outside"),
             ("srv", edit(2, -1), "server id outside"),
             ("p", edit(5, 1), "predecessor outside"),
@@ -459,7 +461,6 @@ class TestBatchLayout:
             "count-past-total",
             "overlapping-slices",
             "unpacked-tail",
-            "arena-past-end",
             "server-past-fleet",
             "negative-server",
             "predecessor-ahead",
@@ -487,3 +488,33 @@ class TestBatchLayout:
         results = solve_layout(BatchLayout.from_instances(items))
         assert results[0].instance is None
         assert results[0].solver == "batch-dp"
+
+
+class TestScratchArena:
+    def test_sweep_scratch_is_sized_by_the_largest_fleet(self):
+        # The trace samplers give every item the trace's fleet size, here
+        # 50,001 for one far server id.  The sweep's per-server scratch is
+        # one arena of max(m) slots that every item re-initialises; an
+        # arena of sum(m) slots made this solve peak at ~150 MiB.
+        rows, items = 128, 64
+        servers = np.arange(rows) % 4
+        servers[7] = 50_000
+        trace = ColumnarTrace(
+            np.arange(1, rows + 1, dtype=np.float64),
+            servers,
+            np.full(rows, -1),
+            np.arange(rows) % items,
+            [f"item-{k}" for k in range(items)],
+        )
+        costs = []
+        for which in BACKENDS:
+            with backend(which):
+                tracemalloc.start()
+                try:
+                    costs.append(solve_trace_costs(trace))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak < 16 * 2**20, f"{which}: peak {peak / 2**20:.1f} MiB"
+        assert len(costs[0]) == items
+        assert all(c == costs[0] for c in costs)

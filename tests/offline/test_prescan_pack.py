@@ -44,7 +44,7 @@ needs_c = pytest.mark.skipif(
 )
 
 _LAYOUT_FIELDS = (
-    "off", "nreq", "soff", "mserv", "origin", "mu", "lam",
+    "off", "nreq", "mserv", "origin", "mu", "lam",
     "t", "srv", "p", "sigma", "B",
 )
 

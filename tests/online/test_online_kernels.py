@@ -24,12 +24,19 @@ Every kernel run here happens once per SC step backend available
 (``BACKENDS``: the compiled C step and the Python step), chosen through
 ``REPRO_BATCH_SWEEP``.  ``TestResumableStep`` adds the block contract:
 any split of a sequence into :func:`step_block` calls, resumed from a
-deep copy or not, finishes exactly like one block.
+deep copy or not, finishes exactly like one block, in one C step call
+per block, with the pending queue in pop order after every block.
+Bad costs and times are refused when a state is built or stepped, and a
+window the clock cannot resolve raises instead of spinning.
 """
 
 from __future__ import annotations
 
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +44,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import CostModel
 from repro.kernels import batch as batch_kernel
 from repro.kernels import online as online_kernel
@@ -492,7 +500,8 @@ class TestResumableStep:
     def test_extension_chain_outgrows_the_queue(self, monkeypatch):
         # Quiet stretches of >= 1000 windows re-arm the lone copy once per
         # window: thousands of pushes against a queue reserved for a
-        # 5-request block, so the C step returns for room and resumes.
+        # 5-request block.  Each re-arm finds the queue drained and
+        # restarts it at slot 0, so one reservation serves the block.
         inst = make_instance(
             [0.5, 0.6, 2000.0, 2000.1, 5000.0], [1, 2, 0, 3, 1], m=4
         )
@@ -510,8 +519,107 @@ class TestResumableStep:
         monkeypatch.setattr(online_kernel, "_reserve", counting)
         with backend("c"):
             run = run_online_vector(inst, materialize=False)
-        assert len(calls) > 10  # one per early return, plus the first
+        assert calls == [5]  # one reservation for the one block
         assert decision_digest(run) == decision_digest(ref)
+
+    def test_million_extension_chain_keeps_the_initial_queue(self, monkeypatch):
+        # 999,999 lone-copy re-arms in one block: the queue arrays keep
+        # their initial capacity and the C step runs once.
+        t = [0.5, 0.6, 1e6, 1e6 + 0.1]
+        srv = [1, 2, 0, 1]
+        steps = []
+        real = online_kernel._load_sweep_lib
+
+        class Counting:
+            def __getattr__(self, name):
+                fn = getattr(real(), name)
+                if name != "repro_sc_step":
+                    return fn
+
+                def step(*args):
+                    steps.append(args[3])  # nblk
+                    return fn(*args)
+
+                return step
+
+        monkeypatch.setattr(online_kernel, "_load_sweep_lib", Counting)
+        digests = set()
+        for which in BACKENDS:
+            with backend(which):
+                state = SCState(3, 1.0, 1.0, 0, 0.0)
+                capacity = (state.qt.shape[0], state.qs.shape[0])
+                step_block(state, t, srv)
+                assert (state.qt.shape[0], state.qs.shape[0]) == capacity
+                run = finish(state)
+            assert run.counters["extensions"] == 999_999
+            digests.add(run.digest)
+        assert len(digests) == 1
+        assert steps == ([4] if "c" in BACKENDS else [])
+
+    def test_room_is_checked_before_every_write(self, monkeypatch):
+        # One reservation per block always suffices; without it the C
+        # step refuses to write past its arrays rather than resume.
+        if "c" not in BACKENDS:
+            pytest.skip("no compiled SC step on this host")
+        monkeypatch.setattr(online_kernel, "_reserve", lambda state, requests: None)
+        state = SCState(2, 1.0, 1.0, 0, 0.0)
+        t = np.arange(1, 41) * 0.1
+        with backend("c"), pytest.raises(RuntimeError, match="reserved room"):
+            step_block(state, t, np.arange(1, 41) % 2)
+        assert state.nlife <= state.lt_srv.shape[0]
+        assert state.qlen <= state.qt.shape[0]
+
+    @given(
+        instances(max_m=5, max_n=30),
+        st.sampled_from([0.5, 1.0, 2.0]),
+        st.sampled_from([None, 1, 3]),
+        st.data(),
+    )
+    @settings(**_SETTINGS)
+    def test_pending_queue_in_pop_order_after_every_block(
+        self, inst, gamma, epoch, data
+    ):
+        # The module's invariants 2 and 3: pushes append in pop order, and
+        # no pending entry precedes the last request time.  Ties: some
+        # gaps collapse to 0 (duplicate times), some equal the window, so
+        # a copy expires at the very instant of the next request.
+        W = gamma * (inst.cost.lam / inst.cost.mu)  # SCState's expression
+        tie = data.draw(
+            st.lists(st.sampled_from([None, 0.0, W]), min_size=inst.n, max_size=inst.n)
+        )
+        t = [float(inst.t[0])]
+        for gap, tied in zip(np.diff(inst.t).tolist(), tie):
+            t.append(t[-1] + (gap if tied is None else tied))
+        t = np.asarray(t)
+        srv = np.asarray(inst.srv, dtype=np.int64)
+        cuts, _ = data.draw(block_splits(inst.n))
+        bounds = [1, *sorted(cuts), inst.n + 1]
+        tied = SimpleNamespace(
+            t=t,
+            srv=srv,
+            n=inst.n,
+            num_servers=inst.num_servers,
+            cost=inst.cost,
+            origin=inst.origin,
+        )
+        ref = run_online(SpeculativeCaching(gamma, epoch), tied, kernel="event")
+        for which in BACKENDS:
+            with backend(which):
+                state = SCState(
+                    inst.num_servers,
+                    inst.cost.mu,
+                    inst.cost.lam,
+                    inst.origin,
+                    t[0],
+                    gamma,
+                    epoch,
+                )
+                for lo, hi in zip(bounds[:-1], bounds[1:]):
+                    step_block(state, t[lo:hi], srv[lo:hi])
+                    pending = state.qt[state.head : state.qlen]
+                    assert np.all(pending[1:] >= pending[:-1])
+                    assert np.all(pending >= state.last_t)
+                assert decision_digest(finish(state)) == decision_digest(ref)
 
     def test_bad_blocks_rejected_before_any_change(self):
         inst = make_instance([1.0, 2.0, 3.0], [1, 0, 1], m=2)
@@ -563,6 +671,81 @@ class TestParameterValidation:
         assert type(algo.window_factor) is float and type(algo.epoch_size) is int
         assert vector_policy_config(algo) == (0.5, 3, "ttl(0.5x)")
         assert_identical(fig6, window_factor=np.float32(0.5), epoch_size=np.int64(3))
+
+
+_BAD_COSTS = [
+    pytest.param(1.0, -1.0, id="lam=-1"),
+    pytest.param(1.0, 0.0, id="lam=0"),
+    pytest.param(1.0, float("nan"), id="lam=nan"),
+    pytest.param(-1.0, 1.0, id="mu=-1"),
+    pytest.param(0.0, 1.0, id="mu=0"),
+    pytest.param(float("inf"), 1.0, id="mu=inf"),
+]
+
+
+class TestStateBoundary:
+    @pytest.mark.parametrize("mu, lam", _BAD_COSTS)
+    def test_bad_costs_refused_at_construction(self, mu, lam):
+        # Stepped, such a state hung (negative or zero window, or an
+        # infinite mu) or raised a misleading error; W >= 0 is what lets
+        # every push append.
+        with pytest.raises(ValueError):
+            SCState(3, mu, lam, 0, 0.0)
+
+    def test_non_finite_times_refused(self):
+        for t0 in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="t0 must be finite"):
+                SCState(2, 1.0, 1.0, 0, t0)
+        for which in BACKENDS:
+            with backend(which):
+                state = SCState(2, 1.0, 1.0, 0, 0.0)
+                nan, inf = float("nan"), float("inf")
+                for t in ([nan], [1.0, nan, 2.0], [1.0, inf]):
+                    with pytest.raises(ValueError, match="finite and non-decreasing"):
+                        step_block(state, t, [1] * len(t))
+                assert (state.n, state.last_t) == (0, 0.0)
+
+
+_SPIN = """
+import numpy as np
+from repro import CostModel, ProblemInstance
+from repro.online import SpeculativeCaching
+inst = ProblemInstance.from_arrays(
+    np.array([1e6, 1e6 + 1.0, 1e6 + 2.0]), np.array([1, 2, 1]), num_servers=3,
+    cost=CostModel(mu=1.0, lam=1e-20), start_time=1e6 - 1.0,
+)
+for kernel in ("event", "auto"):
+    try:
+        SpeculativeCaching().run(inst, kernel=kernel)
+    except ValueError as exc:
+        print(kernel, exc)
+    else:
+        print(kernel, "ran")
+"""
+
+
+class TestUnresolvableWindow:
+    def test_raises_instead_of_spinning(self):
+        # lam / mu = 1e-20 is far below the clock's resolution near 1e6,
+        # so the lone copy's re-arm leaves e + W == e and would pop the
+        # same group forever.  A fresh interpreter with a timeout turns a
+        # regression into a failure, not a hung suite.
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for which in BACKENDS:
+            out = subprocess.run(
+                [sys.executable, "-c", _SPIN],
+                capture_output=True,
+                text=True,
+                env=dict(env, REPRO_BATCH_SWEEP=which),
+                timeout=120,
+            )
+            assert out.returncode == 0, out.stderr
+            lines = out.stdout.splitlines()
+            assert [line.split()[0] for line in lines] == ["event", "auto"]
+            for line in lines:
+                assert "window W=1e-20 does not move" in line
+                assert "e=999999.0" in line
 
 
 class TestNoCompiler:
