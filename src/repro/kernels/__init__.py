@@ -19,10 +19,12 @@ bit-identical to its reference twin:
   ``O(n + m + P)`` (``P`` = total pivot-pointer advances, typically
   ``≈ n``) instead of interpreter-level ``O(mn)``, over items packed
   into concatenated ragged columns and solved with ONE kernel call
-  (compiled C sweep when a system compiler exists, its Python spec
-  otherwise).  What ``kernel="auto"`` runs: ``solve_offline`` on a
-  one-item layout, ``solve_offline_multi`` and the trace samplers once
-  per service or sample.
+  (compiled C sweep when a system compiler exists; otherwise one
+  :meth:`~repro.offline.streaming.StreamingSolver.extend` per item, the
+  DP's one Python frontier loop and the C sweep's spec).  What
+  ``kernel="auto"`` runs: ``solve_offline`` on a one-item layout,
+  ``solve_offline_multi`` and the trace samplers once per service or
+  sample.
 * :mod:`repro.kernels.online` — the online twin of the batch DP: an
   SC/TTL(γ) run (decisions, epochs, copy-seconds, cost, digest) as a
   resumable per-item state (``SCState``), a block step

@@ -1,15 +1,24 @@
-/* Batched instance-major frontier sweep — C twin of _sweep_python in
- * repro/kernels/batch.py, which documents the algorithm.
+/* Batched instance-major frontier sweep — C twin of
+ * StreamingSolver.extend in repro/offline/streaming.py, the one Python
+ * frontier loop, whose class notes document the algorithm.
  *
  * One call sweeps EVERY item of a packed batch: the per-item request
  * columns (t / srv / p / sigma / B, each of length n_k + 1 including the
  * boundary request r_0) live back to back in flat arrays, with per-item
  * offsets, and the per-server accumulators are one scratch arena of
  * max m_k slots that each item initialises before it reads them.
- * Within an item the algorithm is a line-by-line transliteration of the
- * Python sweep; across items it simply advances the base
- * pointers — instance-major, so each item's sweep touches a contiguous
- * block and the per-item Python orchestration cost disappears entirely.
+ * Within an item the step is the Python loop's; only the reads differ:
+ *
+ *   - sigma_i: here the sigma column; in Python t_i minus the server's
+ *     time register;
+ *   - B_{i-1}: here the B column (B_prev); in Python its running sum;
+ *   - C(p(i)) - B_{p(i)}: here C[q] - B[q] at q = p[i]; in Python the
+ *     server's C - B register, set when q was appended.
+ *
+ * The pre-scan computes sigma and B with the Python loop's expressions
+ * and sequential sum, so both read the same doubles.  Across items the
+ * sweep advances the base pointers: each item touches a contiguous
+ * block, with no per-item Python orchestration.
  *
  * Bit-identity contract (asserted by tests/offline/test_batch_kernel.py
  * and gated by benchmarks/bench_dp_kernels.py):
@@ -24,10 +33,10 @@
  *
  * The function is pure C99 + stdint and is compiled on demand by
  * repro/kernels/batch.py with the system toolchain; when no compiler is
- * available the Python sweep in batch.py runs the same program.  It
- * takes raw addresses (like repro_sc_step): batch.py checks every
- * array's dtype, shape, contiguity and length before the call.  Every
- * solve_offline(kernel="auto") call runs it, on a one-item layout.
+ * available batch.py's _sweep_python runs one StreamingSolver per item
+ * instead.  It takes raw addresses (like repro_sc_step): batch.py checks
+ * every array's dtype, shape, contiguity and length before the call.
+ * Every solve_offline(kernel="auto") call runs it, on a one-item layout.
  */
 
 #include <math.h>

@@ -38,7 +38,8 @@
  *
  * A lone-copy re-arm that does not move the expiry past e (W below the
  * clock's resolution at e) would pop the same group forever; it is the
- * error ERR_WINDOW instead.
+ * error ERR_WINDOW instead, and a re-arm more than MAX_CHAIN windows
+ * short of the request time t (a chain that would not finish) ERR_CHAIN.
  *
  * The function is pure C99 + stdint and is compiled on demand, together
  * with _batch_sweep.c, by repro/kernels/batch.py; when no compiler is
@@ -80,6 +81,8 @@ enum {
 #define ERR_ALREADY_HOLDS (-2)
 #define ERR_NO_ROOM (-3)
 #define ERR_WINDOW (-4)
+#define ERR_CHAIN (-5)
+#define MAX_CHAIN 4294967296.0 /* windows; must match _MAX_CHAIN in online.py */
 
 typedef struct {
     double *qt;
@@ -222,6 +225,10 @@ int64_t repro_sc_step(
                 extensions++;
                 if (!(e2 > e)) {
                     status = ERR_WINDOW;
+                    goto save;
+                }
+                if (t - e > W * MAX_CHAIN) {
+                    status = ERR_CHAIN;
                     goto save;
                 }
                 expiry[group[w]] = e2;

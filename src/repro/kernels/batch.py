@@ -24,9 +24,10 @@ whole batch into one array program:
   :class:`~repro.offline.result.OfflineResult` views, keyed in input
   order.
 
-The sweep itself is the amortised ``O(n + m + P)`` frontier loop (its
-algorithm notes are on :func:`_sweep_python`), run once per item over
-the packed columns.
+The sweep itself is the amortised ``O(n + m + P)`` frontier loop, run
+once per item: in C over the packed columns, and in Python as one
+:meth:`~repro.offline.streaming.StreamingSolver.extend` per item, the
+DP's one Python frontier loop (its class notes give the algorithm).
 
 This module also owns the backend choice for the compiled entry
 points: this DP sweep, the SC block step of :mod:`repro.kernels.online`,
@@ -51,13 +52,14 @@ backend for all of them:
     ``-ffp-contract=off`` forbids fused multiply-adds, so every
     expression rounds exactly like its Python twin.
 ``"python"``
-    Pure-Python loops — the executable specifications (for the scanner,
-    the ``csv.reader`` row loop it fronts; for the pre-scan, the pack
-    and the profiler, their numpy paths), and the automatic fallback
-    when no compiler exists or the build fails.  The scanner, the
-    pre-scan, the pack and the profiler's pass take only inputs whose
-    result provably equals their fallback's, which runs on the rest
-    under either backend.
+    Pure-Python loops — the executable specifications (for the DP
+    sweep, ``StreamingSolver.extend``; for the scanner, the
+    ``csv.reader`` row loop it fronts; for the pre-scan, the pack and
+    the profiler, their numpy paths), and the automatic fallback when no
+    compiler exists or the build fails.  The scanner, the pre-scan, the
+    pack and the profiler's pass take only inputs whose result provably
+    equals their fallback's, which runs on the rest under either
+    backend.
 
 Both sweep backends are bit-identical to each other and to the
 reference sweep on every result field including tie-breaks;
@@ -83,7 +85,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import math
 import os
 import shutil
 import subprocess
@@ -106,8 +107,6 @@ __all__ = [
     "solve_layout",
     "batch_sweep_backend",
 ]
-
-_INF = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +521,8 @@ def _count_rows(
 
 
 # ---------------------------------------------------------------------------
-# Python backend — the frontier sweep over packed columns.  Executable
-# specification for the C twin, and the no-compiler fallback.
+# Python backend — one StreamingSolver per item.  The no-compiler
+# fallback, and the executable specification of the C twin.
 # ---------------------------------------------------------------------------
 
 
@@ -537,153 +536,33 @@ def _sweep_python(
 ) -> None:
     """The whole-sequence DP sweep, amortised ``O(n + m + P)`` per item.
 
-    The reference sweep (:mod:`repro.offline.dp`) enumerates the cover
-    set ``π(i)`` of Definition 8 afresh for every request: ``m`` pivot
-    probes per request, ``O(mn)`` in all.  This loop computes the same
-    recurrences without ever *searching* for a pivot, from two
-    monotonicity facts:
-
-    1. For a fixed server ``s``, the queries it issues are monotone: the
-       ``i``-th request on ``s`` asks for pivots at ``q = p(i)``, which
-       is exactly where its previous request sat.  So each server
-       *accumulates* its pivot candidates between its own consecutive
-       requests instead of looking them back up.
-    2. Request ``k`` is a pivot candidate for server ``s`` iff ``s`` has
-       a request in the half-open index window ``(p(k), k]``, i.e. iff
-       ``s``'s most recent request is *more recent* than ``p(k)``.
-       Servers ordered by recency of their last request form a
-       move-to-front list, and the candidates of ``k`` are exactly a
-       prefix of it.
-
-    Per server ``s`` the sweep keeps ``open_q[s]`` (index of ``s``'s
-    most recent request: its next request's ``p(i)``) and
-    ``run_min[s]`` / ``run_arg[s]`` (the running minimum of
-    ``D(k) − B_k`` over the candidates accumulated since ``open_q[s]``,
-    and its argmin), plus one move-to-front list of servers
-    (``fwd``/``bwd`` links, ``head``) ordered by ``open_q`` descending.
-    Request ``k`` walks the list head-first, offering ``D(k) − B_k`` to
-    each visited server, and stops at the first server with
-    ``open_q ≤ p(k)``.  Each visit is one real pivot relationship, so
-    the walk work *is* ``P = Σ_i |π(i)|`` (``≈ n`` for Poisson/Zipf
-    workloads; perfect round-robin degrades to the reference's
-    ``O(mn)`` with a far smaller constant).  Everything else is ``O(1)``
-    per request: ``O(n + m + P)`` in all.  Then ``k``'s own server
-    reopens its window at ``k`` (the self-candidate seeds its minimum)
-    and moves to the list front.
-    :class:`~repro.offline.streaming.StreamingSolver` runs the same step
-    one append at a time.
-
-    Bit-identity with the reference sweep (asserted by
-    ``tests/offline/test_kernels.py``, gated by
-    ``benchmarks/bench_dp_kernels.py``):
-
-    * values: minima are order-independent, and ``D(i)``/``C(i)`` use
-      the reference's floating-point expressions in the same operand
-      order, so ``C``, ``D`` and ``served_by_cache`` are byte-identical;
-    * argmins: the reference scans servers ``j = 0..m−1`` taking strict
-      improvements, so its winner is the lexicographic minimum of
-      ``(value, server)``.  The accumulator breaks value ties toward the
-      candidate on the smaller server id, so ``choice_d_tag`` /
-      ``choice_d_k``, and hence reconstructed schedules, match too.
+    Each item's requests run through one
+    :meth:`~repro.offline.streaming.StreamingSolver.extend`, the DP's
+    one Python frontier loop (its class notes give the algorithm and the
+    bit-identity argument), and its five result lists are copied into
+    the item's output slices.  The solver computes ``p``, ``σ`` and
+    ``B`` in its registers, so only the layout's ``t`` and ``srv``
+    columns are read.
     """
-    from ..offline.result import FROM_C, FROM_D
+    from ..core.types import CostModel
+    from ..offline.streaming import StreamingSolver
 
-    for item in range(layout.num_items):
-        sl = layout.item_slice(item)
-        n = int(layout.nreq[item])
-        m = int(layout.mserv[item])
-        org = int(layout.origin[item])
-        mu = float(layout.mu[item])
-        lam = float(layout.lam[item])
-        # Native Python scalars: a numpy scalar subscript costs ~10x a
-        # list subscript, which would dominate the per-request budget.
-        t = layout.t[sl].tolist()
-        srv = layout.srv[sl].tolist()
-        p = layout.p[sl].tolist()
-        sigma = layout.sigma[sl].tolist()
-        B = layout.B[sl].tolist()
-
-        Ci = [0.0] * (n + 1)
-        Di = [_INF] * (n + 1)
-        si = [False] * (n + 1)
-        tags = [-1] * (n + 1)
-        args = [-1] * (n + 1)
-
-        open_q = [-1] * m
-        run_min = [_INF] * m
-        run_arg = [-1] * m
-        run_srv = [m] * m
-        fwd = [-1] * m
-        bwd = [-1] * m
-        listed = [False] * m
-        head = org
-        listed[org] = True
-        open_q[org] = 0
-        run_arg[org] = 0
-        run_srv[org] = org
-
-        t_prev = t[0]
-        c_prev = 0.0
-        B_prev = 0.0
-        for i in range(1, n + 1):
-            s = srv[i]
-            q = p[i]
-            t_i = t[i]
-            if q >= 0:
-                best = Ci[q] - B[q]
-                acc = run_min[s]
-                if acc < best:
-                    d_i = acc + mu * sigma[i] + B_prev
-                    tags[i] = FROM_D
-                    args[i] = run_arg[s]
-                else:
-                    d_i = best + mu * sigma[i] + B_prev
-                    tags[i] = FROM_C
-                    args[i] = q
-                Di[i] = d_i
-                via_transfer = c_prev + mu * (t_i - t_prev) + lam
-                if d_i <= via_transfer:
-                    c_prev = d_i
-                    si[i] = True
-                else:
-                    c_prev = via_transfer
-            else:
-                d_i = _INF
-                c_prev = c_prev + mu * (t_i - t_prev) + lam
-            Ci[i] = c_prev
-            t_prev = t_i
-            B_prev = B[i]
-            value = d_i - B_prev
-            j = head
-            while j >= 0 and open_q[j] > q:
-                cur = run_min[j]
-                if value < cur or (value == cur and s < run_srv[j]):
-                    run_min[j] = value
-                    run_arg[j] = i
-                    run_srv[j] = s
-                j = fwd[j]
-            open_q[s] = i
-            run_min[s] = value
-            run_arg[s] = i
-            run_srv[s] = s
-            if head != s:
-                if listed[s]:
-                    nxt, prv = fwd[s], bwd[s]
-                    fwd[prv] = nxt
-                    if nxt >= 0:
-                        bwd[nxt] = prv
-                else:
-                    listed[s] = True
-                fwd[s] = head
-                bwd[head] = s
-                bwd[s] = -1
-                head = s
-
-        C[sl] = Ci
-        D[sl] = Di
-        served[sl] = si
-        tag[sl] = tags
-        karg[sl] = args
+    t, srv = layout.t, layout.srv
+    cost = None
+    for lo, n, m, org, mu, lam in zip(
+        *(getattr(layout, name).tolist() for name, _ in _ITEM_COLUMNS)
+    ):
+        if cost is None or (cost.mu, cost.lam) != (mu, lam):
+            cost = CostModel(mu, lam)
+        hi = lo + n + 1
+        solver = StreamingSolver(m, cost, org, t[lo])
+        # One item's rows at a time, as native scalars (cheap to index).
+        solver.extend(zip(t[lo + 1 : hi].tolist(), srv[lo + 1 : hi].tolist()))
+        C[lo:hi] = solver.C
+        D[lo:hi] = solver.D
+        served[lo:hi] = solver.served
+        tag[lo:hi] = solver._tag
+        karg[lo:hi] = solver._arg
 
 
 def _sweep_c(
@@ -738,10 +617,12 @@ def _check_layout(layout: BatchLayout) -> None:
     Both sweeps trust them, the C one with raw pointers, so a
     hand-built layout is checked here first, with ``O(total)`` numpy
     operations: one entry per item in each item column, at least one
-    server and the origin among them, row slices that pack ``[0,
-    total)`` in order, server ids in ``[0, m)`` and predecessors in
-    ``[-1, local index)``.  The C sweep's scratch arena holds
-    ``max(m)`` slots, so server ids in range keep it in bounds.
+    server and the origin among them, ``μ`` and ``λ`` finite and
+    positive (the cost model's check, which the Python sweep's solvers
+    make too), row slices that pack ``[0, total)`` in order, server ids
+    in ``[0, m)`` and predecessors in ``[-1, local index)``.  The C
+    sweep's scratch arena holds ``max(m)`` slots, so server ids in
+    range keep it in bounds.
     """
     items, total = layout.num_items, layout.total
     col = {name: np.asarray(getattr(layout, name)) for name, _ in _ITEM_COLUMNS}
@@ -763,10 +644,12 @@ def _check_layout(layout: BatchLayout) -> None:
             k = int(np.flatnonzero(~ok)[0])
             raise ValueError(f"layout item {layout.names[k]!r}: {what}")
 
-    off, nreq, mserv, origin = (
-        col[name] for name in ("off", "nreq", "mserv", "origin")
-    )
+    off, nreq, mserv, origin, mu, lam = col.values()
     refuse((mserv >= 1) & (origin >= 0) & (origin < mserv), "origin outside [0, m)")
+    refuse(
+        (mu > 0) & (mu < np.inf) & (lam > 0) & (lam < np.inf),
+        "mu and lam must be finite and positive",
+    )
     refuse((nreq >= 0) & (nreq < total), f"request count outside [0, {total})")
     starts = _starts(nreq + 1)
     if int(nreq.sum()) + items != total or not np.array_equal(off, starts):

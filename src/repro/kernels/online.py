@@ -199,16 +199,26 @@ _EPOCH_CAP = 1 << 62
 #: The C step's error returns (``_sc_step.c``'s ``ERR_*``), and the
 #: messages both backends raise.
 _ERR_NO_LIVE_COPY, _ERR_ALREADY_HOLDS, _ERR_NO_ROOM, _ERR_WINDOW = -1, -2, -3, -4
+_ERR_CHAIN = -5
 _NO_LIVE_COPY = (
     "no live copy anywhere at t={}; the never-drop-the-last-copy rule is broken"
 )
 _ALREADY_HOLDS = "server {} already holds a copy"
 _NO_ROOM = "the SC step ran out of reserved room; the room bound is broken"
-#: Also raised by the per-event ``SpeculativeCaching.advance``.
+#: Both also raised by the per-event ``SpeculativeCaching.advance``.
 _UNRESOLVED_WINDOW = (
     "the speculative window W={!r} does not move a lone copy's expiry past "
     "e={!r}: the clock cannot resolve it there, so the extension chain "
     "would never end"
+)
+#: A lone copy re-arms once per window until it passes the instant ``t``
+#: advanced to; a chain of more windows than this (``MAX_CHAIN`` in
+#: ``_sc_step.c``) would not finish, so its first re-arm raises.
+_MAX_CHAIN = 2.0**32
+_ENDLESS_CHAIN = (
+    "the speculative window W={!r} would re-arm a lone copy from e={!r} "
+    "up to t={!r} more than {:.0f} times, so the extension chain would "
+    "not finish"
 )
 
 _digest_value = None
@@ -686,9 +696,12 @@ def _step_c(lib, state: SCState, t: np.ndarray, srv: np.ndarray) -> None:
         raise RuntimeError(_NO_LIVE_COPY.format(float(t[state.n - n0])))
     if got == _ERR_ALREADY_HOLDS:
         raise RuntimeError(_ALREADY_HOLDS.format(int(srv[state.n - n0])))
-    if got == _ERR_WINDOW:
+    if got in (_ERR_WINDOW, _ERR_CHAIN):
         e = float(state.expiry.max())  # the lone survivor's (invariant 1)
-        raise ValueError(_UNRESOLVED_WINDOW.format(state.W, e))
+        if got == _ERR_WINDOW:
+            raise ValueError(_UNRESOLVED_WINDOW.format(state.W, e))
+        t_next = float(t[state.n - n0])
+        raise ValueError(_ENDLESS_CHAIN.format(state.W, e, t_next, _MAX_CHAIN))
     if got == _ERR_NO_ROOM:
         raise RuntimeError(_NO_ROOM)
 
@@ -778,6 +791,8 @@ def _step_python(state: SCState, ts: List[float], ss: List[int]) -> None:
                 e2 = e + W
                 if not e2 > e:
                     raise ValueError(_UNRESOLVED_WINDOW.format(W, e))
+                if t - e > W * _MAX_CHAIN:
+                    raise ValueError(_ENDLESS_CHAIN.format(W, e, t, _MAX_CHAIN))
                 expiry[keep] = e2
                 if head == qlen:
                     head = 0

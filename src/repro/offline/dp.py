@@ -49,8 +49,10 @@ def solve_offline(instance: ProblemInstance, kernel: str = "auto") -> OfflineRes
         (:mod:`repro.kernels.batch`) on a one-item layout, on the backend
         :func:`~repro.kernels.batch.batch_sweep_backend` names: the
         compiled sweep when it builds, its Python spec otherwise.
-        ``"frontier"`` pins that Python spec, the per-item ``O(n + m + P)``
-        frontier loop, whatever ``REPRO_BATCH_SWEEP`` says.
+        ``"frontier"`` pins that Python spec, the ``O(n + m + P)``
+        frontier loop of
+        :meth:`~repro.offline.streaming.StreamingSolver.extend`, whatever
+        ``REPRO_BATCH_SWEEP`` says.
         ``"reference"`` runs the paper-shaped per-request sweep over the
         pointer matrix, kept as the oracle the fast sweeps are tested
         against.  Every kernel returns byte-identical results.

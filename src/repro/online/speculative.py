@@ -43,7 +43,12 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from ..kernels.online import _UNRESOLVED_WINDOW, validate_sc_params
+from ..kernels.online import (
+    _ENDLESS_CHAIN,
+    _MAX_CHAIN,
+    _UNRESOLVED_WINDOW,
+    validate_sc_params,
+)
 from ..sim.events import Event, EventQueue
 from .base import OnlineAlgorithm
 
@@ -162,7 +167,9 @@ class SpeculativeCaching(OnlineAlgorithm):
         floor-1 shapes).  A survivor whose window does not move its
         expiry past ``e`` (``e + W == e``: the clock cannot resolve the
         window there) would be popped again forever, so that raises
-        ``ValueError``.
+        ``ValueError``, as does a re-arm more than ``2**32`` base windows
+        short of ``t`` (a drawn window may be tiny), whose chain would
+        not finish.
         """
         while True:
             group = self.queue.pop_group(t, self._valid)
@@ -186,10 +193,13 @@ class SpeculativeCaching(OnlineAlgorithm):
                     if s not in keep:
                         self._delete(s, e)
                 self.rec.counters["extensions"] += 1
+                base = SpeculativeCaching._window(self)
                 for s in keep:
                     window = self._arm(s, e, flat=True)
                     if not self.expiry[s] > e:
                         raise ValueError(_UNRESOLVED_WINDOW.format(window, e))
+                    if t - e > base * _MAX_CHAIN:
+                        raise ValueError(_ENDLESS_CHAIN.format(base, e, t, _MAX_CHAIN))
 
     def _extension_survivors(self, servers: List[int], count: int) -> List[int]:
         """Pick ``count`` survivors among simultaneously-expiring copies.

@@ -48,9 +48,10 @@ gauges.  Robustness is the headline, not an afterthought:
   at-least-once client yields exactly-once state transitions.
 
 Decisions are the *prefix-optimal* choices of the streaming DP: after
-appending request ``i``, the item is served from cache iff
-``D(i) <= C(i-1) + μ·(t_i - t_{i-1}) + λ`` — the same rule
-:meth:`StreamingSolver.result` records.  The running ``optimal_cost``
+appending request ``i``, the item is served from cache iff the solver's
+``served`` flag for it is set (``D(i) <= C(i-1) + μ·(t_i - t_{i-1}) +
+λ``, ties to the cache), the flag :meth:`StreamingSolver.result`
+reports as ``served_by_cache``.  The running ``optimal_cost``
 gauge is the exact off-line optimum of the prefix served so far; the
 ``baseline_cost`` gauge is what the naive always-transfer policy would
 have paid on the same events (``μ·Δt + λ`` each — holding cost is
@@ -482,8 +483,7 @@ class _Shard:
             prev_t = solver.t[-1]
             prev_c = solver.C[-1]
             item_cost = solver.append(time, server)
-            via_transfer = prev_c + cost.mu * (time - prev_t) + cost.lam
-            decision = "cache" if solver.D[-1] <= via_transfer else "transfer"
+            decision = "cache" if solver.served[-1] else "transfer"
             event_cost = item_cost - prev_c
             self.baseline += cost.mu * (time - prev_t) + cost.lam
             self.decisions[decision] += 1

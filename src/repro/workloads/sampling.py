@@ -380,8 +380,10 @@ def _trace_layout(
 ) -> Tuple[np.ndarray, Optional[BatchLayout]]:
     """Every selected item packed into one layout: ``(ids, layout)``.
 
-    ``ids`` are the packed items' ids, ascending; the layout is ``None``
-    when no row is selected.  Mirrors the mining tail of
+    ``items`` is ``None`` or a boolean mask over item ids, as
+    ``np.asarray`` reads it; another dtype or shape raises
+    ``ValueError``.  ``ids`` are the packed items' ids, ascending; the
+    layout is ``None`` when no row is selected.  Mirrors the mining tail of
     ``traces._columns_to_instance`` — stable sort by time,
     :func:`_enforce_min_gap` sweep, identical start-time convention — so
     every per-item result is bit-identical to ``mine_instance_columnar``
@@ -391,6 +393,13 @@ def _trace_layout(
     """
     from ..kernels.batch import BatchLayout
 
+    if items is not None:
+        items, size = np.asarray(items), len(trace.item_table)
+        if items.dtype != np.bool_ or items.shape != (size,):
+            raise ValueError(
+                f"items must be a boolean mask over the {size} item ids; "
+                f"got dtype {items.dtype} with shape {items.shape}"
+            )
     empty = np.empty(0, dtype=np.int64)
     if trace.rows == 0:
         return empty, None
@@ -480,10 +489,10 @@ def _pack_c(
     item, ties included, and items with a tie run the same min-gap sweep
     on their segment.  ``None`` sends the call to :func:`_pack_numpy`:
     on the Python backend, when a kept item's times fall (or hold a
-    NaN), for a mask that is not a boolean array of the table's length,
-    for a column that is not native-endian and contiguous, and for
+    NaN), for a column that is not native-endian and contiguous, and for
     ``chunk_rows < 1``, which the numpy path refuses.  An id outside the
-    item table raises the numpy path's error.
+    item table raises the numpy path's error.  ``items`` is ``None`` or
+    the boolean mask :func:`_trace_layout` checked.
     """
     from ..kernels.batch import (
         _FALL,
@@ -500,10 +509,8 @@ def _pack_c(
     rows, size = trace.rows, len(trace.item_table)
     if items is None:
         keep = np.ones(size, dtype=np.uint8)
-    elif isinstance(items, np.ndarray) and items.dtype == np.bool_ and items.shape == (size,):
-        keep = np.ascontiguousarray(items).view(np.uint8)
     else:
-        return None
+        keep = np.ascontiguousarray(items).view(np.uint8)
     counted = _count_rows(trace, keep)
     if counted is None:
         return None
@@ -585,7 +592,8 @@ def solve_trace_costs(
 ) -> Dict[str, float]:
     """Optimal per-item offline cost straight from the mapped columns.
 
-    ``items`` is an optional boolean mask over item ids (``None`` = all).
+    ``items`` is an optional boolean mask over item ids (``None`` = all;
+    any other dtype or length raises ``ValueError``).
     ``num_servers`` defaults to the **full-trace** fleet size so masked
     solves stay comparable to the unmasked solve.  Costs are
     bit-identical to ``MultiItemInstance.from_columnar`` +
@@ -613,7 +621,8 @@ def online_trace_costs(
 ) -> Dict[str, float]:
     """Per-item SC/TTL(γ) *online* cost straight from the mapped columns.
 
-    The online twin of :func:`solve_trace_costs`: every selected item is
+    The online twin of :func:`solve_trace_costs`, with the same
+    ``items`` mask and fleet-size default: every selected item is
     packed into ONE :class:`~repro.kernels.batch.BatchLayout` and served
     with a single batched online-kernel call — no per-item instance
     mining, no per-event hook dispatch.  Each cost is bit-identical to

@@ -440,6 +440,8 @@ class TestBatchLayout:
             ("mu", lambda a: np.append(a, 1.0), "one entry per item"),
             ("mserv", edit(0, 0), "origin outside"),
             ("origin", edit(1, 3), "origin outside"),
+            ("mu", edit(0, 0.0), "mu and lam must be finite and positive"),
+            ("lam", edit(1, np.nan), "mu and lam must be finite and positive"),
             ("nreq", edit(1, 10), "request count outside"),
             ("off", edit(1, 3), "do not pack"),
             ("nreq", edit(1, 1), "do not pack"),
@@ -458,6 +460,8 @@ class TestBatchLayout:
             "extra-mu",
             "no-servers",
             "origin-past-fleet",
+            "zero-mu",
+            "nan-lam",
             "count-past-total",
             "overlapping-slices",
             "unpacked-tail",

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro import CostModel, ProblemInstance, validate_schedule
-from repro.online import AlwaysTransfer, NeverDelete, RandomizedTTL
+from repro.online import (
+    AlwaysTransfer,
+    NeverDelete,
+    RandomizedTTL,
+    SpeculativeCaching,
+)
 from repro.schedule import migration_only_cost
 
 from ..conftest import make_instance
@@ -61,6 +66,25 @@ class TestNeverDelete:
         validate_schedule(run.schedule, fig7)
 
 
+class _Draws:
+    """RNG stand-in: returns ``draws`` in turn, then 0.5 forever."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self):
+        return next(self._draws, 0.5)
+
+
+class _TinyFirstExtension(RandomizedTTL):
+    """Draws U = 0.5 for the initial copy, then 1e-9 for its first
+    lone-copy extension (a window of ~1.7e-9 Δt), then 0.5 again."""
+
+    def _setup(self):
+        self._rng = _Draws([0.5, 1e-9])
+        SpeculativeCaching._setup(self)
+
+
 class TestRandomizedTTL:
     def test_deterministic_given_seed(self, fig7):
         a = RandomizedTTL(seed=9).run(fig7)
@@ -97,3 +121,21 @@ class TestRandomizedTTL:
         first = algo.run(fig7).cost
         second = algo.run(fig7).cost
         assert first == pytest.approx(second)  # re-seeded per run
+
+    def test_tiny_draw_before_a_long_gap_finishes(self):
+        # The lone copy idles 1e4 Δt before the first request.  Its first
+        # extension draws a window of ~1.7e-9 Δt, and 2**32 such windows
+        # fall short of the gap, but the draws after it average ~0.58 Δt:
+        # the chain ends after ~1.6e4 re-arms.  The endless-chain bound
+        # must use the base window, not the draw, and the run pays what
+        # an unbounded chain pays.
+        inst = ProblemInstance.from_arrays(
+            np.array([1e4, 1e4 + 1.0]),
+            np.array([1, 0]),
+            num_servers=2,
+            cost=CostModel(mu=1.0, lam=1.0),
+        )
+        run = _TinyFirstExtension().run(inst)
+        assert run.cost == 10003.620114506959
+        assert run.counters["extensions"] == 16128
+        validate_schedule(run.schedule, inst)

@@ -706,13 +706,16 @@ class TestStateBoundary:
                 assert (state.n, state.last_t) == (0, 0.0)
 
 
+#: Runs SC on both kernels over three requests near t = 1e6 with
+#: W = lam / mu = 1e-20; ``{servers}``, ``{m}`` and ``{start}`` complete
+#: the instance.
 _SPIN = """
 import numpy as np
 from repro import CostModel, ProblemInstance
 from repro.online import SpeculativeCaching
 inst = ProblemInstance.from_arrays(
-    np.array([1e6, 1e6 + 1.0, 1e6 + 2.0]), np.array([1, 2, 1]), num_servers=3,
-    cost=CostModel(mu=1.0, lam=1e-20), start_time=1e6 - 1.0,
+    np.array([1e6, 1e6 + 1.0, 1e6 + 2.0]), np.array({servers}), num_servers={m},
+    cost=CostModel(mu=1.0, lam=1e-20){start},
 )
 for kernel in ("event", "auto"):
     try:
@@ -724,28 +727,47 @@ for kernel in ("event", "auto"):
 """
 
 
+def _run_fresh(code):
+    """Each backend's output lines of ``code`` in a fresh interpreter."""
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for which in BACKENDS:
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(env, REPRO_BATCH_SWEEP=which),
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == ["event", "auto"]
+        yield lines
+
+
 class TestUnresolvableWindow:
     def test_raises_instead_of_spinning(self):
         # lam / mu = 1e-20 is far below the clock's resolution near 1e6,
         # so the lone copy's re-arm leaves e + W == e and would pop the
         # same group forever.  A fresh interpreter with a timeout turns a
         # regression into a failure, not a hung suite.
-        src = Path(repro.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        for which in BACKENDS:
-            out = subprocess.run(
-                [sys.executable, "-c", _SPIN],
-                capture_output=True,
-                text=True,
-                env=dict(env, REPRO_BATCH_SWEEP=which),
-                timeout=120,
-            )
-            assert out.returncode == 0, out.stderr
-            lines = out.stdout.splitlines()
-            assert [line.split()[0] for line in lines] == ["event", "auto"]
+        code = _SPIN.format(servers=[1, 2, 1], m=3, start=", start_time=1e6 - 1.0")
+        for lines in _run_fresh(code):
             for line in lines:
                 assert "window W=1e-20 does not move" in line
                 assert "e=999999.0" in line
+
+    def test_endless_chain_raises_instead_of_hanging(self):
+        # From the default start time 0 every re-arm moves the expiry,
+        # but by 1e-20 at a time: the chain from e = 1e-20 to the first
+        # request at 1e6 needs ~1e26 windows and would outlast any
+        # timeout.
+        code = _SPIN.format(servers=[1, 0, 1], m=2, start="")
+        for lines in _run_fresh(code):
+            for line in lines:
+                assert "window W=1e-20 would re-arm a lone copy" in line
+                assert "from e=1e-20 up to t=1000000.0" in line
+                assert "more than 4294967296 times" in line
 
 
 class TestNoCompiler:

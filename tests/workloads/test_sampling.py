@@ -287,6 +287,33 @@ class TestSolveTraceCosts:
         part = solve_trace_costs(trace, items=mask)
         assert part["item-003"] == full["item-003"]
 
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("call", [solve_trace_costs, online_trace_costs])
+    @pytest.mark.parametrize(
+        "mask, dtype, shape",
+        [
+            (np.array([1, 0, 1]), "int64", "(3,)"),
+            (np.array([True]), "bool", "(1,)"),
+            (np.array([[True, False, True]]), "bool", "(1, 3)"),
+            ("abc", "<U3", "()"),
+        ],
+        ids=["int", "short", "2d", "str"],
+    )
+    def test_non_boolean_mask_refused(self, name, call, mask, dtype, shape):
+        # An integer array would index rows, not items, through the
+        # numpy pack, and answer for the wrong items without an error.
+        trace = ColumnarTrace(
+            np.arange(1.0, 7.0), np.array([0, 1, 0, 1, 0, 1]), np.zeros(6),
+            np.array([0, 1, 2, 0, 1, 2]), "abc",
+        )
+        with backend(name):
+            with pytest.raises(ValueError, match="boolean mask over the 3") as err:
+                call(trace, items=mask)
+            assert f"dtype {dtype} with shape {shape}" in str(err.value)
+            want = call(trace, items=np.array([True, False, True]))
+            assert set(want) == {"a", "c"}
+            assert call(trace, items=[True, False, True]) == want
+
     def test_empty_trace(self):
         empty = ColumnarTrace(
             np.empty(0), np.empty(0, "<i4"), np.empty(0, "<i4"),
