@@ -12,7 +12,9 @@ paper's *pre-scan* (proof of Theorem 2): it computes, as flat numpy arrays,
 * ``b[i]``   — the marginal cost bound ``b_i = min(λ, μσ_i)`` (Definition 4);
 * ``B[i]``   — the running bound ``B_i = Σ_{j<=i} b_j`` (Definition 5);
 
-The DP kernels read only these arrays.  :meth:`ProblemInstance.cover_set`
+The reference DP sweep, the bounds and the reductions read these arrays;
+the batched sweeps compute the same values in per-server registers from
+``t`` and ``srv``.  :meth:`ProblemInstance.cover_set`
 answers the cover index set ``π(i)`` of Definition 8 — for every server
 ``s^j``, the request ``k`` on ``s^j`` whose server interval
 ``(t_{p(k)}, t_k]`` contains ``t_{p(i)}`` — through a :class:`PivotLookup`
@@ -152,19 +154,17 @@ class ProblemInstance:
         ``t``/``srv`` are the full length ``n+1`` arrays including the
         boundary request ``r_0`` at index 0; both are owned by the
         instance from here on (callers must pass fresh copies).  The
-        checks and the pre-scan are :func:`prescan_columns` on one
-        item, the same call a packed batch makes.
+        checks and the pre-scan are :func:`prescan_columns`, whose
+        checks are the ones a packed batch runs
+        (:func:`~repro.kernels.prescan.check_columns`); the pre-scan
+        arrays serve the reference DP sweep, the bounds and the
+        reductions.
         """
         self.cost = cost if cost is not None else CostModel()
         self.origin = int(origin)
         m = int(num_servers) if num_servers is not None else int(srv.max()) + 1
         self.p, self.sigma, self.b, self.B = prescan_columns(
-            t,
-            srv,
-            np.zeros(1, dtype=np.int64),
-            np.array([m]),
-            np.array([self.cost.mu]),
-            np.array([self.cost.lam]),
+            t, srv, m, self.cost.mu, self.cost.lam
         )
         self.num_servers = m
         self.t = t

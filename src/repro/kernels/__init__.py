@@ -6,13 +6,12 @@ line.  This subpackage holds the *fast paths* — drop-in replacements
 for the interpreter-bound hot loops, each differentially tested
 bit-identical to its reference twin:
 
-* :mod:`repro.kernels.prescan` — the one check and pre-scan of request
-  columns (``prescan_columns``: ``p``, ``σ``, ``b``, ``B`` for one
-  instance or a packed batch; compiled C where it provably equals its
-  numpy path, which runs the rest; fleets up to ``MAX_SERVERS``),
-  per-server lists and the reference
-  sweep's pivot matrix, as whole-array numpy operations instead of
-  per-request/per-server Python loops.
+* :mod:`repro.kernels.prescan` — the one check of packed request
+  columns, the pre-scan of one instance (``prescan_columns``: ``p``,
+  ``σ``, ``b``, ``B``; compiled C where it provably equals its numpy
+  path, which runs the rest; fleets up to ``MAX_SERVERS``), per-server
+  lists and the reference sweep's pivot matrix, as whole-array numpy
+  operations instead of per-request/per-server Python loops.
 * :mod:`repro.kernels.batch` — the off-line DP sweep, the one
   production path for whole sequences: per-server monotone pivot
   windows and incrementally maintained running minima, amortised

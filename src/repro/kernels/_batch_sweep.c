@@ -3,28 +3,21 @@
  * frontier loop, whose class notes document the algorithm.
  *
  * One call sweeps EVERY item of a packed batch: the per-item request
- * columns (t / srv / p / sigma / B, each of length n_k + 1 including the
- * boundary request r_0) live back to back in flat arrays, with per-item
- * offsets, and the per-server accumulators are one scratch arena of
- * max m_k slots that each item initialises before it reads them.
- * Within an item the step is the Python loop's; only the reads differ:
- *
- *   - sigma_i: here the sigma column; in Python t_i minus the server's
- *     time register;
- *   - B_{i-1}: here the B column (B_prev); in Python its running sum;
- *   - C(p(i)) - B_{p(i)}: here C[q] - B[q] at q = p[i]; in Python the
- *     server's C - B register, set when q was appended.
- *
- * The pre-scan computes sigma and B with the Python loop's expressions
- * and sequential sum, so both read the same doubles.  Across items the
- * sweep advances the base pointers: each item touches a contiguous
- * block, with no per-item Python orchestration.
+ * columns (t / srv, each of length n_k + 1 including the boundary
+ * request r_0) live back to back in flat arrays, with per-item offsets,
+ * and the per-server registers are one scratch arena of max m_k slots
+ * that each item initialises before it reads them.  Within an item the
+ * step is the Python loop's, register for register: q = p(i) is the
+ * server's open_q, sigma_i is t_i minus its last_t, C(p(i)) - B_{p(i)}
+ * is its last_cb, and B is a running sum.  Across items the sweep
+ * advances the base pointers: each item touches a contiguous block,
+ * with no per-item Python orchestration.
  *
  * Bit-identity contract (asserted by tests/offline/test_batch_kernel.py
  * and gated by benchmarks/bench_dp_kernels.py):
  *
  *   - every floating-point expression keeps the Python operand order
- *     (`acc + mu * sigma[i] + B_prev` associates left to right in both
+ *     (`acc + mu_sigma + B_prev` associates left to right in both
  *     languages), and the build deliberately passes -ffp-contract=off so
  *     no fused multiply-add can reassociate a rounding;
  *   - the argmin tie-break is the same lexicographic (value, server-id)
@@ -35,8 +28,9 @@
  * repro/kernels/batch.py with the system toolchain; when no compiler is
  * available batch.py's _sweep_python runs one StreamingSolver per item
  * instead.  It takes raw addresses (like repro_sc_step): batch.py checks
- * every array's dtype, shape, contiguity and length before the call.
- * Every solve_offline(kernel="auto") call runs it, on a one-item layout.
+ * every array's dtype, shape, contiguity and length, and every offset,
+ * origin and server id, before the call.  Every
+ * solve_offline(kernel="auto") call runs it, on a one-item layout.
  */
 
 #include <math.h>
@@ -46,7 +40,7 @@
 #define FROM_C 0
 #define FROM_D 1
 
-int64_t repro_batch_sweep(
+void repro_batch_sweep(
     int64_t n_items,
     const int64_t *off,     /* [n_items] start of item's column block   */
     const int64_t *nreq,    /* [n_items] request count n_k (excl. r_0)  */
@@ -56,24 +50,20 @@ int64_t repro_batch_sweep(
     const double *lam_arr,  /* [n_items] transfer cost                  */
     const double *t,        /* [N1] request times (r_0 first per item)  */
     const int64_t *srv,     /* [N1] request servers                     */
-    const int64_t *p,       /* [N1] prev same-server index, item-local  */
-    const double *sigma,    /* [N1] server intervals                    */
-    const double *B,        /* [N1] running bound prefix sums           */
     double *C,              /* [N1] out: optimal prefix costs           */
     double *D,              /* [N1] out: cache-branch costs             */
     uint8_t *served,        /* [N1] out: served_by_cache                */
     int64_t *tag,           /* [N1] out: choice_d_tag                   */
     int64_t *karg,          /* [N1] out: choice_d_k (item-local)        */
-    int64_t *oq,            /* [max m_k] scratch: open_q                */
+    int64_t *oq,            /* [max m_k] scratch: open_q (latest index) */
+    double *lt,             /* [max m_k] scratch: last_t                */
+    double *lcb,            /* [max m_k] scratch: last_cb (C - B)       */
     double *rmin,           /* [max m_k] scratch: run_min               */
     int64_t *rarg,          /* [max m_k] scratch: run_arg               */
     int64_t *rsrv,          /* [max m_k] scratch: run_srv               */
     int64_t *fw,            /* [max m_k] scratch: fwd                   */
-    int64_t *bw,            /* [max m_k] scratch: bwd                   */
-    uint8_t *lst)           /* [max m_k] scratch: listed                */
+    int64_t *bw)            /* [max m_k] scratch: bwd                   */
 {
-    int64_t advances = 0; /* total pivot-pointer advances (the P bound) */
-
     for (int64_t item = 0; item < n_items; item++) {
         const int64_t base = off[item];
         const int64_t n = nreq[item];
@@ -84,16 +74,15 @@ int64_t repro_batch_sweep(
 
         const double *pt = t + base;
         const int64_t *psrv = srv + base;
-        const int64_t *pp = p + base;
-        const double *psigma = sigma + base;
-        const double *pB = B + base;
         double *pC = C + base;
         double *pD = D + base;
         uint8_t *pserved = served + base;
         int64_t *ptag = tag + base;
         int64_t *pkarg = karg + base;
 
-        /* Empty accumulators; r_0 opens the origin's window. */
+        /* Empty registers (-1 = none; last_t and last_cb are read only
+         * once open_q is set); r_0 opens the origin's window.  A server
+         * is on the recency list iff its open_q is set. */
         for (int64_t j = 0; j < m; j++) {
             oq[j] = -1;
             rmin[j] = INFINITY;
@@ -101,11 +90,11 @@ int64_t repro_batch_sweep(
             rsrv[j] = m;
             fw[j] = -1;
             bw[j] = -1;
-            lst[j] = 0;
         }
         int64_t head = org;
-        lst[org] = 1;
         oq[org] = 0;
+        lt[org] = pt[0];
+        lcb[org] = 0.0;
         rarg[org] = 0;
         rsrv[org] = org;
 
@@ -120,20 +109,22 @@ int64_t repro_batch_sweep(
         double B_prev = 0.0;
         for (int64_t i = 1; i <= n; i++) {
             const int64_t s = psrv[i];
-            const int64_t q = pp[i];
+            const int64_t q = oq[s];
             const double t_i = pt[i];
-            double d_i;
+            double d_i, B_i;
             if (q >= 0) {
+                const double mu_sigma = mu * (t_i - lt[s]);
+                B_i = B_prev + (lam <= mu_sigma ? lam : mu_sigma);
                 /* Boundary case of Recurrence (5) vs accumulated pivots. */
-                const double best = pC[q] - pB[q];
+                const double best = lcb[s];
                 const double acc = rmin[s];
                 if (acc < best) {
                     /* Same expression, same operand order as Python. */
-                    d_i = acc + mu * psigma[i] + B_prev;
+                    d_i = acc + mu_sigma + B_prev;
                     ptag[i] = FROM_D;
                     pkarg[i] = rarg[s];
                 } else {
-                    d_i = best + mu * psigma[i] + B_prev;
+                    d_i = best + mu_sigma + B_prev;
                     ptag[i] = FROM_C;
                     pkarg[i] = q;
                 }
@@ -147,6 +138,7 @@ int64_t repro_batch_sweep(
                     pserved[i] = 0;
                 }
             } else {
+                B_i = B_prev + lam;
                 d_i = INFINITY;
                 pD[i] = INFINITY;
                 ptag[i] = -1;
@@ -155,14 +147,11 @@ int64_t repro_batch_sweep(
                 c_prev = c_prev + mu * (t_i - t_prev) + lam;
             }
             pC[i] = c_prev;
-            t_prev = t_i;
-            B_prev = pB[i];
-            const double value = d_i - B_prev;
+            const double value = d_i - B_i;
             /* push: offer D(i) - B_i to every server whose open window
              * covers i — a prefix of the recency list. */
             int64_t w = head;
             while (w >= 0 && oq[w] > q) {
-                advances++;
                 const double cur = rmin[w];
                 if (value < cur || (value == cur && s < rsrv[w])) {
                     rmin[w] = value;
@@ -174,24 +163,25 @@ int64_t repro_batch_sweep(
             /* reopen: reset s's window at its own request and move s to
              * the recency-list front. */
             oq[s] = i;
+            lt[s] = t_i;
+            lcb[s] = c_prev - B_i;
             rmin[s] = value;
             rarg[s] = i;
             rsrv[s] = s;
             if (head != s) {
-                if (lst[s]) {
+                if (q >= 0) { /* already listed: unlink */
                     const int64_t nxt = fw[s], prv = bw[s];
                     fw[prv] = nxt;
                     if (nxt >= 0)
                         bw[nxt] = prv;
-                } else {
-                    lst[s] = 1;
                 }
                 fw[s] = head;
                 bw[head] = s;
                 bw[s] = -1;
                 head = s;
             }
+            t_prev = t_i;
+            B_prev = B_i;
         }
     }
-    return advances;
 }

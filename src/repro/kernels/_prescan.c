@@ -18,18 +18,20 @@
  * otherwise.  The caller lays the items out with one open slot before
  * each (the boundary request r_0) and fills those itself.
  *
- * repro_prescan is the proof of Theorem 2 over packed columns: one pass
- * per item with a per-server last-index scratch writes the item-local
- * predecessor p (-1 for a server's first request), sigma = t[i] - t[p]
- * (inf without a predecessor), b = min(lam, mu * sigma) with
- * np.minimum's rule (lam unless lam <= x fails, so a NaN x wins), b = 0
- * at each r_0, and B as the sequential per-item sum np.cumsum computes.
- * It runs every check of the numpy body and returns PRESCAN_REFUSED at
- * the first failure; the caller then runs the numpy body, which raises
- * the message.  It refuses a NaN or sign-bit mu or lam as well: with
+ * repro_prescan is the proof of Theorem 2 over one instance's columns:
+ * one pass with a per-server last-index scratch writes the predecessor p
+ * (-1 for a server's first request), sigma = t[i] - t[p] (inf without a
+ * predecessor), b = min(lam, mu * sigma) with np.minimum's rule (lam
+ * unless lam <= x fails, so a NaN x wins), b = 0 at r_0, and B as the
+ * sequential sum np.cumsum computes.  It runs every check of the numpy
+ * path (prescan.check_columns) and returns PRESCAN_REFUSED at the first
+ * failure; the caller then runs the numpy path, which raises the
+ * message.  It refuses a NaN or sign-bit mu or lam as well: with
  * mu >= +0 and sigma > 0, x is +0 or above, or the default NaN of
  * 0 * inf, so np.minimum's pick between equal or NaN operands never
- * shows in the bits; with other operands the numpy body computes b.
+ * shows in the bits; with other operands the numpy path computes b.
+ * The DP sweep itself reads none of these columns: it keeps the same
+ * values in per-server registers (_batch_sweep.c).
  *
  * Pure C99 + stdint; compiled on demand with the other kernels by
  * repro/kernels/batch.py, whose _addr checks every array first.  The
@@ -105,57 +107,43 @@ int64_t repro_pack_rows(
 }
 
 int64_t repro_prescan(
-    int64_t n_items,
     int64_t total,
-    const int64_t *off,   /* [n_items] rising from 0, below total */
-    const int64_t *mserv, /* [n_items] */
-    const double *mu,     /* [n_items] */
-    const double *lam,    /* [n_items] */
+    int64_t m,
+    double mu,
+    double lam,
     const double *t,      /* [total] */
     const int64_t *srv,   /* [total] */
     int64_t *p,           /* [total] out */
     double *sigma,        /* [total] out */
     double *b,            /* [total] out */
     double *B,            /* [total] out */
-    int64_t *last,        /* [nlast] scratch: a server's last row */
-    int64_t nlast)        /* max(mserv) */
+    int64_t *last)        /* [m] scratch: a server's last row */
 {
-    /* Rows rise across items, so an entry below the item's first row is
-     * an earlier item's: the scratch is cleared once per call. */
-    for (int64_t s = 0; s < nlast; s++)
+    if (m < 1 || !(mu >= 0) || !(lam >= 0) || signbit(mu) || signbit(lam))
+        return PRESCAN_REFUSED;
+    for (int64_t s = 0; s < m; s++)
         last[s] = -1;
-    for (int64_t k = 0; k < n_items; k++) {
-        const int64_t lo = off[k];
-        const int64_t hi = k + 1 < n_items ? off[k + 1] : total;
-        const int64_t m = mserv[k];
-        const double mu_k = mu[k], lam_k = lam[k];
-        double acc = 0.0;
-        if (m < 1 || m > nlast || !(mu_k >= 0) || !(lam_k >= 0) || signbit(mu_k) ||
-            signbit(lam_k))
+    double acc = 0.0;
+    for (int64_t i = 0; i < total; i++) {
+        const int64_t s = srv[i];
+        const double ti = t[i];
+        if (s < 0 || s >= m || !isfinite(ti) || (i > 0 && !(ti > t[i - 1])))
             return PRESCAN_REFUSED;
-        for (int64_t i = lo; i < hi; i++) {
-            const int64_t s = srv[i];
-            const double ti = t[i];
-            if (s < 0 || s >= m || !isfinite(ti) || (i > lo && !(ti > t[i - 1])))
-                return PRESCAN_REFUSED;
-            const int64_t q = last[s];
-            double gap = INFINITY;
-            p[i] = -1;
-            if (q >= lo) {
-                p[i] = q - lo;
-                gap = ti - t[q];
-            }
-            last[s] = i;
-            sigma[i] = gap;
-            double bi = 0.0;
-            if (i > lo) {
-                const double x = mu_k * gap;
-                bi = lam_k <= x ? lam_k : x;
-            }
-            b[i] = bi;
-            acc = i > lo ? acc + bi : bi;
-            B[i] = acc;
+        const int64_t q = last[s];
+        double gap = INFINITY;
+        if (q >= 0)
+            gap = ti - t[q];
+        p[i] = q;
+        last[s] = i;
+        sigma[i] = gap;
+        double bi = 0.0;
+        if (i > 0) {
+            const double x = mu * gap;
+            bi = lam <= x ? lam : x;
         }
+        b[i] = bi;
+        acc += bi;
+        B[i] = acc;
     }
     return PRESCAN_OK;
 }

@@ -9,25 +9,28 @@ rebuild, one result object per item) would cost more than the DP
 arithmetic.  This module removes the per-item overhead by packing a
 whole batch into one array program:
 
-* :class:`BatchLayout` — the concatenated ``t``/``srv``/``p``/``sigma``/
-  ``B`` request columns of every item laid back to back (instance-major,
-  each column slice contiguous), plus per-item offset/size/cost vectors.
-  Ragged batches need no padding: item ``k`` owns ``[off[k], off[k] +
-  n_k + 1)`` of every column (index ``off[k]`` is its boundary request
-  ``r_0``).  The sweep's per-server accumulators are one scratch arena
-  of ``max_k m_k`` slots, which each item initialises before use.  It is
-  built from pre-scanned instances, or from packed raw ``t``/``srv`` columns
-  that :func:`repro.kernels.prescan.prescan_columns` checks and
-  pre-scans in one call — the call every instance makes for itself.
+* :class:`BatchLayout` — the concatenated ``t``/``srv`` request
+  columns of every item laid back to back (instance-major, each column
+  slice contiguous), plus per-item offset/size/cost vectors.  Ragged
+  batches need no padding: item ``k`` owns ``[off[k], off[k] + n_k +
+  1)`` of every column (index ``off[k]`` is its boundary request
+  ``r_0``).  The sweep's per-server registers are one scratch arena of
+  ``max_k m_k`` slots, which each item initialises before use.  It is
+  built from instances, or from packed raw columns that
+  :func:`repro.kernels.prescan.check_columns` checks, as every instance
+  is checked; neither build pre-scans.
 * :func:`solve_offline_batch` — one kernel call that sweeps every item
   and splits the stacked outputs back into per-item
   :class:`~repro.offline.result.OfflineResult` views, keyed in input
   order.
 
 The sweep itself is the amortised ``O(n + m + P)`` frontier loop, run
-once per item: in C over the packed columns, and in Python as one
+once per item on ``t`` and ``srv`` alone: in C over the packed columns,
+and in Python as one
 :meth:`~repro.offline.streaming.StreamingSolver.extend` per item, the
 DP's one Python frontier loop (its class notes give the algorithm).
+Both keep ``p(i)``, ``σ_i``, ``C − B`` and ``B`` in the same per-server
+registers and running sum.
 
 This module also owns the backend choice for the compiled entry
 points: this DP sweep, the SC block step of :mod:`repro.kernels.online`,
@@ -95,7 +98,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from .prescan import prescan_columns
+from .prescan import MAX_SERVERS, check_columns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> kernels)
     from ..core.instance import ProblemInstance
@@ -118,11 +121,10 @@ __all__ = [
 class BatchLayout:
     """Instance-major packing of a ragged batch of DP instances.
 
-    All request columns have total length ``total = Σ_k (n_k + 1)``;
+    Both request columns have total length ``total = Σ_k (n_k + 1)``;
     item ``k`` owns the contiguous slice ``[off[k], off[k] + n_k + 1)``
-    with its boundary request ``r_0`` at local index 0.  ``p`` holds
-    *item-local* predecessor indices (``-1`` for a server's first
-    request), so every per-item slice is self-contained.
+    with its boundary request ``r_0`` at local index 0, so every
+    per-item slice is self-contained.
     """
 
     names: Tuple[str, ...]
@@ -134,9 +136,6 @@ class BatchLayout:
     lam: np.ndarray  # float64 [items]
     t: np.ndarray  # float64 [total]
     srv: np.ndarray  # int64 [total]
-    p: np.ndarray  # int64 [total] — item-local predecessor indices
-    sigma: np.ndarray  # float64 [total]
-    B: np.ndarray  # float64 [total]
 
     @property
     def num_items(self) -> int:
@@ -162,11 +161,10 @@ class BatchLayout:
             Iterable[Tuple[str, "ProblemInstance"]],
         ],
     ) -> "BatchLayout":
-        """Pack pre-scanned instances by concatenating their columns.
+        """Pack instances by concatenating their ``t`` and ``srv``.
 
-        The instances' own ``p``/``sigma``/``B`` arrays are reused
-        verbatim (``p`` is already item-local), so this path costs a
-        handful of ``np.concatenate`` calls regardless of item count.
+        The instances are checked already, so this path costs two
+        ``np.concatenate`` calls regardless of item count.
         """
         pairs = list(items.items()) if isinstance(items, dict) else list(items)
         if not pairs:
@@ -185,9 +183,6 @@ class BatchLayout:
             lam=np.asarray([inst.cost.lam for inst in insts], dtype=np.float64),
             t=np.concatenate([inst.t for inst in insts]),
             srv=np.concatenate([inst.srv for inst in insts]),
-            p=np.concatenate([inst.p for inst in insts]),
-            sigma=np.concatenate([inst.sigma for inst in insts]),
-            B=np.concatenate([inst.B for inst in insts]),
         )
 
     @classmethod
@@ -201,20 +196,20 @@ class BatchLayout:
         mu: np.ndarray,
         lam: np.ndarray,
     ) -> "BatchLayout":
-        """Pack raw request columns, running ONE pre-scan for the batch.
+        """Pack raw request columns, checked by ONE call for the batch.
 
         The trace samplers' path: the columns are laid out as
-        :func:`repro.kernels.prescan.prescan_columns` takes them, and
-        that one call checks and pre-scans the whole batch, the same
-        call every :class:`~repro.core.instance.ProblemInstance` makes
-        for itself, so the layout equals :meth:`from_instances`' byte
-        for byte.
+        :func:`repro.kernels.prescan.check_columns` takes them, and that
+        one call refuses the request columns an instance of any item's
+        rows would refuse, with the same message prefixed ``item
+        'name': ``.  Nothing is pre-scanned, so the layout equals
+        :meth:`from_instances`' byte for byte.
         """
         t = np.ascontiguousarray(t, dtype=np.float64)
         srv = np.ascontiguousarray(srv, dtype=np.int64)
         off, mserv = np.asarray(off, dtype=np.int64), np.asarray(mserv, dtype=np.int64)
         mu, lam = np.asarray(mu, dtype=np.float64), np.asarray(lam, dtype=np.float64)
-        p, sigma, _, B = prescan_columns(t, srv, off, mserv, mu, lam, names)
+        check_columns(t, srv, off, mserv, mu, lam, names)
         return cls(
             names=tuple(names),
             off=off,
@@ -225,9 +220,6 @@ class BatchLayout:
             lam=lam,
             t=t,
             srv=srv,
-            p=p,
-            sigma=sigma,
-            B=B,
         )
 
 
@@ -329,10 +321,10 @@ def _load_sweep_lib():
             lib = ctypes.CDLL(_compile_sweep())
             i64, ptr = ctypes.c_int64, ctypes.c_void_p
             fn = lib.repro_batch_sweep
-            fn.restype = i64
-            # n_items, the 11 layout columns, the 5 outputs, the 7
+            fn.restype = None
+            # n_items, the 8 layout columns, the 5 outputs, the 8
             # scratch arrays (see _sweep_c for the order).
-            fn.argtypes = [i64, *[ptr] * 23]
+            fn.argtypes = [i64, *[ptr] * 21]
             step = lib.repro_sc_step
             step.restype = i64
             step.argtypes = [
@@ -370,9 +362,10 @@ def _load_sweep_lib():
             pack.argtypes = [i64, ptr, ptr, ptr, ptr, i64, *[ptr] * 4]
             prescan = lib.repro_prescan
             prescan.restype = i64
-            # items, total, the 4 item and 2 row columns, the 4 outputs,
-            # last, nlast (see prescan._prescan_c).
-            prescan.argtypes = [i64, i64, *[ptr] * 11, i64]
+            # total, m, mu, lam, t, srv, the 4 outputs, last (see
+            # prescan._prescan_c).
+            dbl = ctypes.c_double
+            prescan.argtypes = [i64, i64, dbl, dbl, *[ptr] * 7]
             gaps = lib.repro_profile_gaps
             gaps.restype = i64
             # rows, times, servers, ids, ntab, counts, goff, soff, scap,
@@ -441,17 +434,13 @@ _ITEM_COLUMNS = (
     ("mu", np.float64),
     ("lam", np.float64),
 )
-_ROW_COLUMNS = (
-    ("t", np.float64),
-    ("srv", np.int64),
-    ("p", np.int64),
-    ("sigma", np.float64),
-    ("B", np.float64),
+_ROW_COLUMNS = (("t", np.float64), ("srv", np.int64))
+#: Dtypes of the sweep's per-server registers: open_q, last_t, last_cb,
+#: run_min, run_arg, run_srv, fwd, bwd.  Each holds ``max(mserv)``
+#: slots, shared by every item.
+_SCRATCH = (
+    np.int64, np.float64, np.float64, np.float64, np.int64, np.int64, np.int64, np.int64
 )
-#: Dtypes of the sweep's per-server scratch arrays: open_q, run_min,
-#: run_arg, run_srv, fwd, bwd, listed.  Each holds ``max(mserv)`` slots,
-#: shared by every item.
-_SCRATCH = (np.int64, np.float64, np.int64, np.int64, np.int64, np.int64, np.uint8)
 
 
 def _addr(arr: np.ndarray, dtype, size: int, out: bool = False) -> int:
@@ -540,9 +529,7 @@ def _sweep_python(
     :meth:`~repro.offline.streaming.StreamingSolver.extend`, the DP's
     one Python frontier loop (its class notes give the algorithm and the
     bit-identity argument), and its five result lists are copied into
-    the item's output slices.  The solver computes ``p``, ``σ`` and
-    ``B`` in its registers, so only the layout's ``t`` and ``srv``
-    columns are read.
+    the item's output slices.
     """
     from ..core.types import CostModel
     from ..offline.streaming import StreamingSolver
@@ -616,13 +603,15 @@ def _check_layout(layout: BatchLayout) -> None:
 
     Both sweeps trust them, the C one with raw pointers, so a
     hand-built layout is checked here first, with ``O(total)`` numpy
-    operations: one entry per item in each item column, at least one
-    server and the origin among them, ``μ`` and ``λ`` finite and
-    positive (the cost model's check, which the Python sweep's solvers
-    make too), row slices that pack ``[0, total)`` in order, server ids
-    in ``[0, m)`` and predecessors in ``[-1, local index)``.  The C
-    sweep's scratch arena holds ``max(m)`` slots, so server ids in
-    range keep it in bounds.
+    operations: one entry per item in each item column, between one
+    and :data:`~repro.kernels.prescan.MAX_SERVERS` servers with the
+    origin among them, ``μ`` and ``λ`` finite and positive (the cost
+    model's check, which the Python sweep's solvers make too), row
+    slices that pack ``[0, total)`` in order and server ids in ``[0,
+    m)``.  The C sweep's register arena holds ``max(m)`` slots, so
+    server ids in range keep it in bounds, and the bound on ``m`` keeps
+    one stray fleet size from sizing it; the sweep writes every
+    predecessor index itself.
     """
     items, total = layout.num_items, layout.total
     col = {name: np.asarray(getattr(layout, name)) for name, _ in _ITEM_COLUMNS}
@@ -632,10 +621,9 @@ def _check_layout(layout: BatchLayout) -> None:
                 f"layout column {name!r} has shape {arr.shape}; "
                 f"need ({items},), one entry per item"
             )
-    srv, p = np.asarray(layout.srv)[:total], np.asarray(layout.p)[:total]
-    for name, arr in (("srv", srv), ("p", p)):
-        if arr.shape != (total,):
-            raise ValueError(f"layout column {name!r} needs {total} entries")
+    srv = np.asarray(layout.srv)[:total]
+    if srv.shape != (total,):
+        raise ValueError(f"layout column 'srv' needs {total} entries")
     if items == 0:
         return
 
@@ -645,6 +633,7 @@ def _check_layout(layout: BatchLayout) -> None:
             raise ValueError(f"layout item {layout.names[k]!r}: {what}")
 
     off, nreq, mserv, origin, mu, lam = col.values()
+    refuse(mserv <= MAX_SERVERS, f"need at most {MAX_SERVERS} servers")
     refuse((mserv >= 1) & (origin >= 0) & (origin < mserv), "origin outside [0, m)")
     refuse(
         (mu > 0) & (mu < np.inf) & (lam > 0) & (lam < np.inf),
@@ -655,16 +644,11 @@ def _check_layout(layout: BatchLayout) -> None:
     if int(nreq.sum()) + items != total or not np.array_equal(off, starts):
         raise ValueError(f"layout row slices do not pack [0, {total}) in order")
     # The slices pack the rows in order, so reduceat at their starts
-    # gives per-item extremes.  p(i) < i - off[k] iff p(i) - i < -off[k].
+    # gives per-item extremes.
     refuse(
         (np.minimum.reduceat(srv, starts) >= 0)
         & (np.maximum.reduceat(srv, starts) < mserv),
         "server id outside [0, m)",
-    )
-    refuse(
-        (np.minimum.reduceat(p, starts) >= -1)
-        & (np.maximum.reduceat(p - np.arange(total), starts) < -starts),
-        "predecessor outside [-1, local index)",
     )
 
 

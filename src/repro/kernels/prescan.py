@@ -1,23 +1,28 @@
 """Vectorized pre-scan: request checks, ``p/σ/b/B`` arrays, pivot matrix.
 
-:func:`prescan_columns` is the one check and pre-scan (proof of
-Theorem 2) of request columns: :class:`~repro.core.instance.ProblemInstance`
-calls it on one item and :meth:`~repro.kernels.batch.BatchLayout.from_columns`
-on a packed batch, so both refuse the same inputs with the same messages
-and hold the same bytes.  The reference DP sweep's pivot pointer matrix
-(Fig. 5) is built here too.
+:func:`check_columns` is the one check of packed request columns:
+:meth:`~repro.kernels.batch.BatchLayout.from_columns` runs it on a
+batch, and the numpy pre-scan on the one item of an instance, so both
+refuse the same inputs with the same messages.
+:func:`prescan_columns` checks and pre-scans (proof of Theorem 2) one
+instance's columns for :class:`~repro.core.instance.ProblemInstance`,
+whose ``p``/``σ``/``b``/``B`` arrays the reference DP sweep, the bounds
+and the reductions read.  The batched DP sweep reads none of them: it
+keeps the same values in per-server registers.  The reference DP
+sweep's pivot pointer matrix (Fig. 5) is built here too.
 
-The pre-scan runs in C (``_prescan.c``, one pass per item with a
-per-server last-index scratch) when the compiled kernels are in use
+The pre-scan runs in C (``_prescan.c``, one pass with a per-server
+last-index scratch) when the compiled kernels are in use
 (:func:`repro.kernels.batch.batch_sweep_backend`) and the columns are
 ones whose result provably equals the numpy path's; see
 :func:`_prescan_c` for what it declines.  The numpy path
-(:func:`_prescan_numpy`: a stable ``argsort`` on a :func:`sort_key` to
-group, ``B`` summed per item) is the fallback without a compiler, runs
-every input the C code declines or refuses, raises every message, and
-is the oracle of ``tests/offline/test_prescan_pack.py``.  Everything
-else here is whole-array numpy (``minimum.accumulate`` for the matrix's
-suffix sweep).
+(:func:`_prescan_numpy`: :func:`check_columns`, then a stable
+``argsort`` on a :func:`sort_key` to group and one ``cumsum``) is the
+fallback without a compiler, runs every input the C code declines or
+refuses, raises every message, and is the oracle of
+``tests/offline/test_prescan_pack.py``.  Everything else here is
+whole-array numpy (``minimum.accumulate`` for the matrix's suffix
+sweep).
 
 Functions are array-in/array-out and import :mod:`repro.core` only to
 raise its error, and :mod:`repro.kernels.batch` only when they run (a
@@ -29,7 +34,7 @@ twins below, the executable specification.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
+from typing import List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +42,7 @@ __all__ = [
     "MAX_SERVERS",
     "sort_key",
     "per_server_lists",
+    "check_columns",
     "prescan_columns",
     "build_pivot_matrix",
 ]
@@ -82,7 +88,7 @@ def per_server_lists(servers: np.ndarray, num_servers: int) -> List[np.ndarray]:
     ]
 
 
-def prescan_columns(
+def check_columns(
     t: np.ndarray,
     srv: np.ndarray,
     off: np.ndarray,
@@ -90,22 +96,18 @@ def prescan_columns(
     mu: np.ndarray,
     lam: np.ndarray,
     names: Optional[Sequence[str]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Check packed request columns and pre-scan them: ``(p, sigma, b, B)``.
+) -> None:
+    """The one check of packed request columns.
 
-    ``t`` (float64) and ``srv`` (int64) hold the items back to back:
-    item ``k`` starts at ``off[k]`` with its boundary request ``r_0``, so
-    ``srv[off]`` are the origins; the ``mserv``, ``mu`` and ``lam`` arrays
-    have one entry per item.  Raises
-    :class:`~repro.core.types.InvalidInstanceError`, prefixed ``item
-    'name': `` when ``names`` is given, for ``m < 1`` or ``m >``
-    :data:`MAX_SERVERS` (before anything is sized by ``m``), an origin
-    or server id outside ``[0, m)``, a non-finite time, times that do
-    not strictly increase within an item, or columns not laid out this
-    way.  Returns
-    item-local ``p`` (``-1`` for the dummy ``r_{-j}``), ``sigma``
-    (``inf`` there), ``b = min(λ, μσ)`` (``0`` at each ``r_0``) and its
-    running sum ``B``, restarted per item — the proof of Theorem 2.
+    ``t`` and ``srv`` hold the items back to back: item ``k`` starts at
+    ``off[k]`` with its boundary request ``r_0``, so ``srv[off]`` are
+    the origins; the ``mserv``, ``mu`` and ``lam`` arrays have one entry
+    per item (``mu`` and ``lam`` are checked for their shape only).
+    Raises :class:`~repro.core.types.InvalidInstanceError`, prefixed
+    ``item 'name': `` when ``names`` is given, for columns not laid out
+    this way, ``m < 1`` or ``m >`` :data:`MAX_SERVERS`, an origin or
+    server id outside ``[0, m)``, a non-finite time, or times that do
+    not strictly increase within an item.
     """
 
     def fail(detail: str, k: Optional[int] = None) -> NoReturn:
@@ -132,74 +134,6 @@ def prescan_columns(
     if huge.any():
         k = int(np.argmax(huge))
         fail(f"need at most {MAX_SERVERS} servers, got m={int(mserv[k])}", k)
-    scanned = _prescan_c(t, srv, off, mserv, mu, lam)
-    if scanned is None:
-        scanned = _prescan_numpy(t, srv, off, mserv, mu, lam, fail)
-    return scanned
-
-
-def _prescan_c(
-    t: np.ndarray,
-    srv: np.ndarray,
-    off: np.ndarray,
-    mserv: np.ndarray,
-    mu: np.ndarray,
-    lam: np.ndarray,
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """:func:`prescan_columns` in C (``_prescan.c``), or ``None``.
-
-    ``None`` sends the call to :func:`_prescan_numpy`: on the Python
-    backend, for columns the C code does not take (dtypes other than
-    ``float64``/``int64``, non-contiguous arrays), for ``max(m)`` above
-    the column length (the per-server scratch never outgrows the
-    output, so one huge server id costs no ``O(m)`` memory), and when
-    the C code refuses: at a failed check, so that the numpy body
-    raises the message, and at a ``mu`` or ``lam`` that is NaN or
-    carries a sign bit, where ``np.minimum``'s pick between equal or
-    NaN operands is not pinned.
-    """
-    from . import batch
-
-    if batch._resolve_backend() != "c":
-        return None
-    total, items = t.shape[0], off.shape[0]
-    columns = ((off, np.int64), (mserv, np.int64), (mu, np.float64), (lam, np.float64))
-    rows = ((t, np.float64), (srv, np.int64))
-    if not all(a.dtype == dt and a.flags.c_contiguous for a, dt in columns + rows):
-        return None
-    nlast = max(int(mserv.max()), 0)
-    if nlast > total:
-        return None
-    p = np.empty(total, dtype=np.int64)
-    sigma, b, B = (np.empty(total, dtype=np.float64) for _ in range(3))
-    last = np.empty(nlast, dtype=np.int64)
-    refused = batch._load_sweep_lib().repro_prescan(
-        items,
-        total,
-        *[batch._addr(a, dt, items) for a, dt in columns],
-        *[batch._addr(a, dt, total) for a, dt in rows],
-        batch._addr(p, np.int64, total, out=True),
-        *[batch._addr(a, np.float64, total, out=True) for a in (sigma, b, B)],
-        batch._addr(last, np.int64, nlast, out=True),
-        nlast,
-    )
-    return None if refused else (p, sigma, b, B)
-
-
-def _prescan_numpy(
-    t: np.ndarray,
-    srv: np.ndarray,
-    off: np.ndarray,
-    mserv: np.ndarray,
-    mu: np.ndarray,
-    lam: np.ndarray,
-    fail: Callable[..., NoReturn],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`prescan_columns` in numpy, after its layout check.
-
-    The fallback without a C compiler, the path for every input
-    :func:`_prescan_c` does not take, and its test oracle.
-    """
     total, items = t.shape[0], off.shape[0]
     bounds = off.tolist() + [total]  # item k owns bounds[k]:bounds[k + 1]
     out = (
@@ -233,44 +167,100 @@ def _prescan_numpy(
             k,
         )
 
-    # Group by (item, server): one stable argsort of ``item * M + srv``
-    # keeps time order inside each group (servers are below M now), so
-    # equal neighbours of the gathered key are exactly the
+
+def prescan_columns(
+    t: np.ndarray, srv: np.ndarray, m: int, mu: float, lam: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Check one instance's request columns and pre-scan them: ``(p, sigma, b, B)``.
+
+    ``t`` (float64) and ``srv`` (int64) start with the boundary request
+    ``r_0``, so ``srv[0]`` is the origin; ``m`` is the fleet size and
+    ``mu``, ``lam`` the costs.  Raises what :func:`check_columns` raises
+    for these columns as one item.  Returns ``p`` (``-1`` for the dummy
+    ``r_{-j}``), ``sigma`` (``inf`` there), ``b = min(λ, μσ)`` (``0`` at
+    ``r_0``) and its running sum ``B`` — the proof of Theorem 2.
+    """
+    scanned = _prescan_c(t, srv, m, mu, lam)
+    if scanned is None:
+        scanned = _prescan_numpy(t, srv, m, mu, lam)
+    return scanned
+
+
+def _prescan_c(
+    t: np.ndarray, srv: np.ndarray, m: int, mu: float, lam: float
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`prescan_columns` in C (``_prescan.c``), or ``None``.
+
+    ``None`` sends the call to :func:`_prescan_numpy`: on the Python
+    backend, for columns the C code does not take (anything but
+    equal-length, contiguous 1-D ``float64`` times and ``int64``
+    servers), for ``m`` below 1 or above the column length or
+    :data:`MAX_SERVERS` (the per-server scratch never outgrows the
+    output, so one huge server id costs no ``O(m)`` memory), and when
+    the C code refuses: at a failed check, so that the numpy path raises
+    the message, and at a ``mu`` or ``lam`` that is NaN or carries a sign
+    bit, where ``np.minimum``'s pick between equal or NaN operands is
+    not pinned.
+    """
+    from . import batch
+
+    if batch._resolve_backend() != "c":
+        return None
+    rows = ((t, np.float64), (srv, np.int64))
+    if not (
+        t.ndim == 1
+        and srv.shape == t.shape
+        and all(a.dtype == dt and a.flags.c_contiguous for a, dt in rows)
+        and 1 <= m <= min(t.shape[0], MAX_SERVERS)
+    ):
+        return None
+    total, m = t.shape[0], int(m)
+    p = np.empty(total, dtype=np.int64)
+    sigma, b, B = (np.empty(total, dtype=np.float64) for _ in range(3))
+    last = np.empty(m, dtype=np.int64)
+    refused = batch._load_sweep_lib().repro_prescan(
+        total,
+        m,
+        float(mu),
+        float(lam),
+        *[batch._addr(a, dt, total) for a, dt in rows],
+        batch._addr(p, np.int64, total, out=True),
+        *[batch._addr(a, np.float64, total, out=True) for a in (sigma, b, B)],
+        batch._addr(last, np.int64, m, out=True),
+    )
+    return None if refused else (p, sigma, b, B)
+
+
+def _prescan_numpy(
+    t: np.ndarray, srv: np.ndarray, m: int, mu: float, lam: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`prescan_columns` in numpy, after :func:`check_columns`.
+
+    The fallback without a C compiler, the path for every input
+    :func:`_prescan_c` does not take, and its test oracle.
+    """
+    check_columns(
+        t, srv, np.zeros(1, dtype=np.int64), np.array([m]), np.array([mu]), np.array([lam])
+    )
+    # Group by server: one stable argsort keeps time order inside each
+    # group, so equal neighbours of the gathered key are exactly the
     # (predecessor, successor) pairs.
-    key = srv
-    if items > 1:
-        sizes = np.diff(bounds)
-        key = np.repeat(np.arange(items, dtype=np.int64) * int(mserv.max()), sizes)
-        key += srv
-    key = sort_key(key)
+    key = sort_key(srv)
     order = np.argsort(key, kind="stable")
     ordered = key[order]
     same = ordered[1:] == ordered[:-1]
     del key, ordered
     succ, pred = order[1:][same], order[:-1][same]
-    del order
-    sigma = np.full(total, np.inf)
+    del order, same
+    sigma = np.full(t.shape[0], np.inf)
     sigma[succ] = t[succ] - t[pred]
-    if items > 1:
-        # Sorted positions cover each item's rows in place, so the item
-        # start of a sorted position is that of its row: item-local p.
-        pred -= np.repeat(off, sizes)[1:][same]
-    p = np.full(total, -1, dtype=np.int64)
+    p = np.full(t.shape[0], -1, dtype=np.int64)
     p[succ] = pred
-    del succ, pred, same
-    if items == 1 or ((mu == mu[0]).all() and (lam == lam[0]).all()):
-        mu, lam = mu[0], lam[0]
-    else:
-        mu, lam = np.repeat(mu, sizes), np.repeat(lam, sizes)
+    del succ, pred
     b = np.multiply(mu, sigma)
     np.minimum(lam, b, out=b)
-    b[off] = 0.0
-    # Per-item cumsum, not a segmented global scan: the summation order
-    # of a one-item call, hence the same B bytes in any batch.
-    B = np.empty(total, dtype=np.float64)
-    for lo, hi in zip(bounds, bounds[1:]):
-        np.cumsum(b[lo:hi], out=B[lo:hi])
-    return p, sigma, b, B
+    b[0] = 0.0
+    return p, sigma, b, np.cumsum(b)
 
 
 def build_pivot_matrix(servers: np.ndarray, num_servers: int) -> np.ndarray:

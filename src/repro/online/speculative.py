@@ -164,11 +164,13 @@ class SpeculativeCaching(OnlineAlgorithm):
         :meth:`_copy_floor`: when a simultaneous group would, enough of
         its members survive with extended leases (paper step 4 — the
         lone-copy extension and the source/target tie are the two
-        floor-1 shapes).  A survivor whose window does not move its
-        expiry past ``e`` (``e + W == e``: the clock cannot resolve the
-        window there) would be popped again forever, so that raises
-        ``ValueError``, as does a re-arm more than ``2**32`` base windows
-        short of ``t`` (a drawn window may be tiny), whose chain would
+        floor-1 shapes).  A survivor re-arms with a freshly granted
+        window; one that leaves its expiry at ``e`` (a tiny random draw)
+        is popped again and draws again.  When even the base window
+        does not move the expiry past ``e`` (``e + W == e``: the clock
+        cannot resolve it there), the survivor would be popped again
+        forever, so that raises ``ValueError``, as does a re-arm more
+        than ``2**32`` base windows short of ``t``, whose chain would
         not finish.
         """
         while True:
@@ -195,9 +197,9 @@ class SpeculativeCaching(OnlineAlgorithm):
                 self.rec.counters["extensions"] += 1
                 base = SpeculativeCaching._window(self)
                 for s in keep:
-                    window = self._arm(s, e, flat=True)
-                    if not self.expiry[s] > e:
-                        raise ValueError(_UNRESOLVED_WINDOW.format(window, e))
+                    self._arm(s, e, flat=True)
+                    if not e + base > e:
+                        raise ValueError(_UNRESOLVED_WINDOW.format(base, e))
                     if t - e > base * _MAX_CHAIN:
                         raise ValueError(_ENDLESS_CHAIN.format(base, e, t, _MAX_CHAIN))
 

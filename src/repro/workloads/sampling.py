@@ -39,8 +39,8 @@ error bound:
 Per-item costs mirror the mining semantics of
 ``traces._columns_to_instance`` exactly (stable time sort, min-gap
 sweep, start-time convention) on packed columns, which one
-:meth:`~repro.kernels.batch.BatchLayout.from_columns` call checks and
-pre-scans as instances do, so :func:`solve_trace_costs` is
+:meth:`~repro.kernels.batch.BatchLayout.from_columns` call checks as
+instances are checked, so :func:`solve_trace_costs` is
 bit-identical to ``MultiItemInstance.from_columnar`` +
 ``solve_offline_batch`` — the property tests assert that.  The packing
 runs in C (``kernels/_prescan.c``: a stable counting sort by item id of
@@ -437,7 +437,7 @@ def _pack_numpy(
     ``ids`` are the packed items' ids, ascending; item ``k``'s rows sit
     in time order from ``off[k] + 1``, after its ``r_0`` (start time,
     ``origin``) at ``off[k]``, as
-    :func:`~repro.kernels.prescan.prescan_columns` takes them.  The
+    :func:`~repro.kernels.prescan.check_columns` takes them.  The
     fallback without a C compiler, the path for every input
     :func:`_pack_c` does not take, and its test oracle.
     """

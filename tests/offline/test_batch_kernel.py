@@ -8,7 +8,7 @@ single-item batches, duplicate timestamps across items, and tie-heavy
 integer-gap workloads.  Both sweep backends (compiled C when available,
 the transliterated Python loop always) are held to the same contract,
 and the raw-column packing path must produce the same layout as packing
-pre-scanned instances.
+instances.
 """
 
 import tracemalloc
@@ -28,6 +28,7 @@ from repro.kernels.batch import (
     solve_offline_batch,
 )
 from repro.kernels.online import run_online_vector
+from repro.kernels.prescan import MAX_SERVERS
 from repro.offline.streaming import StreamingSolver
 from repro.workloads import ColumnarTrace
 from repro.workloads.sampling import solve_trace_costs
@@ -287,10 +288,10 @@ class TestBatchLayout:
     @given(items=instance_batches())
     @settings(**_SETTINGS)
     def test_from_columns_matches_from_instances(self, items):
-        # The packed-column pre-scan (one prescan_columns call for the
-        # batch) must reproduce the instances' own one-item pre-scans
-        # bit-for-bit — this is what lets the trace samplers skip
-        # instance construction entirely.
+        # Packing checked raw columns (one check_columns call for the
+        # batch) must give the layout the instances give, bit for bit —
+        # this is what lets the trace samplers skip instance
+        # construction entirely.
         by_inst = BatchLayout.from_instances(items)
         by_cols = BatchLayout.from_columns(
             *_packed(_column_entry(name, inst) for name, inst in items.items())
@@ -305,9 +306,6 @@ class TestBatchLayout:
             "lam",
             "t",
             "srv",
-            "p",
-            "sigma",
-            "B",
         ):
             assert (
                 getattr(by_cols, field).tobytes()
@@ -315,8 +313,7 @@ class TestBatchLayout:
             ), field
 
     def test_from_columns_matches_from_instances_on_wide_keys(self):
-        # Over 256 items and over 256 servers: the (item, server) key
-        # then sorts as uint32, not the uint8/uint16 keys the small
+        # Over 256 items and over 256 servers, beyond what the small
         # hypothesis batches reach.
         rng = np.random.default_rng(11)
         items = {}
@@ -333,7 +330,7 @@ class TestBatchLayout:
         )
         assert by_cols.names == by_inst.names
         assert by_inst.srv.max() > 256
-        for field in ("off", "srv", "p", "sigma", "B"):
+        for field in ("off", "srv"):
             assert (
                 getattr(by_cols, field).tobytes()
                 == getattr(by_inst, field).tobytes()
@@ -434,11 +431,10 @@ class TestBatchLayout:
             ("t", lambda a: a.astype(np.float32), "C kernel needs"),
             ("srv", lambda a: a.astype(np.int32), "C kernel needs"),
             ("mu", lambda a: a.astype(np.float32), "C kernel needs"),
-            ("sigma", lambda a: np.repeat(a, 2)[::2], "C kernel needs"),
             ("off", lambda a: np.repeat(a, 2)[::2], "C kernel needs"),
-            ("B", lambda a: a[:-1], "C kernel needs"),
             ("mu", lambda a: np.append(a, 1.0), "one entry per item"),
             ("mserv", edit(0, 0), "origin outside"),
+            ("mserv", edit(1, MAX_SERVERS + 1), f"need at most {MAX_SERVERS} servers"),
             ("origin", edit(1, 3), "origin outside"),
             ("mu", edit(0, 0.0), "mu and lam must be finite and positive"),
             ("lam", edit(1, np.nan), "mu and lam must be finite and positive"),
@@ -447,18 +443,15 @@ class TestBatchLayout:
             ("nreq", edit(1, 1), "do not pack"),
             ("srv", edit(5, 2**20), "server id outside"),
             ("srv", edit(2, -1), "server id outside"),
-            ("p", edit(5, 1), "predecessor outside"),
-            ("p", edit(2, -2), "predecessor outside"),
         ],
         ids=[
             "float32-t",
             "int32-srv",
             "float32-mu",
-            "strided-sigma",
             "strided-off",
-            "short-B",
             "extra-mu",
             "no-servers",
+            "fleet-above-bound",
             "origin-past-fleet",
             "zero-mu",
             "nan-lam",
@@ -467,15 +460,14 @@ class TestBatchLayout:
             "unpacked-tail",
             "server-past-fleet",
             "negative-server",
-            "predecessor-ahead",
-            "predecessor-below-minus-one",
         ],
     )
     def test_bad_layout_column_rejected_before_c(self, no_c_sweep, field, bad, match):
         # The C sweep takes raw addresses and trusts every offset and
         # index in them: a column of the wrong dtype, a strided
-        # (non-contiguous) one, one that is too short, or a value out
-        # of range must raise ValueError before the library is called.
+        # (non-contiguous) one, or a value out of range must raise
+        # ValueError before the library is called, and a fleet above
+        # MAX_SERVERS before any scratch array is sized by it.
         layout = two_item_layout()
         setattr(layout, field, bad(getattr(layout, field)))
         with backend("c"), pytest.raises(ValueError, match=match):

@@ -6,10 +6,8 @@ compares *bytes*, not ``pytest.approx``.  Three layers:
 * ``solve_offline`` on every sweep backend, its ``kernel="frontier"``
   Python loop, and batched solves vs the reference sweep, including
   tie-heavy integer-gap instances and single-server degenerate cases;
-* the one check and pre-scan of request columns
-  (``prescan_columns``) vs its loop reference twins, one packed
-  multi-item call vs the one-item calls instances make, and the narrow
-  sort keys it groups by;
+* the pre-scan of one instance's request columns (``prescan_columns``)
+  vs its loop reference twins, and the narrow sort keys it groups by;
 * the streaming solver vs the batch solver on the same
   prefix.
 """
@@ -212,40 +210,21 @@ def server_vectors(draw, max_m: int = 6, max_n: int = 40):
     return np.asarray(servers, dtype=np.int64), m
 
 
-def _columns(insts):
-    """``prescan_columns`` arguments packing ``insts`` back to back."""
-    return (
-        np.concatenate([inst.t for inst in insts]),
-        np.concatenate([inst.srv for inst in insts]),
-        np.cumsum([0] + [inst.n + 1 for inst in insts[:-1]]),
-        np.array([inst.num_servers for inst in insts]),
-        np.array([inst.cost.mu for inst in insts]),
-        np.array([inst.cost.lam for inst in insts]),
-    )
-
-
 class TestPrescanVsReferenceTwins:
-    @given(st.lists(server_vectors(), min_size=1, max_size=4))
+    @given(server_vectors())
     @settings(**_SETTINGS)
-    def test_prev_same_server(self, batch):
-        # Items packed back to back (times rise within each): every
-        # item's slice of the item-local p is the per-server loop's.
-        srv = np.concatenate([servers for servers, _ in batch])
-        off = np.cumsum([0] + [servers.shape[0] for servers, _ in batch[:-1]])
-        ones = np.ones(len(batch))
-        p = prescan_columns(
-            np.arange(srv.shape[0], dtype=np.float64),
-            srv,
-            off,
-            np.array([m for _, m in batch]),
-            ones,
-            ones,
-        )[0]
-        for (servers, m), lo in zip(batch, off):
-            ref = prev_same_server_reference(
-                per_server_lists(servers, m), servers.shape[0]
-            )
-            assert p[lo : lo + servers.shape[0]].tobytes() == ref.tobytes()
+    def test_prev_same_server(self, sv):
+        # One instance (times rise): on every backend, p is the
+        # per-server loop's.
+        servers, m = sv
+        times = np.arange(servers.shape[0], dtype=np.float64)
+        ref = prev_same_server_reference(
+            per_server_lists(servers, m), servers.shape[0]
+        )
+        for which in BACKENDS:
+            with backend(which):
+                p = prescan_columns(times, servers, m, 1.0, 1.0)[0]
+            assert p.tobytes() == ref.tobytes()
 
     @given(server_vectors())
     @settings(**_SETTINGS)
@@ -255,19 +234,6 @@ class TestPrescanVsReferenceTwins:
         ref = build_pivot_matrix_reference(servers, m)
         assert fast.shape == ref.shape
         assert fast.tobytes() == ref.tobytes()
-
-    @given(st.lists(instances(), min_size=1, max_size=4))
-    @settings(**_SETTINGS)
-    def test_batch_call_equals_one_item_calls(self, insts):
-        # One packed multi-item call must reproduce, item by item, the
-        # one-item call each instance made for its own arrays.
-        batch = prescan_columns(*_columns(insts))
-        for inst, lo in zip(insts, _columns(insts)[2]):
-            rows = slice(lo, lo + inst.n + 1)
-            one = prescan_columns(*_columns([inst]))
-            own = (inst.p, inst.sigma, inst.b, inst.B)
-            for packed, alone, held in zip(batch, one, own):
-                assert packed[rows].tobytes() == alone.tobytes() == held.tobytes()
 
 
 class TestSortKey:

@@ -6,15 +6,17 @@ its output provably equals the numpy path's; the numpy path runs
 otherwise and is the oracle here.  Every comparison is of bytes, dtypes
 and names, or of the exception type and message:
 
-* ``prescan_columns`` on packed batches with ties at item seams,
-  ``m = 1``, one-row items, ``max(m)`` above the column length,
-  ``mu = 0`` (NaN in ``b``), mixed per-item ``mu``/``lam``, and every
-  refusal;
+* ``prescan_columns`` on one instance with ``m = 1``, one row, ``m``
+  above the column length, ``mu = 0`` (NaN in ``b``) and infinite
+  costs, and every refusal; ``BatchLayout.from_columns`` refuses each
+  fault in a packed batch (ties at item seams, mixed per-item fleets)
+  with the message ``prescan_columns`` raises for that item alone;
 * ``_trace_layout`` on traces with ties, falls, NaN and infinite times,
   masks selecting none, some or all items, empty traces and item ids
   outside the table;
-* on a time-ordered trace the compiled paths take the whole pass, so a
-  silent fallback cannot hide behind a time-ordered benchmark log.
+* on a time-ordered trace the compiled pack takes the whole pass and
+  nothing is pre-scanned, so a silent fallback cannot hide behind a
+  time-ordered benchmark log.
 """
 
 import math
@@ -26,7 +28,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.types import InvalidInstanceError
-from repro.kernels import batch_sweep_backend, prescan
+from repro.kernels import BatchLayout, batch_sweep_backend, prescan
 from repro.kernels.prescan import MAX_SERVERS, prescan_columns
 from repro.workloads import sampling
 from repro.workloads.columnar import ColumnarTrace
@@ -43,10 +45,7 @@ needs_c = pytest.mark.skipif(
     batch_sweep_backend() != "c", reason="no C compiler: the compiled paths cannot run"
 )
 
-_LAYOUT_FIELDS = (
-    "off", "nreq", "mserv", "origin", "mu", "lam",
-    "t", "srv", "p", "sigma", "B",
-)
+_LAYOUT_FIELDS = ("off", "nreq", "mserv", "origin", "mu", "lam", "t", "srv")
 
 
 def outcome(fn, *args):
@@ -67,13 +66,14 @@ def same_arrays(got, want):
 
 
 # ---------------------------------------------------------------------------
-# prescan_columns
+# prescan_columns and check_columns
 # ---------------------------------------------------------------------------
 
 
 @st.composite
-def packed_batches(draw):
-    """``prescan_columns`` arguments: 1-4 items back to back.
+def packed_batches(draw, max_items=4):
+    """``BatchLayout.from_columns`` arguments after the names: 1 to
+    ``max_items`` items back to back.
 
     Each item is its ``r_0`` plus 0-6 requests (so one-row items occur)
     at strictly rising times; an item's ``r_0`` often repeats the time
@@ -81,7 +81,7 @@ def packed_batches(draw):
     ``m`` runs from 1 and sometimes exceeds the column length, and
     ``mu``/``lam`` differ per item, ``mu = 0`` included.
     """
-    items = draw(st.integers(min_value=1, max_value=4))
+    items = draw(st.integers(min_value=1, max_value=max_items))
     t, srv, off, ms, mus, lams = [], [], [], [], [], []
     last = draw(st.sampled_from([0.0, -2.5, 7.0]))
     for _ in range(items):
@@ -121,18 +121,31 @@ def packed_batches(draw):
     )
 
 
-def _scan(args, names=None):
-    return prescan_columns(*args, names)
+def item_columns(columns, k):
+    """Item ``k`` of packed columns as ``prescan_columns`` arguments."""
+    t, srv, off, mserv, mu, lam = columns
+    lo = int(off[k])
+    hi = int(off[k + 1]) if k + 1 < off.shape[0] else t.shape[0]
+    return t[lo:hi], srv[lo:hi], int(mserv[k]), float(mu[k]), float(lam[k])
 
 
-def _scan_on(name, args, names=None):
+#: One instance's ``prescan_columns`` arguments.
+instance_columns = packed_batches(max_items=1).map(lambda c: item_columns(c, 0))
+
+
+def _scan_on(name, args):
     with backend(name):
-        return outcome(_scan, args, names)
+        return outcome(prescan_columns, *args)
+
+
+def _pack_on(name, names, columns):
+    with backend(name):
+        return outcome(BatchLayout.from_columns, names, *columns)
 
 
 class TestPrescanColumns:
     @pytest.mark.parametrize("name", BACKENDS)
-    @given(packed_batches())
+    @given(instance_columns)
     @settings(**_SETTINGS)
     def test_matches_numpy(self, name, args):
         got, want = _scan_on(name, args), _scan_on("python", args)
@@ -140,16 +153,16 @@ class TestPrescanColumns:
         same_arrays(got[1], want[1])
 
     @needs_c
-    @given(packed_batches())
+    @given(instance_columns)
     @settings(**_SETTINGS)
     def test_compiled_path_takes_every_valid_batch(self, args):
-        # Valid columns with max(m) within the column length never fall
+        # Valid columns with m within the column length never fall
         # back: the differential above then compares C against numpy.
-        t, srv, off, mserv, mu, lam = args
+        t, srv, m, mu, lam = args
         with backend("c"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             got = prescan._prescan_c(*args)
-        if mserv.max() <= t.shape[0]:
+        if m <= t.shape[0]:
             assert got is not None
             same_arrays(got, _scan_on("python", args)[1])
         else:
@@ -163,10 +176,12 @@ class TestPrescanColumns:
              "-inf", "tie", "fall"]
         ),
         st.integers(min_value=0, max_value=1000),
-        st.booleans(),
     )
     @settings(**_SETTINGS)
-    def test_refusals_raise_the_numpy_message(self, name, args, fault, where, named):
+    def test_refusals_raise_the_numpy_message(self, name, args, fault, where):
+        # One fault in one item of a packed batch: from_columns refuses
+        # it with the message prescan_columns raises for that item
+        # alone, which the compiled pre-scan leaves to the numpy path.
         t, srv, off, mserv, mu, lam = (a.copy() for a in args)
         items = off.shape[0]
         k = where % items
@@ -188,36 +203,43 @@ class TestPrescanColumns:
             row = max(row, lo + 1)
             t[row] = t[row - 1] if fault == "tie" else t[row - 1] - 0.5
         bad = (t, srv, off, mserv, mu, lam)
-        names = [f"item-{j}" for j in range(items)] if named else None
-        got, want = _scan_on(name, bad, names), _scan_on("python", bad, names)
+        alone = item_columns(bad, k)
+        want = _scan_on("python", alone)
         assert want[:2] == ("raised", InvalidInstanceError)
-        assert got == want
+        assert _scan_on(name, alone) == want
+        names = [f"item-{j}" for j in range(items)]
+        prefixed = want[:2] + (f"item 'item-{k}': " + want[2],)
+        assert _pack_on(name, names, bad) == prefixed
 
     @pytest.mark.parametrize("name", BACKENDS)
     @pytest.mark.parametrize("named", [False, True])
     def test_fleet_above_the_bound_is_refused(self, name, named):
         # Refused before anything is sized by m; m at the bound passes.
+        # Unnamed: one instance; named: item 'b' of a packed batch.
         t = np.arange(4, dtype=np.float64)
         srv = np.array([0, 1, 0, 1], dtype=np.int64)
         off = np.array([0, 2], dtype=np.int64)
         one = np.ones(2)
-        names = ["a", "b"] if named else None
-        at_bound = (t, srv, off, np.array([2, MAX_SERVERS]), one, one)
-        assert _scan_on(name, at_bound, names)[0] == "ok"
-        over = (t, srv, off, np.array([2, MAX_SERVERS + 1]), one, one)
+
+        def outcome_at(m):
+            if named:
+                return _pack_on(name, ["a", "b"], (t, srv, off, np.array([2, m]), one, one))
+            return _scan_on(name, (t, srv, m, 1.0, 1.0))
+
+        assert outcome_at(MAX_SERVERS)[0] == "ok"
         msg = f"need at most {MAX_SERVERS} servers, got m={MAX_SERVERS + 1}"
-        got = _scan_on(name, over, names)
+        got = outcome_at(MAX_SERVERS + 1)
         assert got == ("raised", InvalidInstanceError, ("item 'b': " if named else "") + msg)
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_layout_refusal_is_shared(self, name):
         t = np.arange(4, dtype=np.float64)
         srv = np.zeros(4, dtype=np.int64)
-        one = np.ones(1)
-        bad = (t, srv, np.array([1]), np.array([1]), one, one)
-        got, want = _scan_on(name, bad), _scan_on("python", bad)
-        assert want[:2] == ("raised", InvalidInstanceError)
-        assert got == want
+        for bad in ((t, srv[:3], 1, 1.0, 1.0), (t[:0], srv[:0], 1, 1.0, 1.0)):
+            got, want = _scan_on(name, bad), _scan_on("python", bad)
+            assert want[:2] == ("raised", InvalidInstanceError)
+            assert "packed columns need" in want[2]
+            assert got == want
 
     @pytest.mark.parametrize("name", BACKENDS)
     @pytest.mark.parametrize(
@@ -227,14 +249,7 @@ class TestPrescanColumns:
     def test_unpinned_minimum_operands_take_numpy(self, name, mu, lam):
         # NaN and signed operands leave np.minimum's pick between equal
         # or NaN values unpinned: the compiled path declines them.
-        args = (
-            np.array([0.0, 1.0, 2.0, 4.0]),
-            np.array([0, 1, 0, 1], dtype=np.int64),
-            np.array([0, 2], dtype=np.int64),
-            np.array([2, 2], dtype=np.int64),
-            np.array([1.0, mu]),
-            np.array([lam, 1.0]),
-        )
+        args = (np.array([0.0, 1.0, 2.0, 4.0]), np.array([0, 1, 0, 1]), 2, mu, lam)
         with backend(name):
             assert prescan._prescan_c(*args) is None
         got, want = _scan_on(name, args), _scan_on("python", args)
@@ -242,14 +257,7 @@ class TestPrescanColumns:
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_other_dtypes_take_numpy(self, name):
-        args = (
-            np.array([0.0, 1.0, 2.0]),
-            np.array([0, 1, 0], dtype=np.int32),
-            np.array([0]),
-            np.array([2]),
-            np.array([1.0]),
-            np.array([1.0]),
-        )
+        args = (np.array([0.0, 1.0, 2.0]), np.array([0, 1, 0], dtype=np.int32), 2, 1.0, 1.0)
         with backend(name):
             assert prescan._prescan_c(*args) is None
         same_arrays(_scan_on(name, args)[1], _scan_on("python", args)[1])
@@ -433,10 +441,11 @@ def test_time_ordered_trace_never_takes_numpy(tmp_path, monkeypatch):
         sc = sampling.online_trace_costs(mapped)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the numpy path ran")
+        raise AssertionError("a numpy fallback or a pre-scan ran")
 
     monkeypatch.setattr(sampling, "_pack_numpy", refuse)
     monkeypatch.setattr(prescan, "_prescan_numpy", refuse)
+    monkeypatch.setattr(prescan, "_prescan_c", refuse)  # layouts never pre-scan
     with backend("c"):
         assert sampling.solve_trace_costs(mapped) == opt
         assert sampling.online_trace_costs(mapped) == sc

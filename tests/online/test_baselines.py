@@ -76,12 +76,15 @@ class _Draws:
         return next(self._draws, 0.5)
 
 
-class _TinyFirstExtension(RandomizedTTL):
-    """Draws U = 0.5 for the initial copy, then 1e-9 for its first
-    lone-copy extension (a window of ~1.7e-9 Δt), then 0.5 again."""
+class _Scripted(RandomizedTTL):
+    """RandomizedTTL whose U draws are ``draws`` in turn, then 0.5."""
+
+    def __init__(self, *draws):
+        super().__init__()
+        self._script = draws
 
     def _setup(self):
-        self._rng = _Draws([0.5, 1e-9])
+        self._rng = _Draws(self._script)
         SpeculativeCaching._setup(self)
 
 
@@ -135,7 +138,24 @@ class TestRandomizedTTL:
             num_servers=2,
             cost=CostModel(mu=1.0, lam=1.0),
         )
-        run = _TinyFirstExtension().run(inst)
+        # U = 0.5 for the initial copy, then 1e-9 for its first
+        # lone-copy extension (a window of ~1.7e-9 Δt), then 0.5 again.
+        run = _Scripted(0.5, 1e-9).run(inst)
         assert run.cost == 10003.620114506959
         assert run.counters["extensions"] == 16128
+
+    def test_draw_that_leaves_the_expiry_draws_again(self):
+        # The first lone-copy extension draws U = 0, a window of 0, so
+        # the expiry stays at e.  The copy is popped again and draws
+        # 0.5: the run pays what drawing 0.5 throughout pays, with one
+        # more extension, instead of raising.
+        inst = ProblemInstance.from_arrays(
+            np.array([10.0, 11.0]),
+            np.array([1, 0]),
+            num_servers=2,
+            cost=CostModel(mu=1.0, lam=1.0),
+        )
+        run, steady = _Scripted(0.5, 0.0).run(inst), _Scripted().run(inst)
+        assert run.cost == steady.cost == 13.620114506958277
+        assert run.counters["extensions"] == steady.counters["extensions"] + 1 == 18
         validate_schedule(run.schedule, inst)
