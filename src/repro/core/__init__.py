@@ -1,9 +1,9 @@
-"""Core value types and pre-scanned problem instances.
+"""Core value types and problem instances.
 
 This subpackage hosts the paper's Section III problem notation: requests,
 the homogeneous cost model, schedule atoms, and :class:`ProblemInstance`
-with its O(mn) pre-scan (``p(i)``, ``σ_i``, ``b_i``, ``B_i``, cover-index
-lookup).
+with its O(mn) pre-scan (``p(i)``, ``σ_i``, ``b_i``, ``B_i``, computed
+on first read) and cover-index lookup.
 """
 
 from .._lazy import exports

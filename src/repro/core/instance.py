@@ -2,8 +2,12 @@
 
 A :class:`ProblemInstance` bundles the strictly time-ordered request vector
 ``R = <r_1..r_n>``, the boundary request ``r_0 = (origin, t_0)``, and the
-homogeneous :class:`~repro.core.types.CostModel`.  Construction performs the
-paper's *pre-scan* (proof of Theorem 2): it computes, as flat numpy arrays,
+homogeneous :class:`~repro.core.types.CostModel`.  Construction checks the
+request columns (:func:`repro.kernels.prescan.check_columns`, the check a
+packed batch runs) and keeps only ``t`` and ``srv``.  The paper's
+*pre-scan* (proof of Theorem 2) runs on the first read of any of its
+arrays, one :func:`~repro.kernels.prescan.prescan_columns` call for all
+four, cached and read-only:
 
 * ``p[i]``   — index of the previous request on the same server (``p(i)``),
   with ``-1`` standing in for the dummy requests ``r_{-j} = (s^j, -inf)``;
@@ -12,9 +16,10 @@ paper's *pre-scan* (proof of Theorem 2): it computes, as flat numpy arrays,
 * ``b[i]``   — the marginal cost bound ``b_i = min(λ, μσ_i)`` (Definition 4);
 * ``B[i]``   — the running bound ``B_i = Σ_{j<=i} b_j`` (Definition 5);
 
-The reference DP sweep, the bounds and the reductions read these arrays;
-the batched sweeps compute the same values in per-server registers from
-``t`` and ``srv``.  :meth:`ProblemInstance.cover_set`
+The reference DP sweep, the bounds, the reductions and schedule
+reconstruction read these arrays; the batched sweeps compute the same
+values in per-server registers from ``t`` and ``srv``, so an instance
+they solve is never pre-scanned.  :meth:`ProblemInstance.cover_set`
 answers the cover index set ``π(i)`` of Definition 8 — for every server
 ``s^j``, the request ``k`` on ``s^j`` whose server interval
 ``(t_{p(k)}, t_k]`` contains ``t_{p(i)}`` — through a :class:`PivotLookup`
@@ -28,11 +33,16 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..kernels.prescan import per_server_lists, prescan_columns
+from ..kernels.prescan import (
+    _integer,
+    check_columns,
+    per_server_lists,
+    prescan_columns,
+)
 from .types import CostModel, InvalidInstanceError, Request
 
 __all__ = ["ProblemInstance", "PivotLookup"]
@@ -91,7 +101,7 @@ class PivotLookup:
 
 
 class ProblemInstance:
-    """An immutable, pre-scanned data-caching problem instance.
+    """An immutable data-caching problem instance.
 
     Parameters
     ----------
@@ -112,13 +122,18 @@ class ProblemInstance:
         ``t_0`` of the boundary request ``r_0``; defaults to ``0.0`` and
         must precede ``t_1``.
 
+    Fleet sizes, origins and server ids must be integers (numpy
+    integers included; bools, floats and strings are refused, never
+    truncated or parsed).
+
     Attributes
     ----------
     t, srv:
         Arrays of length ``n+1``; index 0 is ``r_0``.
     p, sigma, b, B:
-        Pre-scan arrays (see module docstring), length ``n+1``; entry 0 is
-        a boundary value (``p[0] = -1``, ``b[0] = B[0] = 0``).
+        Pre-scan arrays (see module docstring), length ``n+1``, computed
+        on first read; entry 0 is a boundary value (``p[0] = -1``,
+        ``b[0] = B[0] = 0``).
     """
 
     def __init__(
@@ -130,16 +145,18 @@ class ProblemInstance:
         start_time: float = 0.0,
     ):
         reqs = [
-            r if isinstance(r, Request) else Request(float(r[0]), int(r[1]))
+            r
+            if isinstance(r, Request)
+            else Request(float(r[0]), _integer(r[1], "server id"))
             for r in requests
         ]
         n = len(reqs)
         t = np.empty(n + 1, dtype=np.float64)
         srv = np.empty(n + 1, dtype=np.int64)
-        t[0], srv[0] = float(start_time), int(origin)
-        for i, r in enumerate(reqs, start=1):
-            t[i], srv[i] = r.time, r.server
-        self._init_arrays(t, srv, num_servers, cost, origin)
+        t[0], srv[0] = float(start_time), _integer(origin, "origin")
+        for i, r in enumerate(reqs, start=1):  # a Request takes any server
+            t[i], srv[i] = r.time, _integer(r.server, "server id")
+        self._init_arrays(t, srv, num_servers, cost)
 
     def _init_arrays(
         self,
@@ -147,30 +164,37 @@ class ProblemInstance:
         srv: np.ndarray,
         num_servers: Optional[int],
         cost: Optional[CostModel],
-        origin: int,
     ) -> None:
-        """Shared tail of construction: validate, pre-scan, freeze.
+        """Shared tail of construction: check and freeze.
 
         ``t``/``srv`` are the full length ``n+1`` arrays including the
-        boundary request ``r_0`` at index 0; both are owned by the
-        instance from here on (callers must pass fresh copies).  The
-        checks and the pre-scan are :func:`prescan_columns`, whose
-        checks are the ones a packed batch runs
-        (:func:`~repro.kernels.prescan.check_columns`); the pre-scan
-        arrays serve the reference DP sweep, the bounds and the
-        reductions.
+        boundary request ``r_0`` at index 0 (``srv[0]`` is the origin);
+        both are owned by the instance from here on (callers must pass
+        fresh copies).  The check is
+        :func:`~repro.kernels.prescan.check_columns` on one item, the
+        check a packed batch runs, so both refuse the same inputs with
+        the same messages.  Nothing is pre-scanned here.
         """
         self.cost = cost if cost is not None else CostModel()
-        self.origin = int(origin)
-        m = int(num_servers) if num_servers is not None else int(srv.max()) + 1
-        self.p, self.sigma, self.b, self.B = prescan_columns(
-            t, srv, m, self.cost.mu, self.cost.lam
+        if num_servers is None:
+            m = int(srv.max()) + 1
+        else:
+            m = _integer(num_servers, "num_servers")
+        check_columns(
+            t,
+            srv,
+            np.zeros(1, dtype=np.int64),
+            np.array([m]),
+            np.array([self.cost.mu]),
+            np.array([self.cost.lam]),
         )
         self.num_servers = m
+        self.origin = int(srv[0])
         self.t = t
         self.srv = srv
         self.n = t.shape[0] - 1
-        self._freeze()
+        t.setflags(write=False)
+        srv.setflags(write=False)
 
     # -- construction helpers ------------------------------------------------
 
@@ -194,7 +218,7 @@ class ProblemInstance:
         request-object path — only the construction cost differs.
         """
         times = np.asarray(times, dtype=np.float64)
-        servers = np.asarray(servers, dtype=np.int64)
+        servers = _integer(np.asarray(servers), "server ids")
         if times.shape != servers.shape:
             raise InvalidInstanceError(
                 f"times and servers must have equal length, got "
@@ -207,22 +231,32 @@ class ProblemInstance:
         n = times.shape[0]
         t = np.empty(n + 1, dtype=np.float64)
         srv = np.empty(n + 1, dtype=np.int64)
-        t[0], srv[0] = float(start_time), int(origin)
+        t[0], srv[0] = float(start_time), _integer(origin, "origin")
         t[1:] = times
         srv[1:] = servers
         self = cls.__new__(cls)
-        self._init_arrays(t, srv, num_servers, cost, origin)
+        self._init_arrays(t, srv, num_servers, cost)
         return self
-
-    def _freeze(self) -> None:
-        for arr in (self.t, self.srv, self.p, self.sigma, self.b, self.B):
-            arr.setflags(write=False)
 
     # -- accessors -----------------------------------------------------------
 
     @cached_property
     def _pivots(self) -> PivotLookup:
         return PivotLookup(self.srv, self.num_servers)
+
+    @cached_property
+    def _prescan(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        scanned = prescan_columns(
+            self.t, self.srv, self.num_servers, self.cost.mu, self.cost.lam
+        )
+        for arr in scanned:
+            arr.setflags(write=False)
+        return scanned
+
+    p = property(lambda self: self._prescan[0], doc="``p(i)`` (``-1``: none).")
+    sigma = property(lambda self: self._prescan[1], doc="``σ_i`` (``inf``: no p(i)).")
+    b = property(lambda self: self._prescan[2], doc="``b_i = min(λ, μσ_i)``.")
+    B = property(lambda self: self._prescan[3], doc="``B_i = Σ_{j<=i} b_j``.")
 
     @property
     def horizon(self) -> float:

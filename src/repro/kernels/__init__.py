@@ -7,11 +7,11 @@ for the interpreter-bound hot loops, each differentially tested
 bit-identical to its reference twin:
 
 * :mod:`repro.kernels.prescan` — the one check of packed request
-  columns, the pre-scan of one instance (``prescan_columns``: ``p``,
-  ``σ``, ``b``, ``B``; compiled C where it provably equals its numpy
-  path, which runs the rest; fleets up to ``MAX_SERVERS``), per-server
-  lists and the reference sweep's pivot matrix, as whole-array numpy
-  operations instead of per-request/per-server Python loops.
+  columns (fleets up to ``MAX_SERVERS``), the pre-scan of one instance
+  (``prescan_columns``: ``p``, ``σ``, ``b``, ``B``, run on an
+  instance's first read of them), per-server lists and the reference
+  sweep's pivot matrix, as whole-array numpy operations instead of
+  per-request/per-server Python loops.
 * :mod:`repro.kernels.batch` — the off-line DP sweep, the one
   production path for whole sequences: per-server monotone pivot
   windows and incrementally maintained running minima, amortised
@@ -35,8 +35,8 @@ bit-identical to its reference twin:
   What ``run_online(kernel="auto")`` runs for plain ``SpeculativeCaching``.
 
 Backends: the batched DP sweep, the SC block step, the CSV block
-scanner, the trace pack and pre-scan, and the profiler's item-major
-pass and LPNF are compiled together into one cached C library, with
+scanner, the trace pack, and the profiler's item-major pass and LPNF
+are compiled together into one cached C library, with
 their Python or numpy paths as the fallback.
 :func:`batch_sweep_backend` names the backend they all run on, and the
 ``REPRO_BATCH_SWEEP`` environment variable (unset, empty, ``auto``,

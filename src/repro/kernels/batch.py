@@ -34,17 +34,16 @@ registers and running sum.
 
 This module also owns the backend choice for the compiled entry
 points: this DP sweep, the SC block step of :mod:`repro.kernels.online`,
-the CSV block scanner of :mod:`repro.workloads.traces`, the pre-scan of
-:func:`repro.kernels.prescan.prescan_columns`, the trace samplers'
-pack (``sampling._pack_c``), and the profiler's item-major pass
-(``profiler._scan_c``) and LPNF (``predictability._lpnf_c``).  Each has
-two interchangeable backends, and one process-wide choice picks the
-backend for all of them:
+the CSV block scanner of :mod:`repro.workloads.traces`, the trace
+samplers' pack (``sampling._pack_c``), and the profiler's item-major
+pass (``profiler._scan_c``) and LPNF (``predictability._lpnf_c``).
+Each has two interchangeable backends, and one process-wide choice
+picks the backend for all of them:
 
 ``"c"``
     ``_batch_sweep.c``, ``_sc_step.c``, ``_csv_scan.c``,
-    ``_prescan.c`` and ``_profile.c``, compiled together on first use
-    with the system C compiler
+    ``_prescan.c`` (the pack) and ``_profile.c``, compiled together on
+    first use with the system C compiler
     (``$CC``/``cc``/``gcc``/``clang``; ``-O2 -fPIC -shared
     -ffp-contract=off``, no fast-math) into one library in a per-user
     cache directory (``$REPRO_KERNEL_CACHE`` or
@@ -57,12 +56,11 @@ backend for all of them:
 ``"python"``
     Pure-Python loops — the executable specifications (for the DP
     sweep, ``StreamingSolver.extend``; for the scanner, the
-    ``csv.reader`` row loop it fronts; for the pre-scan, the pack and
-    the profiler, their numpy paths), and the automatic fallback when no
-    compiler exists or the build fails.  The scanner, the pre-scan, the
-    pack and the profiler's pass take only inputs whose result provably
-    equals their fallback's, which runs on the rest under either
-    backend.
+    ``csv.reader`` row loop it fronts; for the pack and the profiler,
+    their numpy paths), and the automatic fallback when no compiler
+    exists or the build fails.  The scanner, the pack and the
+    profiler's pass take only inputs whose result provably equals their
+    fallback's, which runs on the rest under either backend.
 
 Both sweep backends are bit-identical to each other and to the
 reference sweep on every result field including tie-breaks;
@@ -237,8 +235,7 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 #: The C kernels, built into one library: the DP sweep, the SC step, the
-#: CSV block scanner, the trace pack and pre-scan, and the profiler's
-#: passes.
+#: CSV block scanner, the trace pack, and the profiler's passes.
 _SOURCE_PATHS = tuple(
     os.path.join(os.path.dirname(__file__), name)
     for name in (
@@ -311,8 +308,8 @@ def _load_sweep_lib():
 
     Returns the :class:`ctypes.CDLL` with ``repro_batch_sweep``,
     ``repro_sc_step``, ``repro_csv_scan``, ``repro_pack_count``,
-    ``repro_pack_rows``, ``repro_prescan``, ``repro_profile_gaps``,
-    ``repro_profile_bins``, ``repro_lpnf_work`` and ``repro_lpnf`` typed.
+    ``repro_pack_rows``, ``repro_profile_gaps``, ``repro_profile_bins``,
+    ``repro_lpnf_work`` and ``repro_lpnf`` typed.
     """
     with _lib_lock:
         if _lib_state["loaded"]:
@@ -360,12 +357,6 @@ def _load_sweep_lib():
             pack.restype = i64
             # rows, times, servers, ids, keep, ntab, cursor, end, t, srv.
             pack.argtypes = [i64, ptr, ptr, ptr, ptr, i64, *[ptr] * 4]
-            prescan = lib.repro_prescan
-            prescan.restype = i64
-            # total, m, mu, lam, t, srv, the 4 outputs, last (see
-            # prescan._prescan_c).
-            dbl = ctypes.c_double
-            prescan.argtypes = [i64, i64, dbl, dbl, *[ptr] * 7]
             gaps = lib.repro_profile_gaps
             gaps.restype = i64
             # rows, times, servers, ids, ntab, counts, goff, soff, scap,
@@ -392,8 +383,8 @@ def batch_sweep_backend() -> str:
     """The backend the compiled kernels run on now: ``"c"`` / ``"python"``.
 
     One answer for every compiled entry point: the DP sweep, the SC
-    step, the CSV scanner, the pre-scan, the trace pack, and the
-    profiler's item-major pass and LPNF.  ``REPRO_BATCH_SWEEP``
+    step, the CSV scanner, the trace pack, and the profiler's
+    item-major pass and LPNF.  ``REPRO_BATCH_SWEEP``
     (trimmed, case-insensitive) pins it: unset, empty or ``auto`` picks
     C when the library builds and Python otherwise, ``c`` / ``python``
     pin that backend, and any other value raises ``ValueError`` — a
@@ -695,7 +686,7 @@ def solve_offline_batch(
     Parameters
     ----------
     items:
-        Item name → pre-scanned instance (a
+        Item name → instance (a
         :class:`~repro.service.multi.MultiItemInstance`'s ``items``
         dict), or an iterable of ``(name, instance)`` pairs.
 

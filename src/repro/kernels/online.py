@@ -994,19 +994,18 @@ def run_online_vector(
     instance: "ProblemInstance",
     window_factor: float = 1.0,
     epoch_size: Optional[int] = None,
-    materialize: bool = True,
     algorithm_name: Optional[str] = None,
-) -> Union["OnlineRunResult", OnlineKernelRun]:
+) -> OnlineKernelRun:
     """Run SC/TTL(γ) over one instance on the vector kernel.
 
-    Bit-identical to
+    Returns the raw :class:`OnlineKernelRun` (no recorder/schedule
+    objects); its ``to_result()`` is bit-identical to
     ``run_online(SpeculativeCaching(window_factor, epoch_size), instance)``
-    on every result field.  ``materialize=False`` returns the raw
-    :class:`OnlineKernelRun` (no recorder/schedule objects) for sweeps.
-    ``algorithm_name`` overrides the reported policy name (the engine
-    passes the policy's own ``name`` so a renamed instance round-trips).
+    on every result field.  ``algorithm_name`` overrides the reported
+    policy name (the engine passes the policy's own ``name`` so a
+    renamed instance round-trips).
     """
-    run = _run_item(
+    return _run_item(
         "",
         np.asarray(instance.t, dtype=np.float64),
         np.asarray(instance.srv, dtype=np.int64),
@@ -1018,7 +1017,6 @@ def run_online_vector(
         epoch_size,
         algorithm_name,
     )
-    return run.to_result() if materialize else run
 
 
 def run_online_layout(

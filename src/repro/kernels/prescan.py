@@ -2,33 +2,24 @@
 
 :func:`check_columns` is the one check of packed request columns:
 :meth:`~repro.kernels.batch.BatchLayout.from_columns` runs it on a
-batch, and the numpy pre-scan on the one item of an instance, so both
-refuse the same inputs with the same messages.
-:func:`prescan_columns` checks and pre-scans (proof of Theorem 2) one
-instance's columns for :class:`~repro.core.instance.ProblemInstance`,
-whose ``p``/``σ``/``b``/``B`` arrays the reference DP sweep, the bounds
-and the reductions read.  The batched DP sweep reads none of them: it
-keeps the same values in per-server registers.  The reference DP
-sweep's pivot pointer matrix (Fig. 5) is built here too.
-
-The pre-scan runs in C (``_prescan.c``, one pass with a per-server
-last-index scratch) when the compiled kernels are in use
-(:func:`repro.kernels.batch.batch_sweep_backend`) and the columns are
-ones whose result provably equals the numpy path's; see
-:func:`_prescan_c` for what it declines.  The numpy path
-(:func:`_prescan_numpy`: :func:`check_columns`, then a stable
-``argsort`` on a :func:`sort_key` to group and one ``cumsum``) is the
-fallback without a compiler, runs every input the C code declines or
-refuses, raises every message, and is the oracle of
-``tests/offline/test_prescan_pack.py``.  Everything else here is
-whole-array numpy (``minimum.accumulate`` for the matrix's suffix
-sweep).
+batch and :class:`~repro.core.instance.ProblemInstance` on its one
+item, so both refuse the same inputs with the same messages.
+:func:`_integer` is the one integer rule for the fleet sizes, origins
+and server ids that constructors take, and :func:`_fleet` the check of
+a solver's fleet and origin.  :func:`prescan_columns` is the
+pre-scan (proof of Theorem 2) of one instance's checked columns: a
+stable ``argsort`` on a :func:`sort_key` groups the rows by server and
+one ``cumsum`` sums the bounds.  An instance runs it on the first read
+of its ``p``/``σ``/``b``/``B`` arrays, which the reference DP sweep,
+the bounds, the reductions and schedule reconstruction read; the
+batched DP sweeps keep the same values in per-server registers and
+read none of them.  The reference DP sweep's pivot pointer matrix
+(Fig. 5) is built here too.  Everything here is whole-array numpy
+(``minimum.accumulate`` for the matrix's suffix sweep).
 
 Functions are array-in/array-out and import :mod:`repro.core` only to
-raise its error, and :mod:`repro.kernels.batch` only when they run (a
-server start imports this module but not the compiled kernels);
-``tests/offline/test_kernels.py`` pins them to the ``*_reference`` loop
-twins below, the executable specification.
+raise its error; ``tests/offline/test_kernels.py`` pins them to the
+``*_reference`` loop twins below, the executable specification.
 """
 
 from __future__ import annotations
@@ -51,6 +42,44 @@ __all__ = [
 #: Per-server arrays (the DP sweep's scratch, a profile's server counts)
 #: are sized by ``m``, so one stray server id must not size them.
 MAX_SERVERS = 1 << 20
+
+
+def _integer(value, what: str):
+    """``value`` as an ``int``, or an array of them as ``int64``.
+
+    The one integer rule for fleet sizes, origins and server ids on
+    every construction path: a Python or numpy integer, or an array of
+    any integer dtype, passes; a bool, a float (``2.0`` too) or a string
+    raises :class:`~repro.core.types.InvalidInstanceError` where
+    ``int()`` would truncate or parse it.  An empty array passes
+    whatever its dtype.  Ranges are the caller's check.
+    """
+    from ..core.types import InvalidInstanceError
+
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iu" or value.size == 0:
+            return value.astype(np.int64, copy=False)
+        raise InvalidInstanceError(f"{what} must be integers, got dtype {value.dtype}")
+    if value.__class__ is not int and not isinstance(value, np.integer):
+        raise InvalidInstanceError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
+def _fleet(num_servers, origin) -> Tuple[int, int]:
+    """``(m, origin)`` of a solver's fleet, as ``int``.
+
+    Raises :class:`~repro.core.types.InvalidInstanceError`, naming the
+    argument, unless both are integers (:func:`_integer`) with
+    ``1 <= m <=`` :data:`MAX_SERVERS` and ``0 <= origin < m``.
+    """
+    from ..core.types import InvalidInstanceError
+
+    m, origin = _integer(num_servers, "num_servers"), _integer(origin, "origin")
+    if not 1 <= m <= MAX_SERVERS:
+        raise InvalidInstanceError(f"num_servers must be in [1, {MAX_SERVERS}], got {m}")
+    if not 0 <= origin < m:
+        raise InvalidInstanceError(f"origin {origin} outside [0, {m})")
+    return m, origin
 
 
 def sort_key(values: np.ndarray) -> np.ndarray:
@@ -102,12 +131,13 @@ def check_columns(
     ``t`` and ``srv`` hold the items back to back: item ``k`` starts at
     ``off[k]`` with its boundary request ``r_0``, so ``srv[off]`` are
     the origins; the ``mserv``, ``mu`` and ``lam`` arrays have one entry
-    per item (``mu`` and ``lam`` are checked for their shape only).
-    Raises :class:`~repro.core.types.InvalidInstanceError`, prefixed
-    ``item 'name': `` when ``names`` is given, for columns not laid out
-    this way, ``m < 1`` or ``m >`` :data:`MAX_SERVERS`, an origin or
-    server id outside ``[0, m)``, a non-finite time, or times that do
-    not strictly increase within an item.
+    per item.  Raises :class:`~repro.core.types.InvalidInstanceError`,
+    prefixed ``item 'name': `` when ``names`` is given, for columns not
+    laid out this way, a ``mu`` or ``lam`` that is not finite and
+    positive (with :class:`~repro.core.types.CostModel`'s message),
+    ``m < 1`` or ``m >`` :data:`MAX_SERVERS`, an origin or server id
+    outside ``[0, m)``, a non-finite time, or times that do not strictly
+    increase within an item.
     """
 
     def fail(detail: str, k: Optional[int] = None) -> NoReturn:
@@ -130,6 +160,12 @@ def check_columns(
             f"and servers (shapes {t.shape}, {srv.shape}), offsets rising "
             f"from 0 below that length and one m, mu, lam (and name) per item"
         )
+    # np.minimum and np.maximum propagate NaN, which fails both tests.
+    priced = (np.minimum(mu, lam) > 0) & (np.maximum(mu, lam) < np.inf)
+    if not priced.all():
+        k = int(np.argmin(priced))
+        name, cost = ("mu", mu[k]) if not 0 < mu[k] < np.inf else ("lam", lam[k])
+        fail(f"{name} must be a finite positive float, got {float(cost)}", k)
     huge = mserv > MAX_SERVERS
     if huge.any():
         k = int(np.argmax(huge))
@@ -171,77 +207,15 @@ def check_columns(
 def prescan_columns(
     t: np.ndarray, srv: np.ndarray, m: int, mu: float, lam: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Check one instance's request columns and pre-scan them: ``(p, sigma, b, B)``.
+    """Pre-scan one instance's request columns: ``(p, sigma, b, B)``.
 
     ``t`` (float64) and ``srv`` (int64) start with the boundary request
-    ``r_0``, so ``srv[0]`` is the origin; ``m`` is the fleet size and
-    ``mu``, ``lam`` the costs.  Raises what :func:`check_columns` raises
-    for these columns as one item.  Returns ``p`` (``-1`` for the dummy
-    ``r_{-j}``), ``sigma`` (``inf`` there), ``b = min(λ, μσ)`` (``0`` at
-    ``r_0``) and its running sum ``B`` — the proof of Theorem 2.
+    ``r_0`` and are columns :func:`check_columns` accepts as one item
+    with fleet size ``m`` and costs ``mu``, ``lam``; nothing is checked
+    again here.  Returns ``p`` (``-1`` for the dummy ``r_{-j}``),
+    ``sigma`` (``inf`` there), ``b = min(λ, μσ)`` (``0`` at ``r_0``) and
+    its running sum ``B`` — the proof of Theorem 2.
     """
-    scanned = _prescan_c(t, srv, m, mu, lam)
-    if scanned is None:
-        scanned = _prescan_numpy(t, srv, m, mu, lam)
-    return scanned
-
-
-def _prescan_c(
-    t: np.ndarray, srv: np.ndarray, m: int, mu: float, lam: float
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """:func:`prescan_columns` in C (``_prescan.c``), or ``None``.
-
-    ``None`` sends the call to :func:`_prescan_numpy`: on the Python
-    backend, for columns the C code does not take (anything but
-    equal-length, contiguous 1-D ``float64`` times and ``int64``
-    servers), for ``m`` below 1 or above the column length or
-    :data:`MAX_SERVERS` (the per-server scratch never outgrows the
-    output, so one huge server id costs no ``O(m)`` memory), and when
-    the C code refuses: at a failed check, so that the numpy path raises
-    the message, and at a ``mu`` or ``lam`` that is NaN or carries a sign
-    bit, where ``np.minimum``'s pick between equal or NaN operands is
-    not pinned.
-    """
-    from . import batch
-
-    if batch._resolve_backend() != "c":
-        return None
-    rows = ((t, np.float64), (srv, np.int64))
-    if not (
-        t.ndim == 1
-        and srv.shape == t.shape
-        and all(a.dtype == dt and a.flags.c_contiguous for a, dt in rows)
-        and 1 <= m <= min(t.shape[0], MAX_SERVERS)
-    ):
-        return None
-    total, m = t.shape[0], int(m)
-    p = np.empty(total, dtype=np.int64)
-    sigma, b, B = (np.empty(total, dtype=np.float64) for _ in range(3))
-    last = np.empty(m, dtype=np.int64)
-    refused = batch._load_sweep_lib().repro_prescan(
-        total,
-        m,
-        float(mu),
-        float(lam),
-        *[batch._addr(a, dt, total) for a, dt in rows],
-        batch._addr(p, np.int64, total, out=True),
-        *[batch._addr(a, np.float64, total, out=True) for a in (sigma, b, B)],
-        batch._addr(last, np.int64, m, out=True),
-    )
-    return None if refused else (p, sigma, b, B)
-
-
-def _prescan_numpy(
-    t: np.ndarray, srv: np.ndarray, m: int, mu: float, lam: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`prescan_columns` in numpy, after :func:`check_columns`.
-
-    The fallback without a C compiler, the path for every input
-    :func:`_prescan_c` does not take, and its test oracle.
-    """
-    check_columns(
-        t, srv, np.zeros(1, dtype=np.int64), np.array([m]), np.array([mu]), np.array([lam])
-    )
     # Group by server: one stable argsort keeps time order inside each
     # group, so equal neighbours of the gathered key are exactly the
     # (predecessor, successor) pairs.

@@ -35,6 +35,7 @@ import numpy as np
 
 from ..core.instance import ProblemInstance
 from ..core.types import CostModel, InvalidInstanceError
+from ..kernels.prescan import _fleet, _integer
 from .result import FROM_C, FROM_D, OfflineResult
 
 __all__ = ["StreamingSolver"]
@@ -94,7 +95,7 @@ class StreamingSolver:
     Parameters
     ----------
     num_servers:
-        Fleet size ``m``.
+        Fleet size ``m``, an integer in ``[1, MAX_SERVERS]``.
     cost:
         Homogeneous cost model.
     origin:
@@ -110,13 +111,8 @@ class StreamingSolver:
         origin: int = 0,
         start_time: float = 0.0,
     ):
-        if num_servers <= 0:
-            raise InvalidInstanceError(f"need m >= 1, got {num_servers}")
-        if not 0 <= origin < num_servers:
-            raise InvalidInstanceError(
-                f"origin {origin} outside [0, {num_servers})"
-            )
-        self.m = m = num_servers
+        m, origin = _fleet(num_servers, origin)
+        self.m = m
         self.cost = cost if cost is not None else CostModel()
         self.origin = origin
         start_time = float(start_time)
@@ -194,11 +190,7 @@ class StreamingSolver:
                         else f"append time must be finite, got {time}"
                     )
                 if server.__class__ is not int:
-                    if not isinstance(server, np.integer):
-                        raise InvalidInstanceError(
-                            f"server {server!r} is not an integer in [0, {m})"
-                        )
-                    server = int(server)
+                    server = _integer(server, "server")
                 if not 0 <= server < m:
                     raise InvalidInstanceError(f"server {server} outside [0, {m})")
                 q = last[server]

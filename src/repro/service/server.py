@@ -87,6 +87,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..core.types import CostModel, InvalidInstanceError
+from ..kernels.prescan import _fleet
 from ..offline.streaming import StreamingSolver
 from ..runtime.digest import digest_value
 from ..runtime.journal import (
@@ -299,6 +300,11 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
+        # What every shard's solvers would refuse is refused here, before
+        # a request arrives, naming the field: the fleet check of
+        # StreamingSolver and the cost check of CostModel.
+        _fleet(self.num_servers, self.origin)
+        self.cost
         if self.owned_shards is not None:
             owned = tuple(sorted(set(int(s) for s in self.owned_shards)))
             if not owned:

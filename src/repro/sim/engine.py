@@ -383,7 +383,7 @@ def run_online(
             window_factor=window_factor,
             epoch_size=epoch_size,
             algorithm_name=name,
-        )
+        ).to_result()
     driver = ReplayDriver(algorithm, instance)
     while not driver.done:
         driver.step()

@@ -6,9 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro import CostModel, InvalidInstanceError, ProblemInstance, Request
+from repro import (
+    InvalidInstanceError,
+    ProblemInstance,
+    Request,
+    SpeculativeCaching,
+    run_online,
+    solve_offline,
+)
+from repro.core import instance as instance_module
 from repro.core.instance import PivotLookup, _check_boundary_consistency
+from repro.kernels import batch, solve_offline_batch
 from repro.kernels.prescan import build_pivot_matrix
+from repro.offline.streaming import StreamingSolver
+from repro.service.multi import MultiItemInstance, solve_offline_multi
+from repro.workloads.columnar import ColumnarTrace
 
 from ..conftest import instances, make_instance
 
@@ -81,8 +93,12 @@ class TestConstruction:
 
     def test_arrays_are_frozen(self):
         inst = make_instance([1.0], [0], m=1)
-        with pytest.raises(ValueError):
-            inst.t[0] = 99.0
+        for name in ("t", "srv", "p", "sigma", "b", "B"):
+            with pytest.raises(ValueError):
+                getattr(inst, name)[0] = 99
+        for name in ("p", "sigma", "b", "B"):
+            with pytest.raises(AttributeError):
+                setattr(inst, name, inst.t)
 
 
 class TestPreScan:
@@ -234,3 +250,120 @@ class TestPropertyBased:
             ks = inst.cover_set(i)
             assert len(ks) <= inst.num_servers
             assert len(set(ks)) == len(ks)
+
+
+#: The three constructors that take a fleet size and an origin, called
+#: with two requests on servers ``(1, 0)`` (StreamingSolver takes none).
+CONSTRUCTORS = {
+    "init": lambda servers=(1, 0), **kw: ProblemInstance(
+        [(1.0 + i, s) for i, s in enumerate(servers)], **kw
+    ),
+    "from_arrays": lambda servers=(1, 0), **kw: ProblemInstance.from_arrays(
+        np.arange(1.0, len(servers) + 1), servers, **kw
+    ),
+    "streaming": lambda **kw: StreamingSolver(kw.pop("num_servers", 2), **kw),
+}
+
+
+class TestIntegerRule:
+    """Fleet sizes, origins and server ids are integers or refused:
+    ``int()`` would truncate ``2.9`` to 2, ``True`` to 1 and parse
+    ``"1"``."""
+
+    @pytest.mark.parametrize("how", sorted(CONSTRUCTORS))
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("num_servers", 3.7),
+            ("num_servers", 3.0),
+            ("num_servers", True),
+            ("num_servers", "3"),
+            ("origin", 0.9),
+            ("origin", 1.0),
+            ("origin", True),
+            ("origin", "0"),
+        ],
+    )
+    def test_fleet_and_origin(self, how, field, bad):
+        kw = {"num_servers": 3, "origin": 0, field: bad}
+        with pytest.raises(InvalidInstanceError, match=f"{field} .* not an integer"):
+            CONSTRUCTORS[how](**kw)
+
+    @pytest.mark.parametrize("how", ["init", "from_arrays"])
+    @pytest.mark.parametrize(
+        "servers",
+        [(2.9, 0.0), (1.0, 0.0), (True, False), ("1", "0")],
+        ids=["float", "integral-float", "bool", "str"],
+    )
+    def test_server_ids(self, how, servers):
+        with pytest.raises(InvalidInstanceError, match="server id"):
+            CONSTRUCTORS[how](servers=servers, num_servers=3)
+
+    @pytest.mark.parametrize("how", sorted(CONSTRUCTORS))
+    def test_numpy_integers_pass(self, how):
+        kw = {"num_servers": np.uint8(3), "origin": np.int32(1)}
+        if how != "streaming":
+            kw["servers"] = np.array([2, 0], dtype=np.int16)
+        built = CONSTRUCTORS[how](**kw)
+        if how == "streaming":
+            assert (built.m, built.origin) == (3, 1)
+        else:
+            assert (built.num_servers, built.origin) == (3, 1)
+            assert type(built.num_servers) is int and type(built.origin) is int
+            assert built.srv.tolist() == [1, 2, 0]
+
+    def test_streaming_fleet_bound(self):
+        # Its own instance() refuses m above MAX_SERVERS, so the solver
+        # must not accept appends first.
+        with pytest.raises(InvalidInstanceError, match="1048576"):
+            StreamingSolver(2**20 + 1)
+        assert StreamingSolver(2**20).m == 2**20
+
+
+class TestLazyPreScan:
+    def test_production_paths_never_prescan(self, monkeypatch):
+        # Building instances and solving or serving them runs neither the
+        # pre-scan nor (building) the compiled library: only the
+        # reference sweep, the bounds, the reductions and schedule
+        # reconstruction read p/sigma/b/B.
+        def refuse(*args, **kwargs):
+            raise AssertionError("pre-scanned")
+
+        monkeypatch.setattr(instance_module, "prescan_columns", refuse)
+        load = batch._load_sweep_lib
+        monkeypatch.setattr(batch, "_load_sweep_lib", refuse)
+        times, servers = [1.0, 2.0, 3.5, 4.0], [1, 0, 1, 2]
+        ss = StreamingSolver(3)
+        ss.extend(zip(times, servers))
+        trace = ColumnarTrace(
+            np.array(times), np.array(servers), np.full(4, -1), np.array([0, 1, 0, 1]), "ab"
+        )
+        built = [
+            ProblemInstance(list(zip(times, servers))),
+            ProblemInstance.from_arrays(times, servers),
+            ss.instance(),
+        ]
+        service = MultiItemInstance.from_columnar(trace)
+        monkeypatch.setattr(batch, "_load_sweep_lib", load)
+        for inst in built:
+            assert solve_offline(inst).optimal_cost == ss.optimal_cost
+            run_online(SpeculativeCaching(), inst)
+        solve_offline_batch({"x": built[0], "y": built[1]})
+        solve_offline_multi(service)
+        for inst in [*built, *service.items.values()]:
+            with pytest.raises(AssertionError, match="pre-scanned"):
+                inst.p
+
+    def test_first_read_caches_all_four(self, monkeypatch):
+        inst = make_instance([1.0, 2.0, 3.0], [1, 0, 1], m=2)
+        calls = []
+        scan = instance_module.prescan_columns
+
+        def counting(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(instance_module, "prescan_columns", counting)
+        assert inst.running_bound() == inst.B[-1]
+        assert (inst.p.tolist(), inst.sigma[1], inst.b[0]) == ([-1, -1, 0, 1], math.inf, 0.0)
+        assert len(calls) == 1

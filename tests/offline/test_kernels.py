@@ -49,7 +49,7 @@ BACKENDS = ("python", "c") if batch_sweep_backend() == "c" else ("python",)
 @contextmanager
 def backend(name):
     """Pin the compiled kernels' backend (DP sweep, SC step, CSV scanner,
-    trace pack and pre-scan) for the block, through
+    trace pack and profiler) for the block, through
     ``REPRO_BATCH_SWEEP`` — the only switch there is.
 
     A context manager rather than the ``monkeypatch`` fixture, which
@@ -214,17 +214,14 @@ class TestPrescanVsReferenceTwins:
     @given(server_vectors())
     @settings(**_SETTINGS)
     def test_prev_same_server(self, sv):
-        # One instance (times rise): on every backend, p is the
-        # per-server loop's.
+        # One instance (times rise): p is the per-server loop's.
         servers, m = sv
         times = np.arange(servers.shape[0], dtype=np.float64)
         ref = prev_same_server_reference(
             per_server_lists(servers, m), servers.shape[0]
         )
-        for which in BACKENDS:
-            with backend(which):
-                p = prescan_columns(times, servers, m, 1.0, 1.0)[0]
-            assert p.tobytes() == ref.tobytes()
+        p = prescan_columns(times, servers, m, 1.0, 1.0)[0]
+        assert p.tobytes() == ref.tobytes()
 
     @given(server_vectors())
     @settings(**_SETTINGS)

@@ -1,16 +1,16 @@
-"""Differential suite for the compiled trace pack and pre-scan.
+"""Differential suite for the compiled trace pack, and the one check.
 
-``prescan_columns`` and the trace samplers' ``_trace_layout`` each have
-a compiled path (``kernels/_prescan.c``) that takes an input only when
-its output provably equals the numpy path's; the numpy path runs
-otherwise and is the oracle here.  Every comparison is of bytes, dtypes
-and names, or of the exception type and message:
+The trace samplers' ``_trace_layout`` has a compiled pack
+(``kernels/_prescan.c``) that takes an input only when its output
+provably equals the numpy path's; the numpy path runs otherwise and is
+the oracle here.  Every comparison is of bytes, dtypes and names, or of
+the exception type and message:
 
-* ``prescan_columns`` on one instance with ``m = 1``, one row, ``m``
-  above the column length, ``mu = 0`` (NaN in ``b``) and infinite
-  costs, and every refusal; ``BatchLayout.from_columns`` refuses each
-  fault in a packed batch (ties at item seams, mixed per-item fleets)
-  with the message ``prescan_columns`` raises for that item alone;
+* ``check_columns``, the one check of packed request columns:
+  ``BatchLayout.from_columns`` refuses each fault in a packed batch
+  (ties at item seams, mixed per-item fleets, a ``mu`` or ``lam`` that
+  is zero, negative, NaN or infinite) with the message that the
+  one-item check raises for that item alone;
 * ``_trace_layout`` on traces with ties, falls, NaN and infinite times,
   masks selecting none, some or all items, empty traces and item ids
   outside the table;
@@ -27,9 +27,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.types import InvalidInstanceError
+from repro.core.types import CostModel, InvalidInstanceError
 from repro.kernels import BatchLayout, batch_sweep_backend, prescan
-from repro.kernels.prescan import MAX_SERVERS, prescan_columns
+from repro.kernels.prescan import MAX_SERVERS, check_columns
 from repro.workloads import sampling
 from repro.workloads.columnar import ColumnarTrace
 
@@ -51,7 +51,7 @@ _LAYOUT_FIELDS = ("off", "nreq", "mserv", "origin", "mu", "lam", "t", "srv")
 def outcome(fn, *args):
     """``("ok", result)`` or ``("raised", type, message)`` of one call."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # 0 * inf in numpy
+        warnings.simplefilter("ignore", RuntimeWarning)  # NaN and ±inf times
         try:
             return ("ok", fn(*args))
         except (InvalidInstanceError, ValueError, IndexError) as exc:
@@ -66,7 +66,7 @@ def same_arrays(got, want):
 
 
 # ---------------------------------------------------------------------------
-# prescan_columns and check_columns
+# check_columns
 # ---------------------------------------------------------------------------
 
 
@@ -79,7 +79,7 @@ def packed_batches(draw, max_items=4):
     at strictly rising times; an item's ``r_0`` often repeats the time
     of the item before it (a tie at the seam, which the check skips).
     ``m`` runs from 1 and sometimes exceeds the column length, and
-    ``mu``/``lam`` differ per item, ``mu = 0`` included.
+    ``mu``/``lam`` differ per item.
     """
     items = draw(st.integers(min_value=1, max_value=max_items))
     t, srv, off, ms, mus, lams = [], [], [], [], [], []
@@ -109,8 +109,8 @@ def packed_batches(draw, max_items=4):
         )
         last = t[-1]
         ms.append(m)
-        mus.append(draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf])))
-        lams.append(draw(st.sampled_from([0.0, 0.25, 1.0, 4.0, math.inf])))
+        mus.append(draw(st.sampled_from([0.5, 1.0, 2.0])))
+        lams.append(draw(st.sampled_from([0.25, 1.0, 4.0])))
     return (
         np.array(t, dtype=np.float64),
         np.array(srv, dtype=np.int64),
@@ -122,20 +122,22 @@ def packed_batches(draw, max_items=4):
 
 
 def item_columns(columns, k):
-    """Item ``k`` of packed columns as ``prescan_columns`` arguments."""
+    """Item ``k`` of packed columns as ``(t, srv, m, mu, lam)``."""
     t, srv, off, mserv, mu, lam = columns
     lo = int(off[k])
     hi = int(off[k + 1]) if k + 1 < off.shape[0] else t.shape[0]
     return t[lo:hi], srv[lo:hi], int(mserv[k]), float(mu[k]), float(lam[k])
 
 
-#: One instance's ``prescan_columns`` arguments.
-instance_columns = packed_batches(max_items=1).map(lambda c: item_columns(c, 0))
+def check_alone(t, srv, m, mu, lam):
+    """``check_columns`` on one item, as an instance runs it."""
+    one = np.zeros(1, dtype=np.int64)
+    check_columns(t, srv, one, np.array([m]), np.array([mu]), np.array([lam]))
 
 
-def _scan_on(name, args):
+def _check_on(name, args):
     with backend(name):
-        return outcome(prescan_columns, *args)
+        return outcome(check_alone, *args)
 
 
 def _pack_on(name, names, columns):
@@ -143,45 +145,26 @@ def _pack_on(name, names, columns):
         return outcome(BatchLayout.from_columns, names, *columns)
 
 
+#: Costs that are not finite and positive, each a refusal fault.
+_BAD_COSTS = {"0": 0.0, "neg": -1.5, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
 class TestPrescanColumns:
-    @pytest.mark.parametrize("name", BACKENDS)
-    @given(instance_columns)
-    @settings(**_SETTINGS)
-    def test_matches_numpy(self, name, args):
-        got, want = _scan_on(name, args), _scan_on("python", args)
-        assert got[0] == want[0] == "ok"
-        same_arrays(got[1], want[1])
-
-    @needs_c
-    @given(instance_columns)
-    @settings(**_SETTINGS)
-    def test_compiled_path_takes_every_valid_batch(self, args):
-        # Valid columns with m within the column length never fall
-        # back: the differential above then compares C against numpy.
-        t, srv, m, mu, lam = args
-        with backend("c"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            got = prescan._prescan_c(*args)
-        if m <= t.shape[0]:
-            assert got is not None
-            same_arrays(got, _scan_on("python", args)[1])
-        else:
-            assert got is None
-
     @pytest.mark.parametrize("name", BACKENDS)
     @given(
         packed_batches(),
         st.sampled_from(
             ["m0", "m-1", "origin", "server-high", "server-low", "nan", "inf",
              "-inf", "tie", "fall"]
+            + [f"{cost}={bad}" for cost in ("mu", "lam") for bad in _BAD_COSTS]
         ),
         st.integers(min_value=0, max_value=1000),
     )
     @settings(**_SETTINGS)
     def test_refusals_raise_the_numpy_message(self, name, args, fault, where):
         # One fault in one item of a packed batch: from_columns refuses
-        # it with the message prescan_columns raises for that item
-        # alone, which the compiled pre-scan leaves to the numpy path.
+        # it with the message the one-item check raises for that item
+        # alone (for a cost, CostModel's message).
         t, srv, off, mserv, mu, lam = (a.copy() for a in args)
         items = off.shape[0]
         k = where % items
@@ -198,15 +181,22 @@ class TestPrescanColumns:
             srv[row] = -1 - where % 3
         elif fault in ("nan", "inf", "-inf"):
             t[row] = float(fault)
+        elif "=" in fault:
+            cost, bad = fault.split("=")
+            (mu if cost == "mu" else lam)[k] = _BAD_COSTS[bad]
         else:
             assume(hi - lo > 1)
             row = max(row, lo + 1)
             t[row] = t[row - 1] if fault == "tie" else t[row - 1] - 0.5
         bad = (t, srv, off, mserv, mu, lam)
         alone = item_columns(bad, k)
-        want = _scan_on("python", alone)
+        want = _check_on("python", alone)
         assert want[:2] == ("raised", InvalidInstanceError)
-        assert _scan_on(name, alone) == want
+        assert _check_on(name, alone) == want
+        if "=" in fault:
+            with pytest.raises(ValueError) as refused:
+                CostModel(mu=alone[3], lam=alone[4])
+            assert want[2] == str(refused.value)
         names = [f"item-{j}" for j in range(items)]
         prefixed = want[:2] + (f"item 'item-{k}': " + want[2],)
         assert _pack_on(name, names, bad) == prefixed
@@ -224,7 +214,7 @@ class TestPrescanColumns:
         def outcome_at(m):
             if named:
                 return _pack_on(name, ["a", "b"], (t, srv, off, np.array([2, m]), one, one))
-            return _scan_on(name, (t, srv, m, 1.0, 1.0))
+            return _check_on(name, (t, srv, m, 1.0, 1.0))
 
         assert outcome_at(MAX_SERVERS)[0] == "ok"
         msg = f"need at most {MAX_SERVERS} servers, got m={MAX_SERVERS + 1}"
@@ -236,7 +226,7 @@ class TestPrescanColumns:
         t = np.arange(4, dtype=np.float64)
         srv = np.zeros(4, dtype=np.int64)
         for bad in ((t, srv[:3], 1, 1.0, 1.0), (t[:0], srv[:0], 1, 1.0, 1.0)):
-            got, want = _scan_on(name, bad), _scan_on("python", bad)
+            got, want = _check_on(name, bad), _check_on("python", bad)
             assert want[:2] == ("raised", InvalidInstanceError)
             assert "packed columns need" in want[2]
             assert got == want
@@ -247,20 +237,18 @@ class TestPrescanColumns:
         [(math.nan, 1.0), (1.0, math.nan), (-0.0, 1.0), (1.0, -0.0), (-1.0, 2.0), (1.0, -2.0)],
     )
     def test_unpinned_minimum_operands_take_numpy(self, name, mu, lam):
-        # NaN and signed operands leave np.minimum's pick between equal
-        # or NaN values unpinned: the compiled path declines them.
+        # NaN and signed costs, where np.minimum's pick between equal or
+        # NaN operands is not pinned, never reach a pre-scan: the numpy
+        # check refuses them, alone and in a batch, with CostModel's
+        # message.
         args = (np.array([0.0, 1.0, 2.0, 4.0]), np.array([0, 1, 0, 1]), 2, mu, lam)
-        with backend(name):
-            assert prescan._prescan_c(*args) is None
-        got, want = _scan_on(name, args), _scan_on("python", args)
-        same_arrays(got[1], want[1])
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_other_dtypes_take_numpy(self, name):
-        args = (np.array([0.0, 1.0, 2.0]), np.array([0, 1, 0], dtype=np.int32), 2, 1.0, 1.0)
-        with backend(name):
-            assert prescan._prescan_c(*args) is None
-        same_arrays(_scan_on(name, args)[1], _scan_on("python", args)[1])
+        with pytest.raises(ValueError) as refused:
+            CostModel(mu=mu, lam=lam)
+        assert _check_on(name, args) == ("raised", InvalidInstanceError, str(refused.value))
+        packed = (args[0], args[1], np.zeros(1), np.array([2]), np.array([mu]), np.array([lam]))
+        assert _pack_on(name, ["a"], packed) == (
+            "raised", InvalidInstanceError, f"item 'a': {refused.value}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +432,7 @@ def test_time_ordered_trace_never_takes_numpy(tmp_path, monkeypatch):
         raise AssertionError("a numpy fallback or a pre-scan ran")
 
     monkeypatch.setattr(sampling, "_pack_numpy", refuse)
-    monkeypatch.setattr(prescan, "_prescan_numpy", refuse)
-    monkeypatch.setattr(prescan, "_prescan_c", refuse)  # layouts never pre-scan
+    monkeypatch.setattr(prescan, "prescan_columns", refuse)  # layouts never pre-scan
     with backend("c"):
         assert sampling.solve_trace_costs(mapped) == opt
         assert sampling.online_trace_costs(mapped) == sc

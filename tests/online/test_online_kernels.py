@@ -85,7 +85,6 @@ def assert_identical(inst, window_factor=1.0, epoch_size=None):
                 inst,
                 window_factor=window_factor,
                 epoch_size=epoch_size,
-                materialize=False,
             )
         res = run.to_result()
         assert res.cost == ref.cost
@@ -282,7 +281,7 @@ class TestBatchEquivalence:
             with backend(which):
                 runs = run_online_layout(layout, 1.0, None)
                 solos = [
-                    run_online_vector(inst, materialize=False)
+                    run_online_vector(inst)
                     for inst in items.values()
                 ]
             assert [r.name for r in runs] == list(items)
@@ -464,7 +463,7 @@ class TestResumableStep:
         for which, other in zip(BACKENDS, reversed(BACKENDS)):
             with backend(which):
                 whole = run_online_vector(
-                    inst, window_factor=gamma, epoch_size=epoch, materialize=False
+                    inst, window_factor=gamma, epoch_size=epoch
                 )
                 run, hit, src, resets = _run_blocks(
                     inst, gamma, epoch, cuts, snapshot_at, other
@@ -518,7 +517,7 @@ class TestResumableStep:
 
         monkeypatch.setattr(online_kernel, "_reserve", counting)
         with backend("c"):
-            run = run_online_vector(inst, materialize=False)
+            run = run_online_vector(inst)
         assert calls == [5]  # one reservation for the one block
         assert decision_digest(run) == decision_digest(ref)
 
@@ -633,7 +632,7 @@ class TestResumableStep:
                         step_block(state, t, srv)
                 step_block(state, [3.0], [1])
                 assert_same_run(
-                    finish(state), run_online_vector(inst, materialize=False)
+                    finish(state), run_online_vector(inst)
                 )
 
 
@@ -783,7 +782,7 @@ class TestNoCompiler:
         assert batch_kernel.batch_sweep_backend() == "python"
         assert "no C compiler" in str(batch_kernel._lib_state["error"])
         ref = run_online(SpeculativeCaching(), fig6, kernel="event")
-        run = run_online_vector(fig6, materialize=False)
+        run = run_online_vector(fig6)
         assert decision_digest(run) == decision_digest(ref)
         monkeypatch.setenv("REPRO_BATCH_SWEEP", "c")
         with pytest.raises(RuntimeError, match="unavailable"):

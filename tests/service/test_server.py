@@ -967,6 +967,24 @@ class TestRouting:
         with pytest.raises(ValueError):
             ServerConfig(deadline_ms=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("num_servers", 0),
+            ("num_servers", 2.5),
+            ("num_servers", 2**20 + 1),
+            ("origin", 9),
+            ("origin", True),
+            ("mu", 0.0),
+            ("lam", float("nan")),
+        ],
+    )
+    def test_solver_refusals_fail_at_construction(self, field, bad):
+        # Started, such a server would answer every event 400 (blaming
+        # the client) or 500: the shards' solvers refuse the config.
+        with pytest.raises(ValueError, match=field):
+            ServerConfig(shards=1, **{field: bad})
+
 
 class TestDedupeWindow:
     """Bounded ``(item, time)`` dedupe map (memory-growth regression)."""
