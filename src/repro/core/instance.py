@@ -218,7 +218,14 @@ class ProblemInstance:
         request-object path — only the construction cost differs.
         """
         times = np.asarray(times, dtype=np.float64)
+        raw = servers
         servers = _integer(np.asarray(servers), "server ids")
+        if not isinstance(raw, np.ndarray) and servers.size:
+            # numpy promotes a bool among ints to an int: refuse it as the
+            # integer rule refuses a lone bool.
+            if not {bool, np.bool_}.isdisjoint(map(type, raw)):
+                first = next(v for v in raw if isinstance(v, (bool, np.bool_)))
+                _integer(first, "server id")
         if times.shape != servers.shape:
             raise InvalidInstanceError(
                 f"times and servers must have equal length, got "
@@ -237,6 +244,12 @@ class ProblemInstance:
         self = cls.__new__(cls)
         self._init_arrays(t, srv, num_servers, cost)
         return self
+
+    def __setstate__(self, state: dict) -> None:
+        """Unpickle read-only, as constructed (the cached pre-scan too)."""
+        self.__dict__.update(state)
+        for arr in (self.t, self.srv, *state.get("_prescan", ())):
+            arr.setflags(write=False)
 
     # -- accessors -----------------------------------------------------------
 

@@ -13,7 +13,17 @@ trailing partial record (and only a trailing one — a torn line in the
 *middle* of a journal means external corruption and raises).  Every
 record must be a JSON object whose integer ``seq`` equals its position
 (contiguous from 0) and that carries a ``digest``; anything else raises
-:class:`JournalCorruptError`.
+:class:`JournalCorruptError`.  ``load`` never rewrites a journal: an
+intact file is left as it is, and a torn tail is cut off in place
+(truncated to the end of the last whole record, whose newline is
+restored if the cut took it) and fsynced before appends resume.
+
+The engine-run supervisor appends whole records and reads them back
+(:meth:`RunJournal.append`, :attr:`RunJournal.records`).  The live
+server's shards keep no records: each formats its own lines, byte for
+byte what ``append`` would write, and hands a block of them to
+:meth:`RunJournal.write` before the block's one
+:meth:`RunJournal.flush`; after a resume they drop the loaded records.
 
 Record shapes (all plain JSON objects):
 
@@ -117,13 +127,17 @@ class RunJournal:
 
         The returned journal is positioned for appending: record ``k``
         of a resumed run either *verifies* against the loaded tail or,
-        past the tail, extends the file.
+        past the tail, extends the file.  The file's whole records are
+        never rewritten; only a torn tail is cut off (see the module
+        docstring).
         """
         journal = cls(path, sync=sync)
         with open(path, "rb") as fh:
-            lines = fh.read().split(b"\n")
+            data = fh.read()
+        lines = data.split(b"\n")
         if lines and lines[-1] == b"":
             lines.pop()
+        end = 0  # bytes of the whole records, one newline each
         for lineno, line in enumerate(lines):
             try:
                 record = json.loads(line.decode("utf-8"))
@@ -136,11 +150,18 @@ class RunJournal:
                 )
             journal._check_next(record)
             journal.records.append(record)
-        # Re-write the valid prefix if a torn tail was dropped, then append.
-        journal._fh = open(path, "w", encoding="utf-8")
-        for record in journal.records:
-            journal._fh.write(json.dumps(record, allow_nan=True) + "\n")
-        journal._fh.flush()
+            end += len(line) + 1
+        if end != len(data):
+            # A torn tail, or a last record whose newline the cut took:
+            # cut the file back to the whole records, in place.
+            with open(path, "r+b") as fh:
+                fh.truncate(min(end, len(data)))
+                if end > len(data):
+                    fh.seek(0, os.SEEK_END)
+                    fh.write(b"\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+        journal._fh = open(path, "a", encoding="utf-8")
         return journal
 
     def flush(self, fsync: bool = False) -> None:
@@ -165,6 +186,16 @@ class RunJournal:
             self._fh = None
 
     # -- appends ----------------------------------------------------------------
+
+    def write(self, lines: str) -> None:
+        """Write already formatted record lines, keeping no record.
+
+        For writers that check their own sequence and format their own
+        lines (the live server's shards); the lines reach the disk at
+        the next :meth:`flush`.  No-op for an in-memory journal.
+        """
+        if self._fh is not None:
+            self._fh.write(lines)
 
     def _check_next(self, record: Dict) -> None:
         if not isinstance(record, dict):

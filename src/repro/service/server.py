@@ -29,22 +29,28 @@ gauges.  Robustness is the headline, not an afterthought:
   flips to 503, new posts get 503 + ``Retry-After``), drain every shard
   queue, fsync and close the journals, then exit 0.
 * **Group commit.**  Each shard worker applies everything its queue
-  holds as one block (up to 64 events) under one journal fsync.
+  holds as one block (up to 64 events), buffering each event's WAL
+  line, and writes the block's lines under one journal fsync.
   ``POST /batch`` admits all of its events in body order before it
   awaits any of them, so each shard's share of a batch is one block;
   answers are the same as sending the events one by one.
 * **Crash-safe resume.**  Every accepted event is written ahead to a
-  per-shard :class:`~repro.runtime.journal.RunJournal` (fsync before the
-  response leaves) together with a *chained decision digest*.  A
+  per-shard :class:`~repro.runtime.journal.RunJournal` file (fsync
+  before the response leaves) together with a *chained decision
+  digest*.  The shard formats both itself (:func:`_wal_line`,
+  :func:`~repro.runtime.digest.event_digest`), byte for byte the
+  ``json.dumps`` line and the :func:`~repro.runtime.digest.digest_value`
+  digest, and keeps no journal record in memory.  A
   SIGKILLed server restarted with ``resume=True`` checks each journal's
   ``begin`` record against its config, replays the journals through
   fresh solvers, re-verifies every recorded digest
-  (:class:`~repro.runtime.supervisor.ResumeDivergenceError` on the first
+  (:class:`~repro.runtime.journal.ResumeDivergenceError` on the first
   mismatch; :class:`~repro.runtime.journal.JournalCorruptError` on a
-  malformed record), and continues; the decision stream — and therefore the
-  digest chain — is bit-identical to an uninterrupted run over the same
-  accepted events.  Duplicate resends of already-journaled events are
-  answered from the decision index without being re-applied, so an
+  malformed record), drops the loaded records, and continues; the
+  decision stream — and therefore the digest chain — is bit-identical
+  to an uninterrupted run over the same accepted events.  Duplicate
+  resends of already-applied events are answered from the decision
+  index (one compact tuple per event) without being re-applied, so an
   at-least-once client yields exactly-once state transitions.
 
 Decisions are the *prefix-optimal* choices of the streaming DP: after
@@ -83,13 +89,14 @@ import signal
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..core.types import CostModel, InvalidInstanceError
 from ..kernels.prescan import _fleet
 from ..offline.streaming import StreamingSolver
-from ..runtime.digest import digest_value
+from ..runtime.digest import digest_value, event_digest
 from ..runtime.journal import (
     JournalCorruptError,
     ResumeDivergenceError,
@@ -398,12 +405,53 @@ class _Batch:
         self.answers.append((status, outcome))
 
 
+def _wal_line(seq, kind, item, time, server, digest) -> str:
+    """The WAL line of one applied event, formatted directly.
+
+    Byte for byte ``json.dumps(record, allow_nan=True) + "\\n"`` of the
+    record ``{"seq", "kind", "item", "time", "server", "digest"}`` (in
+    that order), the line :meth:`RunJournal.append` writes: strings go
+    through json's own ASCII escape and a finite ``float`` time through
+    ``float.__repr__``.  Any other input (a non-finite or non-``float``
+    time, a bool, a subclass) goes through ``json.dumps`` itself.
+    """
+    if (
+        type(time) is float
+        and type(seq) is int
+        and type(server) is int
+        and type(item) is str
+        and type(kind) is str
+        and type(digest) is str
+        and math.isfinite(time)
+    ):
+        return (
+            f'{{"seq": {seq}, "kind": {_json_str(kind)}, "item": {_json_str(item)}, '
+            f'"time": {time!r}, "server": {server}, "digest": {_json_str(digest)}}}\n'
+        )
+    record = {
+        "seq": seq,
+        "kind": kind,
+        "item": item,
+        "time": time,
+        "server": server,
+        "digest": digest,
+    }
+    return json.dumps(record, allow_nan=True) + "\n"
+
+
 class _Shard:
-    """One shard: solver bank, WAL, decision index, bounded queue."""
+    """One shard: solver bank, WAL, decision index, bounded queue.
+
+    Per applied event the shard keeps what its answers and its resume
+    need and nothing more: the item solver's history, one dedupe tuple,
+    and until the block's barrier the event's WAL line.
+    """
 
     def __init__(self, index: int, config: ServerConfig):
         self.index = index
         self.config = config
+        #: Built once: a CostModel checks its values on construction.
+        self.cost = config.cost
         self.solvers: Dict[str, StreamingSolver] = {}
         self.queue: "asyncio.Queue[Optional[_Event]]" = asyncio.Queue(
             maxsize=config.queue_depth
@@ -411,15 +459,23 @@ class _Shard:
         self.breaker = _ShardBreaker(
             config.breaker_threshold, config.breaker_cooldown
         )
+        #: The shard's WAL file (``None`` without ``journal_dir``).  The
+        #: shard writes its lines itself; the journal keeps no record.
         self.journal: Optional[RunJournal] = None
+        #: WAL lines of the open block, written by :meth:`flush_journal`.
+        self.pending: List[str] = []
+        #: Seq of the last line handed to the WAL (``-1``: none).
+        self.journaled = -1
         self.seq = 0
         self.digest = digest_value({"shard": index, "shards": config.shards})
-        #: (item, time) -> settled response payload, for duplicate resends.
-        #: Bounded by ``config.dedupe_window``: a sliding window keyed to
-        #: the shard's event-time frontier (see :meth:`_evict_dedupe`).
-        self.index_by_key: Dict[Tuple[str, float], dict] = {}
-        #: Apply-order ledger of live dedupe entries (time, key).
-        self.dedupe_order: "deque[Tuple[float, Tuple[str, float]]]" = deque()
+        #: (item, time) -> ``(server, seq, decision, cost, item_cost,
+        #: degraded)`` of the applied event, from which :meth:`answer`
+        #: rebuilds its response for duplicate resends.  Bounded by
+        #: ``config.dedupe_window``: a sliding window keyed to the
+        #: shard's event-time frontier (see :meth:`_evict_dedupe`).
+        self.index_by_key: Dict[Tuple[str, float], tuple] = {}
+        #: Apply-order ledger of the live dedupe keys.
+        self.dedupe_order: "deque[Tuple[str, float]]" = deque()
         #: Max event time applied on this shard (the window frontier).
         self.frontier = float("-inf")
         #: Max event time ever evicted from the dedupe index: resends at
@@ -455,16 +511,24 @@ class _Shard:
         }
 
     def open_journal(self) -> None:
+        """Start a fresh WAL with its ``begin`` record (no WAL without
+        ``journal_dir``)."""
         path = self.journal_path()
+        if path is None:
+            return
         self.journal = RunJournal.open_fresh(path, sync=False)
-        self.journal.append(
-            {"seq": 0, "kind": "begin", **self.begin_fields(), "digest": self.digest}
-        )
+        begin = {"seq": 0, "kind": "begin", **self.begin_fields(), "digest": self.digest}
+        self.pending.append(json.dumps(begin, allow_nan=True) + "\n")
+        self.journaled = 0
         self.flush_journal()
 
     def flush_journal(self) -> None:
-        """Fsync appended records (the respond-after-durable barrier)."""
+        """Write the block's lines, then one flush and fsync: the
+        respond-after-durable barrier."""
         if self.journal is not None:
+            if self.pending:
+                self.journal.write("".join(self.pending))
+                self.pending.clear()
             self.journal.flush(fsync=self.config.sync)
 
     def apply(self, item: str, time: float, server: int, degraded: bool) -> dict:
@@ -475,7 +539,7 @@ class _Shard:
         regardless of wall clock, load, or process lifetime — this is
         what makes kill/resume bit-identical.
         """
-        cost = self.config.cost
+        cost = self.cost
         if degraded:
             decision, item_cost, event_cost = "transfer", 0.0, cost.lam
             self.degraded += 1
@@ -495,35 +559,41 @@ class _Shard:
             self.decisions[decision] += 1
         self.seq += 1
         self.processed += 1
-        core = {
-            "kind": "degraded" if degraded else "request",
-            "item": item,
-            "time": time,
-            "server": server,
-            "decision": decision,
-            "cost": event_cost,
-        }
-        self.digest = digest_value([self.digest, core])
-        payload = {
+        self.digest = event_digest(
+            self.digest,
+            "degraded" if degraded else "request",
+            item,
+            time,
+            server,
+            decision,
+            event_cost,
+        )
+        entry = (server, self.seq, decision, event_cost, item_cost, degraded)
+        key = (item, time)
+        self.index_by_key[key] = entry
+        if time > self.frontier:
+            self.frontier = time
+        if self.config.dedupe_window is not None:
+            self.dedupe_order.append(key)
+            self._evict_dedupe()
+        return self.answer(item, time, entry, False)
+
+    def answer(self, item: str, time: float, entry: tuple, duplicate: bool) -> dict:
+        """The response to applied event ``(item, time)`` from its index entry."""
+        server, seq, decision, cost, item_cost, degraded = entry
+        return {
             "item": item,
             "time": time,
             "server": server,
             "shard": self.index,
-            "seq": self.seq,
+            "seq": seq,
             "decision": decision,
-            "cost": event_cost,
+            "cost": cost,
             "item_cost": item_cost,
             "degraded": degraded,
-            "duplicate": False,
+            "duplicate": duplicate,
             "status": "done",
         }
-        self.index_by_key[(item, time)] = payload
-        if time > self.frontier:
-            self.frontier = time
-        if self.config.dedupe_window is not None:
-            self.dedupe_order.append((time, (item, time)))
-            self._evict_dedupe()
-        return payload
 
     def _evict_dedupe(self) -> None:
         """Slide the dedupe window up to the shard's time frontier.
@@ -535,26 +605,39 @@ class _Shard:
         run length (regression-tested in ``test_server.py``).
         """
         cutoff = self.frontier - self.config.dedupe_window
-        while self.dedupe_order and self.dedupe_order[0][0] < cutoff:
-            t_old, key = self.dedupe_order.popleft()
+        order = self.dedupe_order
+        while order and order[0][1] < cutoff:
+            key = order.popleft()
             self.index_by_key.pop(key, None)
-            if t_old > self.evicted_horizon:
-                self.evicted_horizon = t_old
+            if key[1] > self.evicted_horizon:
+                self.evicted_horizon = key[1]
 
-    def journal_event(self, core_payload: dict) -> None:
-        """Write-ahead record for the event just applied."""
+    def journal_event(self, payload: dict) -> None:
+        """Buffer the write-ahead line of the event just applied.
+
+        The line reaches the file at the next :meth:`flush_journal`.  A
+        seq that does not follow the last journaled one raises
+        :class:`JournalCorruptError`, as :meth:`RunJournal.append` does.
+        """
         if self.journal is None:
             return
-        self.journal.append(
-            {
-                "seq": self.seq,
-                "kind": "degraded" if core_payload["degraded"] else "request",
-                "item": core_payload["item"],
-                "time": core_payload["time"],
-                "server": core_payload["server"],
-                "digest": self.digest,
-            }
+        seq = payload["seq"]
+        if seq != self.journaled + 1:
+            raise JournalCorruptError(
+                f"non-contiguous sequence: expected {self.journaled + 1}, "
+                f"got {seq!r}"
+            )
+        self.pending.append(
+            _wal_line(
+                seq,
+                "degraded" if payload["degraded"] else "request",
+                payload["item"],
+                payload["time"],
+                payload["server"],
+                self.digest,
+            )
         )
+        self.journaled = seq
 
     def resume_from_journal(self) -> int:
         """Rebuild state by replaying the WAL; verify every digest.
@@ -566,12 +649,14 @@ class _Shard:
         event digest mismatch.  A record that is not the one ``begin``
         at seq 0 followed by well-formed events, or that the solver
         refuses, raises :class:`JournalCorruptError` naming its seq and
-        field.
+        field.  The loaded records are read once and dropped: the
+        journal is left open for appending and keeps none of them.
         """
         path = self.journal_path()
         assert path is not None
         self.journal = RunJournal.load(path, sync=False)
-        records = self.journal.records
+        records, self.journal.records = self.journal.records, []
+        self.journaled = len(records) - 1
         if records:
             self._check_begin(records[0])
         for record in records[1:]:
@@ -869,7 +954,7 @@ class CacheServer:
         hit = shard.index_by_key.get((item, time))
         if hit is not None:
             self.counters["duplicates"] += 1
-            return 200, dict(hit, duplicate=True)
+            return 200, shard.answer(item, time, hit, True)
         if time <= shard.evicted_horizon:
             # The dedupe window has slid past this instant: a resend of
             # an applied event and a stale newcomer are no longer
@@ -930,7 +1015,7 @@ class CacheServer:
                         # overlapping its in-flight original): answer,
                         # don't re-apply.
                         self.counters["duplicates"] += 1
-                        settled.append((ev, dict(hit, duplicate=True)))
+                        settled.append((ev, shard.answer(ev.item, ev.time, hit, True)))
                         continue
                     payload = shard.apply(ev.item, ev.time, ev.server, ev.degraded)
                     shard.journal_event(payload)

@@ -1,6 +1,7 @@
 """Unit tests for ProblemInstance and its O(mn) pre-scan."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -299,6 +300,16 @@ class TestIntegerRule:
         with pytest.raises(InvalidInstanceError, match="server id"):
             CONSTRUCTORS[how](servers=servers, num_servers=3)
 
+    @pytest.mark.parametrize("bad", [True, np.True_, False])
+    def test_bool_among_integers_in_a_list(self, bad):
+        # numpy would promote [True, 0] to int64 and file the request
+        # under server 1; a list is checked element by element.
+        for servers in ([bad, 0], (1, bad), [0, 1, bad]):
+            with pytest.raises(InvalidInstanceError, match="server id .* not an integer"):
+                ProblemInstance.from_arrays(
+                    np.arange(1.0, len(servers) + 1), servers, num_servers=2
+                )
+
     @pytest.mark.parametrize("how", sorted(CONSTRUCTORS))
     def test_numpy_integers_pass(self, how):
         kw = {"num_servers": np.uint8(3), "origin": np.int32(1)}
@@ -367,3 +378,18 @@ class TestLazyPreScan:
         assert inst.running_bound() == inst.B[-1]
         assert (inst.p.tolist(), inst.sigma[1], inst.b[0]) == ([-1, -1, 0, 1], math.inf, 0.0)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("scanned", [False, True])
+    def test_unpickled_arrays_stay_read_only(self, scanned):
+        # runtime.snapshot pickles drivers that hold instances; a restored
+        # instance must refuse writes as a constructed one does, its
+        # cached pre-scan included.
+        inst = ProblemInstance.from_arrays([1.0, 2.0], [1, 0], num_servers=2)
+        if scanned:
+            inst.p
+        back = pickle.loads(pickle.dumps(inst))
+        assert back == inst
+        arrays = [back.t, back.srv, back.p, back.sigma, back.b, back.B]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]

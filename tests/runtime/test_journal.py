@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime import journal as journal_module
 from repro.runtime.journal import JournalCorruptError, RunJournal
 
 
@@ -85,6 +86,37 @@ class TestFileBacked:
         back.close()
         lines = [json.loads(l) for l in open(path).read().splitlines()]
         assert [r["seq"] for r in lines] == [0, 1, 2, 3]
+
+    def test_load_leaves_an_intact_journal_as_written(self, tmp_path):
+        # No re-render: a journal written with other separators than
+        # json.dumps' defaults keeps its bytes, and appends follow them.
+        path = tmp_path / "run.jsonl"
+        blob = "".join(
+            json.dumps(_rec(k), separators=(",", ":")) + "\n" for k in range(3)
+        ).encode()
+        path.write_bytes(blob)
+        back = RunJournal.load(str(path))
+        back.append(_rec(3))
+        back.close()
+        assert path.read_bytes() == blob + (json.dumps(_rec(3)) + "\n").encode()
+
+    def test_load_failure_leaves_an_intact_journal_whole(self, tmp_path, monkeypatch):
+        # Records already durable stay durable whatever load hits: it
+        # must not truncate the file to write it again.
+        path = tmp_path / "run.jsonl"
+        blob = "".join(json.dumps(_rec(k)) + "\n" for k in range(3)).encode()
+        path.write_bytes(blob)
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("encoder down")
+
+        monkeypatch.setattr(journal_module.json, "dumps", refuse)
+        try:
+            RunJournal.load(str(path)).close()
+        except RuntimeError:
+            pass
+        monkeypatch.undo()
+        assert path.read_bytes() == blob
 
     def test_mid_file_corruption_raises(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
